@@ -21,12 +21,12 @@ from .dynamics import (GrowthFit, IncubationResult, IntegratorFailure,
                        stability_experiment, sweep)
 from .eigen import (EigenConvergenceError, EigenSolution, HypothesisConstants,
                     PositivityViolationError, ScanResult, adjoint_eigenpair,
-                    eigenvalue_from_moments, hypothesis_constants,
-                    principal_eigenpair, scan_lambda)
-from .grid import PolymerState, SizeGrid, moments
+                    eigenvalue_from_moments, generator_eigenpair,
+                    hypothesis_constants, principal_eigenpair, scan_lambda)
+from .grid import PolymerState, SizeGrid
 from .kernel import below_cutoff_mass_share, kernel_weights
-from .operator import (AdjointOperator, BalanceResult, FragOperator, assemble,
-                       assemble_adjoint, macroscopic_balance,
+from .operator import (AdjointOperator, BalanceResult, FragOperator, Generator,
+                       assemble, assemble_adjoint, macroscopic_balance,
                        transport_reaction_parts)
 from .records import (PACKAGE_VERSION, ExperimentRecord, canonical_json,
                       config_echo, grid_hash, write_csv)
@@ -48,11 +48,12 @@ __all__ = [
     "stability_experiment", "sweep",
     "EigenConvergenceError", "EigenSolution", "HypothesisConstants",
     "PositivityViolationError", "ScanResult", "adjoint_eigenpair",
-    "eigenvalue_from_moments", "hypothesis_constants", "principal_eigenpair",
+    "eigenvalue_from_moments", "generator_eigenpair", "hypothesis_constants",
+    "principal_eigenpair",
     "scan_lambda",
-    "PolymerState", "SizeGrid", "moments",
+    "PolymerState", "SizeGrid",
     "below_cutoff_mass_share", "kernel_weights",
-    "AdjointOperator", "BalanceResult", "FragOperator", "assemble",
+    "AdjointOperator", "BalanceResult", "FragOperator", "Generator", "assemble",
     "assemble_adjoint", "macroscopic_balance", "transport_reaction_parts",
     "PACKAGE_VERSION", "ExperimentRecord", "canonical_json", "config_echo",
     "grid_hash", "write_csv",

@@ -46,8 +46,6 @@ _SCALAR_KEYS = {
     "model.kernel": ("str", "uniform"),
     "grid.xmax": ("float", None),
     "grid.n": ("int", 800),
-    "grid.spacing": ("enum:spacing", "uniform"),
-    "grid.ratio": ("float", 1.01),
     "eigen.v_values": ("floatlist", None),
     "eigen.tol": ("float", 1e-10),
     "steady.v_max": ("float", None),
@@ -112,8 +110,6 @@ class RunConfig:
     coeffs: CoefficientSet
     xmax: float
     n: int = 800
-    spacing: str = "uniform"
-    ratio: float = 1.01
     eigen_v_values: Optional[tuple] = None
     eigen_tol: float = 1e-10
     steady_v_max: Optional[float] = None
@@ -146,9 +142,6 @@ class RunConfig:
         return self.coeffs.production / self.coeffs.clearance
 
     def make_grid(self) -> SizeGrid:
-        if self.spacing == "geometric":
-            return SizeGrid.geometric(self.xmax, self.n, x0=self.coeffs.x0,
-                                      ratio=self.ratio)
         return SizeGrid.uniform(self.xmax, self.n, x0=self.coeffs.x0)
 
 
@@ -172,10 +165,6 @@ def _parse_value(tag: str, raw: str, key: str, line_no: int, errors: list):
         if tag == "enum:experiment":
             if raw not in EXPERIMENTS:
                 raise ValueError("must be one of %s" % (", ".join(EXPERIMENTS)))
-            return raw
-        if tag == "enum:spacing":
-            if raw not in ("uniform", "geometric"):
-                raise ValueError("must be uniform or geometric")
             return raw
         if tag == "enum:axis":
             if raw not in SWEEP_AXES:
@@ -305,7 +294,6 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(
         experiment=exp, coeffs=coeffs, xmax=xmax, n=get("grid.n"),
-        spacing=get("grid.spacing"), ratio=get("grid.ratio"),
         eigen_v_values=get("eigen.v_values"), eigen_tol=get("eigen.tol"),
         steady_v_max=get("steady.v_max"), t_end=get("simulate.t_end"),
         v_init=get("simulate.v_init"), seed_scale=get("simulate.seed_scale"),

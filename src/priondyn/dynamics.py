@@ -6,8 +6,8 @@ The stepper is explicit Heun under a transport CFL bound and a reaction
 bound, with step rejection and halving if a stage goes negative.  The
 mass books are stage-consistent: the reported per-step residual compares
 the realized change of (monomer + polymer mass) against the stage-averaged
-sources, so on uniform grids it sits at rounding level and any real leak
-would show immediately.
+sources, so it sits at rounding level and any real leak would show
+immediately.  The right-hand side applies the structured generator in O(n).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .config import RunConfig
 from .eigen import HypothesisConstants, adjoint_eigenpair, hypothesis_constants, principal_eigenpair
 from .grid import PolymerState, SizeGrid
 from .kernel import below_cutoff_mass_share
-from .operator import transport_reaction_parts
+from .operator import Generator
 from .records import ExperimentRecord, config_echo, grid_hash
 from .reference import initial_seed_profile
 from .steady import build_steady_state, bimodality_report, detect_modes, find_v_inf
@@ -105,11 +105,8 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
                                      or initial.grid.xmax != grid.xmax):
         raise ValueError("initial state lives on a different grid")
     x, h = grid.centers, grid.widths
-    T, B, samples = transport_reaction_parts(coeffs, grid)
-    conv = samples["conversion"]
-    frag = samples["fragmentation"]
-    decay = samples["decay"]
-    frag_eff = samples["frag_eff"]
+    gen = Generator(coeffs, grid)
+    conv, frag, decay, frag_eff = gen.conversion, gen.fragmentation, gen.decay, gen.frag_eff
     lam, gam = coeffs.production, coeffs.clearance
 
     xh = x * h
@@ -148,7 +145,7 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     ev_i = 0
 
     def rhs(uu, VV):
-        du = VV * (T @ uu) + B @ uu
+        du = gen.apply(VV, uu)
         dV = lam - VV * (gam + convh @ uu) + vgain @ uu
         return du, dV
 
@@ -525,46 +522,29 @@ def stability_experiment(coeffs: CoefficientSet, grid: SizeGrid, epsilon: float,
                        float(traj.conservation_residuals.max())
                        if traj.conservation_residuals.size else 0.0}
 
+    verdict, fitted = "inconclusive", None
+    escape = np.flatnonzero(norms >= 10.0 * norm0)
     if norm0 == 0.0:
         biggest = float(np.abs(norms).max()) if norms.size else 0.0
         verdict = "stable" if biggest == 0.0 else "inconclusive"
         diagnostics["note"] = "zero perturbation: exact fixed point"
-        return StabilityResult(verdict=verdict, regime=regime, fitted_rate=None,
-                               comparator=comparator, delta=delta,
-                               alpha_weight=alpha, loss_rate_at_vbar=lam_vbar,
-                               v_inf=v_inf, vbar=vbar, epsilon=epsilon,
-                               constants=consts, norm_times=times,
-                               norm_values=norms, diagnostics=diagnostics)
-
-    escape = np.flatnonzero(norms >= 10.0 * norm0)
-    if escape.size:
+    elif escape.size:
         i = int(escape[0])
         fit_to = max(i, 3)
-        slope = float(np.polyfit(times[:fit_to + 1],
-                                 np.log(norms[:fit_to + 1]), 1)[0])
+        verdict = "unstable"
+        fitted = float(np.polyfit(times[:fit_to + 1],
+                                  np.log(norms[:fit_to + 1]), 1)[0])
         diagnostics["escape_time"] = float(times[i])
-        return StabilityResult(verdict="unstable", regime=regime,
-                               fitted_rate=slope, comparator=comparator,
-                               delta=delta, alpha_weight=alpha,
-                               loss_rate_at_vbar=lam_vbar, v_inf=v_inf,
-                               vbar=vbar, epsilon=epsilon, constants=consts,
-                               norm_times=times, norm_values=norms,
-                               diagnostics=diagnostics)
-    if norms[-1] <= norm0 / np.e and norms.min() > 0.0:
+    elif norms[-1] <= norm0 / np.e and norms.min() > 0.0:
         tail = times >= times[-1] / 3.0
-        slope = float(np.polyfit(times[tail], np.log(norms[tail]), 1)[0])
-        return StabilityResult(verdict="stable", regime=regime,
-                               fitted_rate=-slope, comparator=comparator,
-                               delta=delta, alpha_weight=alpha,
-                               loss_rate_at_vbar=lam_vbar, v_inf=v_inf,
-                               vbar=vbar, epsilon=epsilon, constants=consts,
-                               norm_times=times, norm_values=norms,
-                               diagnostics=diagnostics)
-    diagnostics["note"] = ("functional neither decayed below 1/e of its "
-                           "initial value nor escaped the 10x ball")
-    return StabilityResult(verdict="inconclusive", regime=regime,
-                           fitted_rate=None, comparator=comparator,
-                           delta=delta, alpha_weight=alpha,
-                           loss_rate_at_vbar=lam_vbar, v_inf=v_inf, vbar=vbar,
-                           epsilon=epsilon, constants=consts, norm_times=times,
+        verdict = "stable"
+        fitted = -float(np.polyfit(times[tail], np.log(norms[tail]), 1)[0])
+    else:
+        diagnostics["note"] = ("functional neither decayed below 1/e of its "
+                               "initial value nor escaped the 10x ball")
+    return StabilityResult(verdict=verdict, regime=regime, fitted_rate=fitted,
+                           comparator=comparator, delta=delta,
+                           alpha_weight=alpha, loss_rate_at_vbar=lam_vbar,
+                           v_inf=v_inf, vbar=vbar, epsilon=epsilon,
+                           constants=consts, norm_times=times,
                            norm_values=norms, diagnostics=diagnostics)

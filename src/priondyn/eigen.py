@@ -1,24 +1,28 @@
 """Principal eigenpair machinery for the frozen-monomer polymer operator.
 
-Sign convention, fixed once: the assembled matrix is the generator G of
-du/dt = G u, whose principal eigenvalue nu has the population evolving like
-exp(nu*t).  Everything user-facing stores lambda_eig = -nu, the LOSS rate,
-and exposes growth_rate = -lambda_eig = nu.  Negative lambda_eig means the
-polymer population grows.
+Sign convention, fixed once: the generator G of du/dt = G u has a
+principal eigenvalue nu with the population evolving like exp(nu*t).
+Everything user-facing stores lambda_eig = -nu, the LOSS rate, and exposes
+growth_rate = -lambda_eig = nu.  Negative lambda_eig means the polymer
+population grows.
+
+Every solve runs on the structured ``operator.Generator`` through one
+routine, ``_principal_on_matrix``: inverse iteration whose O(n) shifted
+solves keep the shift above the principal eigenvalue, so each iterate
+stays a nonnegative vector.  The dense assembly is not used here; it is
+the oracle the tests check these solves against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, eig as dense_eig, lu_factor, lu_solve
 
 from .coefficients import CoefficientSet, Constant, eval_coefficients
 from .grid import SizeGrid
-from .operator import assemble, assemble_adjoint, transport_reaction_parts
+from .operator import Generator
 
 __all__ = [
     "EigenSolution",
@@ -28,6 +32,7 @@ __all__ = [
     "ScanResult",
     "HypothesisConstants",
     "principal_eigenpair",
+    "generator_eigenpair",
     "eigenvalue_from_moments",
     "adjoint_eigenpair",
     "scan_lambda",
@@ -36,7 +41,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
-DENSE_FALLBACK_MAX_N = 400
 
 
 class EigenConvergenceError(RuntimeError):
@@ -48,7 +52,7 @@ class EigenConvergenceError(RuntimeError):
 
 
 class PositivityViolationError(RuntimeError):
-    """Converged vector has negative entries beyond tolerance."""
+    """A Perron solve produced a vector with negative entries."""
 
 
 @dataclass
@@ -61,7 +65,8 @@ class EigenSolution:
     solve, normalized so its linear extrapolation to the minimal size
     equals 1 (recorded in phi_normalization).  residual is the l1 norm of
     (G - nu)v at convergence; residual_log holds the inverse-iteration
-    history.
+    history.  At v = 0 the solution is degenerate: no vector, the loss
+    rate read off the diagonal.
     """
 
     v: float
@@ -73,7 +78,6 @@ class EigenSolution:
     grid: SizeGrid
     phi_normalization: str = "phi(x0)=1"
     degenerate: bool = False
-    method: str = "inverse-iteration"
     residual_log: list = field(default_factory=list, repr=False)
 
     @property
@@ -81,140 +85,86 @@ class EigenSolution:
         return -self.lambda_eig
 
 
-def _principal_on_matrix(A: np.ndarray, h: np.ndarray,
+def _principal_on_matrix(gen: Generator, v: float,
                          tol: float = DEFAULT_TOL,
-                         max_iter: int = DEFAULT_MAX_ITER):
-    """Principal eigenpair of a Metzler matrix by warm-started inverse iteration.
+                         max_iter: int = DEFAULT_MAX_ITER,
+                         adjoint: bool = False):
+    """Perron pair of L(v), or of its adjoint, by Noda-style inverse iteration.
 
-    Power iteration on I + s*A (s small enough that the shift is
-    nonnegative; A Metzler makes the off-diagonal part already >= 0) walks
-    toward the Perron vector, then one LU-factored shifted solve iterates to
-    convergence with Rayleigh-quotient eigenvalue updates.  The convergence
-    test compares the l1 residual against tol * max absolute row sum.
+    Each step solves (s*I - A)w = u with the shift s set to the larger of
+    the Collatz-Wielandt ratio max (Au)_i/u_i and the Rayleigh quotient,
+    plus 1e-12*scale.  The ratio is taken only over cells with
+    u_i > 1e-8*max(u): on underflowed tail cells it is rounding noise.  A
+    is Metzler, so (s*I - A)^{-1} >= 0 once s exceeds the principal
+    eigenvalue; a solve that returns a negative entry means the shift fell
+    below it and raises PositivityViolationError rather than being clipped.
+    The iteration stops when the l1 residual |Au - nu*u| of the l1-normed
+    iterate drops below tol * scale, scale the largest absolute row sum of
+    A.  Every failure names the monomer level.
 
-    Returns (nu, vec, residual, res_log) with sum(vec*h) = 1.
+    Returns (nu, vec, residual, residual_log, iterations), sum(vec*h) = 1.
     """
-    n = A.shape[0]
-    scale = np.abs(A).sum(axis=1).max()
-    s = 0.99 / max(np.abs(np.diag(A)).max(), 1e-300)
-    M = np.eye(n) + s * A
-    v = np.ones(n)
-    for _ in range(80):
-        v = M @ v
-        v /= np.abs(v).sum()
-    nu = (v @ (A @ v)) / (v @ v)
-
+    apply = gen.apply_adjoint if adjoint else gen.apply
+    n = gen.grid.n
+    # off-diagonal entries are >= 0 and the diagonal <= 0
+    scale = float((apply(v, np.ones(n)) - 2.0 * gen.diagonal(v)).max())
+    u = np.full(n, 1.0 / n)
+    au = apply(v, u)
+    nu = float(u @ au) / float(u @ u)
     res_log: list = []
-    offset = 1e-6 * max(1.0, abs(nu))
-    try:
-        lu = lu_factor(A - (nu + offset) * np.eye(n))
-    except LinAlgError:
-        # shift landed on an eigenvalue; back off
-        lu = lu_factor(A - (nu + 1e-3 * max(1.0, abs(nu))) * np.eye(n))
-    r = math.inf
-    it = 0
+    r = float("inf")
     for it in range(1, max_iter + 1):
-        w = lu_solve(lu, v)
-        v = w / np.abs(w).sum()
-        if v.sum() < 0.0:
-            v = -v
-        nu = (v @ (A @ v)) / (v @ v)
-        r = float(np.abs(A @ v - nu * v).sum())
+        big = u > 1e-8 * u.max()
+        s = max(float((au[big] / u[big]).max()), nu) + 1e-12 * scale
+        w = gen.solve_shifted(v, s, u, adjoint=adjoint)
+        if w.min() < 0.0:
+            raise PositivityViolationError(
+                "shifted solve at level v=%g returned entries down to %.3e "
+                "(shift %.17g)" % (v, float(w.min()), s))
+        u = w / w.sum()
+        au = apply(v, u)
+        nu = float(u @ au) / float(u @ u)
+        r = float(np.abs(au - nu * u).sum())
         res_log.append(r)
         if r < tol * scale:
             break
     else:
         raise EigenConvergenceError(
-            "no convergence after %d inverse iterations (residual %.3e, "
-            "needed %.3e)" % (max_iter, r, tol * scale), last_residual=r)
-    v = v / (v @ h)
-    return float(nu), v, r, res_log, it
+            "no convergence at level v=%g after %d inverse iterations "
+            "(residual %.3e, needed %.3e)" % (v, max_iter, r, tol * scale),
+            last_residual=r)
+    return nu, u / (u @ gen.grid.widths), r, res_log, it
 
 
-def _dense_principal(A: np.ndarray, h: np.ndarray):
-    """Full dense eigendecomposition; validation path for small operators."""
-    vals, vecs = dense_eig(A)
-    i = int(np.argmax(vals.real))
-    nu = float(vals[i].real)
-    v = vecs[:, i].real
-    if v.sum() < 0.0:
-        v = -v
-    v = v / (v @ h)
-    r = float(np.abs(A @ v - nu * v).sum())
-    return nu, v, r
+def generator_eigenpair(gen: Generator, v: float, tol: float = DEFAULT_TOL,
+                        max_iter: int = DEFAULT_MAX_ITER) -> EigenSolution:
+    """Loss rate and unit-count profile of a prebuilt generator at level v.
 
-
-def _finalize_vector(v: np.ndarray, h: np.ndarray, what: str) -> np.ndarray:
-    """Enforce nonnegativity of a converged Perron vector.
-
-    Entries below -1e-12 mean the iteration converged to the wrong vector or
-    the operator lost its sign structure; tiny negative rounding dust is
-    clipped and the count renormalized.
-    """
-    if v.min() < -1e-12:
-        raise PositivityViolationError(
-            "%s has negative entries down to %.3e after convergence; "
-            "the scheme is misconfigured" % (what, float(v.min())))
-    v = np.maximum(v, 0.0)
-    return v / (v @ h)
-
-
-def _v0_loss_rate(coeffs: CoefficientSet, grid: SizeGrid) -> float:
-    """Loss rate at zero monomer level, where transport vanishes.
-
-    The generator is then triangular, so its principal eigenvalue is read
-    off the diagonal: -min(decay + effective splitting).  For constant
-    decay this is exactly decay0 (splitting is disabled in the smallest
-    cell), which is also what integrating the eigen relation gives.
-    """
-    _, frag, decay = eval_coefficients(coeffs, grid)
-    frag_eff = frag.copy()
-    frag_eff[0] = 0.0
-    return float(np.min(decay + frag_eff))
-
-
-def principal_eigenpair(coeffs: CoefficientSet, grid: SizeGrid, v: float,
-                        tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER,
-                        method: str = "auto") -> EigenSolution:
-    """Loss rate and nonnegative size profile at monomer level v.
-
-    method: "auto" runs inverse iteration and falls back to the dense
-    decomposition for small operators if it stalls; "iterative" and
-    "dense" force one path.
-
-    At v = 0 the transport term vanishes and the profile degenerates to the
-    smallest sizes; the loss rate is still well defined and is returned
-    with u_vec = None and degenerate = True.
+    At v = 0 the transport term vanishes and the generator is triangular:
+    the loss rate is min(decay + effective splitting), read off the
+    diagonal, and the solution is degenerate (u_vec None).
     """
     if v < 0.0:
         raise ValueError("monomer level must be nonnegative, got %g" % v)
     if v == 0.0:
-        return EigenSolution(v=0.0, lambda_eig=_v0_loss_rate(coeffs, grid),
-                             u_vec=None, phi_vec=None, residual=0.0,
-                             iterations=0, grid=grid, degenerate=True,
-                             method="v0-diagonal")
-    op = assemble(coeffs, grid, v)
-    if method == "dense":
-        nu, vec, r = _dense_principal(op.matrix, grid.widths)
-        vec = _finalize_vector(vec, grid.widths, "eigenvector")
-        return EigenSolution(v=v, lambda_eig=-nu, u_vec=vec, phi_vec=None,
-                             residual=r, iterations=1, grid=grid, method="dense")
-    try:
-        nu, vec, r, log, it = _principal_on_matrix(op.matrix, grid.widths,
-                                                   tol=tol, max_iter=max_iter)
-    except EigenConvergenceError:
-        if method == "iterative" or grid.n > DENSE_FALLBACK_MAX_N:
-            raise
-        nu, vec, r = _dense_principal(op.matrix, grid.widths)
-        vec = _finalize_vector(vec, grid.widths, "eigenvector")
-        return EigenSolution(v=v, lambda_eig=-nu, u_vec=vec, phi_vec=None,
-                             residual=r, iterations=max_iter, grid=grid,
-                             method="dense-fallback")
-    vec = _finalize_vector(vec, grid.widths, "eigenvector")
-    return EigenSolution(v=v, lambda_eig=-nu, u_vec=vec, phi_vec=None,
-                         residual=r, iterations=it, grid=grid,
+        return EigenSolution(v=0.0, lambda_eig=float(gen.loss.min()), u_vec=None,
+                             phi_vec=None, residual=0.0, iterations=0,
+                             grid=gen.grid, degenerate=True)
+    nu, vec, r, log, it = _principal_on_matrix(gen, v, tol=tol, max_iter=max_iter)
+    return EigenSolution(v=float(v), lambda_eig=-nu, u_vec=vec, phi_vec=None,
+                         residual=r, iterations=it, grid=gen.grid,
                          residual_log=log)
+
+
+def principal_eigenpair(coeffs: CoefficientSet, grid: SizeGrid, v: float,
+                        tol: float = DEFAULT_TOL,
+                        max_iter: int = DEFAULT_MAX_ITER) -> EigenSolution:
+    """Loss rate and nonnegative size profile at monomer level v.
+
+    See ``generator_eigenpair``; this builds the generator for one call.
+    """
+    return generator_eigenpair(Generator(coeffs, grid), v, tol=tol,
+                               max_iter=max_iter)
 
 
 @dataclass(frozen=True)
@@ -248,9 +198,8 @@ def eigenvalue_from_moments(solution: EigenSolution, coeffs: CoefficientSet) -> 
     grid = solution.grid
     u = solution.u_vec
     x, h = grid.centers, grid.widths
-    conv, frag, decay = eval_coefficients(coeffs, grid)
-    frag_eff = frag.copy()
-    frag_eff[0] = 0.0  # matches assembly: no admissible destination cell
+    gen = Generator(coeffs, grid)
+    conv, decay, frag_eff = gen.conversion, gen.decay, gen.frag_eff
 
     count = float(u @ h)
     mass = float((x * u) @ h)
@@ -280,16 +229,8 @@ def adjoint_eigenpair(coeffs: CoefficientSet, grid: SizeGrid, v: float,
     if v == 0.0:
         raise ValueError("adjoint weight is not defined at zero monomer level "
                          "(degenerate transport)")
-    adj = assemble_adjoint(coeffs, grid, v)
-    nu, vec, r, log, it = _principal_on_matrix(adj.matrix, grid.widths,
-                                               tol=tol, max_iter=max_iter)
-    if vec.min() <= 0.0:
-        # Perron vector of an irreducible Metzler matrix is strictly positive;
-        # rounding can only graze zero in the far tail
-        if vec.min() < -1e-12:
-            raise PositivityViolationError(
-                "adjoint weight has negative entries down to %.3e" % float(vec.min()))
-        vec = np.maximum(vec, 1e-300)
+    nu, vec, r, log, it = _principal_on_matrix(Generator(coeffs, grid), v, tol=tol,
+                                               max_iter=max_iter, adjoint=True)
     x = grid.centers
     # extrapolate to x0 through the first two cell centers
     phi0 = vec[0] + (grid.x0 - x[0]) * (vec[1] - vec[0]) / (x[1] - x[0])
@@ -327,46 +268,24 @@ def scan_lambda(coeffs: CoefficientSet, grid: SizeGrid,
     tolerance band.  When decay is constant the zero-level loss rate minus
     that constant is reported (it should vanish identically) and the sign
     of the loss rate at the largest level probes eventual decay of the
-    scan.  Solver failures are re-raised naming the offending level.
+    scan.  One generator serves the whole ladder.
     """
     v_arr = np.asarray(list(v_list), dtype=float)
     if v_arr.size < 1:
         raise ValueError("empty level list")
     if np.any(np.diff(v_arr) <= 0.0) or v_arr[0] < 0.0:
         raise ValueError("levels must be strictly increasing and nonnegative")
-    # one assembly of the level-independent parts, reused across the ladder
-    T, B, _ = transport_reaction_parts(coeffs, grid)
-    lams = np.empty_like(v_arr)
-    sols: list = []
-    for i, v in enumerate(v_arr):
-        if v == 0.0:
-            lams[i] = _v0_loss_rate(coeffs, grid)
-            if keep_solutions:
-                sols.append(EigenSolution(v=0.0, lambda_eig=lams[i], u_vec=None,
-                                          phi_vec=None, residual=0.0, iterations=0,
-                                          grid=grid, degenerate=True,
-                                          method="v0-diagonal"))
-            continue
-        try:
-            nu, vec, r, log, it = _principal_on_matrix(v * T + B, grid.widths, tol=tol)
-        except EigenConvergenceError as exc:
-            raise EigenConvergenceError(
-                "scan failed at level v=%g: %s" % (v, exc),
-                last_residual=exc.last_residual) from exc
-        lams[i] = -nu
-        if keep_solutions:
-            vec = _finalize_vector(vec, grid.widths, "eigenvector")
-            sols.append(EigenSolution(v=float(v), lambda_eig=float(-nu),
-                                      u_vec=vec, phi_vec=None, residual=r,
-                                      iterations=it, grid=grid, residual_log=log))
+    gen = Generator(coeffs, grid)
+    sols = [generator_eigenpair(gen, v, tol=tol) for v in v_arr]
+    lams = np.array([sol.lambda_eig for sol in sols])
     decreasing = bool(np.all(np.diff(lams) < 1e-10))
     l0md = None
     if isinstance(coeffs.decay, Constant):
-        l0md = _v0_loss_rate(coeffs, grid) - coeffs.decay.value
+        l0md = float(gen.loss.min()) - coeffs.decay.value
     sign = int(np.sign(lams[-1]))
     return ScanResult(v_values=v_arr, lambda_values=lams, decreasing=decreasing,
                       lambda0_minus_decay0=l0md, sign_at_largest=sign,
-                      solutions=sols)
+                      solutions=sols if keep_solutions else [])
 
 
 @dataclass(frozen=True)

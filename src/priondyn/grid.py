@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SizeGrid", "PolymerState", "moments"]
+__all__ = ["SizeGrid", "PolymerState"]
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,6 @@ class SizeGrid:
         Cell midpoints, shape (n,).
     widths : np.ndarray
         Cell widths, shape (n,).
-    spacing : str
-        "uniform" or "geometric".
     """
 
     x0: float
@@ -34,7 +32,6 @@ class SizeGrid:
     n: int
     centers: np.ndarray = field(repr=False)
     widths: np.ndarray = field(repr=False)
-    spacing: str = "uniform"
 
     @classmethod
     def uniform(cls, xmax: float, n: int, x0: float = 0.0) -> "SizeGrid":
@@ -45,26 +42,7 @@ class SizeGrid:
         edges = np.linspace(x0, xmax, n + 1)
         return cls(x0=x0, xmax=xmax, n=n,
                    centers=0.5 * (edges[:-1] + edges[1:]),
-                   widths=np.diff(edges), spacing="uniform")
-
-    @classmethod
-    def geometric(cls, xmax: float, n: int, x0: float = 0.0,
-                  ratio: float = 1.01) -> "SizeGrid":
-        """Cell widths grow by ``ratio`` per cell; resolves small sizes."""
-        if n < 2:
-            raise ValueError("need at least 2 cells, got %d" % n)
-        if xmax <= x0:
-            raise ValueError("xmax=%g must exceed x0=%g" % (xmax, x0))
-        if ratio <= 0.0 or ratio == 1.0:
-            raise ValueError("ratio must be positive and != 1 (use uniform for 1)")
-        # first width from the geometric sum: h0*(r**n - 1)/(r - 1) = xmax - x0
-        h0 = (xmax - x0) * (ratio - 1.0) / (ratio ** n - 1.0)
-        widths = h0 * ratio ** np.arange(n)
-        edges = x0 + np.concatenate(([0.0], np.cumsum(widths)))
-        edges[-1] = xmax  # kill the last-ulp drift from the cumsum
-        return cls(x0=x0, xmax=xmax, n=n,
-                   centers=0.5 * (edges[:-1] + edges[1:]),
-                   widths=np.diff(edges), spacing="geometric")
+                   widths=np.diff(edges))
 
     @property
     def edges(self) -> np.ndarray:
@@ -104,12 +82,3 @@ class PolymerState:
     def moment1(self) -> float:
         """Total polymerized mass, sum(x*u*h)."""
         return float((self.grid.centers * self.u) @ self.grid.widths)
-
-
-def moments(state: PolymerState) -> tuple[float, float]:
-    """Polymer count and polymerized mass of a state, as a pair.
-
-    Linear in the density: moments of a sum of states is the sum of the
-    moments.
-    """
-    return state.moment0(), state.moment1()

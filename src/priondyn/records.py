@@ -37,7 +37,6 @@ def grid_hash(grid: SizeGrid) -> str:
     hsh = hashlib.sha256()
     hsh.update(grid.centers.tobytes())
     hsh.update(grid.widths.tobytes())
-    hsh.update(grid.spacing.encode())
     return hsh.hexdigest()[:16]
 
 
@@ -68,11 +67,9 @@ def config_echo(cfg) -> dict:
             "fragmentation": shape_echo(c.fragmentation),
             "decay": shape_echo(c.decay),
         },
-        "grid": {"xmax": cfg.xmax, "n": cfg.n, "spacing": cfg.spacing},
+        "grid": {"xmax": cfg.xmax, "n": cfg.n},
         "seed": cfg.seed,
     }
-    if cfg.spacing == "geometric":
-        echo["grid"]["ratio"] = cfg.ratio
     scoped = {
         "eigen": (("v_values", "eigen_v_values"), ("tol", "eigen_tol")),
         "steady": (("v_max", "steady_v_max"),),

@@ -6,12 +6,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .coefficients import Affine, Bell, Constant, CoefficientSet, ScaledBell, eval_coefficients
-from .eigen import EigenSolution, _principal_on_matrix, _v0_loss_rate, _finalize_vector
+from .eigen import EigenSolution, generator_eigenpair
 from .grid import SizeGrid
-from .operator import transport_reaction_parts
+from .operator import Generator
 
 __all__ = [
     "VInfResult",
@@ -34,7 +33,8 @@ class VInfResult:
     When found is False, (bracket_lo, bracket_hi) is the scanned range that
     produced no sign change.  monotone_warning is set if the ladder values
     failed to decrease on the way to the bracket; the root is still
-    returned (the sign change is what bisection needs).
+    returned (the sign change is what bisection needs).  solution is the
+    eigenpair at v_inf when found.
     """
 
     found: bool
@@ -44,29 +44,7 @@ class VInfResult:
     bracket_hi: float
     evaluations: int
     monotone_warning: Optional[str] = None
-
-
-def _lambda_factory(coeffs: CoefficientSet, grid: SizeGrid, tol: float = 1e-10):
-    """Loss rate as a plain function of the monomer level, parts prebuilt."""
-    T, B, _ = transport_reaction_parts(coeffs, grid)
-    h = grid.widths
-    calls = [0]
-
-    def lam(v: float) -> float:
-        calls[0] += 1
-        if v == 0.0:
-            return _v0_loss_rate(coeffs, grid)
-        nu, _, _, _, _ = _principal_on_matrix(v * T + B, h, tol=tol)
-        return -nu
-
-    def eigvec(v: float):
-        nu, vec, r, log, it = _principal_on_matrix(v * T + B, h, tol=tol)
-        vec = _finalize_vector(vec, h, "eigenvector")
-        return EigenSolution(v=float(v), lambda_eig=float(-nu), u_vec=vec,
-                             phi_vec=None, residual=r, iterations=it,
-                             grid=grid, residual_log=log)
-
-    return lam, eigvec, calls
+    solution: Optional[EigenSolution] = field(default=None, repr=False)
 
 
 def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid,
@@ -86,13 +64,18 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid,
             v_max = 10.0 * coeffs.production / coeffs.clearance
         else:
             v_max = 6000.0
-    lam, _, calls = _lambda_factory(coeffs, grid)
+    gen = Generator(coeffs, grid)
+    evals: list = []
+
+    def lam(v: float) -> float:
+        evals.append(generator_eigenpair(gen, v))
+        return evals[-1].lambda_eig
 
     lo, f_lo = 0.0, lam(0.0)
     if f_lo < 0.0:
         # already negative with no transport: nothing to bracket
         return VInfResult(found=False, v_inf=None, lambda_at_root=None,
-                          bracket_lo=0.0, bracket_hi=0.0, evaluations=calls[0],
+                          bracket_lo=0.0, bracket_hi=0.0, evaluations=len(evals),
                           monotone_warning="loss rate negative at v=0")
     ladder_vals = [f_lo]
     warning = None
@@ -106,7 +89,7 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid,
         if hi >= v_max:
             return VInfResult(found=False, v_inf=None, lambda_at_root=None,
                               bracket_lo=0.0, bracket_hi=v_max,
-                              evaluations=calls[0])
+                              evaluations=len(evals))
         hi = min(2.0 * hi, v_max)
     if np.any(np.diff(ladder_vals) >= 0.0):
         warning = ("loss rate not strictly decreasing over the ladder; "
@@ -128,7 +111,8 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid,
             break
     return VInfResult(found=True, v_inf=float(mid), lambda_at_root=float(f_mid),
                       bracket_lo=float(lo), bracket_hi=float(hi),
-                      evaluations=calls[0], monotone_warning=warning)
+                      evaluations=len(evals), monotone_warning=warning,
+                      solution=evals[-1])
 
 
 @dataclass
@@ -165,8 +149,7 @@ def build_steady_state(coeffs: CoefficientSet, grid: SizeGrid,
         raise ValueError(
             "no loss-rate root in (0, %g); cannot build a steady state"
             % root.bracket_hi)
-    _, eigvec, _ = _lambda_factory(coeffs, grid)
-    sol = eigvec(root.v_inf)
+    sol = root.solution
     conv, _, _ = eval_coefficients(coeffs, grid)
     conv_avg = float((conv * sol.u_vec) @ grid.widths)
     vbar = coeffs.production / coeffs.clearance if coeffs.clearance > 0.0 else np.inf
@@ -229,9 +212,6 @@ def stationary_profile_check(ss: SteadyState) -> StationaryCheck:
     if not _in_quadratic_class(ss.coeffs):
         raise ValueError("stationary-form check requires constant decay and "
                          "origin-anchored linear splitting with the uniform rule")
-    if ss.grid.spacing != "uniform":
-        raise ValueError("stationary-form check uses centered differences; "
-                         "run it on a uniform grid")
     grid = ss.grid
     x, h = grid.centers, grid.widths
     u = ss.u_profile
@@ -299,6 +279,8 @@ def detect_modes(u: np.ndarray, grid: SizeGrid,
     end are discarded: the outflow cell and the imposed-zero inflow cell
     carry scheme artifacts, not structure.
     """
+    from scipy.signal import find_peaks  # costly import, needed only here
+
     sm = u.astype(float).copy()
     sm[1:-1] = (u[:-2] + u[1:-1] + u[2:]) / 3.0
     idx, props = find_peaks(sm, prominence=prominence_fraction * float(sm.max()))

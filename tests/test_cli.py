@@ -9,6 +9,8 @@ import pytest
 
 from priondyn.cli import main
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
 FAST_EIGEN = "\n".join([
     "experiment = eigen",
     "eigen.v_values = 0, 100, 600",
@@ -87,6 +89,16 @@ def test_steady_outputs(tmp_path):
     profiles = [p for p in out.iterdir() if p.name.endswith("profile.csv")]
     assert len(profiles) == 1
 
+
+
+def test_steady_sharp_bump_on_fine_grid(tmp_path):
+    # the shipped two-hump run, refined: the root search must not fail
+    body = (CONFIG_DIR / "fig3.cfg").read_text().replace("grid.n = 800", "grid.n = 1600")
+    assert "grid.n = 1600" in body
+    code, out = _run(tmp_path, "steady", body)
+    assert code == 0
+    payload = json.loads(next(p for p in out.iterdir() if p.suffix == ".json").read_text())
+    assert payload["results"]["n_modes"] == 2
 
 def test_simulate_outputs(tmp_path):
     code, out = _run(tmp_path, "simulate", FAST_SIMULATE)

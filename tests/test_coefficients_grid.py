@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from priondyn import (Affine, Bell, CoefficientSet, Constant, PolymerState,
-                      ScaledBell, SizeGrid, eval_coefficients, moments)
+                      ScaledBell, SizeGrid, eval_coefficients)
 
 
 # --- shapes ----------------------------------------------------------------
@@ -87,7 +87,6 @@ def test_uniform_grid_geometry():
     g = SizeGrid.uniform(30.0, 300)
     assert g.n == 300
     assert g.x0 == 0.0
-    assert g.spacing == "uniform"
     np.testing.assert_allclose(g.widths, 0.1, rtol=1e-12)
     assert g.widths.sum() == pytest.approx(30.0, rel=1e-14)
     # centers sit mid-cell
@@ -102,15 +101,6 @@ def test_uniform_grid_with_cutoff():
     assert g.edges[0] == pytest.approx(0.5)
     assert g.widths.sum() == pytest.approx(9.5, rel=1e-13)
     assert g.centers[0] > 0.5
-
-
-def test_geometric_grid_geometry():
-    g = SizeGrid.geometric(60.0, 200, ratio=1.02)
-    assert g.spacing == "geometric"
-    ratios = g.widths[1:] / g.widths[:-1]
-    np.testing.assert_allclose(ratios, 1.02, rtol=1e-10)
-    assert g.widths.sum() == pytest.approx(60.0, rel=1e-12)
-    assert g.edges[-1] == pytest.approx(60.0, rel=1e-12)
 
 
 def test_grid_rejects_degenerate_domains():
@@ -131,6 +121,9 @@ def test_state_moments_count_and_mass():
     # integral of exp(-x) on [0,10] and of x exp(-x)
     assert st.moment0() == pytest.approx(1.0 - np.exp(-10.0), rel=1e-4)
     assert st.moment1() == pytest.approx(1.0 - 11.0 * np.exp(-10.0), rel=1e-4)
-    U, P = moments(st)
-    assert U == st.moment0()
-    assert P == st.moment1()
+    # both moments are linear in the density
+    w = np.sin(g.centers) ** 2
+    both = PolymerState(v=600.0, u=u + 2.0 * w, grid=g)
+    other = PolymerState(v=600.0, u=w, grid=g)
+    assert both.moment0() == pytest.approx(st.moment0() + 2.0 * other.moment0(), rel=1e-13)
+    assert both.moment1() == pytest.approx(st.moment1() + 2.0 * other.moment1(), rel=1e-13)

@@ -85,18 +85,16 @@ def test_unknown_shape_parameter_named():
     assert "takes: amplitude, base, center, width_sq" in str(exc_info.value)
 
 
-def test_geometric_spacing_round_trip():
-    cfg = parse_config("\n".join([
-        "experiment = steady",
-        "grid.spacing = geometric",
-        "grid.ratio = 1.02",
-        "grid.xmax = 40.0",
-        "grid.n = 100",
-    ]))
-    grid = cfg.make_grid()
-    assert grid.spacing == "geometric"
-    widths = grid.widths
-    np.testing.assert_allclose(widths[1:] / widths[:-1], 1.02, rtol=1e-10)
+def test_spacing_keys_are_rejected():
+    # geometric grids were removed; their keys are unknown like any other
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config("\n".join([
+            "experiment = steady",
+            "grid.spacing = geometric",
+            "grid.ratio = 1.02",
+        ]))
+    assert exc_info.value.errors == ["line 2: unknown key 'grid.spacing'",
+                                     "line 3: unknown key 'grid.ratio'"]
 
 
 def test_shipped_configs_parse():
@@ -181,7 +179,7 @@ def test_grid_hash_sensitivity():
     g1 = SizeGrid.uniform(30.0, 100)
     g2 = SizeGrid.uniform(30.0, 100)
     g3 = SizeGrid.uniform(30.0, 101)
-    g4 = SizeGrid.geometric(30.0, 100, ratio=1.01)
+    g4 = SizeGrid.uniform(30.0, 100, x0=0.5)
     assert grid_hash(g1) == grid_hash(g2)
     assert grid_hash(g1) != grid_hash(g3)
     assert grid_hash(g1) != grid_hash(g4)
@@ -205,7 +203,7 @@ def test_config_echo_structure():
     assert echo["experiment"] == "sweep"
     assert echo["model"]["conversion"]["shape"] == "scaled_bell"
     assert echo["model"]["production"] == 2400.0
-    assert echo["grid"] == {"xmax": 60.0, "n": 100, "spacing": "uniform"}
+    assert echo["grid"] == {"xmax": 60.0, "n": 100}
     assert echo["sweep"]["axis"] == "tightness"
     assert echo["sweep"]["v_eval"] == 600.0
     assert "simulate" not in echo

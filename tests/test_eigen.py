@@ -9,14 +9,17 @@ should fail loudly.
 
 import numpy as np
 import pytest
+from scipy.linalg import eig
 
-from priondyn import (Affine, CoefficientSet, Constant, EigenConvergenceError,
-                      SizeGrid, adjoint_eigenpair, eigenvalue_from_moments,
+from priondyn import (Affine, Bell, CoefficientSet, Constant, EigenConvergenceError,
+                      SizeGrid, adjoint_eigenpair, assemble, eigenvalue_from_moments,
                       hypothesis_constants, principal_eigenpair, scan_lambda)
 from priondyn.reference import (adjoint_profile, affine_family_loss_rate,
                                 loss_rate_constant)
 
 CONST = CoefficientSet(production=2400.0, clearance=4.0)
+BUMP = CoefficientSet(production=2400.0, clearance=4.0,
+                      conversion=Bell(0.001, 0.1, 2.0, 0.1))
 LOSS_AT_10 = 0.03267949192431123
 LOSS_AT_100 = -0.00477225575051661
 LOSS_AT_600 = -0.08416407864998739
@@ -54,11 +57,25 @@ def test_negative_level_rejected(grid800):
 
 def test_dense_and_iterative_agree():
     grid = SizeGrid.uniform(30.0, 300)
-    it = principal_eigenpair(CONST, grid, 600.0, method="iterative")
-    de = principal_eigenpair(CONST, grid, 600.0, method="dense")
+    it = principal_eigenpair(CONST, grid, 600.0)
+    # reference: full decomposition of the dense oracle matrix
+    vals, vecs = eig(assemble(CONST, grid, 600.0).matrix)
+    k = int(np.argmax(vals.real))
+    ref = vecs[:, k].real
+    ref = ref / (ref @ grid.widths)
     # iterative stopping residual 1e-10 bounds the eigenvalue gap
-    assert it.lambda_eig == pytest.approx(de.lambda_eig, abs=1e-8)
-    np.testing.assert_allclose(it.u_vec, de.u_vec, atol=1e-8 * it.u_vec.max())
+    assert it.lambda_eig == pytest.approx(-vals[k].real, abs=1e-8)
+    np.testing.assert_allclose(it.u_vec, ref, atol=1e-8 * it.u_vec.max())
+
+
+@pytest.mark.parametrize("n", [1600, 3200])
+@pytest.mark.parametrize("v", [1.0, 8.0, 64.0, 600.0, 4000.0])
+def test_sharp_bump_converges_on_fine_grids(n, v):
+    grid = SizeGrid.uniform(60.0, n)
+    sol = principal_eigenpair(BUMP, grid, v)
+    assert sol.iterations < 50
+    assert sol.u_vec.min() >= 0.0
+    assert float(sol.u_vec @ grid.widths) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_convergence_order_at_least_first():
@@ -184,7 +201,7 @@ def test_hypothesis_constants_match_affine_weight(grid800):
 
 
 def test_solver_failure_carries_context():
-    grid = SizeGrid.uniform(30.0, 500)  # beyond the dense fallback size
-    with pytest.raises(EigenConvergenceError):
-        principal_eigenpair(CONST, grid, 600.0, tol=1e-30, max_iter=1,
-                            method="iterative")
+    grid = SizeGrid.uniform(30.0, 500)
+    with pytest.raises(EigenConvergenceError, match="level v=600 ") as exc_info:
+        principal_eigenpair(CONST, grid, 600.0, tol=1e-30, max_iter=1)
+    assert exc_info.value.last_residual > 0.0

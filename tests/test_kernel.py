@@ -40,15 +40,6 @@ def test_uniform_grid_laws_exact(n):
     assert mass_err < 5e-13
 
 
-@pytest.mark.parametrize("n", [50, 200, 800])
-def test_geometric_grid_laws_exact(n):
-    grid = SizeGrid.geometric(30.0, n, ratio=1.01)
-    W = kernel_weights("uniform", grid)
-    count_err, mass_err = _law_errors(W, grid)
-    assert count_err < 5e-14
-    assert mass_err < 5e-13
-
-
 def test_cutoff_grid_laws_exact():
     grid = SizeGrid.uniform(30.0, 300, x0=0.5)
     W = kernel_weights("uniform", grid)
@@ -77,7 +68,6 @@ def test_column_zero_empty():
 
 def test_strictly_lower_triangular_and_nonnegative():
     for grid in (SizeGrid.uniform(30.0, 150),
-                 SizeGrid.geometric(30.0, 150, ratio=1.02),
                  SizeGrid.uniform(30.0, 150, x0=0.4)):
         W = kernel_weights("uniform", grid)
         assert W.min() >= 0.0
@@ -116,13 +106,10 @@ def test_below_cutoff_share_closes_mass_books():
     n=st.integers(min_value=8, max_value=180),
     xmax=st.floats(min_value=2.0, max_value=500.0),
     x0_frac=st.floats(min_value=0.0, max_value=0.4),
-    geometric=st.booleans(),
-    ratio=st.floats(min_value=1.001, max_value=1.05),
 )
-def test_moment_laws_property(n, xmax, x0_frac, geometric, ratio):
+def test_moment_laws_property(n, xmax, x0_frac):
     x0 = x0_frac * xmax
-    grid = (SizeGrid.geometric(xmax, n, x0=x0, ratio=ratio) if geometric
-            else SizeGrid.uniform(xmax, n, x0=x0))
+    grid = SizeGrid.uniform(xmax, n, x0=x0)
     W = kernel_weights("uniform", grid)
     count_err, mass_err = _law_errors(W, grid)
     scale = max(1.0, xmax)

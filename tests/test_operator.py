@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from priondyn import (Affine, Bell, CoefficientSet, Constant, SizeGrid,
+from priondyn import (Affine, Bell, CoefficientSet, Constant, Generator, SizeGrid,
                       assemble, assemble_adjoint, macroscopic_balance,
                       transport_reaction_parts)
 from priondyn.reference import dilated_equilibrium_profile
@@ -46,6 +46,47 @@ def test_level_splits_linearly():
         np.testing.assert_allclose(assemble(CONST, grid, v).matrix,
                                    v * T + B, rtol=0, atol=1e-18)
 
+
+
+# --- structured generator against the dense oracle -------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=120),
+    xmax=st.floats(min_value=2.0, max_value=500.0),
+    x0_frac=st.floats(min_value=1e-3, max_value=0.4),
+    bell=st.booleans(),
+    amplitude=st.floats(min_value=0.0, max_value=0.5),
+    center_frac=st.floats(min_value=0.0, max_value=1.0),
+    width_sq=st.floats(min_value=0.01, max_value=10.0),
+    v=st.floats(min_value=0.0, max_value=4000.0),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+)
+def test_structured_generator_matches_dense(n, xmax, x0_frac, bell, amplitude,
+                                            center_frac, width_sq, v, seed):
+    x0 = x0_frac * xmax
+    conversion = (Bell(0.001, amplitude, x0 + center_frac * (xmax - x0), width_sq)
+                  if bell else Affine(0.001, amplitude * 1e-3))
+    coeffs = CoefficientSet(production=2400.0, clearance=4.0, x0=x0,
+                            conversion=conversion,
+                            fragmentation=Affine(0.01, 0.03))
+    grid = SizeGrid.uniform(xmax, n, x0=x0)
+    A = assemble(coeffs, grid, v).matrix
+    As = assemble_adjoint(coeffs, grid, v).matrix
+    gen = Generator(coeffs, grid)
+    u = np.random.default_rng(seed).random(n)
+    np.testing.assert_allclose(gen.apply(v, u), A @ u, rtol=0,
+                               atol=1e-12 * float((np.abs(A) @ u).max()))
+    np.testing.assert_allclose(gen.apply_adjoint(v, u), As @ u, rtol=0,
+                               atol=1e-12 * float((np.abs(As) @ u).max()))
+    # a shift above every absolute row sum keeps both systems well posed
+    s = 1.5 * max(np.abs(A).sum(axis=1).max(), np.abs(As).sum(axis=1).max())
+    x = np.linalg.solve(s * np.eye(n) - A, u)
+    y = np.linalg.solve(s * np.eye(n) - As, u)
+    np.testing.assert_allclose(gen.solve_shifted(v, s, u), x, rtol=0,
+                               atol=1e-12 * np.abs(x).max())
+    np.testing.assert_allclose(gen.solve_shifted(v, s, u, adjoint=True), y,
+                               rtol=0, atol=1e-12 * np.abs(y).max())
 
 # --- duality ---------------------------------------------------------------
 

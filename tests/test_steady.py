@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from priondyn import (Affine, Bell, CoefficientSet, Constant, SizeGrid,
-                      bimodality_report, build_steady_state, detect_modes,
-                      find_v_inf, stationary_profile_check)
+from priondyn import (Affine, Bell, CoefficientSet, Constant, EigenConvergenceError,
+                      Generator, SizeGrid, bimodality_report, build_steady_state,
+                      detect_modes, find_v_inf, stationary_profile_check)
 
 CONST = CoefficientSet(production=2400.0, clearance=4.0)
 
@@ -102,15 +102,20 @@ def test_stationary_check_guards_its_class():
     bss = build_steady_state(bell, SizeGrid.uniform(60.0, 300))
     stationary_profile_check(bss)  # any transport shape is in class
 
-    geo = build_steady_state(CONST, SizeGrid.geometric(30.0, 300, ratio=1.01))
-    with pytest.raises(ValueError):
-        stationary_profile_check(geo)
-
     sub = CoefficientSet(production=240.0, clearance=4.0)
     missing = build_steady_state(sub, SizeGrid.uniform(30.0, 300))
     with pytest.raises(ValueError):
         stationary_profile_check(missing)
 
+
+
+def test_root_search_failure_names_the_level(monkeypatch):
+    # a shifted solve that makes no headway exhausts the iteration budget
+    # at the first ladder level; the error must say which level that was
+    monkeypatch.setattr(Generator, "solve_shifted",
+                        lambda self, v, s, b, adjoint=False: b.copy())
+    with pytest.raises(EigenConvergenceError, match="level v=1 "):
+        find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
 
 # --- mode structure --------------------------------------------------------
 
