@@ -124,6 +124,7 @@ def _run_steady(cfg: RunConfig, out: Path) -> int:
         experiment="steady", config_echo=echo, results=results,
         diagnostics={"grid_hash": grid_hash(grid),
                      "root_evaluations": ss.root.evaluations,
+                     "root_iterations": ss.root.iterations,
                      "monotone_warning": ss.root.monotone_warning,
                      "timings": {"seconds": time.perf_counter() - t0}})
     _write_json(out / ("steady-%s.json" % tag), record, cfg.timings)

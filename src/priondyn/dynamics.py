@@ -377,6 +377,8 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
                 "mode_locations": rep.mode_locations,
                 "secondary_mass_fraction": rep.secondary_mass_fraction,
             }
+            diagnostics.update(root_evaluations=ss.root.evaluations,
+                               root_iterations=ss.root.iterations)
         else:
             scale = value if axis == "dose" else base.seed_scale
             initial = seed_state(coeffs, grid, scale=scale, v_init=base.v_init)
@@ -491,8 +493,9 @@ def stability_experiment(coeffs: CoefficientSet, grid: SizeGrid, epsilon: float,
         raise ValueError("stability experiment needs a positive clearance")
     vbar = coeffs.production / coeffs.clearance
     lam_vbar = principal_eigenpair(coeffs, grid, vbar).lambda_eig
-    consts = hypothesis_constants(coeffs, grid, vbar)
-    phi = adjoint_eigenpair(coeffs, grid, vbar).phi_vec
+    adj = adjoint_eigenpair(coeffs, grid, vbar)
+    consts = hypothesis_constants(coeffs, adj)
+    phi = adj.phi_vec
     root = find_v_inf(coeffs, grid)
     v_inf = root.v_inf if root.found else None
     regime = "damping" if lam_vbar > 0.0 else "amplifying"

@@ -11,6 +11,18 @@ routine, ``_principal_on_matrix``: inverse iteration whose O(n) shifted
 solves keep the shift above the principal eigenvalue, so each iterate
 stays a nonnegative vector.  The dense assembly is not used here; it is
 the oracle the tests check these solves against.
+
+A solve may start from a given profile (``u0``) instead of a flat
+vector.  The root search in ``steady.find_v_inf`` does this: each of its
+levels lies close to the one before, and on the fig3 bump at n=800 a
+start from the profile at 1.01*v converges in 2-3 iterations against
+14-16 cold.  Scans start flat.  Their levels are an order of magnitude
+apart (8, 600, 2000 and 8, 64, 600, 4000 in the benchmark ladders), and
+there a warm start raised the largest iteration count at n=400-3200 from
+16 to 39 (the flat shape at v=600 started from v=8: 38 against 8); a
+flat start is closer to a far profile than another far profile is.
+Solves for different coefficient sets, such as the tightness sweep, also
+start flat.
 """
 
 from __future__ import annotations
@@ -88,7 +100,8 @@ class EigenSolution:
 def _principal_on_matrix(gen: Generator, v: float,
                          tol: float = DEFAULT_TOL,
                          max_iter: int = DEFAULT_MAX_ITER,
-                         adjoint: bool = False):
+                         adjoint: bool = False,
+                         u0: Optional[np.ndarray] = None):
     """Perron pair of L(v), or of its adjoint, by Noda-style inverse iteration.
 
     Each step solves (s*I - A)w = u with the shift s set to the larger of
@@ -100,7 +113,9 @@ def _principal_on_matrix(gen: Generator, v: float,
     below it and raises PositivityViolationError rather than being clipped.
     The iteration stops when the l1 residual |Au - nu*u| of the l1-normed
     iterate drops below tol * scale, scale the largest absolute row sum of
-    A.  Every failure names the monomer level.
+    A.  Every failure names the monomer level.  u0, a nonnegative start
+    vector (a converged eigenvector at a nearby level), replaces the flat
+    start; the shift rule and the positivity guard are the same.
 
     Returns (nu, vec, residual, residual_log, iterations), sum(vec*h) = 1.
     """
@@ -108,7 +123,7 @@ def _principal_on_matrix(gen: Generator, v: float,
     n = gen.grid.n
     # off-diagonal entries are >= 0 and the diagonal <= 0
     scale = float((apply(v, np.ones(n)) - 2.0 * gen.diagonal(v)).max())
-    u = np.full(n, 1.0 / n)
+    u = np.full(n, 1.0 / n) if u0 is None else u0 / u0.sum()
     au = apply(v, u)
     nu = float(u @ au) / float(u @ u)
     res_log: list = []
@@ -137,12 +152,15 @@ def _principal_on_matrix(gen: Generator, v: float,
 
 
 def generator_eigenpair(gen: Generator, v: float, tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER) -> EigenSolution:
+                        max_iter: int = DEFAULT_MAX_ITER,
+                        u0: Optional[np.ndarray] = None) -> EigenSolution:
     """Loss rate and unit-count profile of a prebuilt generator at level v.
 
     At v = 0 the transport term vanishes and the generator is triangular:
     the loss rate is min(decay + effective splitting), read off the
-    diagonal, and the solution is degenerate (u_vec None).
+    diagonal, and the solution is degenerate (u_vec None).  u0 warm-starts
+    the solve from a profile at a nearby level on the same generator (see
+    the module docstring for when that pays).
     """
     if v < 0.0:
         raise ValueError("monomer level must be nonnegative, got %g" % v)
@@ -150,7 +168,8 @@ def generator_eigenpair(gen: Generator, v: float, tol: float = DEFAULT_TOL,
         return EigenSolution(v=0.0, lambda_eig=float(gen.loss.min()), u_vec=None,
                              phi_vec=None, residual=0.0, iterations=0,
                              grid=gen.grid, degenerate=True)
-    nu, vec, r, log, it = _principal_on_matrix(gen, v, tol=tol, max_iter=max_iter)
+    nu, vec, r, log, it = _principal_on_matrix(gen, v, tol=tol, max_iter=max_iter,
+                                               u0=u0)
     return EigenSolution(v=float(v), lambda_eig=-nu, u_vec=vec, phi_vec=None,
                          residual=r, iterations=it, grid=gen.grid,
                          residual_log=log)
@@ -312,18 +331,19 @@ class HypothesisConstants:
     v: float
 
 
-def hypothesis_constants(coeffs: CoefficientSet, grid: SizeGrid, v: float,
+def hypothesis_constants(coeffs: CoefficientSet, adjoint: EigenSolution,
                          window_fraction: float = 0.8) -> HypothesisConstants:
     """Estimate the comparison constants between conversion and adjoint weight.
 
-    Solves the adjoint at level v, differentiates the weight by centered
-    differences, and takes sup/inf of the three ratios on the trusted
-    window (see HypothesisConstants).
+    ``adjoint`` is an ``adjoint_eigenpair`` solution; its grid and level
+    are the ones used.  Differentiates the weight by centered differences
+    and takes sup/inf of the three ratios on the trusted window (see
+    HypothesisConstants).
     """
-    sol = adjoint_eigenpair(coeffs, grid, v)
-    phi = sol.phi_vec
+    phi = adjoint.phi_vec
     if phi is None or phi.min() <= 0.0:
         raise PositivityViolationError("adjoint weight must be strictly positive")
+    grid = adjoint.grid
     x = grid.centers
     conv, _, _ = eval_coefficients(coeffs, grid)
     dphi = np.gradient(phi, x)  # centered interior, one-sided ends
@@ -335,4 +355,4 @@ def hypothesis_constants(coeffs: CoefficientSet, grid: SizeGrid, v: float,
         k_lower=float(ratio2[win].min()), window_fraction=window_fraction,
         k1_full_grid=float(ratio1.max()), k2_full_grid=float(ratio2.max()),
         k_lower_full_grid=float(ratio2.min()),
-        k_lower_domain_dependent=True, v=float(v))
+        k_lower_domain_dependent=True, v=float(adjoint.v))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "loss_rate_constant",
@@ -128,6 +127,7 @@ def unimodal_profile_mass(upper: float = math.inf) -> float:
     """Quadrature of the shape on [0, upper]; exact 1/2 for upper=inf."""
     if math.isinf(upper):
         return UNIMODAL_MASS_EXACT
+    from scipy.integrate import quad  # costly import, needed only here
     val, _ = quad(lambda r: float(unimodal_profile(r)), 0.0, upper)
     return val
 
@@ -136,6 +136,7 @@ def unimodal_profile_mean(upper: float = math.inf) -> float:
     """Normalized first moment of the shape on [0, upper]; exact 1 for inf."""
     if math.isinf(upper):
         return UNIMODAL_MEAN_EXACT
+    from scipy.integrate import quad  # costly import, needed only here
     m1, _ = quad(lambda r: float(r * unimodal_profile(r)), 0.0, upper)
     return m1 / unimodal_profile_mass(upper)
 
@@ -199,5 +200,6 @@ def initial_seed_mass(upper: float = math.inf) -> float:
     """Quadrature of the seed profile on [0, upper]; pi/(4*sqrt(2)) at inf."""
     if math.isinf(upper):
         return INITIAL_SEED_MASS_EXACT
+    from scipy.integrate import quad  # costly import, needed only here
     val, _ = quad(lambda s: float(initial_seed_profile(s)), 0.0, upper)
     return val

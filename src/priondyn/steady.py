@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-8
+ROOT_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,12 @@ class VInfResult:
 
     When found is False, (bracket_lo, bracket_hi) is the scanned range that
     produced no sign change.  monotone_warning is set if the ladder values
-    failed to decrease on the way to the bracket; the root is still
-    returned (the sign change is what bisection needs).  solution is the
-    eigenpair at v_inf when found.
+    failed to decrease on the way to the bracket, or if the bracket search
+    stopped on its step cap before meeting either stop rule; the root is
+    still returned (the sign change is what the bracket search needs), and
+    lambda_at_root says how far it is from zero.  solution
+    is the eigenpair at v_inf when found.  evaluations counts loss-rate
+    evaluations and iterations the inverse iterations they took in total.
     """
 
     found: bool
@@ -43,6 +47,7 @@ class VInfResult:
     bracket_lo: float
     bracket_hi: float
     evaluations: int
+    iterations: int
     monotone_warning: Optional[str] = None
     solution: Optional[EigenSolution] = field(default=None, repr=False)
 
@@ -52,12 +57,22 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid,
                root_tol: float = ROOT_TOL) -> VInfResult:
     """Locate the monomer level where the loss rate crosses zero.
 
-    Geometric ladder (doubling from 1) brackets the sign change inside
-    [0, v_max], then plain bisection drives |loss rate| below root_tol.
-    Bisection rather than anything slope-based: the decrease of the loss
-    rate is a conclusion the scan certifies, not an assumption the root
-    finder leans on.  v_max defaults to ten times the uninfected level
-    production/clearance.
+    A geometric ladder (doubling from 1) brackets the sign change inside
+    [0, v_max]; an Illinois bracket search (regula falsi that halves the
+    stored value at an end kept twice in a row) then drives |loss rate|
+    below root_tol.  Of bisection's guarantees it keeps the invariant
+    f(lo) > 0 >= f(hi) at every step (a secant point outside the open
+    bracket is replaced by the midpoint), the stop rules |f| <= root_tol
+    and bracket width <= 1e-13*max(1, hi), and the cap of ROOT_MAX_STEPS
+    steps.  So it needs only the sign change, never the slope: the decrease
+    of the loss rate is a conclusion the scan certifies, not an assumption
+    the root finder leans on.  It does not keep bisection's halving of the
+    bracket at every step, which always met the width stop in about 45
+    steps; here no step has a width bound and only the cap guarantees the
+    end, so ending on the cap sets monotone_warning.  Each
+    eigen solve starts from the profile of the previous evaluation, a
+    nearby level on the same generator.  v_max defaults to ten times the
+    uninfected level production/clearance.
     """
     if v_max is None:
         if coeffs.clearance > 0.0:
@@ -68,15 +83,20 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid,
     evals: list = []
 
     def lam(v: float) -> float:
-        evals.append(generator_eigenpair(gen, v))
+        warm = evals[-1].u_vec if evals else None
+        evals.append(generator_eigenpair(gen, v, u0=warm))
         return evals[-1].lambda_eig
+
+    def result(**kw) -> VInfResult:
+        return VInfResult(evaluations=len(evals),
+                          iterations=sum(e.iterations for e in evals), **kw)
 
     lo, f_lo = 0.0, lam(0.0)
     if f_lo < 0.0:
         # already negative with no transport: nothing to bracket
-        return VInfResult(found=False, v_inf=None, lambda_at_root=None,
-                          bracket_lo=0.0, bracket_hi=0.0, evaluations=len(evals),
-                          monotone_warning="loss rate negative at v=0")
+        return result(found=False, v_inf=None, lambda_at_root=None,
+                      bracket_lo=0.0, bracket_hi=0.0,
+                      monotone_warning="loss rate negative at v=0")
     ladder_vals = [f_lo]
     warning = None
     hi = min(1.0, v_max)
@@ -87,32 +107,46 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid,
             break
         lo, f_lo = hi, f_hi
         if hi >= v_max:
-            return VInfResult(found=False, v_inf=None, lambda_at_root=None,
-                              bracket_lo=0.0, bracket_hi=v_max,
-                              evaluations=len(evals))
+            return result(found=False, v_inf=None, lambda_at_root=None,
+                          bracket_lo=0.0, bracket_hi=v_max)
         hi = min(2.0 * hi, v_max)
     if np.any(np.diff(ladder_vals) >= 0.0):
         warning = ("loss rate not strictly decreasing over the ladder; "
                    "root is still bracketed")
 
-    # bisection until the loss rate itself is small
-    f_mid = f_lo
-    mid = lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    # Illinois steps until the loss rate itself is small (the ladder's last
+    # level may already be the root); f_lo and f_hi keep their signs but
+    # may be halved, so they only weight the secant point
+    mid, f_mid = hi, f_hi
+    side = 0
+    steps = ROOT_MAX_STEPS if abs(f_mid) > root_tol else 0
+    for _ in range(steps):
+        mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
         f_mid = lam(mid)
         if abs(f_mid) <= root_tol:
             break
         if f_mid > 0.0:
-            lo = mid
+            lo, f_lo = mid, f_mid
+            if side > 0:
+                f_hi *= 0.5
+            side = 1
         else:
-            hi = mid
+            hi, f_hi = mid, f_mid
+            if side < 0:
+                f_lo *= 0.5
+            side = -1
         if hi - lo <= 1e-13 * max(1.0, hi):
             break
-    return VInfResult(found=True, v_inf=float(mid), lambda_at_root=float(f_mid),
-                      bracket_lo=float(lo), bracket_hi=float(hi),
-                      evaluations=len(evals), monotone_warning=warning,
-                      solution=evals[-1])
+    else:
+        if steps:
+            note = ("bracket search stopped after %d steps with |loss rate| "
+                    "%.3g > %g" % (steps, abs(f_mid), root_tol))
+            warning = note if warning is None else warning + "; " + note
+    return result(found=True, v_inf=float(mid), lambda_at_root=float(f_mid),
+                  bracket_lo=float(lo), bracket_hi=float(hi),
+                  monotone_warning=warning, solution=evals[-1])
 
 
 @dataclass

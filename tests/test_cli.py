@@ -1,6 +1,7 @@
 """Command-line harness: files out, exit codes, reproducible bytes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -78,12 +79,29 @@ def test_eigen_outputs(tmp_path):
     assert len(vecs) == 2
 
 
+FAST_PEAK_SWEEP = "\n".join([
+    "experiment = sweep",
+    "sweep.axis = peak_center",
+    "sweep.values = 1.667, 4.167",
+    "model.conversion.shape = bell",
+    "model.conversion.base = 0.001",
+    "model.conversion.amplitude = 0.1",
+    "model.conversion.center = 2.5",
+    "model.conversion.width_sq = 0.1",
+    "grid.xmax = 60.0",
+    "grid.n = 200",
+    "",
+])
+
+
 def test_steady_outputs(tmp_path):
     code, out = _run(tmp_path, "steady", FAST_STEADY)
     assert code == 0
     js = next(p for p in out.iterdir() if p.suffix == ".json")
     payload = json.loads(js.read_text())
     assert payload["results"]["exists"] is True
+    diag = payload["diagnostics"]
+    assert 0 < diag["root_evaluations"] <= diag["root_iterations"] + 1
     assert payload["results"]["v_inf"] == pytest.approx(83.33, rel=1e-2)
     assert payload["results"]["n_modes"] == 1
     profiles = [p for p in out.iterdir() if p.name.endswith("profile.csv")]
@@ -216,6 +234,34 @@ def test_sweep_bytes_independent_of_threads(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out2),
                  "--threads", "3"]) == 0
     assert _tree_bytes(out1) == _tree_bytes(out2)
+
+
+def test_peak_center_items_carry_root_counters(tmp_path):
+    cfg = tmp_path / "peak.cfg"
+    cfg.write_text(FAST_PEAK_SWEEP)
+    out1, out2 = tmp_path / "pk1", tmp_path / "pk2"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(out2),
+                 "--threads", "2"]) == 0
+    assert _tree_bytes(out1) == _tree_bytes(out2)
+    items = sorted(p for p in out1.iterdir() if "-item-" in p.name)
+    assert len(items) == 2
+    for p in items:
+        diag = json.loads(p.read_text())["diagnostics"]
+        assert 0 < diag["root_evaluations"] <= diag["root_iterations"] + 1
+
+
+def test_import_skips_costly_scipy_modules():
+    # set-up time is mostly imports; these serve only rare paths and must
+    # load on first use, not with the package
+    import priondyn
+    src = str(Path(priondyn.__file__).resolve().parent.parent)
+    code = ("import sys, priondyn; print(' '.join(m for m in ('scipy.integrate', "
+            "'scipy.optimize', 'scipy.signal') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_console_script_runs():

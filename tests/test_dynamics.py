@@ -1,13 +1,17 @@
 """Time integration: conservation books, growth fits, stability probes."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priondyn import (Bell, CoefficientSet, PolymerState, SizeGrid,
-                      Trajectory, growth_rate, incubation_time, integrate,
-                      seed_state, stability_experiment, sweep)
+                      Trajectory, adjoint_eigenpair, growth_rate,
+                      hypothesis_constants,
+                      incubation_time, integrate, seed_state,
+                      stability_experiment, sweep)
 from priondyn.config import parse_config
 from priondyn.reference import loss_rate_constant
 
@@ -222,6 +226,29 @@ def test_stability_low_production_damps():
     assert res.fitted_rate > 0.0
     assert res.alpha_weight > 0.0
     assert res.v_inf is None or res.v_inf > res.vbar
+
+
+def test_stability_solves_the_adjoint_once(monkeypatch):
+    eigen_module = importlib.import_module("priondyn.eigen")
+    solve = eigen_module._principal_on_matrix
+    adjoint_levels = []
+
+    def counting(gen, v, **kw):
+        if kw.get("adjoint"):
+            adjoint_levels.append(v)
+        return solve(gen, v, **kw)
+
+    coeffs = CoefficientSet(production=240.0, clearance=4.0)
+    grid = SizeGrid.uniform(30.0, 200)
+    monkeypatch.setattr(eigen_module, "_principal_on_matrix", counting)
+    res = stability_experiment(coeffs, grid, epsilon=1e-3, t_end=400.0)
+    assert adjoint_levels == [res.vbar]
+    monkeypatch.undo()
+    # the constants are those of a standalone solve; the verdict as before
+    adj = adjoint_eigenpair(coeffs, grid, res.vbar)
+    assert res.constants == hypothesis_constants(coeffs, adj)
+    assert res.alpha_weight == 2.0 * res.constants.k2 * res.vbar / res.loss_rate_at_vbar
+    assert res.verdict == "stable"
 
 
 def test_stability_high_production_amplifies():

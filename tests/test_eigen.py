@@ -12,8 +12,10 @@ import pytest
 from scipy.linalg import eig
 
 from priondyn import (Affine, Bell, CoefficientSet, Constant, EigenConvergenceError,
-                      SizeGrid, adjoint_eigenpair, assemble, eigenvalue_from_moments,
+                      Generator, SizeGrid, adjoint_eigenpair, assemble,
+                      eigenvalue_from_moments, generator_eigenpair,
                       hypothesis_constants, principal_eigenpair, scan_lambda)
+from priondyn.eigen import DEFAULT_TOL
 from priondyn.reference import (adjoint_profile, affine_family_loss_rate,
                                 loss_rate_constant)
 
@@ -76,6 +78,22 @@ def test_sharp_bump_converges_on_fine_grids(n, v):
     assert sol.iterations < 50
     assert sol.u_vec.min() >= 0.0
     assert float(sol.u_vec @ grid.widths) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("v", [40.0, 600.0])
+def test_warm_start_matches_cold_solve(v):
+    # a root search starts each solve from the profile at a nearby level;
+    # 40 sits next to this bump's loss-rate root
+    gen = Generator(BUMP, SizeGrid.uniform(60.0, 800))
+    h = gen.grid.widths
+    n = gen.grid.n
+    scale = float((gen.apply(v, np.ones(n)) - 2.0 * gen.diagonal(v)).max())
+    near = generator_eigenpair(gen, 1.01 * v)
+    warm = generator_eigenpair(gen, v, u0=near.u_vec)
+    cold = generator_eigenpair(gen, v)
+    assert abs(warm.lambda_eig - cold.lambda_eig) <= DEFAULT_TOL * scale
+    assert float(np.abs(warm.u_vec - cold.u_vec) @ h) <= 1e-6
+    assert warm.iterations < cold.iterations
 
 
 def test_convergence_order_at_least_first():
@@ -189,7 +207,8 @@ def test_scan_rejects_unordered_levels():
 def test_hypothesis_constants_match_affine_weight(grid800):
     # with phi = 1 + x/L: sup |conv*phi'|/phi = conv0/L at x=0, and
     # sup conv/phi = conv0 at x=0, inf conv/phi at the window edge
-    consts = hypothesis_constants(CONST, grid800, 600.0)
+    adj = adjoint_eigenpair(CONST, grid800, 600.0)
+    consts = hypothesis_constants(CONST, adj)
     L = np.sqrt(0.001 * 600.0 / 0.03)
     assert consts.k1 == pytest.approx(0.001 / L, rel=5e-3)
     assert consts.k2 == pytest.approx(0.001, rel=5e-3)
@@ -198,6 +217,8 @@ def test_hypothesis_constants_match_affine_weight(grid800):
     assert consts.k_lower_domain_dependent
     # full-grid k1 picks up the outflow boundary layer, never smaller
     assert consts.k1_full_grid >= consts.k1
+    # level and grid come from the adjoint solution
+    assert consts.v == 600.0
 
 
 def test_solver_failure_carries_context():

@@ -1,11 +1,19 @@
 """Steady-state construction, existence logic, and mode counting."""
 
+import importlib
+
 import numpy as np
 import pytest
+from scipy.linalg import eig
 
 from priondyn import (Affine, Bell, CoefficientSet, Constant, EigenConvergenceError,
-                      Generator, SizeGrid, bimodality_report, build_steady_state,
-                      detect_modes, find_v_inf, stationary_profile_check)
+                      EigenSolution, Generator, SizeGrid, assemble, bimodality_report,
+                      build_steady_state, detect_modes, find_v_inf,
+                      stationary_profile_check)
+from priondyn.eigen import DEFAULT_TOL
+from priondyn.steady import ROOT_TOL
+
+steady_module = importlib.import_module("priondyn.steady")
 
 CONST = CoefficientSet(production=2400.0, clearance=4.0)
 
@@ -38,8 +46,89 @@ def test_root_diagnostics(baseline):
     assert root.bracket_lo < root.v_inf < root.bracket_hi
     # bracket tolerance in v maps through the loss-rate slope (~3e-4)
     assert abs(root.lambda_at_root) < 1e-7
-    assert root.evaluations > 0
+    # the closed-form root (test_steady_anchors) within a fixed count of
+    # evaluations: deterministic, not a timing
+    assert 0 < root.evaluations <= 16
+    assert root.iterations >= root.evaluations - 1  # v=0 takes no iteration
     assert not root.monotone_warning
+
+
+@pytest.mark.parametrize("coeffs,xmax", [
+    (CoefficientSet(production=2400.0, clearance=4.0,
+                    conversion=Bell(0.001, 0.1, 2.0, width_sq=0.1)), 60.0),
+    (CONST, 30.0),
+    (CoefficientSet(production=2400.0, clearance=4.0,
+                    conversion=Bell(0.001, 0.1, 4.167, width_sq=0.1)), 60.0),
+], ids=["fig3", "fig3-control", "fig4-center-4.167"])
+def test_root_against_dense_oracle(coeffs, xmax):
+    grid = SizeGrid.uniform(xmax, 400)
+    root = find_v_inf(coeffs, grid)
+    assert root.found
+    gen = Generator(coeffs, grid)
+    scale = float((gen.apply(root.v_inf, np.ones(grid.n))
+                   - 2.0 * gen.diagonal(root.v_inf)).max())
+    nu = eig(assemble(coeffs, grid, root.v_inf).matrix, right=False).real.max()
+    assert abs(nu) <= ROOT_TOL + DEFAULT_TOL * scale
+
+
+def _fake_loss_rate(monkeypatch, f):
+    """Replace the eigen solve inside the root search by a scalar f(v)."""
+    levels, warm = [], []
+
+    def fake(gen, v, u0=None):
+        levels.append(v)
+        warm.append(u0 is not None)
+        u = None if v == 0.0 else np.full(gen.grid.n, 1.0 / gen.grid.xmax)
+        return EigenSolution(v=v, lambda_eig=f(v), u_vec=u, phi_vec=None,
+                             residual=0.0, iterations=1, grid=gen.grid)
+
+    monkeypatch.setattr(steady_module, "generator_eigenpair", fake)
+    return levels, warm
+
+
+def test_exact_zero_at_bracket_end_is_returned(monkeypatch):
+    levels, warm = _fake_loss_rate(monkeypatch, lambda v: 4.0 - v)
+    root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
+    assert levels == [0.0, 1.0, 2.0, 4.0]
+    # each solve starts from the previous profile; v=0 has none
+    assert warm == [False, False, True, True]
+    assert root.found and root.v_inf == 4.0 and root.lambda_at_root == 0.0
+    assert root.solution.v == 4.0
+
+
+def test_bracket_search_does_not_stall_on_a_convex_loss_rate(monkeypatch):
+    # plain regula falsi keeps the far end fixed here and creeps (23
+    # evaluations); the halved end weight moves it (13)
+    levels, _ = _fake_loss_rate(monkeypatch, lambda v: np.exp(-v) - np.exp(-5.0))
+    root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
+    assert root.found
+    assert root.v_inf == pytest.approx(5.0, rel=1e-6)
+    assert abs(root.lambda_at_root) <= ROOT_TOL
+    assert len(levels) <= 15
+
+
+def test_bracket_search_needs_only_a_sign_change(monkeypatch):
+    # a jump, no slope anywhere: the bracket still closes on it
+    levels, _ = _fake_loss_rate(monkeypatch, lambda v: 1.0 if v < np.pi else -1.0)
+    root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
+    assert root.found
+    assert root.bracket_lo < np.pi <= root.bracket_hi
+    assert root.bracket_hi - root.bracket_lo <= 1e-13 * root.bracket_hi
+    # the halved end weights pull the secant point inward, so a jump
+    # costs about what bisection pays (45 steps here), far below the cap
+    assert len(levels) < 60
+    assert all(0.0 <= v <= 4.0 for v in levels)
+
+
+def test_bracket_search_ending_on_its_cap_says_so(monkeypatch):
+    levels, _ = _fake_loss_rate(monkeypatch, lambda v: np.exp(-v) - np.exp(-5.0))
+    monkeypatch.setattr(steady_module, "ROOT_MAX_STEPS", 3)
+    root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
+    # ladder 0, 1, ..., 8, then the three capped steps
+    assert len(levels) == 5 + 3
+    assert root.found and abs(root.lambda_at_root) > ROOT_TOL
+    assert "stopped after 3 steps" in root.monotone_warning
+    assert root.bracket_lo <= root.v_inf <= root.bracket_hi
 
 
 def test_profile_integrates_to_one(baseline):
