@@ -37,7 +37,7 @@ bumpy = CoefficientSet(production=2400.0, clearance=4.0,
                        conversion=Bell(0.001, 0.1, 2.0, width_sq=0.1))
 wide = SizeGrid.uniform(60.0, 800)
 ss2 = build_steady_state(bumpy, wide)
-rep = bimodality_report(ss2, bumpy)
+rep = bimodality_report(ss2)
 
 print()
 print("bell transport bump at x = 2")

@@ -10,7 +10,9 @@ cross-check, and a config-driven command line.
 
 from .coefficients import (Affine, Bell, CoefficientSet, CoefficientShape,
                            Constant, ScaledBell, eval_coefficients)
-from .config import ConfigError, RunConfig, default_xmax, parse_config
+from .cli import sweep
+from .config import (ConfigError, RunConfig, config_echo, default_xmax,
+                     parse_config)
 from .discrete import (DiscreteParams, DiscreteState, DiscreteTrajectory,
                        calibration_mismatches, compare_continuum,
                        default_calibration, integrate_discrete,
@@ -18,7 +20,7 @@ from .discrete import (DiscreteParams, DiscreteState, DiscreteTrajectory,
 from .dynamics import (GrowthFit, IncubationResult, IntegratorFailure,
                        StabilityResult, Trajectory, growth_rate,
                        incubation_time, integrate, seed_state,
-                       stability_experiment, sweep)
+                       stability_experiment)
 from .eigen import (EigenConvergenceError, EigenSolution, HypothesisConstants,
                     PositivityViolationError, ScanResult, adjoint_eigenpair,
                     eigenvalue_from_moments, generator_eigenpair,
@@ -29,7 +31,7 @@ from .operator import (AdjointOperator, BalanceResult, FragOperator, Generator,
                        assemble, assemble_adjoint, macroscopic_balance,
                        transport_reaction_parts)
 from .records import (PACKAGE_VERSION, ExperimentRecord, canonical_json,
-                      config_echo, grid_hash, write_csv)
+                      grid_hash, write_csv)
 from .steady import (BimodalityReport, SteadyState, StationaryCheck,
                      VInfResult, bimodality_report, build_steady_state,
                      detect_modes, find_v_inf, stationary_profile_check)
@@ -39,13 +41,14 @@ __version__ = PACKAGE_VERSION
 __all__ = [
     "Affine", "Bell", "CoefficientSet", "CoefficientShape", "Constant",
     "ScaledBell", "eval_coefficients",
-    "ConfigError", "RunConfig", "default_xmax", "parse_config",
+    "sweep",
+    "ConfigError", "RunConfig", "config_echo", "default_xmax", "parse_config",
     "DiscreteParams", "DiscreteState", "DiscreteTrajectory",
     "calibration_mismatches", "compare_continuum", "default_calibration",
     "integrate_discrete", "matched_continuum_setup",
     "GrowthFit", "IncubationResult", "IntegratorFailure", "StabilityResult",
     "Trajectory", "growth_rate", "incubation_time", "integrate", "seed_state",
-    "stability_experiment", "sweep",
+    "stability_experiment",
     "EigenConvergenceError", "EigenSolution", "HypothesisConstants",
     "PositivityViolationError", "ScanResult", "adjoint_eigenpair",
     "eigenvalue_from_moments", "generator_eigenpair", "hypothesis_constants",
@@ -55,8 +58,8 @@ __all__ = [
     "below_cutoff_mass_share", "kernel_weights",
     "AdjointOperator", "BalanceResult", "FragOperator", "Generator", "assemble",
     "assemble_adjoint", "macroscopic_balance", "transport_reaction_parts",
-    "PACKAGE_VERSION", "ExperimentRecord", "canonical_json", "config_echo",
-    "grid_hash", "write_csv",
+    "PACKAGE_VERSION", "ExperimentRecord", "canonical_json", "grid_hash",
+    "write_csv",
     "BimodalityReport", "SteadyState", "StationaryCheck", "VInfResult",
     "bimodality_report", "build_steady_state", "detect_modes", "find_v_inf",
     "stationary_profile_check",

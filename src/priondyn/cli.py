@@ -1,38 +1,43 @@
-"""Command-line harness: one subcommand per experiment.
+"""Command-line harness: one subcommand per experiment, and the parameter
+sweeps built on them.
 
 Every run reads a plain-text config, executes, and drops deterministic
 output files (CSV tables plus a JSON record) into the output directory.
-File names embed a digest of the canonical config echo so different
-configurations never collide; rerunning the same configuration
-overwrites byte-identically.  Failures still write a machine-readable
-error file and exit nonzero.
+Each runner returns its results, diagnostics and exit code; ``main``
+writes them as the one JSON record of the run.  File names embed a
+digest of the canonical config echo so different configurations never
+collide; rerunning the same configuration overwrites byte-identically.
+Failures still write a machine-readable error file and exit nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import discrete as discrete_mod
 from . import reference
-from .config import ConfigError, RunConfig, parse_config
+from .coefficients import Affine, Bell, CoefficientSet, Constant, ScaledBell
+from .config import ConfigError, RunConfig, config_echo, parse_config
 from .dynamics import (IntegratorFailure, growth_rate, incubation_time,
-                       integrate, seed_state, sweep)
+                       integrate, seed_state)
 from .eigen import principal_eigenpair, scan_lambda
 from .grid import SizeGrid
 from .kernel import kernel_weights
 from .operator import assemble, assemble_adjoint, macroscopic_balance
-from .records import (ExperimentRecord, canonical_json, config_echo,
-                      grid_hash, write_csv)
-from .steady import bimodality_report, build_steady_state, find_v_inf
+from .records import ExperimentRecord, canonical_json, grid_hash, write_csv
+from .steady import (bimodality_report, build_steady_state, detect_modes,
+                     find_v_inf)
 
-__all__ = ["main"]
+__all__ = ["main", "sweep"]
 
 
 def _digest(echo: dict) -> str:
@@ -61,13 +66,35 @@ def _residual_column(traj, record_every: int) -> np.ndarray:
     return np.asarray(col)
 
 
+def _steady_blocks(ss):
+    """Bimodality report, result keys and root counters of one steady
+    state, shared by the steady runner and each peak_center sweep item."""
+    rep = bimodality_report(ss)
+    results = {
+        "v_inf": ss.v_inf,
+        "rho_inf": ss.rho_inf,
+        "exists": ss.exists,
+        "center_of_mass": rep.center_of_mass,
+        "n_modes": rep.n_modes,
+        "mode_locations": rep.mode_locations,
+        "secondary_mass_fraction": rep.secondary_mass_fraction,
+    }
+    counters = {"root_evaluations": ss.root.evaluations,
+                "root_iterations": ss.root.iterations}
+    return rep, results, counters
+
+
+def _integration_diagnostics(traj) -> dict:
+    """Health of one integration, shared by simulate and sweep items."""
+    return {"max_conservation_residual": traj.max_residual,
+            "truncation_flux_total": traj.truncation_flux_total,
+            "steps": traj.steps, "rejections": traj.rejections}
+
+
 # --- experiment runners ----------------------------------------------------
 
-def _run_eigen(cfg: RunConfig, out: Path) -> int:
+def _run_eigen(cfg: RunConfig, out: Path, tag: str):
     grid = cfg.make_grid()
-    echo = config_echo(cfg)
-    tag = _digest(echo)
-    t0 = time.perf_counter()
     scan = scan_lambda(cfg.coeffs, grid, cfg.eigen_v_values, tol=cfg.eigen_tol,
                        keep_solutions=True)
     results = {
@@ -90,52 +117,26 @@ def _run_eigen(cfg: RunConfig, out: Path) -> int:
               ["v", "loss_rate", "growth_rate", "residual", "iterations"],
               [scan.v_values, scan.lambda_values, scan.growth_rates,
                np.asarray(residuals), np.asarray(iters, dtype=float)])
-    record = ExperimentRecord(
-        experiment="eigen", config_echo=echo, results=results,
-        diagnostics={"grid_hash": grid_hash(grid), "residuals": residuals,
-                     "iterations": iters,
-                     "timings": {"seconds": time.perf_counter() - t0}})
-    _write_json(out / ("eigen-%s.json" % tag), record, cfg.timings)
-    return 0
+    return results, {"grid_hash": grid_hash(grid), "residuals": residuals,
+                     "iterations": iters}, 0
 
 
-def _run_steady(cfg: RunConfig, out: Path) -> int:
+def _run_steady(cfg: RunConfig, out: Path, tag: str):
     grid = cfg.make_grid()
-    echo = config_echo(cfg)
-    tag = _digest(echo)
-    t0 = time.perf_counter()
     ss = build_steady_state(cfg.coeffs, grid, v_max=cfg.steady_v_max)
-    rep = bimodality_report(ss, cfg.coeffs)
-    results = {
-        "v_inf": ss.v_inf,
-        "rho_inf": ss.rho_inf,
-        "exists": ss.exists,
-        "center_of_mass": rep.center_of_mass,
-        "n_modes": rep.n_modes,
-        "mode_locations": rep.mode_locations,
-        "secondary_mass_fraction": rep.secondary_mass_fraction,
-    }
+    rep, results, counters = _steady_blocks(ss)
     if rep.necessary_condition_met is not None:
         results["necessary_condition_met"] = rep.necessary_condition_met
     if ss.u_inf is not None:
         write_csv(out / ("steady-%s-profile.csv" % tag),
                   ["x", "density"], [grid.centers, ss.u_inf])
-    record = ExperimentRecord(
-        experiment="steady", config_echo=echo, results=results,
-        diagnostics={"grid_hash": grid_hash(grid),
-                     "root_evaluations": ss.root.evaluations,
-                     "root_iterations": ss.root.iterations,
+    return results, {"grid_hash": grid_hash(grid),
                      "monotone_warning": ss.root.monotone_warning,
-                     "timings": {"seconds": time.perf_counter() - t0}})
-    _write_json(out / ("steady-%s.json" % tag), record, cfg.timings)
-    return 0
+                     **counters}, 0
 
 
-def _run_simulate(cfg: RunConfig, out: Path) -> int:
+def _run_simulate(cfg: RunConfig, out: Path, tag: str):
     grid = cfg.make_grid()
-    echo = config_echo(cfg)
-    tag = _digest(echo)
-    t0 = time.perf_counter()
     initial = seed_state(cfg.coeffs, grid, scale=cfg.seed_scale,
                          v_init=cfg.v_init)
     rho0 = initial.moment0()
@@ -145,15 +146,11 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
                          snapshot_times=cfg.snapshot_times,
                          record_every=cfg.record_every, dt_max=cfg.dt_max)
     except IntegratorFailure as exc:
-        diagnostics.update(error=str(exc), error_type="IntegratorFailure",
-                           timings={"seconds": time.perf_counter() - t0})
+        diagnostics.update(error=str(exc), error_type="IntegratorFailure")
         state = exc.state
         results = {"failed_at": state.t if state is not None else None,
                    "v_last": state.v if state is not None else None}
-        record = ExperimentRecord(experiment="simulate", config_echo=echo,
-                                  results=results, diagnostics=diagnostics)
-        _write_json(out / ("simulate-%s.json" % tag), record, cfg.timings)
-        return 1
+        return results, diagnostics, 1
 
     write_csv(out / ("simulate-%s-trajectory.csv" % tag),
               ["t", "v", "polymer_count", "polymer_mass",
@@ -190,19 +187,11 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
                        incubation_reached=inc.reached,
                        incubation_predicted=inc.predicted,
                        incubation_threshold=inc.threshold)
-    diagnostics.update(
-        steps=traj.steps, rejections=traj.rejections,
-        max_conservation_residual=float(traj.conservation_residuals.max())
-        if traj.conservation_residuals.size else 0.0,
-        truncation_flux_total=traj.truncation_flux_total,
-        timings={"seconds": time.perf_counter() - t0})
-    record = ExperimentRecord(experiment="simulate", config_echo=echo,
-                              results=results, diagnostics=diagnostics)
-    _write_json(out / ("simulate-%s.json" % tag), record, cfg.timings)
-    return 0
+    diagnostics.update(_integration_diagnostics(traj))
+    return results, diagnostics, 0
 
 
-def _sweep_scalar_rows(axis: str, values, records):
+def _sweep_scalar_rows(axis: str, records):
     """Per-item scalar columns for the sweep summary table."""
     keymap = {
         "tightness": ("loss_rate", "growth_rate", "conv_average", "n_modes"),
@@ -221,17 +210,14 @@ def _sweep_scalar_rows(axis: str, values, records):
     return keys, cols, ok
 
 
-def _run_sweep(cfg: RunConfig, out: Path) -> int:
-    echo = config_echo(cfg)
-    tag = _digest(echo)
-    t0 = time.perf_counter()
+def _run_sweep(cfg: RunConfig, out: Path, tag: str):
     records = sweep(cfg, threads=cfg.threads)
     for k, rec in enumerate(records):
         _write_json(out / ("sweep-%s-item-%02d.json" % (tag, k)), rec,
                     cfg.timings)
     axis = cfg.sweep_axis
     values = list(cfg.sweep_values)
-    keys, cols, ok = _sweep_scalar_rows(axis, values, records)
+    keys, cols, ok = _sweep_scalar_rows(axis, records)
     write_csv(out / ("sweep-%s.csv" % tag), ["value"] + list(keys),
               [np.asarray(values, dtype=float)]
               + [np.asarray(cols[k]) for k in keys])
@@ -268,11 +254,128 @@ def _run_sweep(cfg: RunConfig, out: Path) -> int:
         summary["incubation_decreasing"] = (
             all(b < a for a, b in zip(finite, finite[1:]))
             if len(finite) >= 2 else None)
-    record = ExperimentRecord(
-        experiment="sweep", config_echo=echo, results=summary,
-        diagnostics={"timings": {"seconds": time.perf_counter() - t0}})
-    _write_json(out / ("sweep-%s.json" % tag), record, cfg.timings)
-    return 0
+    return summary, {}, 0
+
+
+# --- parameter sweeps ------------------------------------------------------
+
+def _axis_coeffs(coeffs: CoefficientSet, axis: str, value: float) -> CoefficientSet:
+    if axis == "bell_amplitude":
+        c = coeffs.conversion
+        if not isinstance(c, Bell):
+            raise ValueError("bell_amplitude sweep requires a bell conversion shape")
+        return replace(coeffs, conversion=Bell(c.base, value, c.center, c.width_sq))
+    if axis == "frag_slope":
+        f = coeffs.fragmentation
+        if not isinstance(f, Affine):
+            raise ValueError("frag_slope sweep requires an affine fragmentation shape")
+        return replace(coeffs, fragmentation=Affine(f.intercept, value))
+    if axis == "tightness":
+        c = coeffs.conversion
+        if not isinstance(c, ScaledBell):
+            raise ValueError("tightness sweep requires a scaled_bell conversion shape")
+        return replace(coeffs, conversion=ScaledBell(c.base, value, c.center))
+    if axis == "peak_center":
+        c = coeffs.conversion
+        if not isinstance(c, Bell):
+            raise ValueError("peak_center sweep requires a bell conversion shape")
+        return replace(coeffs, conversion=Bell(c.base, c.amplitude, value, c.width_sq))
+    if axis == "dose":
+        return coeffs
+    raise ValueError("unknown sweep axis %r" % axis)
+
+
+def _sweep_item(base: RunConfig, axis: str, value: float,
+                fixed_threshold: Optional[float]) -> ExperimentRecord:
+    t_start = time.perf_counter()
+    echo = config_echo(base)
+    echo["sweep_axis"] = axis
+    echo["sweep_value"] = float(value)
+    try:
+        coeffs = _axis_coeffs(base.coeffs, axis, value)
+        grid = base.make_grid()
+        diagnostics: dict = {"grid_hash": grid_hash(grid)}
+        if axis == "tightness":
+            v_eval = base.sweep_v_eval if base.sweep_v_eval is not None else base.vbar
+            sol = principal_eigenpair(coeffs, grid, v_eval, tol=base.eigen_tol)
+            conv = coeffs.conversion(grid.centers)
+            conv_avg = float((conv * sol.u_vec) @ grid.widths)
+            idx, _ = detect_modes(sol.u_vec, grid)
+            results = {
+                "v_eval": float(v_eval),
+                "loss_rate": sol.lambda_eig,
+                "growth_rate": sol.growth_rate,
+                "conv_average": conv_avg,
+                "n_modes": max(1, int(idx.size)),
+                "mode_locations": grid.centers[idx],
+            }
+            diagnostics.update(residual=sol.residual, iterations=sol.iterations)
+        elif axis == "peak_center":
+            ss = build_steady_state(coeffs, grid, v_max=base.steady_v_max)
+            _, results, counters = _steady_blocks(ss)
+            diagnostics.update(counters)
+        else:
+            scale = value if axis == "dose" else base.seed_scale
+            initial = seed_state(coeffs, grid, scale=scale, v_init=base.v_init)
+            rho0 = initial.moment0()
+            traj = integrate(coeffs, grid, initial, base.sweep_t_end,
+                             snapshot_times=(base.probe_time,),
+                             record_every=base.sweep_record_every,
+                             dt_max=base.dt_max)
+            threshold = fixed_threshold if fixed_threshold is not None \
+                else base.sweep_threshold_ratio * rho0
+            inc = incubation_time(traj, threshold, rho0)
+            probe = next((uu for (ts, uu) in traj.snapshots
+                          if abs(ts - base.probe_time) < 1e-9), None)
+            results = {
+                "times": traj.times,
+                "rho_series": traj.rho_series,
+                "v_series": traj.v_series,
+                "rho0": rho0,
+                "threshold": threshold,
+                "t_incubation": inc.t_incubation,
+                "measured_growth_rate": inc.measured_growth_rate,
+            }
+            if probe is not None:
+                count = float(probe @ grid.widths)
+                results["probe_time"] = base.probe_time
+                results["probe_profile"] = probe / count if count > 0 else probe
+            diagnostics.update(_integration_diagnostics(traj))
+    except Exception as exc:  # per-value isolation: a bad value must not kill the sweep
+        results = {}
+        diagnostics = {"error": str(exc), "error_type": type(exc).__name__}
+    diagnostics["timings"] = {"seconds": time.perf_counter() - t_start}
+    return ExperimentRecord(experiment="sweep", config_echo=echo,
+                            results=results, diagnostics=diagnostics)
+
+
+def sweep(base: RunConfig, axis: Optional[str] = None,
+          values: Optional[Sequence[float]] = None,
+          threads: int = 1) -> list:
+    """Run one experiment per value along the chosen axis.
+
+    Axes bell_amplitude and frag_slope integrate the full system per
+    value; tightness evaluates the frozen-level eigenpair; peak_center
+    builds steady states; dose reruns the same system at scaled
+    inoculations against one fixed threshold (set by the largest dose, so
+    the largest dose crosses at exactly the configured ratio).  A failing
+    value yields an error record; the rest of the sweep continues.
+    """
+    axis = axis if axis is not None else base.sweep_axis
+    values = tuple(values) if values is not None else base.sweep_values
+    if axis is None or values is None:
+        raise ValueError("sweep needs an axis and values")
+    fixed_threshold = None
+    if axis == "dose":
+        grid = base.make_grid()
+        unit_count = float(reference.initial_seed_profile(grid.centers)
+                           @ grid.widths)
+        fixed_threshold = base.sweep_threshold_ratio * max(values) * unit_count
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(
+                lambda v: _sweep_item(base, axis, v, fixed_threshold), values))
+    return [_sweep_item(base, axis, v, fixed_threshold) for v in values]
 
 
 # --- validate battery ------------------------------------------------------
@@ -283,11 +386,8 @@ def _check(name, passed, **detail):
     return out
 
 
-def _run_validate(cfg: RunConfig, out: Path, run_discrete: bool,
-                  dump_operator: bool) -> int:
-    echo = config_echo(cfg)
-    tag = _digest(echo)
-    t0 = time.perf_counter()
+def _run_validate(cfg: RunConfig, out: Path, tag: str, run_discrete: bool,
+                  dump_operator: bool):
     coeffs = cfg.coeffs
     checks = []
 
@@ -322,7 +422,6 @@ def _run_validate(cfg: RunConfig, out: Path, run_discrete: bool,
         worst = max(worst, abs(lhs - rhs) / scale)
     checks.append(_check("adjoint-duality", worst < 1e-10, max_error=worst))
 
-    from .coefficients import Affine, Constant
     closed_ok = (isinstance(coeffs.conversion, Constant)
                  and isinstance(coeffs.decay, Constant)
                  and isinstance(coeffs.fragmentation, Affine)
@@ -353,7 +452,7 @@ def _run_validate(cfg: RunConfig, out: Path, run_discrete: bool,
     grid4 = SizeGrid.uniform(cfg.xmax, 300, x0=coeffs.x0)
     initial = seed_state(coeffs, grid4, scale=1.0)
     traj = integrate(coeffs, grid4, initial, 10.0, record_every=10)
-    res = float(traj.conservation_residuals.max())
+    res = traj.max_residual
     checks.append(_check("conservation-books", res < 1e-8, max_residual=res))
 
     mass = reference.initial_seed_mass(50.0)
@@ -378,17 +477,16 @@ def _run_validate(cfg: RunConfig, out: Path, run_discrete: bool,
                              balance_residual=abs(bal.residual)))
 
     all_passed = all(c["passed"] for c in checks)
-    record = ExperimentRecord(
-        experiment="validate", config_echo=echo,
-        results={"checks": checks, "all_passed": all_passed},
-        diagnostics={"timings": {"seconds": time.perf_counter() - t0}})
-    _write_json(out / ("validate-%s.json" % tag), record, cfg.timings)
     for c in checks:
         print("%-24s %s" % (c["name"], "pass" if c["passed"] else "FAIL"))
-    return 0 if all_passed else 1
+    code = 0 if all_passed else 1
+    return {"checks": checks, "all_passed": all_passed}, {}, code
 
 
 # --- entry point -----------------------------------------------------------
+
+_RUNNERS = {"eigen": _run_eigen, "steady": _run_steady,
+            "simulate": _run_simulate, "sweep": _run_sweep}
 
 _DEFAULT_VALIDATE_CONFIG = "experiment = validate\n"
 
@@ -448,7 +546,7 @@ def main(argv=None) -> int:
         if args.threads is not None:
             overrides["threads"] = args.threads
         if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
+            cfg = replace(cfg, **overrides)
         out = out_dir if out_dir is not None else Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         # a fresh run supersedes any error artifact a failed earlier
@@ -456,15 +554,20 @@ def main(argv=None) -> int:
         stale = out / ("error-%s.json" % args.command)
         if stale.exists():
             stale.unlink()
-        if args.command == "eigen":
-            return _run_eigen(cfg, out)
-        if args.command == "steady":
-            return _run_steady(cfg, out)
-        if args.command == "simulate":
-            return _run_simulate(cfg, out)
-        if args.command == "sweep":
-            return _run_sweep(cfg, out)
-        return _run_validate(cfg, out, args.discrete, args.dump_operator)
+        echo = config_echo(cfg)
+        tag = _digest(echo)
+        t0 = time.perf_counter()
+        if args.command == "validate":
+            results, diagnostics, code = _run_validate(
+                cfg, out, tag, args.discrete, args.dump_operator)
+        else:
+            results, diagnostics, code = _RUNNERS[args.command](cfg, out, tag)
+        diagnostics["timings"] = {"seconds": time.perf_counter() - t0}
+        record = ExperimentRecord(experiment=args.command, config_echo=echo,
+                                  results=results, diagnostics=diagnostics)
+        _write_json(out / ("%s-%s.json" % (args.command, tag)), record,
+                    cfg.timings)
+        return code
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         _write_error(out_dir if out_dir is not None else Path("out"),

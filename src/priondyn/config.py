@@ -20,13 +20,14 @@ rather than stopping at the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Optional
 
 from .coefficients import Affine, Bell, CoefficientSet, CoefficientShape, Constant, ScaledBell
 from .grid import SizeGrid
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "default_xmax"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "config_echo", "default_xmax"]
 
 EXPERIMENTS = ("eigen", "steady", "simulate", "sweep", "validate")
 SWEEP_AXES = ("bell_amplitude", "frag_slope", "tightness", "peak_center", "dose")
@@ -37,38 +38,39 @@ SHAPE_PARAMS = {
     "scaled_bell": ("base", "tightness", "center"),
 }
 
-# key -> (type tag, default); shapes handled separately
+# key -> (RunConfig field, type tag, default); the model.* keys feed the
+# coefficient set rather than a field, and shapes are handled separately
 _SCALAR_KEYS = {
-    "experiment": ("enum:experiment", None),
-    "model.production": ("float", 2400.0),
-    "model.clearance": ("float", 4.0),
-    "model.x0": ("float", 0.0),
-    "model.kernel": ("str", "uniform"),
-    "grid.xmax": ("float", None),
-    "grid.n": ("int", 800),
-    "eigen.v_values": ("floatlist", None),
-    "eigen.tol": ("float", 1e-10),
-    "steady.v_max": ("float", None),
-    "simulate.t_end": ("float", 200.0),
-    "simulate.v_init": ("float", None),
-    "simulate.seed_scale": ("float", 1.0),
-    "simulate.record_every": ("int", 1),
-    "simulate.snapshot_times": ("floatlist", (96.0,)),
-    "simulate.fit_start": ("float", 15.0),
-    "simulate.fit_end": ("float", 40.0),
-    "simulate.threshold_ratio": ("float", 1e3),
-    "simulate.dt_max": ("float", None),
-    "sweep.axis": ("enum:axis", None),
-    "sweep.values": ("floatlist", None),
-    "sweep.t_end": ("float", 200.0),
-    "sweep.probe_time": ("float", 96.0),
-    "sweep.v_eval": ("float", None),
-    "sweep.threshold_ratio": ("float", 1e3),
-    "sweep.record_every": ("int", 4),
-    "output.dir": ("str", "out"),
-    "output.timings": ("bool", False),
-    "seed": ("int", 0),
-    "threads": ("int", 1),
+    "experiment": ("experiment", "enum:experiment", None),
+    "model.production": (None, "float", 2400.0),
+    "model.clearance": (None, "float", 4.0),
+    "model.x0": (None, "float", 0.0),
+    "model.kernel": (None, "str", "uniform"),
+    "grid.xmax": ("xmax", "float", None),
+    "grid.n": ("n", "int", 800),
+    "eigen.v_values": ("eigen_v_values", "floatlist", None),
+    "eigen.tol": ("eigen_tol", "float", 1e-10),
+    "steady.v_max": ("steady_v_max", "float", None),
+    "simulate.t_end": ("t_end", "float", 200.0),
+    "simulate.v_init": ("v_init", "float", None),
+    "simulate.seed_scale": ("seed_scale", "float", 1.0),
+    "simulate.record_every": ("record_every", "int", 1),
+    "simulate.snapshot_times": ("snapshot_times", "floatlist", (96.0,)),
+    "simulate.fit_start": ("fit_start", "float", 15.0),
+    "simulate.fit_end": ("fit_end", "float", 40.0),
+    "simulate.threshold_ratio": ("threshold_ratio", "float", 1e3),
+    "simulate.dt_max": ("dt_max", "float", None),
+    "sweep.axis": ("sweep_axis", "enum:axis", None),
+    "sweep.values": ("sweep_values", "floatlist", None),
+    "sweep.t_end": ("sweep_t_end", "float", 200.0),
+    "sweep.probe_time": ("probe_time", "float", 96.0),
+    "sweep.v_eval": ("sweep_v_eval", "float", None),
+    "sweep.threshold_ratio": ("sweep_threshold_ratio", "float", 1e3),
+    "sweep.record_every": ("sweep_record_every", "int", 4),
+    "output.dir": ("out_dir", "str", "out"),
+    "output.timings": ("timings", "bool", False),
+    "seed": ("seed", "int", 0),
+    "threads": ("threads", "int", 1),
 }
 
 _SHAPE_PREFIXES = ("model.conversion", "model.fragmentation", "model.decay")
@@ -104,36 +106,38 @@ def default_xmax(coeffs: CoefficientSet) -> float:
 
 @dataclass
 class RunConfig:
-    """Validated run description; see module docstring for the file format."""
+    """Validated run description; see module docstring for the file format.
+
+    Built only by parse_config, which fills every field from _SCALAR_KEYS.
+    """
 
     experiment: str
     coeffs: CoefficientSet
     xmax: float
-    n: int = 800
-    eigen_v_values: Optional[tuple] = None
-    eigen_tol: float = 1e-10
-    steady_v_max: Optional[float] = None
-    t_end: float = 200.0
-    v_init: Optional[float] = None
-    seed_scale: float = 1.0
-    record_every: int = 1
-    snapshot_times: tuple = (96.0,)
-    fit_start: float = 15.0
-    fit_end: float = 40.0
-    threshold_ratio: float = 1e3
-    dt_max: Optional[float] = None
-    sweep_axis: Optional[str] = None
-    sweep_values: Optional[tuple] = None
-    sweep_t_end: float = 200.0
-    probe_time: float = 96.0
-    sweep_v_eval: Optional[float] = None
-    sweep_threshold_ratio: float = 1e3
-    sweep_record_every: int = 4
-    out_dir: str = "out"
-    timings: bool = False
-    seed: int = 0
-    threads: int = 1
-    source_text: str = field(default="", repr=False)
+    n: int
+    eigen_v_values: Optional[tuple]
+    eigen_tol: float
+    steady_v_max: Optional[float]
+    t_end: float
+    v_init: Optional[float]
+    seed_scale: float
+    record_every: int
+    snapshot_times: tuple
+    fit_start: float
+    fit_end: float
+    threshold_ratio: float
+    dt_max: Optional[float]
+    sweep_axis: Optional[str]
+    sweep_values: Optional[tuple]
+    sweep_t_end: float
+    probe_time: float
+    sweep_v_eval: Optional[float]
+    sweep_threshold_ratio: float
+    sweep_record_every: int
+    out_dir: str
+    timings: bool
+    seed: int
+    threads: int
 
     @property
     def vbar(self) -> float:
@@ -247,7 +251,7 @@ def parse_config(text: str) -> RunConfig:
         if key in scalars:
             errors.append("line %d: %s set twice" % (line_no, key))
             continue
-        tag, _ = _SCALAR_KEYS[key]
+        _, tag, _ = _SCALAR_KEYS[key]
         val = _parse_value(tag, raw, key, line_no, errors)
         if val is not None:
             scalars[key] = val
@@ -255,7 +259,7 @@ def parse_config(text: str) -> RunConfig:
     built_shapes = {p: _build_shape(p, dict(v), errors) for p, v in shapes.items()}
 
     def get(key):
-        return scalars.get(key, _SCALAR_KEYS[key][1])
+        return scalars.get(key, _SCALAR_KEYS[key][2])
 
     if "experiment" not in scalars:
         errors.append("config: missing required key 'experiment'")
@@ -292,19 +296,45 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(["config: grid.xmax (%g) must exceed model.x0 (%g)"
                            % (xmax, coeffs.x0)])
 
-    return RunConfig(
-        experiment=exp, coeffs=coeffs, xmax=xmax, n=get("grid.n"),
-        eigen_v_values=get("eigen.v_values"), eigen_tol=get("eigen.tol"),
-        steady_v_max=get("steady.v_max"), t_end=get("simulate.t_end"),
-        v_init=get("simulate.v_init"), seed_scale=get("simulate.seed_scale"),
-        record_every=get("simulate.record_every"),
-        snapshot_times=tuple(get("simulate.snapshot_times")),
-        fit_start=get("simulate.fit_start"), fit_end=get("simulate.fit_end"),
-        threshold_ratio=get("simulate.threshold_ratio"),
-        dt_max=get("simulate.dt_max"), sweep_axis=get("sweep.axis"),
-        sweep_values=get("sweep.values"), sweep_t_end=get("sweep.t_end"),
-        probe_time=get("sweep.probe_time"), sweep_v_eval=get("sweep.v_eval"),
-        sweep_threshold_ratio=get("sweep.threshold_ratio"),
-        sweep_record_every=get("sweep.record_every"),
-        out_dir=get("output.dir"), timings=get("output.timings"),
-        seed=get("seed"), threads=get("threads"), source_text=text)
+    fields = {f: get(key) for key, (f, _, _) in _SCALAR_KEYS.items() if f}
+    fields["xmax"] = xmax
+    return RunConfig(coeffs=coeffs, **fields)
+
+
+def _shape_echo(shape) -> dict:
+    """Rate shape as a plain dict for config echoes."""
+    name = type(shape).__name__
+    snake = "".join("_" + c.lower() if c.isupper() and i else c.lower()
+                    for i, c in enumerate(name))
+    out = {"shape": snake}
+    out.update(dataclasses.asdict(shape))
+    return out
+
+
+def config_echo(cfg: RunConfig) -> dict:
+    """Flatten a run configuration into a serializable dict.
+
+    The experiment's own section holds every set <experiment>.* key,
+    named by its suffix.  The echo's digest names the output files, so
+    a change here renames them.
+    """
+    c = cfg.coeffs
+    echo = {
+        "experiment": cfg.experiment,
+        "model": {
+            "production": c.production, "clearance": c.clearance,
+            "x0": c.x0, "kernel": c.kernel,
+            "conversion": _shape_echo(c.conversion),
+            "fragmentation": _shape_echo(c.fragmentation),
+            "decay": _shape_echo(c.decay),
+        },
+        "grid": {"xmax": cfg.xmax, "n": cfg.n},
+        "seed": cfg.seed,
+    }
+    prefix = cfg.experiment + "."
+    section = {key[len(prefix):]: getattr(cfg, f)
+               for key, (f, _, _) in _SCALAR_KEYS.items()
+               if key.startswith(prefix) and getattr(cfg, f) is not None}
+    if section:
+        echo[cfg.experiment] = section
+    return echo

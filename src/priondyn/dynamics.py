@@ -1,6 +1,6 @@
 """Time integration of the coupled monomer/polymer system and the
-experiments built on it: growth-rate fits, incubation times, parameter
-sweeps, stability runs.
+experiments built on it: growth-rate fits, incubation times, stability
+runs.
 
 The stepper is explicit Heun under a transport CFL bound and a reaction
 bound, with step rejection and halving if a stage goes negative.  The
@@ -12,22 +12,18 @@ immediately.  The right-hand side applies the structured generator in O(n).
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import Affine, Bell, CoefficientSet, ScaledBell
-from .config import RunConfig
+from .coefficients import CoefficientSet
 from .eigen import HypothesisConstants, adjoint_eigenpair, hypothesis_constants, principal_eigenpair
 from .grid import PolymerState, SizeGrid
 from .kernel import below_cutoff_mass_share
 from .operator import Generator
-from .records import ExperimentRecord, config_echo, grid_hash
 from .reference import initial_seed_profile
-from .steady import build_steady_state, bimodality_report, detect_modes, find_v_inf
+from .steady import find_v_inf
 
 __all__ = [
     "Trajectory",
@@ -39,7 +35,6 @@ __all__ = [
     "integrate",
     "growth_rate",
     "incubation_time",
-    "sweep",
     "stability_experiment",
 ]
 
@@ -73,6 +68,12 @@ class Trajectory:
     final_state: PolymerState
     steps: int
     rejections: int
+
+    @property
+    def max_residual(self) -> float:
+        """Largest per-step conservation residual (0 with no steps)."""
+        res = self.conservation_residuals
+        return float(res.max()) if res.size else 0.0
 
 
 def seed_state(coeffs: CoefficientSet, grid: SizeGrid, scale: float = 1.0,
@@ -143,6 +144,7 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     rejections = 0
     shrink = 1.0
     ev_i = 0
+    dt_min = 1e-14 * max(1.0, t_end - initial.t)
 
     def rhs(uu, VV):
         du = gen.apply(VV, uu)
@@ -157,9 +159,12 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         if dt_max is not None:
             dt_cfl = min(dt_cfl, dt_max)
         dt_try = dt_cfl * shrink
-        hit_event = next_event - t <= dt_try
+        # a full step that would stop short of the event by less than the
+        # smallest allowed step takes the event instead, so no sliver of a
+        # step is left before it
+        hit_event = next_event - t <= dt_try + dt_min
         dt = (next_event - t) if hit_event else dt_try
-        if dt < 1e-14 * max(1.0, t_end - initial.t):
+        if dt < dt_min:
             raise IntegratorFailure(
                 "step size underflow at t=%g (shrink=%g)" % (t, shrink),
                 state=PolymerState(v=V, u=u.copy(), grid=grid, t=t))
@@ -312,142 +317,6 @@ def incubation_time(traj: Trajectory, threshold: float, inoculation: float,
                             final_rho=float(rho[-1]))
 
 
-# --- parameter sweeps ------------------------------------------------------
-
-def _axis_coeffs(coeffs: CoefficientSet, axis: str, value: float) -> CoefficientSet:
-    if axis == "bell_amplitude":
-        c = coeffs.conversion
-        if not isinstance(c, Bell):
-            raise ValueError("bell_amplitude sweep requires a bell conversion shape")
-        return replace(coeffs, conversion=Bell(c.base, value, c.center, c.width_sq))
-    if axis == "frag_slope":
-        f = coeffs.fragmentation
-        if not isinstance(f, Affine):
-            raise ValueError("frag_slope sweep requires an affine fragmentation shape")
-        return replace(coeffs, fragmentation=Affine(f.intercept, value))
-    if axis == "tightness":
-        c = coeffs.conversion
-        if not isinstance(c, ScaledBell):
-            raise ValueError("tightness sweep requires a scaled_bell conversion shape")
-        return replace(coeffs, conversion=ScaledBell(c.base, value, c.center))
-    if axis == "peak_center":
-        c = coeffs.conversion
-        if not isinstance(c, Bell):
-            raise ValueError("peak_center sweep requires a bell conversion shape")
-        return replace(coeffs, conversion=Bell(c.base, c.amplitude, value, c.width_sq))
-    if axis == "dose":
-        return coeffs
-    raise ValueError("unknown sweep axis %r" % axis)
-
-
-def _sweep_item(base: RunConfig, axis: str, value: float,
-                fixed_threshold: Optional[float]) -> ExperimentRecord:
-    t_start = time.perf_counter()
-    echo = config_echo(base)
-    echo["sweep_axis"] = axis
-    echo["sweep_value"] = float(value)
-    try:
-        coeffs = _axis_coeffs(base.coeffs, axis, value)
-        grid = base.make_grid()
-        diagnostics: dict = {"grid_hash": grid_hash(grid)}
-        if axis == "tightness":
-            v_eval = base.sweep_v_eval if base.sweep_v_eval is not None else base.vbar
-            sol = principal_eigenpair(coeffs, grid, v_eval, tol=base.eigen_tol)
-            conv = coeffs.conversion(grid.centers)
-            conv_avg = float((conv * sol.u_vec) @ grid.widths)
-            idx, _ = detect_modes(sol.u_vec, grid)
-            results = {
-                "v_eval": float(v_eval),
-                "loss_rate": sol.lambda_eig,
-                "growth_rate": sol.growth_rate,
-                "conv_average": conv_avg,
-                "n_modes": max(1, int(idx.size)),
-                "mode_locations": grid.centers[idx],
-            }
-            diagnostics.update(residual=sol.residual, iterations=sol.iterations)
-        elif axis == "peak_center":
-            ss = build_steady_state(coeffs, grid, v_max=base.steady_v_max)
-            rep = bimodality_report(ss)
-            results = {
-                "v_inf": ss.v_inf,
-                "rho_inf": ss.rho_inf,
-                "exists": ss.exists,
-                "center_of_mass": rep.center_of_mass,
-                "n_modes": rep.n_modes,
-                "mode_locations": rep.mode_locations,
-                "secondary_mass_fraction": rep.secondary_mass_fraction,
-            }
-            diagnostics.update(root_evaluations=ss.root.evaluations,
-                               root_iterations=ss.root.iterations)
-        else:
-            scale = value if axis == "dose" else base.seed_scale
-            initial = seed_state(coeffs, grid, scale=scale, v_init=base.v_init)
-            rho0 = initial.moment0()
-            traj = integrate(coeffs, grid, initial, base.sweep_t_end,
-                             snapshot_times=(base.probe_time,),
-                             record_every=base.sweep_record_every,
-                             dt_max=base.dt_max)
-            threshold = fixed_threshold if fixed_threshold is not None \
-                else base.sweep_threshold_ratio * rho0
-            inc = incubation_time(traj, threshold, rho0)
-            probe = next((uu for (ts, uu) in traj.snapshots
-                          if abs(ts - base.probe_time) < 1e-9), None)
-            results = {
-                "times": traj.times,
-                "rho_series": traj.rho_series,
-                "v_series": traj.v_series,
-                "rho0": rho0,
-                "threshold": threshold,
-                "t_incubation": inc.t_incubation,
-                "measured_growth_rate": inc.measured_growth_rate,
-            }
-            if probe is not None:
-                count = float(probe @ grid.widths)
-                results["probe_time"] = base.probe_time
-                results["probe_profile"] = probe / count if count > 0 else probe
-            diagnostics.update(
-                max_conservation_residual=float(traj.conservation_residuals.max())
-                if traj.conservation_residuals.size else 0.0,
-                truncation_flux_total=traj.truncation_flux_total,
-                steps=traj.steps, rejections=traj.rejections)
-    except Exception as exc:  # per-value isolation: a bad value must not kill the sweep
-        return ExperimentRecord(
-            experiment="sweep", config_echo=echo, results={},
-            diagnostics={"error": str(exc), "error_type": type(exc).__name__,
-                         "timings": {"seconds": time.perf_counter() - t_start}})
-    diagnostics["timings"] = {"seconds": time.perf_counter() - t_start}
-    return ExperimentRecord(experiment="sweep", config_echo=echo,
-                            results=results, diagnostics=diagnostics)
-
-
-def sweep(base: RunConfig, axis: Optional[str] = None,
-          values: Optional[Sequence[float]] = None,
-          threads: int = 1) -> list:
-    """Run one experiment per value along the chosen axis.
-
-    Axes bell_amplitude and frag_slope integrate the full system per
-    value; tightness evaluates the frozen-level eigenpair; peak_center
-    builds steady states; dose reruns the same system at scaled
-    inoculations against one fixed threshold (set by the largest dose, so
-    the largest dose crosses at exactly the configured ratio).  A failing
-    value yields an error record; the rest of the sweep continues.
-    """
-    axis = axis if axis is not None else base.sweep_axis
-    values = tuple(values) if values is not None else base.sweep_values
-    if axis is None or values is None:
-        raise ValueError("sweep needs an axis and values")
-    fixed_threshold = None
-    if axis == "dose":
-        grid = base.make_grid()
-        unit_count = float(initial_seed_profile(grid.centers) @ grid.widths)
-        fixed_threshold = base.sweep_threshold_ratio * max(values) * unit_count
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(
-                lambda v: _sweep_item(base, axis, v, fixed_threshold), values))
-    return [_sweep_item(base, axis, v, fixed_threshold) for v in values]
-
-
 # --- stability experiment --------------------------------------------------
 
 @dataclass
@@ -521,9 +390,7 @@ def stability_experiment(coeffs: CoefficientSet, grid: SizeGrid, epsilon: float,
     v_at = np.interp(times, traj.times, traj.v_series)
     norms = np.array([norm_of(uu, vv) for (_, uu), vv in zip(traj.snapshots, v_at)])
     diagnostics = {"norm0": norm0, "steps": traj.steps,
-                   "max_conservation_residual":
-                       float(traj.conservation_residuals.max())
-                       if traj.conservation_residuals.size else 0.0}
+                   "max_conservation_residual": traj.max_residual}
 
     verdict, fitted = "inconclusive", None
     escape = np.flatnonzero(norms >= 10.0 * norm0)

@@ -9,11 +9,9 @@ would break byte-identity.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 
@@ -23,8 +21,6 @@ __all__ = [
     "PACKAGE_VERSION",
     "ExperimentRecord",
     "grid_hash",
-    "shape_echo",
-    "config_echo",
     "canonical_json",
     "write_csv",
 ]
@@ -38,62 +34,6 @@ def grid_hash(grid: SizeGrid) -> str:
     hsh.update(grid.centers.tobytes())
     hsh.update(grid.widths.tobytes())
     return hsh.hexdigest()[:16]
-
-
-def shape_echo(shape) -> dict:
-    """Rate shape as a plain dict for config echoes."""
-    name = type(shape).__name__
-    snake = "".join("_" + c.lower() if c.isupper() and i else c.lower()
-                    for i, c in enumerate(name))
-    out = {"shape": snake}
-    out.update(dataclasses.asdict(shape))
-    return out
-
-
-def config_echo(cfg) -> dict:
-    """Flatten a run configuration into a serializable dict.
-
-    Duck-typed on the RunConfig attributes so this module stays free of a
-    config import; every value lands in the canonical form used for
-    output hashing.
-    """
-    c = cfg.coeffs
-    echo = {
-        "experiment": cfg.experiment,
-        "model": {
-            "production": c.production, "clearance": c.clearance,
-            "x0": c.x0, "kernel": c.kernel,
-            "conversion": shape_echo(c.conversion),
-            "fragmentation": shape_echo(c.fragmentation),
-            "decay": shape_echo(c.decay),
-        },
-        "grid": {"xmax": cfg.xmax, "n": cfg.n},
-        "seed": cfg.seed,
-    }
-    scoped = {
-        "eigen": (("v_values", "eigen_v_values"), ("tol", "eigen_tol")),
-        "steady": (("v_max", "steady_v_max"),),
-        "simulate": (("t_end", "t_end"), ("v_init", "v_init"),
-                     ("seed_scale", "seed_scale"),
-                     ("record_every", "record_every"),
-                     ("snapshot_times", "snapshot_times"),
-                     ("fit_start", "fit_start"), ("fit_end", "fit_end"),
-                     ("threshold_ratio", "threshold_ratio"),
-                     ("dt_max", "dt_max")),
-        "sweep": (("axis", "sweep_axis"), ("values", "sweep_values"),
-                  ("t_end", "sweep_t_end"), ("probe_time", "probe_time"),
-                  ("v_eval", "sweep_v_eval"),
-                  ("threshold_ratio", "sweep_threshold_ratio"),
-                  ("record_every", "sweep_record_every")),
-    }
-    section = {}
-    for name, key in scoped.get(cfg.experiment, ()):
-        val = getattr(cfg, key, None)
-        if val is not None:
-            section[name] = val
-    if section:
-        echo[cfg.experiment] = section
-    return echo
 
 
 def _fmt_float(x: float) -> str:

@@ -322,9 +322,9 @@ def detect_modes(u: np.ndarray, grid: SizeGrid,
     return idx[keep], props["prominences"][keep]
 
 
-def bimodality_report(ss: SteadyState, coeffs: Optional[CoefficientSet] = None) -> BimodalityReport:
+def bimodality_report(ss: SteadyState) -> BimodalityReport:
     """Count and locate the modes of the stationary profile."""
-    coeffs = coeffs if coeffs is not None else ss.coeffs
+    coeffs = ss.coeffs
     grid = ss.grid
     u = ss.u_profile
     idx, prom = detect_modes(u, grid)

@@ -180,7 +180,7 @@ def test_c08_bimodality():
     def body():
         grid = SizeGrid.uniform(60.0, 800)
         ss = build_steady_state(BELL_01, grid)
-        rep = bimodality_report(ss, BELL_01)
+        rep = bimodality_report(ss)
         assert rep.n_modes == 2
         assert rep.necessary_condition_met is True
 
@@ -197,7 +197,7 @@ def test_c08_bimodality():
             cs = dataclasses.replace(
                 BELL_01, conversion=Bell(0.001, 0.1, m, width_sq=0.1))
             s = build_steady_state(cs, grid)
-            rep = bimodality_report(s, cs)
+            rep = bimodality_report(s)
             fractions.append(rep.secondary_mass_fraction)
             coms.append(s.center_of_mass())
             assert abs(coms[-1] - 1.6666666666666667) <= 0.01 * 1.6666666666666667

@@ -1,5 +1,7 @@
-"""Config parsing, error collection, and deterministic serialization."""
+"""Config parsing, error collection, deterministic serialization, and the
+boundary between the numerical modules and the experiment layer."""
 
+import ast
 import json
 import math
 from pathlib import Path
@@ -7,11 +9,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import priondyn
 from priondyn import (Affine, Bell, ConfigError, Constant, ExperimentRecord,
                       SizeGrid, canonical_json, config_echo, default_xmax,
                       grid_hash, parse_config, write_csv)
+from priondyn.cli import _digest
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# output-file tags of the shipped configs; an echo or schema edit that
+# renames the outputs fails here
+SHIPPED_TAGS = {
+    "fig2": "48da1ee212", "fig2-bell": "805366053b", "fig3": "8b027e7509",
+    "fig3-control": "d8cad2c2cc", "fig4": "19473b89ee", "fig5": "1b99ceccfd",
+    "fig6": "eed2c53c67", "fig7": "b776c8fce3",
+}
 
 
 # --- parsing ---------------------------------------------------------------
@@ -209,3 +221,42 @@ def test_config_echo_structure():
     assert "simulate" not in echo
     # the echo is serializable as-is
     canonical_json(echo)
+
+
+def test_shipped_config_output_names_are_pinned():
+    tags = {p.stem: _digest(config_echo(parse_config(p.read_text())))
+            for p in CONFIG_DIR.glob("*.cfg")}
+    assert tags == SHIPPED_TAGS
+
+
+# --- layering --------------------------------------------------------------
+
+NUMERICAL_MODULES = ("coefficients", "grid", "kernel", "operator", "eigen",
+                     "steady", "dynamics", "discrete", "reference")
+EXPERIMENT_LAYER = {"config", "records", "cli"}
+
+
+def _package_imports(module: str) -> set:
+    """priondyn submodules a module's source imports, read with ast."""
+    path = Path(priondyn.__file__).parent / (module + ".py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ("priondyn." + base).rstrip(".")
+            names = ([base] if base != "priondyn" else
+                     ["priondyn." + a.name for a in node.names])
+        else:
+            continue
+        found.update(n.split(".")[1] for n in names
+                     if n.startswith("priondyn."))
+    return found
+
+
+def test_numerical_modules_import_no_experiment_layer():
+    leaks = {m: sorted(_package_imports(m) & EXPERIMENT_LAYER)
+             for m in NUMERICAL_MODULES}
+    assert {m: names for m, names in leaks.items() if names} == {}

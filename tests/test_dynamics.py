@@ -75,6 +75,16 @@ def test_snapshot_outside_span_is_ignored():
     assert traj.snapshots == []
 
 
+def test_snapshot_just_past_a_full_step_is_reached():
+    # on this grid a full step ends 2 ulp short of t=5; the step must
+    # land on the snapshot rather than leave a sliver below the step floor
+    grid = SizeGrid.uniform(50.0 / 3.0, 200)
+    traj = integrate(CONST, grid, seed_state(CONST, grid), t_end=20.0,
+                     snapshot_times=(5.0, 10.0))
+    assert [t for t, _ in traj.snapshots] == [5.0, 10.0]
+    assert traj.steps == 160
+
+
 def test_rejects_empty_span():
     grid = _grid(100)
     initial = seed_state(CONST, grid, t=3.0)

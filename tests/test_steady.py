@@ -216,11 +216,11 @@ def bumpy():
 
 
 def test_localized_speedup_splits_the_profile(bumpy):
-    coeffs, ss = bumpy
+    _, ss = bumpy
     assert ss.exists
     # a fast-transport pocket drains density locally and parks a second
     # hump past it
-    report = bimodality_report(ss, coeffs)
+    report = bimodality_report(ss)
     assert report.n_modes == 2
     assert report.necessary_condition_met is True
     assert report.secondary_mass_fraction > 0.0
