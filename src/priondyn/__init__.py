@@ -10,7 +10,6 @@ cross-check, and a config-driven command line.
 
 from .coefficients import (Affine, Bell, CoefficientSet, CoefficientShape,
                            Constant, ScaledBell, eval_coefficients)
-from .cli import sweep
 from .config import (ConfigError, RunConfig, config_echo, default_xmax,
                      parse_config)
 from .discrete import (DiscreteParams, DiscreteState, DiscreteTrajectory,
@@ -37,6 +36,15 @@ from .steady import (BimodalityReport, SteadyState, StationaryCheck,
                      detect_modes, find_v_inf, stationary_profile_check)
 
 __version__ = PACKAGE_VERSION
+
+
+def __getattr__(name):
+    # the command line loads on first use, not with the package, so that
+    # ``python -m priondyn.cli`` does not find it imported already
+    if name == "sweep":
+        from .cli import sweep
+        return sweep
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __all__ = [
     "Affine", "Bell", "CoefficientSet", "CoefficientShape", "Constant",

@@ -91,8 +91,7 @@ class DiscreteTrajectory:
     steps: int
 
 
-def _rhs(params: DiscreteParams, u: np.ndarray, v: float):
-    sizes = params.sizes
+def _rhs(params: DiscreteParams, sizes: np.ndarray, u: np.ndarray, v: float):
     tau, beta, mu = params.conversion, params.fragmentation, params.decay
     count = u.sum()
     # suffix sums: tail[k] = sum of u over sizes strictly above sizes[k]
@@ -108,18 +107,20 @@ def _rhs(params: DiscreteParams, u: np.ndarray, v: float):
     return du, dv
 
 
-def _heun_step(params: DiscreteParams, u, v, dt, depth=0):
-    """One two-stage step; on a negative stage, recurse on two half steps."""
-    du1, dv1 = _rhs(params, u, v)
+def _heun_step(params: DiscreteParams, sizes, u, v, dt, depth=0):
+    """One two-stage step; on a negative stage, recurse on two half steps.
+
+    sizes is params.sizes, built once by the caller.
+    """
+    du1, dv1 = _rhs(params, sizes, u, v)
     u1 = u + dt * du1
     v1 = v + dt * dv1
     if u1.min() >= 0.0 and v1 >= 0.0:
-        du2, dv2 = _rhs(params, u1, v1)
+        du2, dv2 = _rhs(params, sizes, u1, v1)
         u2 = 0.5 * u + 0.5 * (u1 + dt * du2)
         v2 = 0.5 * v + 0.5 * (v1 + dt * dv2)
         if u2.min() >= 0.0 and v2 >= 0.0:
             # stage-consistent book for this step
-            sizes = params.sizes
             top_rate = params.conversion * (params.n_max + 1.0)
             src = 0.5 * ((params.production - params.clearance * v
                           - params.decay * (sizes @ u) - top_rate * v * u[-1])
@@ -131,8 +132,8 @@ def _heun_step(params: DiscreteParams, u, v, dt, depth=0):
     if depth >= 20:
         raise RuntimeError("discrete step kept producing negative densities "
                            "after 20 halvings (dt=%g)" % dt)
-    u, v, r1 = _heun_step(params, u, v, 0.5 * dt, depth + 1)
-    u, v, r2 = _heun_step(params, u, v, 0.5 * dt, depth + 1)
+    u, v, r1 = _heun_step(params, sizes, u, v, 0.5 * dt, depth + 1)
+    u, v, r2 = _heun_step(params, sizes, u, v, 0.5 * dt, depth + 1)
     return u, v, max(r1, r2)
 
 
@@ -142,20 +143,20 @@ def integrate_discrete(params: DiscreteParams, state: DiscreteState,
     """Fixed-step march to t_end (the last step shortens to land on it)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if state.u.shape != params.sizes.shape:
+    sizes = params.sizes
+    if state.u.shape != sizes.shape:
         raise ValueError("state has %d bins; params expect %d"
-                         % (state.u.size, params.sizes.size))
+                         % (state.u.size, sizes.size))
     u = state.u.astype(float).copy()
     v = float(state.v)
     t = state.t
-    sizes = params.sizes
     times, vs, counts, masses = [t], [v], [u.sum()], [sizes @ u]
     resid_max = 0.0
     top_share = 0.0
     steps = 0
     while t < t_end - 1e-12:
         step = min(dt, t_end - t)
-        u, v, resid = _heun_step(params, u, v, step)
+        u, v, resid = _heun_step(params, sizes, u, v, step)
         if not (np.isfinite(v) and np.isfinite(u).all()):
             raise RuntimeError("discrete integration diverged at t=%g" % t)
         resid_max = max(resid_max, resid)

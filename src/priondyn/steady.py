@@ -304,22 +304,54 @@ def _shape_second_derivative(shape, x: np.ndarray) -> np.ndarray:
     raise TypeError("no curvature rule for %r" % type(shape).__name__)
 
 
+def _prominent_peaks(x: np.ndarray, min_prominence: float):
+    """Local maxima of x whose topographic prominence is >= min_prominence.
+
+    Returns (indices, prominences).  A run of equal values is a maximum
+    when the runs on both sides are strictly lower; it sits at
+    (left + right) // 2, and a run touching either end is never one.
+    Each side is walked out up to the first value strictly above the peak
+    (or the end of x); the prominence is the peak minus the larger of the
+    two minima met on the way.
+    """
+    edges = np.concatenate(([0], np.flatnonzero(x[1:] != x[:-1]) + 1, [x.size]))
+    lo, hi = edges[:-1], edges[1:] - 1
+    vals = x[lo]
+    runs = np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])) + 1
+    peaks = (lo[runs] + hi[runs]) // 2
+    prom = np.empty(peaks.size)
+    for k, p in enumerate(peaks):
+        higher = np.flatnonzero(x > x[p])
+        a = higher[higher < p]
+        b = higher[higher > p]
+        left = x[(a[-1] + 1 if a.size else 0):p + 1].min()
+        right = x[p:(b[0] if b.size else x.size)].min()
+        prom[k] = x[p] - max(left, right)
+    keep = prom >= min_prominence
+    return peaks[keep], prom[keep]
+
+
 def detect_modes(u: np.ndarray, grid: SizeGrid,
                  prominence_fraction: float = 0.01,
                  boundary_cells: int = 2):
     """Interior maxima of a profile after 3-point smoothing.
 
-    Returns (indices, prominences).  Peaks within boundary_cells of either
-    end are discarded: the outflow cell and the imposed-zero inflow cell
-    carry scheme artifacts, not structure.
+    Returns (indices, prominences).  The maxima and their prominences
+    follow the rule of scipy.signal.find_peaks(sm, prominence=...), bit
+    for bit: a plateau counts once, at its left-middle cell, and not at
+    all if it touches either end; the prominence is the peak minus the
+    higher of the lowest values on its two sides, each side walked out
+    to the first strictly higher value.  A maximum is kept when its
+    prominence is at least prominence_fraction times the smoothed peak
+    value.  Peaks within boundary_cells of either end are then discarded:
+    the outflow cell and the imposed-zero inflow cell carry scheme
+    artifacts, not structure.
     """
-    from scipy.signal import find_peaks  # costly import, needed only here
-
     sm = u.astype(float).copy()
     sm[1:-1] = (u[:-2] + u[1:-1] + u[2:]) / 3.0
-    idx, props = find_peaks(sm, prominence=prominence_fraction * float(sm.max()))
+    idx, prom = _prominent_peaks(sm, prominence_fraction * float(sm.max()))
     keep = (idx >= boundary_cells) & (idx <= grid.n - 1 - boundary_cells)
-    return idx[keep], props["prominences"][keep]
+    return idx[keep], prom[keep]
 
 
 def bimodality_report(ss: SteadyState) -> BimodalityReport:

@@ -251,24 +251,58 @@ def test_peak_center_items_carry_root_counters(tmp_path):
         assert 0 < diag["root_evaluations"] <= diag["root_iterations"] + 1
 
 
+COSTLY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.signal")
+
+
+def _fresh_python(*args):
+    """Run a fresh interpreter that imports priondyn from this checkout."""
+    import priondyn
+    src = str(Path(priondyn.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+
+
 def test_import_skips_costly_scipy_modules():
     # set-up time is mostly imports; these serve only rare paths and must
     # load on first use, not with the package
-    import priondyn
-    src = str(Path(priondyn.__file__).resolve().parent.parent)
-    code = ("import sys, priondyn; print(' '.join(m for m in ('scipy.integrate', "
-            "'scipy.optimize', 'scipy.signal') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src})
+    proc = _fresh_python("-c", "import sys, priondyn; print(' '.join(m for m in "
+                         "%r if m in sys.modules))" % (COSTLY_SCIPY,))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_steady_run_skips_costly_scipy_modules(tmp_path):
+    # counting modes is numpy only: a whole steady run loads none of them
+    cfg = tmp_path / "control.cfg"
+    cfg.write_text((CONFIG_DIR / "fig3-control.cfg").read_text()
+                   .replace("grid.n = 800", "grid.n = 200"))
+    code = "\n".join([
+        "import json, sys",
+        "from pathlib import Path",
+        "from priondyn.cli import main",
+        "code = main(['steady', '--config', %r, '--out', %r])" % (str(cfg), str(tmp_path)),
+        "rec = json.loads(next(Path(%r).glob('steady-*.json')).read_text())" % str(tmp_path),
+        "print(code, rec['results']['n_modes'])",
+        "print(' '.join(m for m in %r if m in sys.modules))" % (COSTLY_SCIPY,),
+    ])
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    # exit code and mode count, then the costly modules loaded (none)
+    assert proc.stdout.split("\n")[:2] == ["0 1", ""]
+
+
+@pytest.mark.parametrize("module", ["priondyn", "priondyn.cli"])
+def test_module_entry_points_run_cleanly(module):
+    proc = _fresh_python("-m", module, "--help")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "eigen" in proc.stdout and "validate" in proc.stdout
 
 
 def test_console_script_runs():
     import shutil
     exe = shutil.which("priondyn")
-    cmd = [exe, "--help"] if exe else [sys.executable, "-m", "priondyn.cli",
-                                       "--help"]
+    cmd = [exe, "--help"] if exe else [sys.executable, "-m", "priondyn", "--help"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     # argparse prints usage and exits 0 on --help
     assert proc.returncode == 0

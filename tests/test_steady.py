@@ -4,6 +4,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eig
 
 from priondyn import (Affine, Bell, CoefficientSet, Constant, EigenConvergenceError,
@@ -11,7 +13,7 @@ from priondyn import (Affine, Bell, CoefficientSet, Constant, EigenConvergenceEr
                       build_steady_state, detect_modes, find_v_inf,
                       stationary_profile_check)
 from priondyn.eigen import DEFAULT_TOL
-from priondyn.steady import ROOT_TOL
+from priondyn.steady import ROOT_TOL, _prominent_peaks
 
 steady_module = importlib.import_module("priondyn.steady")
 
@@ -264,3 +266,32 @@ def test_detect_modes_two_humps_synthetic():
     idx, _ = detect_modes(u, grid)
     assert len(idx) == 2
     np.testing.assert_allclose(x[idx], [4.0, 12.0], atol=0.2)
+
+
+PROFILES = st.one_of(
+    st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=40),
+    # small integers make plateaus, including ones that touch an end
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40))
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=PROFILES,
+       threshold=st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=5.0)))
+@example(x=[0.0], threshold=0.0)
+@example(x=[1.0, 2.0], threshold=0.0)
+@example(x=[1.0, 3.0, 1.0], threshold=0.0)
+@example(x=[1.0, 3.0, 1.0], threshold=2.0)
+@example(x=[1.0, 3.0, 1.0], threshold=2.5)
+@example(x=[2.5] * 7, threshold=0.0)
+@example(x=[0.0] * 9, threshold=0.5)
+@example(x=[0, 2, 2, 1, 2, 2, 2, 0, 3, 3], threshold=1.0)
+def test_prominent_peaks_match_find_peaks(x, threshold):
+    # scipy.signal is the oracle here only; the package never imports it
+    from scipy.signal import find_peaks
+
+    x = np.asarray(x, dtype=float)
+    want_idx, props = find_peaks(x, prominence=threshold)
+    idx, prom = _prominent_peaks(x, threshold)
+    np.testing.assert_array_equal(idx, want_idx)
+    # bitwise: same values, same order, no tolerance
+    assert prom.tobytes() == props["prominences"].tobytes()
