@@ -88,7 +88,10 @@ def _integration_diagnostics(traj) -> dict:
     """Health of one integration, shared by simulate and sweep items."""
     return {"max_conservation_residual": traj.max_residual,
             "truncation_flux_total": traj.truncation_flux_total,
-            "steps": traj.steps, "rejections": traj.rejections}
+            "steps": traj.steps, "rejections": traj.rejections,
+            "steps_by_limit": traj.steps_by_limit,
+            "halved_steps": traj.halved_steps,
+            "rejections_by_stage": traj.rejections_by_stage}
 
 
 # --- experiment runners ----------------------------------------------------

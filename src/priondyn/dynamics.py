@@ -54,6 +54,13 @@ class Trajectory:
     rho_series is the polymer count U(t) = integral of u; p_series the
     polymerized mass.  conservation_residuals holds one relative residual
     per accepted step (length = steps, not len(times)).
+
+    steps_by_limit counts accepted steps by the bound that set them
+    ("cfl", "loss_cap", "dt_max", or "event" for a step landing on a
+    snapshot or t_end) and sums to steps; halved_steps counts accepted
+    steps taken while the working step was halved after a rejection;
+    rejections_by_stage counts rejections by the first stage entry to go
+    negative ("monomer" if V, else "polymer") and sums to rejections.
     """
 
     times: np.ndarray
@@ -68,6 +75,9 @@ class Trajectory:
     final_state: PolymerState
     steps: int
     rejections: int
+    steps_by_limit: dict = field(default_factory=dict)
+    halved_steps: int = 0
+    rejections_by_stage: dict = field(default_factory=dict)
 
     @property
     def max_residual(self) -> float:
@@ -142,6 +152,9 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     flux_total = 0.0
     steps = 0
     rejections = 0
+    steps_by_limit = dict.fromkeys(("cfl", "loss_cap", "dt_max", "event"), 0)
+    halved_steps = 0
+    rejections_by_stage = dict.fromkeys(("monomer", "polymer"), 0)
     shrink = 1.0
     ev_i = 0
     dt_min = 1e-14 * max(1.0, t_end - initial.t)
@@ -153,16 +166,20 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
 
     while t < t_end - 1e-12:
         next_event = events[ev_i]
-        dt_cfl = loss_cap
+        dt_bound, limit = loss_cap, "loss_cap"
         if V * conv_max > 0.0:
-            dt_cfl = min(dt_cfl, cfl_safety * hmin / (V * conv_max))
-        if dt_max is not None:
-            dt_cfl = min(dt_cfl, dt_max)
-        dt_try = dt_cfl * shrink
-        # a full step that would stop short of the event by less than the
-        # smallest allowed step takes the event instead, so no sliver of a
-        # step is left before it
-        hit_event = next_event - t <= dt_try + dt_min
+            dt_cfl = cfl_safety * hmin / (V * conv_max)
+            if dt_cfl < dt_bound:
+                dt_bound, limit = dt_cfl, "cfl"
+        if dt_max is not None and dt_max < dt_bound:
+            dt_bound, limit = dt_max, "dt_max"
+        dt_try = dt_bound * shrink
+        # a full step that would stop short of the event by a sliver takes
+        # the event instead.  The sliver covers the rounding accumulated in
+        # t (up to one part in a million of the step, which leaves the
+        # step bounds intact) and anything below the smallest allowed step:
+        # a sliver step would divide rounding by a tiny dt in the books.
+        hit_event = next_event - t <= (1.0 + 1e-6) * dt_try + dt_min
         dt = (next_event - t) if hit_event else dt_try
         if dt < dt_min:
             raise IntegratorFailure(
@@ -175,6 +192,7 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         if u1.min() < 0.0 or V1 < 0.0:
             shrink *= 0.5
             rejections += 1
+            rejections_by_stage["monomer" if V1 < 0.0 else "polymer"] += 1
             continue
         du2, dV2 = rhs(u1, V1)
         u2 = 0.5 * u + 0.5 * (u1 + dt * du2)
@@ -182,6 +200,7 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         if u2.min() < 0.0 or V2 < 0.0:
             shrink *= 0.5
             rejections += 1
+            rejections_by_stage["monomer" if V2 < 0.0 else "polymer"] += 1
             continue
         if not (np.isfinite(V2) and np.isfinite(u2).all()):
             raise IntegratorFailure(
@@ -198,6 +217,9 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         u, V = u2, V2
         t = next_event if hit_event else t + dt
         steps += 1
+        steps_by_limit["event" if hit_event else limit] += 1
+        if shrink < 1.0:
+            halved_steps += 1
         if steps % 200 == 0 and shrink < 1.0:
             shrink = min(1.0, 2.0 * shrink)
         if hit_event:
@@ -217,7 +239,9 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
                       conservation_residuals=np.asarray(residuals),
                       truncation_flux_total=float(flux_total), grid=grid,
                       coeffs=coeffs, final_state=final, steps=steps,
-                      rejections=rejections)
+                      rejections=rejections, steps_by_limit=steps_by_limit,
+                      halved_steps=halved_steps,
+                      rejections_by_stage=rejections_by_stage)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .coefficients import CoefficientSet, eval_coefficients
 from .grid import SizeGrid
@@ -122,6 +121,7 @@ class Generator:
         first entry.  The adjoint solve reuses the factors transposed:
         (s*I - H^{-1} L(v)^T H) y = b is (P M)^T z = H b with H y = P^T z.
         """
+        from scipy.linalg.lapack import dgbtrf, dgbtrs  # costly import, needed only here
         n = self.grid.n
         m = s - self.diagonal(v)
         sub = -v * self.t_sub

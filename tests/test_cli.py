@@ -251,6 +251,37 @@ def test_peak_center_items_carry_root_counters(tmp_path):
         assert 0 < diag["root_evaluations"] <= diag["root_iterations"] + 1
 
 
+def _fig6_at(tmp_path, n, values=None):
+    """configs/fig6.cfg on an n-cell grid, optionally with other slopes."""
+    text = (CONFIG_DIR / "fig6.cfg").read_text().replace("grid.n = 800",
+                                                         "grid.n = %d" % n)
+    if values is not None:
+        text = text.replace("sweep.values = 0.0314, 0.0471, 0.0628",
+                            "sweep.values = " + values)
+    cfg = tmp_path / "fig6.cfg"
+    cfg.write_text(text)
+    return cfg
+
+
+def test_integration_counters_explain_steps_and_rejections(tmp_path):
+    cfg = _fig6_at(tmp_path, 200, values="0.0314, 0.0628")
+    out1, out2 = tmp_path / "f1", tmp_path / "f2"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(out2),
+                 "--threads", "2"]) == 0
+    assert _tree_bytes(out1) == _tree_bytes(out2)
+    diags = [json.loads(p.read_text())["diagnostics"]
+             for p in sorted(out1.glob("*-item-*.json"))]
+    # slope 0.0628: counts the event-landing rule must leave unchanged
+    assert (diags[1]["steps"], diags[1]["rejections"]) == (4275, 20)
+    for d in diags:
+        assert sum(d["steps_by_limit"].values()) == d["steps"]
+        assert sum(d["rejections_by_stage"].values()) == d["rejections"]
+        assert 0 < d["halved_steps"] < d["steps"]
+        # one landing on the probe day, one on t_end
+        assert d["steps_by_limit"]["event"] == 2
+
+
 COSTLY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.signal")
 
 
@@ -289,6 +320,29 @@ def test_steady_run_skips_costly_scipy_modules(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # exit code and mode count, then the costly modules loaded (none)
     assert proc.stdout.split("\n")[:2] == ["0 1", ""]
+
+
+def test_integration_runs_load_no_scipy(tmp_path):
+    # LAPACK loads at the first shifted solve; time stepping makes none
+    cfg = _fig6_at(tmp_path, 100)
+    code = "\n".join([
+        "import sys",
+        "def loaded():",
+        "    return ' '.join(sorted(m for m in sys.modules if m.startswith('scipy')))",
+        "import priondyn",
+        "print(loaded())",
+        "from priondyn.cli import main",
+        "code = main(['sweep', '--config', %r, '--out', %r])" % (str(cfg), str(tmp_path)),
+        "out = priondyn.compare_continuum(priondyn.default_calibration(),"
+        " t_end=30.0, fit_window=(10.0, 25.0))",
+        "print(code, out['growth_rel_diff'] < 0.05)",
+        "print(loaded())",
+    ])
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    # scipy modules after the import, exit code and check, scipy modules
+    # after the sweep and the cross-check
+    assert proc.stdout.split("\n")[:3] == ["", "0 True", ""]
 
 
 @pytest.mark.parametrize("module", ["priondyn", "priondyn.cli"])

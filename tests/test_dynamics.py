@@ -85,6 +85,20 @@ def test_snapshot_just_past_a_full_step_is_reached():
     assert traj.steps == 160
 
 
+def test_rounding_sized_last_step_is_absorbed():
+    # 2000 steps of dt_max = 0.05 add up to 3.5e-12 short of t_end; a step
+    # that short would divide rounding by 3.5e-12 in the mass books
+    grid = SizeGrid.uniform(30.0, 50)
+    initial = seed_state(CONST, grid, scale=1e-3, v_init=600.0)
+    traj = integrate(CONST, grid, initial, t_end=100.0, dt_max=0.05)
+    assert traj.steps == 2000
+    assert traj.times[-1] == 100.0
+    assert np.diff(traj.times).min() > 0.049
+    assert traj.max_residual < 1e-8
+    assert traj.steps_by_limit == {"cfl": 0, "loss_cap": 0, "dt_max": 1999,
+                                   "event": 1}
+
+
 def test_rejects_empty_span():
     grid = _grid(100)
     initial = seed_state(CONST, grid, t=3.0)
