@@ -25,8 +25,9 @@ import numpy as np
 
 from . import discrete as discrete_mod
 from . import reference
-from .coefficients import Affine, Bell, CoefficientSet, Constant, ScaledBell
-from .config import ConfigError, RunConfig, config_echo, parse_config
+from .coefficients import Affine, Constant
+from .config import (SWEEP_AXES, ConfigError, RunConfig, config_echo,
+                     parse_config, sweep_axis_error)
 from .dynamics import (IntegratorFailure, growth_rate, incubation_time,
                        integrate, seed_state)
 from .eigen import principal_eigenpair, scan_lambda
@@ -46,24 +47,6 @@ def _digest(echo: dict) -> str:
 
 def _write_json(path: Path, record: ExperimentRecord, timings: bool) -> None:
     path.write_text(record.to_json(include_timings=timings) + "\n")
-
-
-def _residual_column(traj, record_every: int) -> np.ndarray:
-    """Max conservation residual between consecutive recorded rows.
-
-    Row boundaries are every record_every-th accepted step plus the final
-    step; the first row (initial condition) gets zero.
-    """
-    bounds = list(range(record_every, traj.steps + 1, record_every))
-    if not bounds or bounds[-1] != traj.steps:
-        bounds.append(traj.steps)
-    col = [0.0]
-    prev = 0
-    res = traj.conservation_residuals
-    for b in bounds:
-        col.append(float(res[prev:b].max()) if b > prev else 0.0)
-        prev = b
-    return np.asarray(col)
 
 
 def _steady_blocks(ss):
@@ -159,7 +142,7 @@ def _run_simulate(cfg: RunConfig, out: Path, tag: str):
               ["t", "v", "polymer_count", "polymer_mass",
                "conservation_residual"],
               [traj.times, traj.v_series, traj.rho_series, traj.p_series,
-               _residual_column(traj, cfg.record_every)])
+               traj.residual_series])
     for k, (ts, uu) in enumerate(traj.snapshots):
         write_csv(out / ("simulate-%s-snap-%02d.csv" % (tag, k)),
                   ["x", "density"], [grid.centers, uu])
@@ -252,8 +235,7 @@ def _run_sweep(cfg: RunConfig, out: Path, tag: str):
             else:
                 summary["slope_predicted"] = -1.0 / abs(lam)
     if axis in ("bell_amplitude", "frag_slope"):
-        tinc = [v for v in cols["t_incubation"]]
-        finite = [v for v in tinc if np.isfinite(v)]
+        finite = [v for v in cols["t_incubation"] if np.isfinite(v)]
         summary["incubation_decreasing"] = (
             all(b < a for a, b in zip(finite, finite[1:]))
             if len(finite) >= 2 else None)
@@ -262,32 +244,6 @@ def _run_sweep(cfg: RunConfig, out: Path, tag: str):
 
 # --- parameter sweeps ------------------------------------------------------
 
-def _axis_coeffs(coeffs: CoefficientSet, axis: str, value: float) -> CoefficientSet:
-    if axis == "bell_amplitude":
-        c = coeffs.conversion
-        if not isinstance(c, Bell):
-            raise ValueError("bell_amplitude sweep requires a bell conversion shape")
-        return replace(coeffs, conversion=Bell(c.base, value, c.center, c.width_sq))
-    if axis == "frag_slope":
-        f = coeffs.fragmentation
-        if not isinstance(f, Affine):
-            raise ValueError("frag_slope sweep requires an affine fragmentation shape")
-        return replace(coeffs, fragmentation=Affine(f.intercept, value))
-    if axis == "tightness":
-        c = coeffs.conversion
-        if not isinstance(c, ScaledBell):
-            raise ValueError("tightness sweep requires a scaled_bell conversion shape")
-        return replace(coeffs, conversion=ScaledBell(c.base, value, c.center))
-    if axis == "peak_center":
-        c = coeffs.conversion
-        if not isinstance(c, Bell):
-            raise ValueError("peak_center sweep requires a bell conversion shape")
-        return replace(coeffs, conversion=Bell(c.base, c.amplitude, value, c.width_sq))
-    if axis == "dose":
-        return coeffs
-    raise ValueError("unknown sweep axis %r" % axis)
-
-
 def _sweep_item(base: RunConfig, axis: str, value: float,
                 fixed_threshold: Optional[float]) -> ExperimentRecord:
     t_start = time.perf_counter()
@@ -295,7 +251,10 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
     echo["sweep_axis"] = axis
     echo["sweep_value"] = float(value)
     try:
-        coeffs = _axis_coeffs(base.coeffs, axis, value)
+        coeffs = base.coeffs
+        if SWEEP_AXES[axis] is not None:
+            rate, _, param = SWEEP_AXES[axis]
+            coeffs = replace(coeffs, **{rate: replace(getattr(coeffs, rate), **{param: value})})
         grid = base.make_grid()
         diagnostics: dict = {"grid_hash": grid_hash(grid)}
         if axis == "tightness":
@@ -361,13 +320,18 @@ def sweep(base: RunConfig, axis: Optional[str] = None,
     value; tightness evaluates the frozen-level eigenpair; peak_center
     builds steady states; dose reruns the same system at scaled
     inoculations against one fixed threshold (set by the largest dose, so
-    the largest dose crosses at exactly the configured ratio).  A failing
-    value yields an error record; the rest of the sweep continues.
+    the largest dose crosses at exactly the configured ratio).  An axis
+    that does not fit the configured shapes raises ValueError before any
+    item runs; a failing value yields an error record and the rest of the
+    sweep continues.
     """
     axis = axis if axis is not None else base.sweep_axis
     values = tuple(values) if values is not None else base.sweep_values
     if axis is None or values is None:
         raise ValueError("sweep needs an axis and values")
+    mismatch = sweep_axis_error(base.coeffs, axis)
+    if mismatch:
+        raise ValueError(mismatch)
     fixed_threshold = None
     if axis == "dose":
         grid = base.make_grid()

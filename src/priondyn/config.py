@@ -24,18 +24,21 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from .coefficients import Affine, Bell, CoefficientSet, CoefficientShape, Constant, ScaledBell
+from .coefficients import SHAPES, Affine, CoefficientSet, CoefficientShape, Constant
 from .grid import SizeGrid
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "config_echo", "default_xmax"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "config_echo", "default_xmax",
+           "SWEEP_AXES", "sweep_axis_error"]
 
 EXPERIMENTS = ("eigen", "steady", "simulate", "sweep", "validate")
-SWEEP_AXES = ("bell_amplitude", "frag_slope", "tightness", "peak_center", "dose")
-SHAPE_PARAMS = {
-    "constant": ("value",),
-    "affine": ("intercept", "slope"),
-    "bell": ("base", "amplitude", "center", "width_sq"),
-    "scaled_bell": ("base", "tightness", "center"),
+# axis -> (rate it edits, shape that rate must have, parameter it sets);
+# dose scales the inoculum and edits no rate
+SWEEP_AXES = {
+    "bell_amplitude": ("conversion", "bell", "amplitude"),
+    "frag_slope": ("fragmentation", "affine", "slope"),
+    "tightness": ("conversion", "scaled_bell", "tightness"),
+    "peak_center": ("conversion", "bell", "center"),
+    "dose": None,
 }
 
 # key -> (RunConfig field, type tag, default); the model.* keys feed the
@@ -75,12 +78,6 @@ _SCALAR_KEYS = {
 
 _SHAPE_PREFIXES = ("model.conversion", "model.fragmentation", "model.decay")
 
-_DEFAULT_SHAPES = {
-    "model.conversion": Constant(0.001),
-    "model.fragmentation": Affine(0.0, 0.03),
-    "model.decay": Constant(0.05),
-}
-
 
 class ConfigError(ValueError):
     """All schema violations found in one pass, each tagged with its line."""
@@ -102,6 +99,19 @@ def default_xmax(coeffs: CoefficientSet) -> float:
             and coeffs.fragmentation.slope > 0.0:
         return 10.0 * coeffs.decay.value / coeffs.fragmentation.slope
     return 60.0
+
+
+def sweep_axis_error(coeffs: CoefficientSet, axis: str) -> Optional[str]:
+    """Why ``axis`` cannot sweep ``coeffs``, or None when it fits."""
+    if axis not in SWEEP_AXES:
+        return "unknown sweep axis %r" % (axis,)
+    if SWEEP_AXES[axis] is None:
+        return None
+    rate, shape, _ = SWEEP_AXES[axis]
+    if isinstance(getattr(coeffs, rate), SHAPES[shape]):
+        return None
+    return "%s sweep requires %s %s %s shape" % (
+        axis, "an" if shape[0] in "aeiou" else "a", shape, rate)
 
 
 @dataclass
@@ -166,13 +176,10 @@ def _parse_value(tag: str, raw: str, key: str, line_no: int, errors: list):
             return tuple(float(p) for p in raw.split(",") if p.strip() != "")
         if tag == "str":
             return raw
-        if tag == "enum:experiment":
-            if raw not in EXPERIMENTS:
-                raise ValueError("must be one of %s" % (", ".join(EXPERIMENTS)))
-            return raw
-        if tag == "enum:axis":
-            if raw not in SWEEP_AXES:
-                raise ValueError("must be one of %s" % (", ".join(SWEEP_AXES)))
+        if tag.startswith("enum:"):
+            choices = EXPERIMENTS if tag == "enum:experiment" else SWEEP_AXES
+            if raw not in choices:
+                raise ValueError("must be one of %s" % (", ".join(choices)))
             return raw
     except ValueError as exc:
         detail = str(exc) if str(exc) != raw else "cannot parse %r as %s" % (raw, tag)
@@ -183,20 +190,21 @@ def _parse_value(tag: str, raw: str, key: str, line_no: int, errors: list):
 
 
 def _build_shape(prefix: str, entries: dict, errors: list) -> Optional[CoefficientShape]:
-    """entries: param name -> (line_no, raw value)."""
+    """entries: param name -> (line_no, raw value).  None when no entry
+    sets the shape (CoefficientSet's default then applies) or on error."""
     if not entries:
-        return _DEFAULT_SHAPES[prefix]
+        return None
     if "shape" not in entries:
         ln = min(ln for ln, _ in entries.values())
         errors.append("line %d: %s.*: shape parameters given without %s.shape"
                       % (ln, prefix, prefix))
         return None
     ln, shape_name = entries.pop("shape")
-    if shape_name not in SHAPE_PARAMS:
+    if shape_name not in SHAPES:
         errors.append("line %d: %s.shape: unknown shape %r (one of %s)"
-                      % (ln, prefix, shape_name, ", ".join(sorted(SHAPE_PARAMS))))
+                      % (ln, prefix, shape_name, ", ".join(sorted(SHAPES))))
         return None
-    wanted = SHAPE_PARAMS[shape_name]
+    wanted = [f.name for f in dataclasses.fields(SHAPES[shape_name])]
     params = {}
     ok = True
     for name, (pln, raw) in entries.items():
@@ -219,9 +227,7 @@ def _build_shape(prefix: str, entries: dict, errors: list) -> Optional[Coefficie
             ok = False
     if not ok:
         return None
-    cls = {"constant": Constant, "affine": Affine, "bell": Bell,
-           "scaled_bell": ScaledBell}[shape_name]
-    return cls(**params)
+    return SHAPES[shape_name](**params)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -256,7 +262,8 @@ def parse_config(text: str) -> RunConfig:
         if val is not None:
             scalars[key] = val
 
-    built_shapes = {p: _build_shape(p, dict(v), errors) for p, v in shapes.items()}
+    built_shapes = {p[len("model."):]: _build_shape(p, dict(v), errors)
+                    for p, v in shapes.items()}
 
     def get(key):
         return scalars.get(key, _SCALAR_KEYS[key][2])
@@ -285,9 +292,11 @@ def parse_config(text: str) -> RunConfig:
 
     coeffs = CoefficientSet(
         production=get("model.production"), clearance=get("model.clearance"),
-        x0=get("model.x0"), conversion=built_shapes["model.conversion"],
-        fragmentation=built_shapes["model.fragmentation"],
-        decay=built_shapes["model.decay"], kernel=get("model.kernel"))
+        x0=get("model.x0"), kernel=get("model.kernel"),
+        **{rate: shape for rate, shape in built_shapes.items() if shape is not None})
+    mismatch = sweep_axis_error(coeffs, get("sweep.axis")) if exp == "sweep" else None
+    if mismatch:
+        raise ConfigError(["config: " + mismatch])
 
     xmax = get("grid.xmax")
     if xmax is None:
@@ -303,12 +312,8 @@ def parse_config(text: str) -> RunConfig:
 
 def _shape_echo(shape) -> dict:
     """Rate shape as a plain dict for config echoes."""
-    name = type(shape).__name__
-    snake = "".join("_" + c.lower() if c.isupper() and i else c.lower()
-                    for i, c in enumerate(name))
-    out = {"shape": snake}
-    out.update(dataclasses.asdict(shape))
-    return out
+    name = next(k for k, cls in SHAPES.items() if type(shape) is cls)
+    return {"shape": name, **dataclasses.asdict(shape)}
 
 
 def config_echo(cfg: RunConfig) -> dict:

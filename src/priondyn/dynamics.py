@@ -53,7 +53,9 @@ class Trajectory:
 
     rho_series is the polymer count U(t) = integral of u; p_series the
     polymerized mass.  conservation_residuals holds one relative residual
-    per accepted step (length = steps, not len(times)).
+    per accepted step (length = steps, not len(times)); residual_series
+    holds the largest of them since the previous recorded row (0 in the
+    first).  Rows are recorded every record_every-th step and at the last.
 
     steps_by_limit counts accepted steps by the bound that set them
     ("cfl", "loss_cap", "dt_max", or "event" for a step landing on a
@@ -78,6 +80,7 @@ class Trajectory:
     steps_by_limit: dict = field(default_factory=dict)
     halved_steps: int = 0
     rejections_by_stage: dict = field(default_factory=dict)
+    residual_series: Optional[np.ndarray] = None
 
     @property
     def max_residual(self) -> float:
@@ -148,6 +151,7 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     rec_v = [V]
     rec_rho = [float(u @ h)]
     rec_p = [float(u @ xh)]
+    rec_steps = [0]
     residuals: list = []
     flux_total = 0.0
     steps = 0
@@ -231,17 +235,21 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
             rec_v.append(V)
             rec_rho.append(float(u @ h))
             rec_p.append(float(u @ xh))
+            rec_steps.append(steps)
 
     final = PolymerState(v=V, u=u.copy(), grid=grid, t=t)
+    residuals = np.asarray(residuals)
+    row_res = np.maximum.reduceat(residuals, rec_steps[:-1])
     return Trajectory(times=np.asarray(rec_t), v_series=np.asarray(rec_v),
                       rho_series=np.asarray(rec_rho), p_series=np.asarray(rec_p),
                       snapshots=snapshots,
-                      conservation_residuals=np.asarray(residuals),
+                      conservation_residuals=residuals,
                       truncation_flux_total=float(flux_total), grid=grid,
                       coeffs=coeffs, final_state=final, steps=steps,
                       rejections=rejections, steps_by_limit=steps_by_limit,
                       halved_steps=halved_steps,
-                      rejections_by_stage=rejections_by_stage)
+                      rejections_by_stage=rejections_by_stage,
+                      residual_series=np.concatenate(([0.0], row_res)))
 
 
 @dataclass(frozen=True)

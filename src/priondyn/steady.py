@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import Affine, Bell, Constant, CoefficientSet, ScaledBell, eval_coefficients
+from .coefficients import Affine, Constant, CoefficientSet, eval_coefficients
 from .eigen import EigenSolution, generator_eigenpair
 from .grid import SizeGrid
 from .operator import Generator
@@ -91,12 +91,8 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid,
         return VInfResult(evaluations=len(evals),
                           iterations=sum(e.iterations for e in evals), **kw)
 
+    # f_lo = min(decay + splitting) >= 0: eval_coefficients rejects negative rates
     lo, f_lo = 0.0, lam(0.0)
-    if f_lo < 0.0:
-        # already negative with no transport: nothing to bracket
-        return result(found=False, v_inf=None, lambda_at_root=None,
-                      bracket_lo=0.0, bracket_hi=0.0,
-                      monotone_warning="loss rate negative at v=0")
     ladder_vals = [f_lo]
     warning = None
     hi = min(1.0, v_max)
@@ -207,13 +203,6 @@ class StationaryCheck:
     flux_residual: float
 
 
-def _in_quadratic_class(coeffs: CoefficientSet) -> bool:
-    return (isinstance(coeffs.decay, Constant)
-            and isinstance(coeffs.fragmentation, Affine)
-            and coeffs.fragmentation.intercept == 0.0
-            and coeffs.kernel == "uniform")
-
-
 def stationary_ode_residual(x: np.ndarray, u: np.ndarray, v_inf: float,
                             conv: np.ndarray, decay0: float,
                             frag_slope: float) -> np.ndarray:
@@ -243,7 +232,9 @@ def stationary_profile_check(ss: SteadyState) -> StationaryCheck:
     """
     if not ss.exists:
         raise ValueError("steady state does not exist; nothing to check")
-    if not _in_quadratic_class(ss.coeffs):
+    if not (isinstance(ss.coeffs.decay, Constant)
+            and isinstance(ss.coeffs.fragmentation, Affine)
+            and ss.coeffs.fragmentation.intercept == 0.0):
         raise ValueError("stationary-form check requires constant decay and "
                          "origin-anchored linear splitting with the uniform rule")
     grid = ss.grid
@@ -285,23 +276,6 @@ class BimodalityReport:
     center_of_mass: float
     secondary_mass_fraction: float
     prominences: np.ndarray
-
-
-def _shape_second_derivative(shape, x: np.ndarray) -> np.ndarray:
-    """Analytic curvature of a rate shape on the grid."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(shape, (Constant, Affine)):
-        return np.zeros_like(x)
-    if isinstance(shape, Bell):
-        d = x - shape.center
-        e = np.exp(-d * d / shape.width_sq)
-        return shape.amplitude * e * (4.0 * d * d / shape.width_sq ** 2 - 2.0 / shape.width_sq)
-    if isinstance(shape, ScaledBell):
-        a = shape.tightness
-        s = a * (x - shape.center)
-        g = np.exp(-0.5 * s * s) / np.sqrt(2.0 * np.pi)
-        return a ** 3 * (s * s - 1.0) * g
-    raise TypeError("no curvature rule for %r" % type(shape).__name__)
 
 
 def _prominent_peaks(x: np.ndarray, min_prominence: float):
@@ -380,7 +354,7 @@ def bimodality_report(ss: SteadyState) -> BimodalityReport:
     if (isinstance(coeffs.fragmentation, Affine)
             and coeffs.fragmentation.intercept == 0.0):
         slope = coeffs.fragmentation.slope
-        curv = _shape_second_derivative(coeffs.conversion, grid.centers)
+        curv = coeffs.conversion.curvature(grid.centers)
         cond = bool(ss.v_inf * float(curv.min()) < -3.0 * slope)
         if isinstance(coeffs.decay, Constant):
             conv, _, _ = eval_coefficients(coeffs, grid)

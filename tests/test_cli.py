@@ -205,6 +205,27 @@ def test_experiment_subcommand_mismatch(tmp_path):
     assert "does not match" in err["errors"][0]
 
 
+def test_sweep_axis_not_fitting_the_shape_is_a_config_error(tmp_path):
+    # a tightness sweep needs a scaled_bell conversion; the default is
+    # constant, so no item can run and the whole run is refused
+    mismatch = "\n".join([
+        "experiment = sweep",
+        "sweep.axis = tightness",
+        "sweep.values = 0.1, 0.2",
+        "sweep.v_eval = 600",
+        "grid.n = 100",
+        "grid.xmax = 30",
+        "",
+    ])
+    code, out = _run(tmp_path, "sweep", mismatch)
+    assert code == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error-sweep.json"]
+    err = json.loads((out / "error-sweep.json").read_text())
+    assert err["error_type"] == "ConfigError"
+    assert err["errors"] == [
+        "config: tightness sweep requires a scaled_bell conversion shape"]
+
+
 def test_missing_config_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["eigen", "--out", str(tmp_path / "x")])
@@ -234,6 +255,33 @@ def test_sweep_bytes_independent_of_threads(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out2),
                  "--threads", "3"]) == 0
     assert _tree_bytes(out1) == _tree_bytes(out2)
+
+
+def test_dose_sweep_follows_the_log_law(tmp_path):
+    # C7's grid; at t_end 120 the 0.25 dose would cross only at day 119.96
+    body = "\n".join([
+        "experiment = sweep",
+        "sweep.axis = dose",
+        "sweep.values = 0.25, 1, 4",
+        "sweep.t_end = 150",
+        "grid.n = 400",
+        "grid.xmax = 60",
+        "",
+    ])
+    code, out = _run(tmp_path, "sweep", body)
+    assert code == 0
+    names = sorted(p.name for p in out.iterdir())
+    summary = json.loads((out / next(
+        n for n in names if n.endswith(".json") and "-item-" not in n)).read_text())
+    res = summary["results"]
+    assert res["n_failed"] == 0
+    assert abs(res["slope_fitted"] - res["slope_predicted"]) \
+        <= 0.10 * abs(res["slope_predicted"])
+    largest = json.loads((out / next(n for n in names if "-item-02" in n)).read_text())
+    assert largest["results"]["threshold"] == pytest.approx(
+        1e3 * largest["results"]["rho0"], rel=1e-12)
+    _, out2 = _run(tmp_path, "sweep", body, "--threads", "2")
+    assert _tree_bytes(out) == _tree_bytes(out2)
 
 
 def test_peak_center_items_carry_root_counters(tmp_path):
@@ -361,3 +409,11 @@ def test_console_script_runs():
     # argparse prints usage and exits 0 on --help
     assert proc.returncode == 0
     assert "eigen" in proc.stdout and "validate" in proc.stdout
+
+
+@pytest.mark.parametrize("demo", sorted(
+    p.name for p in (CONFIG_DIR.parent / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    proc = _fresh_python(str(CONFIG_DIR.parent / "demos" / demo))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

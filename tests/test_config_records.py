@@ -2,6 +2,7 @@
 boundary between the numerical modules and the experiment layer."""
 
 import ast
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -14,6 +15,7 @@ from priondyn import (Affine, Bell, ConfigError, Constant, ExperimentRecord,
                       SizeGrid, canonical_json, config_echo, default_xmax,
                       grid_hash, parse_config, write_csv)
 from priondyn.cli import _digest
+from priondyn.coefficients import SHAPES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -95,6 +97,48 @@ def test_unknown_shape_parameter_named():
         ]))
     # the message should also say what the shape does accept
     assert "takes: amplitude, base, center, width_sq" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_every_shape_round_trips_and_knows_its_curvature(name):
+    cls = SHAPES[name]
+    params = {f.name: 0.5 + 0.25 * k for k, f in enumerate(dataclasses.fields(cls))}
+    shape = cls(**params)
+
+    # analytic curvature against a central difference of the shape itself
+    x = np.linspace(-2.0, 4.0, 25)
+    eps = 1e-3
+    fd = (shape(x + eps) - 2.0 * shape(x) + shape(x - eps)) / eps ** 2
+    np.testing.assert_allclose(shape.curvature(x), fd, rtol=1e-5, atol=1e-6)
+
+    for rate in ("conversion", "fragmentation", "decay"):
+        text = "experiment = steady\nmodel.%s.shape = %s\n" % (rate, name) + "".join(
+            "model.%s.%s = %r\n" % (rate, k, v) for k, v in params.items())
+        cfg = parse_config(text)
+        assert getattr(cfg.coeffs, rate) == shape
+        echo = config_echo(cfg)["model"][rate]
+        assert echo == {"shape": name, **params}
+        again = parse_config("experiment = steady\n" + "".join(
+            "model.%s.%s = %s\n" % (rate, k, v) for k, v in echo.items()))
+        assert getattr(again.coeffs, rate) == shape
+
+
+def test_sweep_axis_must_fit_the_configured_shape():
+    def parse(axis, *shape_lines):
+        return parse_config("\n".join([
+            "experiment = sweep", "sweep.axis = " + axis, "sweep.values = 1",
+            *shape_lines]))
+
+    with pytest.raises(ConfigError) as exc_info:
+        parse("frag_slope", "model.fragmentation.shape = constant",
+              "model.fragmentation.value = 0.03")
+    assert exc_info.value.errors == [
+        "config: frag_slope sweep requires an affine fragmentation shape"]
+    with pytest.raises(ConfigError, match="peak_center sweep requires a bell"):
+        parse("peak_center")
+    # fitting shapes, and dose, which edits no rate
+    assert parse("frag_slope").sweep_axis == "frag_slope"
+    assert parse("dose").sweep_axis == "dose"
 
 
 def test_spacing_keys_are_rejected():

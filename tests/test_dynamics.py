@@ -217,6 +217,21 @@ def test_sweep_isolates_failures(tmp_path):
     assert bad.config_echo["sweep_value"] == -5.0
 
 
+def test_sweep_refuses_an_axis_the_shape_cannot_take(tmp_path):
+    cfg = _sweep_cfg(tmp_path, "\n".join([
+        "experiment = sweep",
+        "sweep.axis = dose",
+        "sweep.values = 1",
+        "grid.n = 80",
+        "grid.xmax = 30.0",
+        "",
+    ]))
+    with pytest.raises(ValueError, match="requires a scaled_bell conversion"):
+        sweep(cfg, axis="tightness", values=[0.1, 0.2])
+    with pytest.raises(ValueError, match="unknown sweep axis"):
+        sweep(cfg, axis="width", values=[0.1])
+
+
 def test_sweep_threaded_equals_serial(tmp_path):
     cfg = _sweep_cfg(tmp_path, "\n".join([
         "experiment = sweep",
