@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -81,8 +80,7 @@ def _integration_diagnostics(traj) -> dict:
 
 def _run_eigen(cfg: RunConfig, out: Path, tag: str):
     grid = cfg.make_grid()
-    scan = scan_lambda(cfg.coeffs, grid, cfg.eigen_v_values, tol=cfg.eigen_tol,
-                       keep_solutions=True)
+    scan = scan_lambda(cfg.coeffs, grid, cfg.eigen_v_values, tol=cfg.eigen_tol)
     results = {
         "v_values": scan.v_values,
         "loss_rates": scan.lambda_values,
@@ -197,7 +195,7 @@ def _sweep_scalar_rows(axis: str, records):
 
 
 def _run_sweep(cfg: RunConfig, out: Path, tag: str):
-    records = sweep(cfg, threads=cfg.threads)
+    records = sweep(cfg)
     for k, rec in enumerate(records):
         _write_json(out / ("sweep-%s-item-%02d.json" % (tag, k)), rec,
                     cfg.timings)
@@ -312,8 +310,7 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
 
 
 def sweep(base: RunConfig, axis: Optional[str] = None,
-          values: Optional[Sequence[float]] = None,
-          threads: int = 1) -> list:
+          values: Optional[Sequence[float]] = None) -> list:
     """Run one experiment per value along the chosen axis.
 
     Axes bell_amplitude and frag_slope integrate the full system per
@@ -338,10 +335,6 @@ def sweep(base: RunConfig, axis: Optional[str] = None,
         unit_count = float(reference.initial_seed_profile(grid.centers)
                            @ grid.widths)
         fixed_threshold = base.sweep_threshold_ratio * max(values) * unit_count
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(
-                lambda v: _sweep_item(base, axis, v, fixed_threshold), values))
     return [_sweep_item(base, axis, v, fixed_threshold) for v in values]
 
 
@@ -359,7 +352,7 @@ def _run_validate(cfg: RunConfig, out: Path, tag: str, run_discrete: bool,
     checks = []
 
     grid = SizeGrid.uniform(50.0, 300, x0=coeffs.x0)
-    W = kernel_weights(coeffs.kernel, grid)
+    W = kernel_weights("uniform", grid)
     x, h = grid.centers, grid.widths
     count_err = 0.0
     mass_err = 0.0
@@ -487,8 +480,6 @@ def main(argv=None) -> int:
                        help="path to the run configuration file")
         p.add_argument("--out", help="output directory (overrides output.dir)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int,
-                       help="worker threads for sweeps")
         if name == "validate":
             p.add_argument("--discrete", action="store_true",
                            help="also run the integer-chain cross-check")
@@ -496,25 +487,22 @@ def main(argv=None) -> int:
                            help="write the dense generator matrix")
     args = parser.parse_args(argv)
 
-    out_dir = Path(args.out) if args.out else None
+    # errors land in ./out only while no parsed config names a directory
+    out = Path(args.out or "out")
     try:
         if args.config:
             text = Path(args.config).read_text()
         else:
             text = _DEFAULT_VALIDATE_CONFIG
         cfg = parse_config(text)
+        if not args.out:
+            out = Path(cfg.out_dir)
         if cfg.experiment != args.command:
             raise ConfigError([
                 "config: experiment %r does not match subcommand %r"
                 % (cfg.experiment, args.command)])
-        overrides = {}
         if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        if overrides:
-            cfg = replace(cfg, **overrides)
-        out = out_dir if out_dir is not None else Path(cfg.out_dir)
+            cfg = replace(cfg, seed=args.seed)
         out.mkdir(parents=True, exist_ok=True)
         # a fresh run supersedes any error artifact a failed earlier
         # attempt left in the same output directory
@@ -535,15 +523,10 @@ def main(argv=None) -> int:
         _write_json(out / ("%s-%s.json" % (args.command, tag)), record,
                     cfg.timings)
         return code
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        _write_error(out_dir if out_dir is not None else Path("out"),
-                     args.command, exc)
-        return 2
-    except Exception as exc:  # any other failure: error file + nonzero exit
-        print("error: %s" % exc, file=sys.stderr)
-        _write_error(out_dir if out_dir is not None else Path("out"),
-                     args.command, exc)
+    except Exception as exc:  # any failure: error file + nonzero exit
+        print(exc if isinstance(exc, ConfigError) else "error: %s" % exc,
+              file=sys.stderr)
+        _write_error(out, args.command, exc)
         return 2
 
 

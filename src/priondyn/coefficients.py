@@ -107,6 +107,9 @@ SHAPES = {"constant": Constant, "affine": Affine, "bell": Bell, "scaled_bell": S
 class CoefficientSet:
     """Everything the model needs: scalar sources plus three rate shapes.
 
+    Fragments are placed by the uniform rule (daughters uniform on the
+    parent size), the only one implemented.
+
     Attributes
     ----------
     production : float
@@ -121,9 +124,6 @@ class CoefficientSet:
         Size-dependent splitting rate.
     decay : CoefficientShape
         Size-dependent polymer degradation rate.
-    kernel : str
-        Fragment-placement rule.  Only "uniform" (daughters uniform on the
-        parent size) is implemented.
     """
 
     production: float
@@ -132,7 +132,6 @@ class CoefficientSet:
     conversion: CoefficientShape = field(default_factory=lambda: Constant(0.001))
     fragmentation: CoefficientShape = field(default_factory=lambda: Affine(0.0, 0.03))
     decay: CoefficientShape = field(default_factory=lambda: Constant(0.05))
-    kernel: str = "uniform"
 
     def __post_init__(self):
         if self.production < 0.0:
@@ -141,8 +140,6 @@ class CoefficientSet:
             raise ValueError("clearance must be nonnegative, got %r" % (self.clearance,))
         if self.x0 < 0.0:
             raise ValueError("x0 must be nonnegative, got %r" % (self.x0,))
-        if self.kernel != "uniform":
-            raise ValueError("unsupported kernel %r; only 'uniform' is implemented" % (self.kernel,))
 
 
 def _check_nonneg(values: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:

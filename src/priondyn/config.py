@@ -42,13 +42,14 @@ SWEEP_AXES = {
 }
 
 # key -> (RunConfig field, type tag, default); the model.* keys feed the
-# coefficient set rather than a field, and shapes are handled separately
+# coefficient set rather than a field, and shapes are handled separately.
+# threads fills no field and must be 1: sweeps run serially, and existing
+# config files (the benchmark's among them) still set threads = 1
 _SCALAR_KEYS = {
     "experiment": ("experiment", "enum:experiment", None),
     "model.production": (None, "float", 2400.0),
     "model.clearance": (None, "float", 4.0),
     "model.x0": (None, "float", 0.0),
-    "model.kernel": (None, "str", "uniform"),
     "grid.xmax": ("xmax", "float", None),
     "grid.n": ("n", "int", 800),
     "eigen.v_values": ("eigen_v_values", "floatlist", None),
@@ -73,7 +74,7 @@ _SCALAR_KEYS = {
     "output.dir": ("out_dir", "str", "out"),
     "output.timings": ("timings", "bool", False),
     "seed": ("seed", "int", 0),
-    "threads": ("threads", "int", 1),
+    "threads": (None, "int", 1),
 }
 
 _SHAPE_PREFIXES = ("model.conversion", "model.fragmentation", "model.decay")
@@ -147,7 +148,6 @@ class RunConfig:
     out_dir: str
     timings: bool
     seed: int
-    threads: int
 
     @property
     def vbar(self) -> float:
@@ -277,8 +277,12 @@ def parse_config(text: str) -> RunConfig:
             errors.append("config: %s must be nonnegative, got %g" % (label, get(key)))
     if get("grid.n") < 2:
         errors.append("config: grid.n must be at least 2, got %d" % get("grid.n"))
-    if get("model.kernel") != "uniform":
-        errors.append("config: model.kernel must be 'uniform', got %r" % get("model.kernel"))
+    if get("threads") != 1:
+        errors.append("config: threads must be 1 (sweeps run serially), got %d"
+                      % get("threads"))
+    for key in ("simulate.record_every", "sweep.record_every"):
+        if get(key) < 1:
+            errors.append("config: %s must be at least 1, got %d" % (key, get(key)))
     exp = scalars.get("experiment")
     if exp == "eigen" and get("eigen.v_values") is None:
         errors.append("config: experiment 'eigen' requires eigen.v_values")
@@ -292,7 +296,7 @@ def parse_config(text: str) -> RunConfig:
 
     coeffs = CoefficientSet(
         production=get("model.production"), clearance=get("model.clearance"),
-        x0=get("model.x0"), kernel=get("model.kernel"),
+        x0=get("model.x0"),
         **{rate: shape for rate, shape in built_shapes.items() if shape is not None})
     mismatch = sweep_axis_error(coeffs, get("sweep.axis")) if exp == "sweep" else None
     if mismatch:
@@ -320,15 +324,18 @@ def config_echo(cfg: RunConfig) -> dict:
     """Flatten a run configuration into a serializable dict.
 
     The experiment's own section holds every set <experiment>.* key,
-    named by its suffix.  The echo's digest names the output files, so
-    a change here renames them.
+    named by its suffix.  A key of another run section (a sweep reads
+    simulate.*, steady.* and eigen.* keys) is echoed under its section
+    when it differs from its default, so two configs that run differently
+    never share an echo; output.* only places files and is left out.  The
+    echo's digest names the output files, so a change here renames them.
     """
     c = cfg.coeffs
     echo = {
         "experiment": cfg.experiment,
         "model": {
             "production": c.production, "clearance": c.clearance,
-            "x0": c.x0, "kernel": c.kernel,
+            "x0": c.x0, "kernel": "uniform",
             "conversion": _shape_echo(c.conversion),
             "fragmentation": _shape_echo(c.fragmentation),
             "decay": _shape_echo(c.decay),
@@ -336,10 +343,11 @@ def config_echo(cfg: RunConfig) -> dict:
         "grid": {"xmax": cfg.xmax, "n": cfg.n},
         "seed": cfg.seed,
     }
-    prefix = cfg.experiment + "."
-    section = {key[len(prefix):]: getattr(cfg, f)
-               for key, (f, _, _) in _SCALAR_KEYS.items()
-               if key.startswith(prefix) and getattr(cfg, f) is not None}
-    if section:
-        echo[cfg.experiment] = section
+    for key, (f, _, default) in _SCALAR_KEYS.items():
+        section, _, name = key.partition(".")
+        if section not in ("eigen", "steady", "simulate", "sweep"):
+            continue
+        value = getattr(cfg, f)
+        if (value is not None) if section == cfg.experiment else (value != default):
+            echo.setdefault(section, {})[name] = value
     return echo

@@ -143,6 +143,8 @@ def integrate_discrete(params: DiscreteParams, state: DiscreteState,
     """Fixed-step march to t_end (the last step shortens to land on it)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1, got %d" % record_every)
     sizes = params.sizes
     if state.u.shape != sizes.shape:
         raise ValueError("state has %d bins; params expect %d"
@@ -224,14 +226,13 @@ def matched_continuum_setup(params: DiscreteParams):
 
 
 def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
-                      dt: float = 0.02, fit_window: tuple = (20.0, 50.0),
-                      seed_count: float = 1e-3) -> dict:
+                      dt: float = 0.02, fit_window: tuple = (20.0, 50.0)) -> dict:
     """Run the chain and its continuum twin side by side.
 
     Two runs: an uninfected one (no polymers) where both must reproduce
-    the identical monomer relaxation to rounding, and a seeded one whose
-    exponential count growth rates are compared against each other and
-    against the constant-coefficient closed form.
+    the identical monomer relaxation to rounding, and a seeded one (count
+    1e-3 on each side) whose exponential count growth rates are compared
+    against each other and against the constant-coefficient closed form.
     """
     coeffs, grid = matched_continuum_setup(params)
     mismatches = calibration_mismatches(coeffs, params)
@@ -251,12 +252,12 @@ def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
 
     # seeded growth at (almost) frozen monomer level
     shape_d = 0.5 * params.sizes ** 2 / (1.0 + params.sizes ** 4)
-    seed_d = seed_count / shape_d.sum() * shape_d
+    seed_d = 1e-3 / shape_d.sum() * shape_d
     traj_d = integrate_discrete(params, DiscreteState(v=vbar, u=seed_d),
                                 t_end, dt, record_every=5)
     xc = grid.centers
     shape_c = 0.5 * xc ** 2 / (1.0 + xc ** 4)
-    seed_c = seed_count / float(shape_c @ grid.widths) * shape_c
+    seed_c = 1e-3 / float(shape_c @ grid.widths) * shape_c
     traj_c = integrate(coeffs, grid, PolymerState(v=vbar, u=seed_c, grid=grid),
                        t_end, record_every=5, dt_max=dt)
 

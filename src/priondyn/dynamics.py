@@ -103,18 +103,20 @@ def seed_state(coeffs: CoefficientSet, grid: SizeGrid, scale: float = 1.0,
 
 def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
               t_end: float, snapshot_times: Sequence[float] = (),
-              record_every: int = 1, dt_max: Optional[float] = None,
-              cfl_safety: float = 0.9) -> Trajectory:
+              record_every: int = 1, dt_max: Optional[float] = None) -> Trajectory:
     """Advance the coupled system from ``initial`` to absolute time t_end.
 
     Steps land exactly on requested snapshot instants and on t_end.  The
     step size is recomputed every step from the current monomer level
-    (transport CFL) and the fixed reaction bound; a stage with a negative
-    entry rejects the step and halves the working step, which relaxes back
-    after a stretch of accepted steps.
+    (transport CFL, with safety factor 0.9) and the fixed reaction bound,
+    capped by dt_max when given; a stage with a negative entry rejects the
+    step and halves the working step, which relaxes back after a stretch
+    of accepted steps.
     """
     if t_end <= initial.t:
         raise ValueError("t_end=%g is not beyond the initial time %g" % (t_end, initial.t))
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1, got %d" % record_every)
     if initial.grid is not grid and (initial.grid.n != grid.n
                                      or initial.grid.xmax != grid.xmax):
         raise ValueError("initial state lives on a different grid")
@@ -172,7 +174,7 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         next_event = events[ev_i]
         dt_bound, limit = loss_cap, "loss_cap"
         if V * conv_max > 0.0:
-            dt_cfl = cfl_safety * hmin / (V * conv_max)
+            dt_cfl = 0.9 * hmin / (V * conv_max)
             if dt_cfl < dt_bound:
                 dt_bound, limit = dt_cfl, "cfl"
         if dt_max is not None and dt_max < dt_bound:
@@ -379,16 +381,15 @@ class StabilityResult:
 
 
 def stability_experiment(coeffs: CoefficientSet, grid: SizeGrid, epsilon: float,
-                         t_end: Optional[float] = None,
-                         n_samples: int = 40) -> StabilityResult:
+                         t_end: Optional[float] = None) -> StabilityResult:
     """Perturb the uninfected state by epsilon times the seeding profile
     and classify the response.
 
     The decay functional is alpha*<u, phi> + |V - vbar| with phi the
     adjoint weight at vbar and alpha = 2*K2*vbar/loss_rate(vbar) in the
-    damping regime (the weighting that makes the functional contract);
-    escape is declared when the functional exceeds ten times its initial
-    value.
+    damping regime (the weighting that makes the functional contract),
+    sampled at 40 evenly spaced instants; escape is declared when the
+    functional exceeds ten times its initial value.
     """
     if coeffs.clearance <= 0.0:
         raise ValueError("stability experiment needs a positive clearance")
@@ -406,7 +407,7 @@ def stability_experiment(coeffs: CoefficientSet, grid: SizeGrid, epsilon: float,
 
     if t_end is None:
         t_end = 600.0 if lam_vbar > 0.0 else 150.0
-    sample_times = np.linspace(0.0, t_end, n_samples + 1)[1:]
+    sample_times = np.linspace(0.0, t_end, 41)[1:]
 
     initial = seed_state(coeffs, grid, scale=epsilon, v_init=vbar)
     phih = phi * grid.widths

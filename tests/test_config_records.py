@@ -76,6 +76,22 @@ def test_error_collection_is_exhaustive():
     assert msg.count("\n") >= 4
 
 
+@pytest.mark.parametrize("line, message", [
+    ("threads = 2", "threads must be 1"),
+    ("model.kernel = uniform", "unknown key 'model.kernel'"),
+    ("simulate.record_every = 0", "simulate.record_every must be at least 1"),
+    ("sweep.record_every = -1", "sweep.record_every must be at least 1"),
+])
+def test_retired_and_out_of_range_keys_are_named(line, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config("experiment = steady\n" + line + "\n")
+
+
+def test_threads_one_is_still_accepted():
+    assert parse_config("experiment = steady\nthreads = 1\n") == \
+        parse_config("experiment = steady\n")
+
+
 def test_shape_parameters_need_a_shape():
     with pytest.raises(ConfigError, match="shape"):
         parse_config("\n".join([
@@ -265,6 +281,22 @@ def test_config_echo_structure():
     assert "simulate" not in echo
     # the echo is serializable as-is
     canonical_json(echo)
+
+
+def test_config_echo_names_changed_keys_of_other_sections():
+    # a sweep item reads simulate.seed_scale; a different seed must not
+    # write the same file names as the shipped run
+    fig6 = (CONFIG_DIR / "fig6.cfg").read_text()
+    echo = config_echo(parse_config(fig6))
+    seeded = config_echo(parse_config(fig6 + "simulate.seed_scale = 5\n"))
+    assert seeded["simulate"] == {"seed_scale": 5.0}
+    assert _digest(seeded) != _digest(echo)
+    # a key set to its default, or a new output place, changes nothing
+    moved = fig6.replace("output.dir = out/fig6", "output.dir = elsewhere")
+    assert config_echo(parse_config(moved + "simulate.seed_scale = 1\n")) == echo
+    # a simulate run reads eigen.tol for its loss rate at vbar
+    sim = config_echo(parse_config("experiment = simulate\neigen.tol = 1e-8\n"))
+    assert sim["eigen"] == {"tol": 1e-8}
 
 
 def test_shipped_config_output_names_are_pinned():

@@ -71,6 +71,13 @@ def test_records_land_on_grid():
     assert traj.steps == 6  # five full steps plus the shortened last one
 
 
+def test_record_every_below_one_is_refused():
+    p = _params(n_max=50)
+    s = DiscreteState(v=60.0, u=np.zeros(p.sizes.size))
+    with pytest.raises(ValueError, match="record_every"):
+        integrate_discrete(p, s, t_end=0.5, dt=0.1, record_every=0)
+
+
 # --- calibration guard -----------------------------------------------------
 
 def test_calibration_accepts_matched_shapes():
