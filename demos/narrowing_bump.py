@@ -24,7 +24,7 @@ for a in alphas:
     sol = principal_eigenpair(coeffs, grid, 600.0)
     idx, _ = detect_modes(sol.u_vec, grid)
     rates.append(-sol.lambda_eig)
-    modes.append(max(1, idx.size))
+    modes.append(idx.size)
     print("%9.5f   %+.8f   %d" % (a, rates[-1], modes[-1]))
 
 k = int(np.argmax(rates))

@@ -22,20 +22,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import discrete as discrete_mod
 from . import reference
-from .coefficients import Affine, Constant
 from .config import (SWEEP_AXES, ConfigError, RunConfig, config_echo,
                      parse_config, sweep_axis_error)
 from .dynamics import (IntegratorFailure, growth_rate, incubation_time,
                        integrate, seed_state)
 from .eigen import principal_eigenpair, scan_lambda
-from .grid import SizeGrid
-from .kernel import kernel_weights
-from .operator import assemble, assemble_adjoint, macroscopic_balance
 from .records import ExperimentRecord, canonical_json, grid_hash, write_csv
-from .steady import (bimodality_report, build_steady_state, detect_modes,
-                     find_v_inf)
+from .steady import bimodality_report, build_steady_state, detect_modes
 
 __all__ = ["main", "sweep"]
 
@@ -155,7 +149,7 @@ def _run_simulate(cfg: RunConfig, out: Path, tag: str):
     }
     lam_vbar = None
     if cfg.coeffs.clearance > 0.0:
-        lam_vbar = principal_eigenpair(cfg.coeffs, grid, cfg.vbar,
+        lam_vbar = principal_eigenpair(cfg.coeffs, grid, cfg.coeffs.vbar,
                                        tol=cfg.eigen_tol).lambda_eig
         results["loss_rate_at_vbar"] = lam_vbar
     try:
@@ -226,7 +220,7 @@ def _run_sweep(cfg: RunConfig, out: Path, tag: str):
                                      tinc[good], 1)[0])
             summary["slope_fitted"] = slope
             grid = cfg.make_grid()
-            lam = principal_eigenpair(cfg.coeffs, grid, cfg.vbar,
+            lam = principal_eigenpair(cfg.coeffs, grid, cfg.coeffs.vbar,
                                       tol=cfg.eigen_tol).lambda_eig
             if lam > 0.0:
                 summary["slope_predicted"] = None
@@ -256,7 +250,7 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
         grid = base.make_grid()
         diagnostics: dict = {"grid_hash": grid_hash(grid)}
         if axis == "tightness":
-            v_eval = base.sweep_v_eval if base.sweep_v_eval is not None else base.vbar
+            v_eval = base.sweep_v_eval if base.sweep_v_eval is not None else base.coeffs.vbar
             sol = principal_eigenpair(coeffs, grid, v_eval, tol=base.eigen_tol)
             conv = coeffs.conversion(grid.centers)
             conv_avg = float((conv * sol.u_vec) @ grid.widths)
@@ -266,7 +260,7 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
                 "loss_rate": sol.lambda_eig,
                 "growth_rate": sol.growth_rate,
                 "conv_average": conv_avg,
-                "n_modes": max(1, int(idx.size)),
+                "n_modes": int(idx.size),
                 "mode_locations": grid.centers[idx],
             }
             diagnostics.update(residual=sol.residual, iterations=sol.iterations)
@@ -338,117 +332,15 @@ def sweep(base: RunConfig, axis: Optional[str] = None,
     return [_sweep_item(base, axis, v, fixed_threshold) for v in values]
 
 
-# --- validate battery ------------------------------------------------------
-
-def _check(name, passed, **detail):
-    out = {"name": name, "passed": bool(passed)}
-    out.update(detail)
-    return out
-
-
-def _run_validate(cfg: RunConfig, out: Path, tag: str, run_discrete: bool,
-                  dump_operator: bool):
-    coeffs = cfg.coeffs
-    checks = []
-
-    grid = SizeGrid.uniform(50.0, 300, x0=coeffs.x0)
-    W = kernel_weights("uniform", grid)
-    x, h = grid.centers, grid.widths
-    count_err = 0.0
-    mass_err = 0.0
-    for j in range(2, grid.n):
-        yj = x[j]
-        count_err = max(count_err, abs(W[:j, j].sum() - (yj - coeffs.x0) / yj))
-        mass_err = max(mass_err, abs(x[:j] @ W[:j, j]
-                                     - (yj * yj - coeffs.x0 ** 2) / (2 * yj)))
-    mass_err = max(mass_err, abs(x[0] * W[0, 1]
-                                 - (x[1] ** 2 - coeffs.x0 ** 2) / (2 * x[1])))
-    checks.append(_check("kernel-moment-laws",
-                         count_err < 1e-12 and mass_err < 1e-12,
-                         count_error=count_err, mass_error=mass_err))
-
-    grid2 = SizeGrid.uniform(50.0, 200, x0=coeffs.x0)
-    op = assemble(coeffs, grid2, 100.0)
-    adj = assemble_adjoint(coeffs, grid2, 100.0)
-    rng = np.random.default_rng(cfg.seed)
-    h2 = grid2.widths
-    worst = 0.0
-    for _ in range(20):
-        uu = rng.random(grid2.n)
-        ph = rng.random(grid2.n)
-        lhs = float((op.matrix @ uu) * ph @ h2)
-        rhs = float(uu * (adj.matrix @ ph) @ h2)
-        scale = max(1.0, abs(lhs))
-        worst = max(worst, abs(lhs - rhs) / scale)
-    checks.append(_check("adjoint-duality", worst < 1e-10, max_error=worst))
-
-    closed_ok = (isinstance(coeffs.conversion, Constant)
-                 and isinstance(coeffs.decay, Constant)
-                 and isinstance(coeffs.fragmentation, Affine)
-                 and coeffs.fragmentation.intercept == 0.0)
-    if closed_ok:
-        tau0 = coeffs.conversion.value
-        mu0 = coeffs.decay.value
-        beta0 = coeffs.fragmentation.slope
-        grid3 = SizeGrid.uniform(cfg.xmax, 400, x0=coeffs.x0)
-        worst_rel = 0.0
-        for v in (100.0, 600.0):
-            lam = principal_eigenpair(coeffs, grid3, v).lambda_eig
-            ref = reference.loss_rate_constant(tau0, beta0, mu0, v)
-            worst_rel = max(worst_rel, abs(lam - ref) / max(abs(ref), 1e-12))
-        checks.append(_check("eigen-closed-form", worst_rel < 1e-2,
-                             max_rel_error=worst_rel))
-        root = find_v_inf(coeffs, grid3)
-        ref_v = reference.equilibrium_monomer_level(tau0, beta0, mu0)
-        ok_root = root.found and abs(root.v_inf - ref_v) / ref_v < 1e-2
-        checks.append(_check("steady-root", ok_root,
-                             v_inf=root.v_inf if root.found else None,
-                             closed_form=ref_v))
-    else:
-        checks.append(_check("eigen-closed-form", True,
-                             skipped="coefficients are not in the "
-                                     "constant/linear closed-form class"))
-
-    grid4 = SizeGrid.uniform(cfg.xmax, 300, x0=coeffs.x0)
-    initial = seed_state(coeffs, grid4, scale=1.0)
-    traj = integrate(coeffs, grid4, initial, 10.0, record_every=10)
-    res = traj.max_residual
-    checks.append(_check("conservation-books", res < 1e-8, max_residual=res))
-
-    mass = reference.initial_seed_mass(50.0)
-    frozen = 0.5453603675897958
-    checks.append(_check("seed-mass-quadrature", abs(mass - frozen) < 1e-12,
-                         value=mass, frozen=frozen))
-
-    if run_discrete:
-        rep = discrete_mod.compare_continuum(discrete_mod.default_calibration())
-        ok_d = (rep["uninfected_max_rel_diff_v"] < 1e-10
-                and rep["growth_rel_diff"] < 0.05
-                and rep["mass_residual_max"] < 1e-8)
-        checks.append(_check("discrete-cross-check", ok_d, **rep))
-
-    if dump_operator:
-        gridd = cfg.make_grid()
-        opd = assemble(coeffs, gridd, cfg.vbar if np.isfinite(cfg.vbar) else 100.0)
-        np.savetxt(out / ("operator-%s.csv" % tag), opd.matrix,
-                   delimiter=",", fmt="%.17g")
-        bal = macroscopic_balance(opd, seed_state(coeffs, gridd).u)
-        checks.append(_check("operator-dump", True,
-                             balance_residual=abs(bal.residual)))
-
-    all_passed = all(c["passed"] for c in checks)
-    for c in checks:
-        print("%-24s %s" % (c["name"], "pass" if c["passed"] else "FAIL"))
-    code = 0 if all_passed else 1
-    return {"checks": checks, "all_passed": all_passed}, {}, code
-
-
 # --- entry point -----------------------------------------------------------
 
-_RUNNERS = {"eigen": _run_eigen, "steady": _run_steady,
-            "simulate": _run_simulate, "sweep": _run_sweep}
-
-_DEFAULT_VALIDATE_CONFIG = "experiment = validate\n"
+# command -> (runner, help); config.EXPERIMENTS names the same commands
+_RUNNERS = {
+    "eigen": (_run_eigen, "frozen-level principal eigenvalue scan"),
+    "steady": (_run_steady, "steady state and shape analysis"),
+    "simulate": (_run_simulate, "time integration of the coupled system"),
+    "sweep": (_run_sweep, "parameter sweep"),
+}
 
 
 def _write_error(out: Path, command: str, exc: Exception) -> None:
@@ -469,40 +361,23 @@ def main(argv=None) -> int:
         prog="priondyn",
         description="size-structured polymer growth/fragmentation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-            ("eigen", "frozen-level principal eigenvalue scan"),
-            ("steady", "steady state and shape analysis"),
-            ("simulate", "time integration of the coupled system"),
-            ("sweep", "parameter sweep"),
-            ("validate", "internal consistency battery")):
+    for name, (_, desc) in _RUNNERS.items():
         p = sub.add_parser(name, help=desc)
-        p.add_argument("--config", required=(name != "validate"),
+        p.add_argument("--config", required=True,
                        help="path to the run configuration file")
         p.add_argument("--out", help="output directory (overrides output.dir)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        if name == "validate":
-            p.add_argument("--discrete", action="store_true",
-                           help="also run the integer-chain cross-check")
-            p.add_argument("--dump-operator", action="store_true",
-                           help="write the dense generator matrix")
     args = parser.parse_args(argv)
 
     # errors land in ./out only while no parsed config names a directory
     out = Path(args.out or "out")
     try:
-        if args.config:
-            text = Path(args.config).read_text()
-        else:
-            text = _DEFAULT_VALIDATE_CONFIG
-        cfg = parse_config(text)
+        cfg = parse_config(Path(args.config).read_text())
         if not args.out:
             out = Path(cfg.out_dir)
         if cfg.experiment != args.command:
             raise ConfigError([
                 "config: experiment %r does not match subcommand %r"
                 % (cfg.experiment, args.command)])
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
         out.mkdir(parents=True, exist_ok=True)
         # a fresh run supersedes any error artifact a failed earlier
         # attempt left in the same output directory
@@ -512,11 +387,7 @@ def main(argv=None) -> int:
         echo = config_echo(cfg)
         tag = _digest(echo)
         t0 = time.perf_counter()
-        if args.command == "validate":
-            results, diagnostics, code = _run_validate(
-                cfg, out, tag, args.discrete, args.dump_operator)
-        else:
-            results, diagnostics, code = _RUNNERS[args.command](cfg, out, tag)
+        results, diagnostics, code = _RUNNERS[args.command][0](cfg, out, tag)
         diagnostics["timings"] = {"seconds": time.perf_counter() - t0}
         record = ExperimentRecord(experiment=args.command, config_echo=echo,
                                   results=results, diagnostics=diagnostics)

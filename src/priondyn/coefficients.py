@@ -141,6 +141,13 @@ class CoefficientSet:
         if self.x0 < 0.0:
             raise ValueError("x0 must be nonnegative, got %r" % (self.x0,))
 
+    @property
+    def vbar(self) -> float:
+        """Uninfected monomer level production/clearance; inf at zero clearance."""
+        if self.clearance == 0.0:
+            return float("inf")
+        return self.production / self.clearance
+
 
 def _check_nonneg(values: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:
     bad = np.flatnonzero(values < 0.0)

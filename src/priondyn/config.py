@@ -30,7 +30,7 @@ from .grid import SizeGrid
 __all__ = ["RunConfig", "ConfigError", "parse_config", "config_echo", "default_xmax",
            "SWEEP_AXES", "sweep_axis_error"]
 
-EXPERIMENTS = ("eigen", "steady", "simulate", "sweep", "validate")
+EXPERIMENTS = ("eigen", "steady", "simulate", "sweep")
 # axis -> (rate it edits, shape that rate must have, parameter it sets);
 # dose scales the inoculum and edits no rate
 SWEEP_AXES = {
@@ -73,7 +73,6 @@ _SCALAR_KEYS = {
     "sweep.record_every": ("sweep_record_every", "int", 4),
     "output.dir": ("out_dir", "str", "out"),
     "output.timings": ("timings", "bool", False),
-    "seed": ("seed", "int", 0),
     "threads": (None, "int", 1),
 }
 
@@ -147,13 +146,6 @@ class RunConfig:
     sweep_record_every: int
     out_dir: str
     timings: bool
-    seed: int
-
-    @property
-    def vbar(self) -> float:
-        if self.coeffs.clearance == 0.0:
-            return float("inf")
-        return self.coeffs.production / self.coeffs.clearance
 
     def make_grid(self) -> SizeGrid:
         return SizeGrid.uniform(self.xmax, self.n, x0=self.coeffs.x0)
@@ -280,6 +272,9 @@ def parse_config(text: str) -> RunConfig:
     if get("threads") != 1:
         errors.append("config: threads must be 1 (sweeps run serially), got %d"
                       % get("threads"))
+    for key in ("eigen.v_values", "sweep.values"):
+        if get(key) == ():
+            errors.append("config: %s must list at least one value" % key)
     for key in ("simulate.record_every", "sweep.record_every"):
         if get(key) < 1:
             errors.append("config: %s must be at least 1, got %d" % (key, get(key)))
@@ -328,7 +323,9 @@ def config_echo(cfg: RunConfig) -> dict:
     simulate.*, steady.* and eigen.* keys) is echoed under its section
     when it differs from its default, so two configs that run differently
     never share an echo; output.* only places files and is left out.  The
-    echo's digest names the output files, so a change here renames them.
+    echo's digest names the output files, so a change here renames them;
+    that is why it still carries the fixed entries "kernel": "uniform" and
+    "seed": 0 of settings that no longer exist.
     """
     c = cfg.coeffs
     echo = {
@@ -341,11 +338,11 @@ def config_echo(cfg: RunConfig) -> dict:
             "decay": _shape_echo(c.decay),
         },
         "grid": {"xmax": cfg.xmax, "n": cfg.n},
-        "seed": cfg.seed,
+        "seed": 0,
     }
     for key, (f, _, default) in _SCALAR_KEYS.items():
         section, _, name = key.partition(".")
-        if section not in ("eigen", "steady", "simulate", "sweep"):
+        if section not in EXPERIMENTS:
             continue
         value = getattr(cfg, f)
         if (value is not None) if section == cfg.experiment else (value != default):

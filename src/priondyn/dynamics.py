@@ -94,9 +94,9 @@ def seed_state(coeffs: CoefficientSet, grid: SizeGrid, scale: float = 1.0,
     """Standard initial condition: scaled seeding profile, monomer at the
     uninfected level production/clearance unless overridden."""
     if v_init is None:
-        if coeffs.clearance <= 0.0:
+        if coeffs.clearance == 0.0:
             raise ValueError("v_init required when clearance is zero")
-        v_init = coeffs.production / coeffs.clearance
+        v_init = coeffs.vbar
     u0 = scale * initial_seed_profile(grid.centers)
     return PolymerState(v=float(v_init), u=u0, grid=grid, t=t)
 
@@ -289,7 +289,7 @@ def growth_rate(traj: Trajectory, window: tuple) -> GrowthFit:
     sst = float(((np.log(rho) - np.log(rho).mean()) ** 2).sum())
     r2 = 1.0 - ssr / sst if sst > 0.0 else 1.0
     if traj.coeffs.clearance > 0.0:
-        vbar = traj.coeffs.production / traj.coeffs.clearance
+        vbar = traj.coeffs.vbar
         drift = float(np.abs(traj.v_series[m] - vbar).max() / vbar)
     else:
         drift = float("nan")
@@ -393,7 +393,7 @@ def stability_experiment(coeffs: CoefficientSet, grid: SizeGrid, epsilon: float,
     """
     if coeffs.clearance <= 0.0:
         raise ValueError("stability experiment needs a positive clearance")
-    vbar = coeffs.production / coeffs.clearance
+    vbar = coeffs.vbar
     lam_vbar = principal_eigenpair(coeffs, grid, vbar).lambda_eig
     adj = adjoint_eigenpair(coeffs, grid, vbar)
     consts = hypothesis_constants(coeffs, adj)

@@ -74,10 +74,7 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid,
     uninfected level production/clearance.
     """
     if v_max is None:
-        if coeffs.clearance > 0.0:
-            v_max = 10.0 * coeffs.production / coeffs.clearance
-        else:
-            v_max = 6000.0
+        v_max = 10.0 * coeffs.vbar if coeffs.clearance > 0.0 else 6000.0
     gen = Generator(coeffs, grid)
     evals: list = []
 
@@ -181,15 +178,14 @@ def build_steady_state(coeffs: CoefficientSet, grid: SizeGrid,
     sol = root.solution
     conv, _, _ = eval_coefficients(coeffs, grid)
     conv_avg = float((conv * sol.u_vec) @ grid.widths)
-    vbar = coeffs.production / coeffs.clearance if coeffs.clearance > 0.0 else np.inf
-    exists = root.v_inf < vbar
+    exists = root.v_inf < coeffs.vbar
     rho = None
     u_inf = None
     if exists:
         rho = (coeffs.production / root.v_inf - coeffs.clearance) / conv_avg
         u_inf = rho * sol.u_vec
     return SteadyState(v_inf=root.v_inf, rho_inf=rho, u_inf=u_inf,
-                       exists=exists, vbar=vbar, grid=grid, coeffs=coeffs,
+                       exists=exists, vbar=coeffs.vbar, grid=grid, coeffs=coeffs,
                        u_profile=sol.u_vec, conv_average=conv_avg, root=root)
 
 
@@ -264,14 +260,12 @@ class BimodalityReport:
     necessary_condition_met evaluates v_inf * min(conv'') < -3*frag_slope,
     the curvature threshold a second interior mode requires; it is None
     when the splitting rate is not origin-anchored linear (the class the
-    threshold is derived in).  potential samples
-    v_inf*conv(x) + decay0*x + frag_slope*x**2/2 under the same proviso.
+    threshold is derived in).
     """
 
     n_modes: int
     mode_locations: np.ndarray
     necessary_condition_met: Optional[bool]
-    potential: Optional[np.ndarray]
     center_of_mass: float
     secondary_mass_fraction: float
     prominences: np.ndarray
@@ -315,12 +309,16 @@ def detect_modes(u: np.ndarray, grid: SizeGrid):
     to the first strictly higher value.  A maximum is kept when its
     prominence is at least 1% of the smoothed peak value.  Peaks within
     two cells of either end are then discarded: the outflow cell and the
-    imposed-zero inflow cell carry scheme artifacts, not structure.
+    imposed-zero inflow cell carry scheme artifacts, not structure.  A
+    profile always has at least one mode: when no interior maximum
+    survives, the global maximum of u is returned, with prominence u.max().
     """
     sm = u.astype(float).copy()
     sm[1:-1] = (u[:-2] + u[1:-1] + u[2:]) / 3.0
     idx, prom = _prominent_peaks(sm, 0.01 * float(sm.max()))
     keep = (idx >= 2) & (idx <= grid.n - 3)
+    if not keep.any():
+        return np.array([int(np.argmax(u))]), np.array([float(u.max())])
     return idx[keep], prom[keep]
 
 
@@ -330,10 +328,6 @@ def bimodality_report(ss: SteadyState) -> BimodalityReport:
     grid = ss.grid
     u = ss.u_profile
     idx, prom = detect_modes(u, grid)
-    if idx.size == 0:
-        # a nonzero profile always has at least its global maximum
-        idx = np.array([int(np.argmax(u))])
-        prom = np.array([float(u.max())])
     locations = grid.centers[idx]
 
     frac = 0.0
@@ -346,19 +340,13 @@ def bimodality_report(ss: SteadyState) -> BimodalityReport:
         frac = min(left, right) / (left + right)
 
     cond = None
-    potential = None
     if (isinstance(coeffs.fragmentation, Affine)
             and coeffs.fragmentation.intercept == 0.0):
-        slope = coeffs.fragmentation.slope
         curv = coeffs.conversion.curvature(grid.centers)
-        cond = bool(ss.v_inf * float(curv.min()) < -3.0 * slope)
-        if isinstance(coeffs.decay, Constant):
-            conv, _, _ = eval_coefficients(coeffs, grid)
-            x = grid.centers
-            potential = ss.v_inf * conv + coeffs.decay.value * x + 0.5 * slope * x * x
+        cond = bool(ss.v_inf * float(curv.min()) < -3.0 * coeffs.fragmentation.slope)
 
     return BimodalityReport(n_modes=int(idx.size), mode_locations=locations,
-                            necessary_condition_met=cond, potential=potential,
+                            necessary_condition_met=cond,
                             center_of_mass=ss.center_of_mass(),
                             secondary_mass_fraction=float(frac),
                             prominences=np.asarray(prom, dtype=float))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from priondyn import cli, config
 from priondyn.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -146,28 +147,6 @@ def test_sweep_outputs(tmp_path):
     assert "argmax_value" in summary["results"]
 
 
-def test_validate_passes(tmp_path):
-    out = tmp_path / "val"
-    code = main(["validate", "--out", str(out)])
-    assert code == 0
-    payload = json.loads(next(out.glob("validate-*.json")).read_text())
-    checks = {c["name"]: c["passed"] for c in payload["results"]["checks"]}
-    assert checks["kernel-moment-laws"]
-    assert checks["adjoint-duality"]
-    assert checks["eigen-closed-form"]
-    assert checks["conservation-books"]
-    assert all(checks.values())
-
-
-def test_validate_dump_operator(tmp_path):
-    out = tmp_path / "vald"
-    code = main(["validate", "--out", str(out), "--dump-operator"])
-    assert code == 0
-    dumped = list(out.glob("operator-*.csv"))
-    assert len(dumped) == 1
-    assert dumped[0].stat().st_size > 0
-
-
 # --- failure paths ----------------------------------------------------------
 
 def test_config_error_exits_2_with_error_file(tmp_path):
@@ -264,6 +243,47 @@ def test_missing_config_is_a_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["steady", "--config", "steady.cfg", "--seed", "1"],
+])
+def test_removed_command_and_flags_are_usage_errors(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("steady.cfg").write_text(FAST_STEADY)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("body, message", [
+    ("experiment = validate\n", "experiment: must be one of eigen, steady, simulate, sweep"),
+    (FAST_STEADY + "seed = 1\n", "unknown key 'seed'"),
+], ids=["experiment-validate", "seed-key"])
+def test_removed_config_values_exit_2(tmp_path, body, message):
+    code, out = _run(tmp_path, "steady", body)
+    assert code == 2
+    err = json.loads((out / "error-steady.json").read_text())
+    assert err["error_type"] == "ConfigError"
+    assert any(message in e for e in err["errors"])
+
+
+def test_every_experiment_has_a_runner():
+    assert set(cli._RUNNERS) == set(config.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name, body, key", [
+    ("sweep", "sweep.axis = frag_slope\nsweep.values =\n", "sweep.values"),
+    ("sweep", "sweep.axis = dose\nsweep.values =\n", "sweep.values"),
+    ("eigen", "eigen.v_values =\n", "eigen.v_values"),
+], ids=["frag_slope", "dose", "eigen"])
+def test_empty_value_lists_are_config_errors(tmp_path, name, body, key):
+    code, out = _run(tmp_path, name, "experiment = %s\ngrid.n = 50\n%s" % (name, body))
+    assert code == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error-%s.json" % name]
+    err = json.loads((out / ("error-%s.json" % name)).read_text())
+    assert err["errors"] == ["config: %s must list at least one value" % key]
+
+
 # --- determinism -----------------------------------------------------------
 
 def _tree_bytes(root: Path) -> dict:
@@ -313,6 +333,30 @@ def test_peak_center_items_carry_root_counters(tmp_path):
     for p in items:
         diag = json.loads(p.read_text())["diagnostics"]
         assert 0 < diag["root_evaluations"] <= diag["root_iterations"] + 1
+
+
+def test_tightness_item_without_interior_peak_locates_its_mode(tmp_path):
+    # at a near-zero level the profile decreases from its first cell, so it
+    # has no interior maximum: the one mode counted is the global maximum,
+    # and its location is recorded
+    body = "\n".join([
+        "experiment = sweep",
+        "sweep.axis = tightness",
+        "sweep.values = 1.0",
+        "sweep.v_eval = 0.01",
+        "model.conversion.shape = scaled_bell",
+        "model.conversion.base = 0.001",
+        "model.conversion.tightness = 1",
+        "model.conversion.center = 2",
+        "grid.xmax = 30",
+        "grid.n = 200",
+        "",
+    ])
+    code, out = _run(tmp_path, "sweep", body)
+    assert code == 0
+    item = json.loads(next(out.glob("sweep-*-item-00.json")).read_text())
+    assert item["results"]["n_modes"] == 1
+    assert len(item["results"]["mode_locations"]) == 1
 
 
 def _fig6_at(tmp_path, n, values=None):
@@ -411,7 +455,7 @@ def test_module_entry_points_run_cleanly(module):
     proc = _fresh_python("-m", module, "--help")
     assert proc.returncode == 0
     assert proc.stderr == ""
-    assert "eigen" in proc.stdout and "validate" in proc.stdout
+    assert all(name in proc.stdout for name in config.EXPERIMENTS)
 
 
 def test_console_script_runs():
@@ -421,7 +465,7 @@ def test_console_script_runs():
     proc = subprocess.run(cmd, capture_output=True, text=True)
     # argparse prints usage and exits 0 on --help
     assert proc.returncode == 0
-    assert "eigen" in proc.stdout and "validate" in proc.stdout
+    assert all(name in proc.stdout for name in config.EXPERIMENTS)
 
 
 @pytest.mark.parametrize("demo", sorted(

@@ -42,7 +42,7 @@ def test_minimal_config_fills_defaults():
     assert isinstance(cfg.coeffs.decay, Constant)
     # default domain scales with the decay-to-splitting ratio
     assert cfg.xmax == pytest.approx(10.0 * 0.05 / 0.03)
-    assert cfg.vbar == 600.0
+    assert cfg.coeffs.vbar == 600.0
 
 
 def test_comments_and_blank_lines_ignored():
