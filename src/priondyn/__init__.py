@@ -13,9 +13,8 @@ from .coefficients import (Affine, Bell, CoefficientSet, CoefficientShape,
 from .config import (ConfigError, RunConfig, config_echo, default_xmax,
                      parse_config)
 from .discrete import (DiscreteParams, DiscreteState, DiscreteTrajectory,
-                       calibration_mismatches, compare_continuum,
-                       default_calibration, integrate_discrete,
-                       matched_continuum_setup)
+                       compare_continuum, default_calibration,
+                       integrate_discrete, matched_continuum_setup)
 from .dynamics import (GrowthFit, IncubationResult, IntegratorFailure,
                        StabilityResult, Trajectory, growth_rate,
                        incubation_time, integrate, seed_state,
@@ -52,7 +51,7 @@ __all__ = [
     "sweep",
     "ConfigError", "RunConfig", "config_echo", "default_xmax", "parse_config",
     "DiscreteParams", "DiscreteState", "DiscreteTrajectory",
-    "calibration_mismatches", "compare_continuum", "default_calibration",
+    "compare_continuum", "default_calibration",
     "integrate_discrete", "matched_continuum_setup",
     "GrowthFit", "IncubationResult", "IntegratorFailure", "StabilityResult",
     "Trajectory", "growth_rate", "incubation_time", "integrate", "seed_state",

@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -101,7 +101,7 @@ def _run_eigen(cfg: RunConfig, out: Path, tag: str):
 
 def _run_steady(cfg: RunConfig, out: Path, tag: str):
     grid = cfg.make_grid()
-    ss = build_steady_state(cfg.coeffs, grid, v_max=cfg.steady_v_max)
+    ss = build_steady_state(cfg.coeffs, grid, tol=cfg.eigen_tol)
     rep, results, counters = _steady_blocks(ss)
     if rep.necessary_condition_met is not None:
         results["necessary_condition_met"] = rep.necessary_condition_met
@@ -265,7 +265,7 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
             }
             diagnostics.update(residual=sol.residual, iterations=sol.iterations)
         elif axis == "peak_center":
-            ss = build_steady_state(coeffs, grid, v_max=base.steady_v_max)
+            ss = build_steady_state(coeffs, grid, tol=base.eigen_tol)
             _, results, counters = _steady_blocks(ss)
             diagnostics.update(counters)
         else:
@@ -303,9 +303,8 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
                             results=results, diagnostics=diagnostics)
 
 
-def sweep(base: RunConfig, axis: Optional[str] = None,
-          values: Optional[Sequence[float]] = None) -> list:
-    """Run one experiment per value along the chosen axis.
+def sweep(base: RunConfig) -> list:
+    """Run one experiment per value along base's sweep axis.
 
     Axes bell_amplitude and frag_slope integrate the full system per
     value; tightness evaluates the frozen-level eigenpair; peak_center
@@ -316,10 +315,7 @@ def sweep(base: RunConfig, axis: Optional[str] = None,
     item runs; a failing value yields an error record and the rest of the
     sweep continues.
     """
-    axis = axis if axis is not None else base.sweep_axis
-    values = tuple(values) if values is not None else base.sweep_values
-    if axis is None or values is None:
-        raise ValueError("sweep needs an axis and values")
+    axis, values = base.sweep_axis, base.sweep_values
     mismatch = sweep_axis_error(base.coeffs, axis)
     if mismatch:
         raise ValueError(mismatch)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coefficients import SHAPES, Affine, CoefficientSet, CoefficientShape, Constant
+from .eigen import DEFAULT_TOL
 from .grid import SizeGrid
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "config_echo", "default_xmax",
@@ -40,43 +41,6 @@ SWEEP_AXES = {
     "peak_center": ("conversion", "bell", "center"),
     "dose": None,
 }
-
-# key -> (RunConfig field, type tag, default); the model.* keys feed the
-# coefficient set rather than a field, and shapes are handled separately.
-# threads fills no field and must be 1: sweeps run serially, and existing
-# config files (the benchmark's among them) still set threads = 1
-_SCALAR_KEYS = {
-    "experiment": ("experiment", "enum:experiment", None),
-    "model.production": (None, "float", 2400.0),
-    "model.clearance": (None, "float", 4.0),
-    "model.x0": (None, "float", 0.0),
-    "grid.xmax": ("xmax", "float", None),
-    "grid.n": ("n", "int", 800),
-    "eigen.v_values": ("eigen_v_values", "floatlist", None),
-    "eigen.tol": ("eigen_tol", "float", 1e-10),
-    "steady.v_max": ("steady_v_max", "float", None),
-    "simulate.t_end": ("t_end", "float", 200.0),
-    "simulate.v_init": ("v_init", "float", None),
-    "simulate.seed_scale": ("seed_scale", "float", 1.0),
-    "simulate.record_every": ("record_every", "int", 1),
-    "simulate.snapshot_times": ("snapshot_times", "floatlist", (96.0,)),
-    "simulate.fit_start": ("fit_start", "float", 15.0),
-    "simulate.fit_end": ("fit_end", "float", 40.0),
-    "simulate.threshold_ratio": ("threshold_ratio", "float", 1e3),
-    "simulate.dt_max": ("dt_max", "float", None),
-    "sweep.axis": ("sweep_axis", "enum:axis", None),
-    "sweep.values": ("sweep_values", "floatlist", None),
-    "sweep.t_end": ("sweep_t_end", "float", 200.0),
-    "sweep.probe_time": ("probe_time", "float", 96.0),
-    "sweep.v_eval": ("sweep_v_eval", "float", None),
-    "sweep.threshold_ratio": ("sweep_threshold_ratio", "float", 1e3),
-    "sweep.record_every": ("sweep_record_every", "int", 4),
-    "output.dir": ("out_dir", "str", "out"),
-    "output.timings": ("timings", "bool", False),
-    "threads": (None, "int", 1),
-}
-
-_SHAPE_PREFIXES = ("model.conversion", "model.fragmentation", "model.decay")
 
 
 class ConfigError(ValueError):
@@ -114,41 +78,62 @@ def sweep_axis_error(coeffs: CoefficientSet, axis: str) -> Optional[str]:
         axis, "an" if shape[0] in "aeiou" else "a", shape, rate)
 
 
+def _key(key: str, tag: str, default=None):
+    """A RunConfig field set by config key ``key``, parsed by ``tag``."""
+    return dataclasses.field(metadata={"key": key, "tag": tag, "default": default})
+
+
 @dataclass
 class RunConfig:
     """Validated run description; see module docstring for the file format.
 
-    Built only by parse_config, which fills every field from _SCALAR_KEYS.
+    Each field but coeffs declares its config key, type tag and default.
+    Built only by parse_config, which fills every field.
     """
 
-    experiment: str
+    experiment: str = _key("experiment", "enum:experiment")
     coeffs: CoefficientSet
-    xmax: float
-    n: int
-    eigen_v_values: Optional[tuple]
-    eigen_tol: float
-    steady_v_max: Optional[float]
-    t_end: float
-    v_init: Optional[float]
-    seed_scale: float
-    record_every: int
-    snapshot_times: tuple
-    fit_start: float
-    fit_end: float
-    threshold_ratio: float
-    dt_max: Optional[float]
-    sweep_axis: Optional[str]
-    sweep_values: Optional[tuple]
-    sweep_t_end: float
-    probe_time: float
-    sweep_v_eval: Optional[float]
-    sweep_threshold_ratio: float
-    sweep_record_every: int
-    out_dir: str
-    timings: bool
+    xmax: float = _key("grid.xmax", "float")
+    n: int = _key("grid.n", "int", 800)
+    eigen_v_values: Optional[tuple] = _key("eigen.v_values", "floatlist")
+    eigen_tol: float = _key("eigen.tol", "float", DEFAULT_TOL)
+    t_end: float = _key("simulate.t_end", "float", 200.0)
+    v_init: Optional[float] = _key("simulate.v_init", "float")
+    seed_scale: float = _key("simulate.seed_scale", "float", 1.0)
+    record_every: int = _key("simulate.record_every", "int", 1)
+    snapshot_times: tuple = _key("simulate.snapshot_times", "floatlist", (96.0,))
+    fit_start: float = _key("simulate.fit_start", "float", 15.0)
+    fit_end: float = _key("simulate.fit_end", "float", 40.0)
+    threshold_ratio: float = _key("simulate.threshold_ratio", "float", 1e3)
+    dt_max: Optional[float] = _key("simulate.dt_max", "float")
+    sweep_axis: Optional[str] = _key("sweep.axis", "enum:axis")
+    sweep_values: Optional[tuple] = _key("sweep.values", "floatlist")
+    sweep_t_end: float = _key("sweep.t_end", "float", 200.0)
+    probe_time: float = _key("sweep.probe_time", "float", 96.0)
+    sweep_v_eval: Optional[float] = _key("sweep.v_eval", "float")
+    sweep_threshold_ratio: float = _key("sweep.threshold_ratio", "float", 1e3)
+    sweep_record_every: int = _key("sweep.record_every", "int", 4)
+    out_dir: str = _key("output.dir", "str", "out")
+    timings: bool = _key("output.timings", "bool", False)
 
     def make_grid(self) -> SizeGrid:
         return SizeGrid.uniform(self.xmax, self.n, x0=self.coeffs.x0)
+
+
+# key -> (RunConfig field, type tag, default).  The model.* keys feed the
+# coefficient set rather than a field, and shapes are handled separately.
+# threads fills no field and must be 1: sweeps run serially, and existing
+# config files (the benchmark's among them) still set threads = 1
+_SCALAR_KEYS = {
+    "model.production": (None, "float", 2400.0),
+    "model.clearance": (None, "float", 4.0),
+    "model.x0": (None, "float", 0.0),
+    "threads": (None, "int", 1),
+    **{f.metadata["key"]: (f.name, f.metadata["tag"], f.metadata["default"])
+       for f in dataclasses.fields(RunConfig) if f.metadata},
+}
+
+_SHAPE_PREFIXES = ("model.conversion", "model.fragmentation", "model.decay")
 
 
 def _parse_value(tag: str, raw: str, key: str, line_no: int, errors: list):

@@ -31,7 +31,6 @@ __all__ = [
     "DiscreteState",
     "DiscreteTrajectory",
     "integrate_discrete",
-    "calibration_mismatches",
     "matched_continuum_setup",
     "compare_continuum",
     "default_calibration",
@@ -181,39 +180,6 @@ def integrate_discrete(params: DiscreteParams, state: DiscreteState,
 
 # --- continuum cross-check -------------------------------------------------
 
-def calibration_mismatches(coeffs: CoefficientSet, params: DiscreteParams) -> list:
-    """Configuration errors that make a comparison meaningless.
-
-    The continuum side must carry a constant conversion equal to the
-    chain's, an origin-anchored linear splitting rate with slope equal to
-    the per-bond rate, a constant decay, and the same monomer source and
-    sink.  The n0 cutoff against a zero continuum x0 is a structural
-    difference, reported by compare_continuum, not an error here.
-    """
-    out = []
-
-    def close(a, b):
-        return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
-
-    if not (isinstance(coeffs.conversion, Constant)
-            and close(coeffs.conversion.value, params.conversion)):
-        out.append("conversion must be Constant(%g)" % params.conversion)
-    if not (isinstance(coeffs.fragmentation, Affine)
-            and coeffs.fragmentation.intercept == 0.0
-            and close(coeffs.fragmentation.slope, params.fragmentation)):
-        out.append("fragmentation must be Affine(0, %g)" % params.fragmentation)
-    if not (isinstance(coeffs.decay, Constant)
-            and close(coeffs.decay.value, params.decay)):
-        out.append("decay must be Constant(%g)" % params.decay)
-    if not close(coeffs.production, params.production):
-        out.append("production differs (%g vs %g)"
-                   % (coeffs.production, params.production))
-    if not close(coeffs.clearance, params.clearance):
-        out.append("clearance differs (%g vs %g)"
-                   % (coeffs.clearance, params.clearance))
-    return out
-
-
 def matched_continuum_setup(params: DiscreteParams):
     """Continuum twin of a chain: one unit-width cell per integer size."""
     coeffs = CoefficientSet(
@@ -235,9 +201,6 @@ def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
     against each other and against the constant-coefficient closed form.
     """
     coeffs, grid = matched_continuum_setup(params)
-    mismatches = calibration_mismatches(coeffs, params)
-    if mismatches:
-        raise ValueError("calibration: " + "; ".join(mismatches))
     vbar = params.production / params.clearance
 
     # uninfected: both integrators collapse to the same scalar V update

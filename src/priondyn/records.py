@@ -120,11 +120,6 @@ class ExperimentRecord:
     config_echo: dict
     results: dict
     diagnostics: dict = dc_field(default_factory=dict)
-    provenance: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.provenance:
-            self.provenance = {"version": PACKAGE_VERSION}
 
     def to_json(self, include_timings: bool = False) -> str:
         payload = {
@@ -132,14 +127,7 @@ class ExperimentRecord:
             "config": self.config_echo,
             "results": self.results,
             "diagnostics": self.diagnostics,
-            "provenance": self.provenance,
+            "provenance": {"version": PACKAGE_VERSION},
         }
         drop = () if include_timings else ("timings",)
         return canonical_json(payload, drop_keys=drop)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentRecord":
-        data = json.loads(text)
-        return cls(experiment=data["experiment"], config_echo=data["config"],
-                   results=data["results"], diagnostics=data["diagnostics"],
-                   provenance=data["provenance"])

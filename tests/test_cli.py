@@ -335,6 +335,25 @@ def test_peak_center_items_carry_root_counters(tmp_path):
         assert 0 < diag["root_evaluations"] <= diag["root_iterations"] + 1
 
 
+@pytest.mark.parametrize("name, body", [
+    ("steady", (CONFIG_DIR / "fig3.cfg").read_text()),
+    ("sweep", FAST_PEAK_SWEEP),
+])
+def test_eigen_tol_reaches_the_root_search(tmp_path, name, body):
+    # a looser eigen tolerance must loosen every solve of the root search,
+    # not only rename the output files
+    def root_iterations(text, tag):
+        (tmp_path / tag).mkdir()
+        code, out = _run(tmp_path / tag, name, text)
+        assert code == 0
+        return sum(json.loads(p.read_text())["diagnostics"]["root_iterations"]
+                   for p in out.glob("*.json") if name == "steady" or "-item-" in p.name)
+
+    strict = root_iterations(body, "strict")
+    loose = root_iterations(body + "eigen.tol = 1e-6\n", "loose")
+    assert loose < strict
+
+
 def test_tightness_item_without_interior_peak_locates_its_mode(tmp_path):
     # at a near-zero level the profile decreases from its first cell, so it
     # has no interior maximum: the one mode counted is the global maximum,

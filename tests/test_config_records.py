@@ -5,19 +5,22 @@ import ast
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import priondyn
-from priondyn import (Affine, Bell, ConfigError, Constant, ExperimentRecord,
-                      SizeGrid, canonical_json, config_echo, default_xmax,
-                      grid_hash, parse_config, write_csv)
+from priondyn import (PACKAGE_VERSION, Affine, Bell, ConfigError, Constant,
+                      ExperimentRecord, SizeGrid, canonical_json, config,
+                      config_echo, default_xmax, grid_hash, parse_config,
+                      write_csv)
 from priondyn.cli import _digest
 from priondyn.coefficients import SHAPES
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 # output-file tags of the shipped configs; an echo or schema edit that
 # renames the outputs fails here
@@ -81,10 +84,37 @@ def test_error_collection_is_exhaustive():
     ("model.kernel = uniform", "unknown key 'model.kernel'"),
     ("simulate.record_every = 0", "simulate.record_every must be at least 1"),
     ("sweep.record_every = -1", "sweep.record_every must be at least 1"),
+    ("steady.v_max = 100", "unknown key 'steady.v_max'"),
 ])
 def test_retired_and_out_of_range_keys_are_named(line, message):
     with pytest.raises(ConfigError, match=message):
         parse_config("experiment = steady\n" + line + "\n")
+
+
+@pytest.mark.parametrize("base", ["experiment = simulate\n",
+                                  "experiment = sweep\nsweep.axis = dose\nsweep.values = 1\n"])
+@pytest.mark.parametrize("key", sorted(k for k, (_, _, default) in config._SCALAR_KEYS.items()
+                                       if default is not None))
+def test_a_key_set_to_its_default_changes_nothing(base, key):
+    _, tag, default = config._SCALAR_KEYS[key]
+    text = ", ".join(map(str, default)) if tag == "floatlist" else str(default)
+    plain = parse_config(base)
+    explicit = parse_config(base + "%s = %s\n" % (key, text))
+    assert explicit == plain
+    assert config_echo(explicit) == config_echo(plain)
+
+
+def test_readme_key_table_lists_every_scalar_key():
+    text = (ROOT / "README.md").read_text()
+    table = text[text.index("| key | default | read by |"):].split("\n\n", 1)[0]
+    keys = {m.group(1) for m in re.finditer(r"^\| `([a-z0-9_.]+)` \|", table, re.M)}
+    assert keys == set(config._SCALAR_KEYS)
+
+
+def test_records_carry_the_packaged_version():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    version = re.search(r'^version\s*=\s*"([^"]+)"', pyproject, re.M).group(1)
+    assert PACKAGE_VERSION == version
 
 
 def test_threads_one_is_still_accepted():
@@ -228,12 +258,11 @@ def test_record_round_trip():
                            config_echo={"experiment": "eigen"},
                            results={"loss": [0.1, -0.2]},
                            diagnostics={"iterations": 7, "timings": {"t": 1.0}})
-    text = rec.to_json()
-    back = ExperimentRecord.from_json(text)
-    assert back.experiment == "eigen"
-    assert back.results["loss"] == [0.1, -0.2]
-    assert "timings" not in back.diagnostics
-    assert back.provenance["version"]
+    back = json.loads(rec.to_json())
+    assert back["experiment"] == "eigen"
+    assert back["results"]["loss"] == [0.1, -0.2]
+    assert "timings" not in back["diagnostics"]
+    assert back["provenance"] == {"version": priondyn.__version__}
     # timings only appear on request
     assert "timings" in json.loads(rec.to_json(include_timings=True))["diagnostics"]
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from priondyn import (Affine, Bell, CoefficientSet, Constant, DiscreteParams,
-                      DiscreteState, calibration_mismatches, compare_continuum,
+from priondyn import (DiscreteParams, DiscreteState, compare_continuum,
                       default_calibration, integrate_discrete,
                       matched_continuum_setup)
 
@@ -78,30 +77,21 @@ def test_record_every_below_one_is_refused():
         integrate_discrete(p, s, t_end=0.5, dt=0.1, record_every=0)
 
 
-# --- calibration guard -----------------------------------------------------
+# --- continuum twin --------------------------------------------------------
 
-def test_calibration_accepts_matched_shapes():
+def test_continuum_twin_carries_the_chain_rates_and_size():
     p = default_calibration()
-    coeffs, _ = matched_continuum_setup(p)
-    assert calibration_mismatches(coeffs, p) == []
-
-
-def test_calibration_flags_each_mismatch():
-    p = default_calibration()
-    good, _ = matched_continuum_setup(p)
-
-    import dataclasses
-    bad_conv = dataclasses.replace(good, conversion=Bell(0.01, 0.1, 2.0, width_sq=0.1))
-    assert any("conversion" in m for m in calibration_mismatches(bad_conv, p))
-
-    bad_frag = dataclasses.replace(good, fragmentation=Affine(0.01, 5e-4))
-    assert any("fragmentation" in m for m in calibration_mismatches(bad_frag, p))
-
-    bad_decay = dataclasses.replace(good, decay=Constant(0.5))
-    assert any("decay" in m for m in calibration_mismatches(bad_decay, p))
-
-    bad_prod = dataclasses.replace(good, production=100.0)
-    assert any("production" in m for m in calibration_mismatches(bad_prod, p))
+    coeffs, grid = matched_continuum_setup(p)
+    x = grid.centers
+    assert (coeffs.production, coeffs.clearance, coeffs.x0) == \
+        (p.production, p.clearance, 0.0)
+    np.testing.assert_allclose(coeffs.conversion(x), p.conversion, rtol=1e-15)
+    np.testing.assert_allclose(coeffs.fragmentation(x), p.fragmentation * x,
+                               rtol=1e-15)
+    np.testing.assert_allclose(coeffs.decay(x), p.decay, rtol=1e-15)
+    # one unit-width cell per integer size of the chain
+    assert grid.n == p.n_max
+    np.testing.assert_array_equal(grid.widths, 1.0)
 
 
 def test_compare_rejects_empty_fit_window():

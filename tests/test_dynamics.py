@@ -1,5 +1,6 @@
 """Time integration: conservation books, growth fits, stability probes."""
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -215,7 +216,7 @@ def test_sweep_isolates_failures(tmp_path):
         "grid.xmax = 30.0",
         "",
     ]))
-    good, bad = sweep(cfg, axis="bell_amplitude", values=[0.01, -5.0])
+    good, bad = sweep(dataclasses.replace(cfg, sweep_values=(0.01, -5.0)))
     assert "error" not in good.diagnostics
     assert good.results
     assert bad.diagnostics["error"]
@@ -233,9 +234,10 @@ def test_sweep_refuses_an_axis_the_shape_cannot_take(tmp_path):
         "",
     ]))
     with pytest.raises(ValueError, match="requires a scaled_bell conversion"):
-        sweep(cfg, axis="tightness", values=[0.1, 0.2])
+        sweep(dataclasses.replace(cfg, sweep_axis="tightness",
+                                  sweep_values=(0.1, 0.2)))
     with pytest.raises(ValueError, match="unknown sweep axis"):
-        sweep(cfg, axis="width", values=[0.1])
+        sweep(dataclasses.replace(cfg, sweep_axis="width", sweep_values=(0.1,)))
 
 
 # --- stability -------------------------------------------------------------

@@ -77,7 +77,7 @@ def _fake_loss_rate(monkeypatch, f):
     """Replace the eigen solve inside the root search by a scalar f(v)."""
     levels, warm = [], []
 
-    def fake(gen, v, u0=None):
+    def fake(gen, v, tol, u0=None):
         levels.append(v)
         warm.append(u0 is not None)
         u = None if v == 0.0 else np.full(gen.grid.n, 1.0 / gen.grid.xmax)
