@@ -90,15 +90,16 @@ class DiscreteTrajectory:
     steps: int
 
 
-def _rhs(params: DiscreteParams, sizes: np.ndarray, u: np.ndarray, v: float):
-    tau, beta, mu = params.conversion, params.fragmentation, params.decay
+def _rhs(params: DiscreteParams, loss: np.ndarray, u: np.ndarray, v: float):
+    """Right-hand side; loss is the fixed diagonal -(decay + splitting)."""
+    tau, beta = params.conversion, params.fragmentation
     count = u.sum()
     # suffix sums: tail[k] = sum of u over sizes strictly above sizes[k]
     tail = np.cumsum(u[::-1])[::-1] - u
     shifted = np.empty_like(u)
     shifted[0] = 0.0
     shifted[1:] = u[:-1]
-    du = (-(mu + beta * (sizes - 1.0)) * u
+    du = (loss * u
           - tau * v * (u - shifted)
           + 2.0 * beta * tail)
     dv = (params.production - params.clearance * v - tau * v * count
@@ -106,33 +107,35 @@ def _rhs(params: DiscreteParams, sizes: np.ndarray, u: np.ndarray, v: float):
     return du, dv
 
 
-def _heun_step(params: DiscreteParams, sizes, u, v, dt, depth=0):
+def _heun_step(params: DiscreteParams, sizes, loss, u, v, dt, depth=0):
     """One two-stage step; on a negative stage, recurse on two half steps.
 
-    sizes is params.sizes, built once by the caller.
+    sizes is params.sizes and loss the diagonal _rhs takes, both built once
+    by the caller.
     """
-    du1, dv1 = _rhs(params, sizes, u, v)
+    du1, dv1 = _rhs(params, loss, u, v)
     u1 = u + dt * du1
     v1 = v + dt * dv1
     if u1.min() >= 0.0 and v1 >= 0.0:
-        du2, dv2 = _rhs(params, sizes, u1, v1)
+        du2, dv2 = _rhs(params, loss, u1, v1)
         u2 = 0.5 * u + 0.5 * (u1 + dt * du2)
         v2 = 0.5 * v + 0.5 * (v1 + dt * dv2)
         if u2.min() >= 0.0 and v2 >= 0.0:
             # stage-consistent book for this step
             top_rate = params.conversion * (params.n_max + 1.0)
+            mass = sizes @ u
             src = 0.5 * ((params.production - params.clearance * v
-                          - params.decay * (sizes @ u) - top_rate * v * u[-1])
+                          - params.decay * mass - top_rate * v * u[-1])
                          + (params.production - params.clearance * v1
                             - params.decay * (sizes @ u1) - top_rate * v1 * u1[-1]))
-            dvp = (v2 + sizes @ u2 - v - sizes @ u) / dt
+            dvp = (v2 + sizes @ u2 - v - mass) / dt
             resid = abs(dvp - src) / (abs(u).sum() + v)
             return u2, v2, resid
     if depth >= 20:
         raise RuntimeError("discrete step kept producing negative densities "
                            "after 20 halvings (dt=%g)" % dt)
-    u, v, r1 = _heun_step(params, sizes, u, v, 0.5 * dt, depth + 1)
-    u, v, r2 = _heun_step(params, sizes, u, v, 0.5 * dt, depth + 1)
+    u, v, r1 = _heun_step(params, sizes, loss, u, v, 0.5 * dt, depth + 1)
+    u, v, r2 = _heun_step(params, sizes, loss, u, v, 0.5 * dt, depth + 1)
     return u, v, max(r1, r2)
 
 
@@ -148,6 +151,7 @@ def integrate_discrete(params: DiscreteParams, state: DiscreteState,
     if state.u.shape != sizes.shape:
         raise ValueError("state has %d bins; params expect %d"
                          % (state.u.size, sizes.size))
+    loss = -(params.decay + params.fragmentation * (sizes - 1.0))
     u = state.u.astype(float).copy()
     v = float(state.v)
     t = state.t
@@ -157,7 +161,7 @@ def integrate_discrete(params: DiscreteParams, state: DiscreteState,
     steps = 0
     while t < t_end - 1e-12:
         step = min(dt, t_end - t)
-        u, v, resid = _heun_step(params, sizes, u, v, step)
+        u, v, resid = _heun_step(params, sizes, loss, u, v, step)
         if not (np.isfinite(v) and np.isfinite(u).all()):
             raise RuntimeError("discrete integration diverged at t=%g" % t)
         resid_max = max(resid_max, resid)

@@ -149,10 +149,12 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     V = float(initial.v)
     t = initial.t
 
+    # count, mass and decay sink of u, carried over from each accepted stage
+    rho_u, p_u, mu_u = u @ h, xh @ u, muxh @ u
     rec_t = [t]
     rec_v = [V]
-    rec_rho = [float(u @ h)]
-    rec_p = [float(u @ xh)]
+    rec_rho = [float(rho_u)]
+    rec_p = [float(p_u)]
     rec_steps = [0]
     residuals: list = []
     flux_total = 0.0
@@ -208,19 +210,24 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
             rejections += 1
             rejections_by_stage["monomer" if V2 < 0.0 else "polymer"] += 1
             continue
-        if not (np.isfinite(V2) and np.isfinite(u2).all()):
+        # no entry of u2 is negative and xh > 0, so its mass is finite iff
+        # every entry is (short of the sum overflowing)
+        p_u2 = xh @ u2
+        if not (np.isfinite(V2) and np.isfinite(p_u2)):
             raise IntegratorFailure(
                 "non-finite state at t=%g" % t,
                 state=PolymerState(v=V, u=u.copy(), grid=grid, t=t))
 
         # books: realized d(V+P)/dt against the stage-averaged sources
-        dvp = (V2 + xh @ u2 - V - xh @ u) / dt
-        src = 0.5 * ((lam - gam * V - muxh @ u - V * fluxw * u[-1])
-                     + (lam - gam * V1 - muxh @ u1 - V1 * fluxw * u1[-1]))
-        residuals.append(abs(dvp - src) / (float(np.abs(u) @ h) + V))
-        flux_total += 0.5 * dt * (V * fluxw * u[-1] + V1 * fluxw * u1[-1])
+        dvp = (V2 + p_u2 - V - p_u) / dt
+        out0, out1 = V * fluxw * u[-1], V1 * fluxw * u1[-1]
+        src = 0.5 * ((lam - gam * V - mu_u - out0)
+                     + (lam - gam * V1 - muxh @ u1 - out1))
+        residuals.append(abs(dvp - src) / (float(rho_u) + V))
+        flux_total += 0.5 * dt * (out0 + out1)
 
         u, V = u2, V2
+        rho_u, p_u, mu_u = u @ h, p_u2, muxh @ u
         t = next_event if hit_event else t + dt
         steps += 1
         steps_by_limit["event" if hit_event else limit] += 1
@@ -235,8 +242,8 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         if steps % record_every == 0 or t >= t_end - 1e-12:
             rec_t.append(t)
             rec_v.append(V)
-            rec_rho.append(float(u @ h))
-            rec_p.append(float(u @ xh))
+            rec_rho.append(float(rho_u))
+            rec_p.append(float(p_u))
             rec_steps.append(steps)
 
     final = PolymerState(v=V, u=u.copy(), grid=grid, t=t)

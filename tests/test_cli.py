@@ -1,5 +1,6 @@
 """Command-line harness: files out, exit codes, reproducible bytes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -406,7 +407,7 @@ def test_integration_counters_explain_steps_and_rejections(tmp_path):
         assert d["steps_by_limit"]["event"] == 2
 
 
-COSTLY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.signal")
+COSTLY_SCIPY = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.signal")
 
 
 def _fresh_python(*args):
@@ -467,6 +468,93 @@ def test_integration_runs_load_no_scipy(tmp_path):
     # scipy modules after the import, exit code and check, scipy modules
     # after the sweep and the cross-check
     assert proc.stdout.split("\n")[:3] == ["", "0 True", ""]
+
+
+def _solving_runs(tmp_path, tag, prelude=()):
+    """An eigen and a steady run in one fresh interpreter.
+
+    Returns whether the ``scipy.linalg`` package and its LAPACK extension
+    were loaded afterwards, and the bytes written, by relative path.
+    """
+    eigen_cfg, steady_cfg = tmp_path / "scan.cfg", tmp_path / "steady.cfg"
+    eigen_cfg.write_text(FAST_EIGEN)
+    steady_cfg.write_text(FAST_STEADY)
+    out = tmp_path / tag
+    code = "\n".join([
+        *prelude,
+        "import sys",
+        "from priondyn.cli import main",
+        "assert main(['eigen', '--config', %r, '--out', %r]) == 0" % (str(eigen_cfg), str(out)),
+        "assert main(['steady', '--config', %r, '--out', %r]) == 0" % (str(steady_cfg), str(out)),
+        "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)",
+    ])
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    written = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    return proc.stdout.split(), written
+
+
+def test_solving_runs_load_only_the_lapack_extension(tmp_path):
+    loaded, written = _solving_runs(tmp_path, "fast")
+    assert loaded == ["False", "True"]
+    assert len(written) >= 2
+
+
+def test_lapack_fallback_writes_the_same_bytes(tmp_path):
+    # with no extension suffix to try, the file lookup fails and the
+    # public scipy.linalg import serves the solves instead
+    _, fast = _solving_runs(tmp_path, "fast")
+    loaded, fallback = _solving_runs(
+        tmp_path, "fallback",
+        prelude=("import importlib.machinery",
+                 "importlib.machinery.EXTENSION_SUFFIXES = []"))
+    assert loaded == ["True", "True"]
+    assert fallback == fast
+
+
+def test_scipy_linalg_imports_cleanly_after_a_solve():
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from priondyn import CoefficientSet, Generator, SizeGrid",
+        "gen = Generator(CoefficientSet(production=2400.0, clearance=4.0),"
+        " SizeGrid.uniform(30.0, 60))",
+        "b = np.linspace(1.0, 2.0, 60)",
+        "x = gen.solve_shifted(100.0, 5.0, b)",
+        "ext = sys.modules['scipy.linalg._flapack']",
+        "import scipy.linalg",
+        "from scipy.linalg import lapack",
+        "print(lapack.dgbtrf is ext.dgbtrf, lapack.dgbtrs is ext.dgbtrs)",
+        "w = scipy.linalg.eig(np.array([[2.0, 1.0], [0.0, 3.0]]), right=False)",
+        "print(np.allclose(np.sort(w.real), [2.0, 3.0]))",
+        "ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])",
+        "print(np.allclose(scipy.linalg.solve_banded((1, 1), ab, [5.0, 6.0, 5.0]), 1.0))",
+        "print(gen.solve_shifted(100.0, 5.0, b).tobytes() == x.tobytes())",
+    ])
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * 5
+
+
+def test_only_the_lapack_fallback_imports_scipy_linalg():
+    # every other solve path goes through operator._lapack
+    import priondyn
+    found = []
+    for path in sorted(Path(priondyn.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + ["%s.%s" % (node.module, a.name) for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+                owners = [f.name for f in functions
+                          if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((path.name, owners[-1] if owners else None))
+    assert found == [("operator.py", "_lapack")]
 
 
 @pytest.mark.parametrize("module", ["priondyn", "priondyn.cli"])

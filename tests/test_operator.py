@@ -88,6 +88,37 @@ def test_structured_generator_matches_dense(n, xmax, x0_frac, bell, amplitude,
     np.testing.assert_allclose(gen.solve_shifted(v, s, u, adjoint=True), y,
                                rtol=0, atol=1e-12 * np.abs(y).max())
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=64),
+    bell=st.booleans(),
+    v=st.floats(min_value=0.0, max_value=4000.0),
+    data=st.data(),
+)
+def test_generator_apply_is_the_band_by_band_sum(n, bell, v, data):
+    # the fused apply must keep the bits of the plain sum, zeros included
+    coeffs = BELLY if bell else CONST
+    gen = Generator(coeffs, SizeGrid.uniform(30.0, n))
+    entries = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6))
+    u, w = (np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
+            for _ in range(2))
+
+    def band_by_band(u):
+        out = gen.diagonal(v) * u
+        out[1:] += v * gen.t_sub * u[:-1]
+        out[:-1] += gen.gain1 * u[1:]
+        out[:-2] += gen.gain2 * u[2:]
+        out[:-3] += np.cumsum((gen.far_gain * u)[:2:-1])[::-1]
+        return out
+
+    first = gen.apply(v, u)
+    second = gen.apply(v, w)
+    assert np.array_equal(first, band_by_band(u))
+    assert np.array_equal(second, band_by_band(w))
+    assert not np.shares_memory(first, second)
+
+
 # --- duality ---------------------------------------------------------------
 
 def test_adjoint_duality_random_pairs():
