@@ -36,19 +36,9 @@ from .steady import (BimodalityReport, SteadyState, StationaryCheck,
 
 __version__ = PACKAGE_VERSION
 
-
-def __getattr__(name):
-    # the command line loads on first use, not with the package, so that
-    # ``python -m priondyn.cli`` does not find it imported already
-    if name == "sweep":
-        from .cli import sweep
-        return sweep
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
 __all__ = [
     "Affine", "Bell", "CoefficientSet", "CoefficientShape", "Constant",
     "ScaledBell", "eval_coefficients",
-    "sweep",
     "ConfigError", "RunConfig", "config_echo", "default_xmax", "parse_config",
     "DiscreteParams", "DiscreteState", "DiscreteTrajectory",
     "compare_continuum", "default_calibration",

@@ -83,7 +83,6 @@ class DiscreteTrajectory:
     times: np.ndarray
     v_series: np.ndarray
     count_series: np.ndarray
-    mass_series: np.ndarray
     final_state: DiscreteState
     mass_residual_max: float
     top_bin_share: float
@@ -155,7 +154,7 @@ def integrate_discrete(params: DiscreteParams, state: DiscreteState,
     u = state.u.astype(float).copy()
     v = float(state.v)
     t = state.t
-    times, vs, counts, masses = [t], [v], [u.sum()], [sizes @ u]
+    times, vs, counts = [t], [v], [u.sum()]
     resid_max = 0.0
     top_share = 0.0
     steps = 0
@@ -174,11 +173,9 @@ def integrate_discrete(params: DiscreteParams, state: DiscreteState,
             times.append(t)
             vs.append(v)
             counts.append(u.sum())
-            masses.append(sizes @ u)
     return DiscreteTrajectory(
         times=np.asarray(times), v_series=np.asarray(vs),
-        count_series=np.asarray(counts), mass_series=np.asarray(masses),
-        final_state=DiscreteState(v=v, u=u, t=t),
+        count_series=np.asarray(counts), final_state=DiscreteState(v=v, u=u, t=t),
         mass_residual_max=resid_max, top_bin_share=top_share, steps=steps)
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .eigen import HypothesisConstants, adjoint_eigenpair, hypothesis_constants, principal_eigenpair
+from .eigen import HypothesisConstants, adjoint_eigenpair, hypothesis_constants
 from .grid import PolymerState, SizeGrid
 from .kernel import below_cutoff_mass_share
 from .operator import Generator
@@ -316,7 +316,6 @@ class IncubationResult:
 
     t_incubation: Optional[float]
     threshold: float
-    inoculation: float
     predicted: Optional[float]
     measured_growth_rate: Optional[float]
     reached: bool
@@ -336,9 +335,8 @@ def incubation_time(traj: Trajectory, threshold: float, inoculation: float,
         predicted = float(np.log(threshold / inoculation) / (-loss_rate_at_vbar))
     if above.size == 0:
         return IncubationResult(t_incubation=None, threshold=threshold,
-                                inoculation=inoculation, predicted=predicted,
-                                measured_growth_rate=None, reached=False,
-                                final_rho=float(rho[-1]))
+                                predicted=predicted, measured_growth_rate=None,
+                                reached=False, final_rho=float(rho[-1]))
     i = int(above[0])
     if i == 0:
         t_cross = float(t[0])
@@ -353,9 +351,8 @@ def incubation_time(traj: Trajectory, threshold: float, inoculation: float,
         except ValueError:
             measured = None
     return IncubationResult(t_incubation=t_cross, threshold=threshold,
-                            inoculation=inoculation, predicted=predicted,
-                            measured_growth_rate=measured, reached=True,
-                            final_rho=float(rho[-1]))
+                            predicted=predicted, measured_growth_rate=measured,
+                            reached=True, final_rho=float(rho[-1]))
 
 
 # --- stability experiment --------------------------------------------------
@@ -365,24 +362,25 @@ class StabilityResult:
     """Outcome of a perturbation run around the uninfected state.
 
     verdict: "stable" (weighted norm decayed exponentially), "unstable"
-    (projection escaped the 10-epsilon ball), or "inconclusive".  The
-    comparator min(delta, clearance) is the decay-rate benchmark, with
-    delta = loss_rate(vbar)/2 in the damping regime; the fitted rate is
-    compared against it qualitatively, not asserted here.
+    (projection escaped the 10-epsilon ball), or "inconclusive".  regime is
+    "damping" when loss_rate_at_vbar, read off the adjoint solve at vbar,
+    is positive, else "amplifying".  In the damping regime the comparator
+    min(loss_rate_at_vbar/2, clearance) is the decay rate the duality
+    argument gives the functional; it is None otherwise.  norm_values
+    holds the functional at the sampled instants, constants the
+    comparison constants of the adjoint weight, alpha_weight the weight
+    of its polymer part.
     """
 
     verdict: str
     regime: str
     fitted_rate: Optional[float]
     comparator: Optional[float]
-    delta: Optional[float]
     alpha_weight: float
     loss_rate_at_vbar: float
     v_inf: Optional[float]
     vbar: float
-    epsilon: float
     constants: HypothesisConstants
-    norm_times: np.ndarray
     norm_values: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
@@ -401,15 +399,14 @@ def stability_experiment(coeffs: CoefficientSet, grid: SizeGrid, epsilon: float,
     if coeffs.clearance <= 0.0:
         raise ValueError("stability experiment needs a positive clearance")
     vbar = coeffs.vbar
-    lam_vbar = principal_eigenpair(coeffs, grid, vbar).lambda_eig
     adj = adjoint_eigenpair(coeffs, grid, vbar)
+    lam_vbar = adj.lambda_eig
     consts = hypothesis_constants(coeffs, adj)
     phi = adj.phi_vec
     root = find_v_inf(coeffs, grid)
     v_inf = root.v_inf if root.found else None
     regime = "damping" if lam_vbar > 0.0 else "amplifying"
-    delta = lam_vbar / 2.0 if lam_vbar > 0.0 else None
-    comparator = min(delta, coeffs.clearance) if delta is not None else None
+    comparator = min(lam_vbar / 2.0, coeffs.clearance) if lam_vbar > 0.0 else None
     alpha = 2.0 * consts.k2 * vbar / lam_vbar if lam_vbar > 0.0 else 1.0
 
     if t_end is None:
@@ -453,8 +450,7 @@ def stability_experiment(coeffs: CoefficientSet, grid: SizeGrid, epsilon: float,
         diagnostics["note"] = ("functional neither decayed below 1/e of its "
                                "initial value nor escaped the 10x ball")
     return StabilityResult(verdict=verdict, regime=regime, fitted_rate=fitted,
-                           comparator=comparator, delta=delta,
-                           alpha_weight=alpha, loss_rate_at_vbar=lam_vbar,
-                           v_inf=v_inf, vbar=vbar, epsilon=epsilon,
-                           constants=consts, norm_times=times,
-                           norm_values=norms, diagnostics=diagnostics)
+                           comparator=comparator, alpha_weight=alpha,
+                           loss_rate_at_vbar=lam_vbar, v_inf=v_inf, vbar=vbar,
+                           constants=consts, norm_values=norms,
+                           diagnostics=diagnostics)

@@ -98,7 +98,6 @@ class EigenSolution:
 
 def _principal_on_matrix(gen: Generator, v: float,
                          tol: float = DEFAULT_TOL,
-                         max_iter: int = DEFAULT_MAX_ITER,
                          adjoint: bool = False,
                          u0: Optional[np.ndarray] = None):
     """Perron pair of L(v), or of its adjoint, by Noda-style inverse iteration.
@@ -112,9 +111,11 @@ def _principal_on_matrix(gen: Generator, v: float,
     below it and raises PositivityViolationError rather than being clipped.
     The iteration stops when the l1 residual |Au - nu*u| of the l1-normed
     iterate drops below tol * scale, scale the largest absolute row sum of
-    A.  Every failure names the monomer level.  u0, a nonnegative start
-    vector (a converged eigenvector at a nearby level), replaces the flat
-    start; the shift rule and the positivity guard are the same.
+    A; after DEFAULT_MAX_ITER steps (read at call time) it raises
+    EigenConvergenceError.  Every failure names the monomer level.  u0, a
+    nonnegative start vector (a converged eigenvector at a nearby level),
+    replaces the flat start; the shift rule and the positivity guard are
+    the same.
 
     Returns (nu, vec, residual, residual_log, iterations), sum(vec*h) = 1.
     """
@@ -127,7 +128,7 @@ def _principal_on_matrix(gen: Generator, v: float,
     nu = float(u @ au) / float(u @ u)
     res_log: list = []
     r = float("inf")
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         big = u > 1e-8 * u.max()
         s = max(float((au[big] / u[big]).max()), nu) + 1e-12 * scale
         w = gen.solve_shifted(v, s, u, adjoint=adjoint)
@@ -145,13 +146,12 @@ def _principal_on_matrix(gen: Generator, v: float,
     else:
         raise EigenConvergenceError(
             "no convergence at level v=%g after %d inverse iterations "
-            "(residual %.3e, needed %.3e)" % (v, max_iter, r, tol * scale),
+            "(residual %.3e, needed %.3e)" % (v, DEFAULT_MAX_ITER, r, tol * scale),
             last_residual=r)
     return nu, u / (u @ gen.grid.widths), r, res_log, it
 
 
 def generator_eigenpair(gen: Generator, v: float, tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER,
                         u0: Optional[np.ndarray] = None) -> EigenSolution:
     """Loss rate and unit-count profile of a prebuilt generator at level v.
 
@@ -167,22 +167,19 @@ def generator_eigenpair(gen: Generator, v: float, tol: float = DEFAULT_TOL,
         return EigenSolution(v=0.0, lambda_eig=float(gen.loss.min()), u_vec=None,
                              phi_vec=None, residual=0.0, iterations=0,
                              grid=gen.grid, degenerate=True)
-    nu, vec, r, log, it = _principal_on_matrix(gen, v, tol=tol, max_iter=max_iter,
-                                               u0=u0)
+    nu, vec, r, log, it = _principal_on_matrix(gen, v, tol=tol, u0=u0)
     return EigenSolution(v=float(v), lambda_eig=-nu, u_vec=vec, phi_vec=None,
                          residual=r, iterations=it, grid=gen.grid,
                          residual_log=log)
 
 
 def principal_eigenpair(coeffs: CoefficientSet, grid: SizeGrid, v: float,
-                        tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER) -> EigenSolution:
+                        tol: float = DEFAULT_TOL) -> EigenSolution:
     """Loss rate and nonnegative size profile at monomer level v.
 
     See ``generator_eigenpair``; this builds the generator for one call.
     """
-    return generator_eigenpair(Generator(coeffs, grid), v, tol=tol,
-                               max_iter=max_iter)
+    return generator_eigenpair(Generator(coeffs, grid), v, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -232,9 +229,7 @@ def eigenvalue_from_moments(solution: EigenSolution, coeffs: CoefficientSet) -> 
                            mass_flux=float(mass_flux) / mass)
 
 
-def adjoint_eigenpair(coeffs: CoefficientSet, grid: SizeGrid, v: float,
-                      tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> EigenSolution:
+def adjoint_eigenpair(coeffs: CoefficientSet, grid: SizeGrid, v: float) -> EigenSolution:
     """Adjoint weight and its loss rate at monomer level v.
 
     The adjoint matrix shares the primal spectrum, so lambda_eig here must
@@ -247,8 +242,8 @@ def adjoint_eigenpair(coeffs: CoefficientSet, grid: SizeGrid, v: float,
     if v == 0.0:
         raise ValueError("adjoint weight is not defined at zero monomer level "
                          "(degenerate transport)")
-    nu, vec, r, log, it = _principal_on_matrix(Generator(coeffs, grid), v, tol=tol,
-                                               max_iter=max_iter, adjoint=True)
+    nu, vec, r, log, it = _principal_on_matrix(Generator(coeffs, grid), v,
+                                               adjoint=True)
     x = grid.centers
     # extrapolate to x0 through the first two cell centers
     phi0 = vec[0] + (grid.x0 - x[0]) * (vec[1] - vec[0]) / (x[1] - x[0])
@@ -312,20 +307,16 @@ class HypothesisConstants:
     """Sampled bounds relating conversion speed to the adjoint weight.
 
     k1 bounds |conv * phi'| / phi, k2 bounds conv/phi from above, k_lower
-    from below.  The primary values are taken over the trusted window
-    [x0, x0 + 0.8*(xmax - x0)]: the discrete adjoint develops an outflow
-    boundary layer near xmax whose spurious gradients would otherwise
-    dominate k1.  Full-grid values are reported alongside for honesty.
-    k_lower shrinks as xmax grows whenever phi is unbounded, so it always
-    depends on the domain and has no clean limit.
+    from below, all over the trusted window [x0, x0 + 0.8*(xmax - x0)]:
+    the discrete adjoint develops an outflow boundary layer near xmax whose
+    spurious gradients would otherwise dominate k1.  k_lower shrinks as
+    xmax grows whenever phi is unbounded, so it always depends on the
+    domain and has no clean limit.  v is the level of the adjoint weight.
     """
 
     k1: float
     k2: float
     k_lower: float
-    k1_full_grid: float
-    k2_full_grid: float
-    k_lower_full_grid: float
     v: float
 
 
@@ -350,6 +341,4 @@ def hypothesis_constants(coeffs: CoefficientSet,
     win = x <= grid.x0 + 0.8 * (grid.xmax - grid.x0)
     return HypothesisConstants(
         k1=float(ratio1[win].max()), k2=float(ratio2[win].max()),
-        k_lower=float(ratio2[win].min()),
-        k1_full_grid=float(ratio1.max()), k2_full_grid=float(ratio2.max()),
-        k_lower_full_grid=float(ratio2.min()), v=float(adjoint.v))
+        k_lower=float(ratio2[win].min()), v=float(adjoint.v))

@@ -158,7 +158,6 @@ class SteadyState:
     grid: SizeGrid
     coeffs: CoefficientSet
     u_profile: np.ndarray = field(repr=False)
-    conv_average: float = 0.0
     root: Optional[VInfResult] = None
 
     def center_of_mass(self) -> float:
@@ -185,7 +184,7 @@ def build_steady_state(coeffs: CoefficientSet, grid: SizeGrid,
         u_inf = rho * sol.u_vec
     return SteadyState(v_inf=root.v_inf, rho_inf=rho, u_inf=u_inf,
                        exists=exists, vbar=coeffs.vbar, grid=grid, coeffs=coeffs,
-                       u_profile=sol.u_vec, conv_average=conv_avg, root=root)
+                       u_profile=sol.u_vec, root=root)
 
 
 @dataclass(frozen=True)
@@ -267,7 +266,6 @@ class BimodalityReport:
     necessary_condition_met: Optional[bool]
     center_of_mass: float
     secondary_mass_fraction: float
-    prominences: np.ndarray
 
 
 def _prominent_peaks(x: np.ndarray, min_prominence: float):
@@ -326,7 +324,7 @@ def bimodality_report(ss: SteadyState) -> BimodalityReport:
     coeffs = ss.coeffs
     grid = ss.grid
     u = ss.u_profile
-    idx, prom = detect_modes(u, grid)
+    idx, _ = detect_modes(u, grid)
     locations = grid.centers[idx]
 
     frac = 0.0
@@ -347,5 +345,4 @@ def bimodality_report(ss: SteadyState) -> BimodalityReport:
     return BimodalityReport(n_modes=int(idx.size), mode_locations=locations,
                             necessary_condition_met=cond,
                             center_of_mass=ss.center_of_mass(),
-                            secondary_mass_fraction=float(frac),
-                            prominences=np.asarray(prom, dtype=float))
+                            secondary_mass_fraction=float(frac))

@@ -568,8 +568,10 @@ def test_module_entry_points_run_cleanly(module):
 def test_console_script_runs():
     import shutil
     exe = shutil.which("priondyn")
-    cmd = [exe, "--help"] if exe else [sys.executable, "-m", "priondyn", "--help"]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if exe:
+        proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
+    else:
+        proc = _fresh_python("-m", "priondyn", "--help")
     # argparse prints usage and exits 0 on --help
     assert proc.returncode == 0
     assert all(name in proc.stdout for name in config.EXPERIMENTS)

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from priondyn import (Bell, CoefficientSet, PolymerState, SizeGrid,
+from priondyn import (Bell, CoefficientSet, EigenConvergenceError,
+                      PolymerState, PositivityViolationError, SizeGrid,
                       Trajectory, adjoint_eigenpair, growth_rate,
                       hypothesis_constants,
-                      incubation_time, integrate, seed_state,
-                      stability_experiment, sweep)
+                      incubation_time, integrate, principal_eigenpair,
+                      seed_state, stability_experiment)
+from priondyn.cli import sweep
 from priondyn.config import parse_config
 from priondyn.reference import loss_rate_constant
 
@@ -193,6 +195,37 @@ def test_state_stays_nonnegative(scale, t_end):
     assert np.all(np.asarray(traj.rho_series) >= 0.0)
 
 
+def _log_uniform(lo, hi):
+    return st.floats(min_value=np.log10(lo), max_value=np.log10(hi)).map(
+        lambda e: 10.0 ** e)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(amplitude=st.floats(min_value=1e-3, max_value=1e-1),
+       center=st.floats(min_value=1.0, max_value=5.0),
+       width_sq=_log_uniform(1e-4, 1e-1),
+       n=st.integers(min_value=100, max_value=1600),
+       v=_log_uniform(1e-3, 1e5))
+def test_refining_or_sharpening_never_breaks_a_run(amplitude, center, width_sq, n, v):
+    # the envelope of grids and bumps a config accepts: each solve returns
+    # a nonnegative vector or raises a named error, and a short run from
+    # the uninfected level keeps its books and its sign
+    coeffs = CoefficientSet(production=2400.0, clearance=4.0,
+                            conversion=Bell(0.001, amplitude, center, width_sq))
+    grid = SizeGrid.uniform(30.0, n)
+    for solve, vector in ((principal_eigenpair, "u_vec"),
+                          (adjoint_eigenpair, "phi_vec")):
+        try:
+            sol = solve(coeffs, grid, v)
+        except (EigenConvergenceError, PositivityViolationError):
+            continue
+        assert getattr(sol, vector).min() >= 0.0
+    traj = integrate(coeffs, grid, seed_state(coeffs, grid), t_end=2.0)
+    assert traj.max_residual <= 1e-8
+    assert traj.final_state.u.min() >= 0.0
+    assert traj.final_state.v >= 0.0
+
+
 # --- sweep plumbing --------------------------------------------------------
 
 def _sweep_cfg(tmp_path, body):
@@ -250,6 +283,9 @@ def test_stability_low_production_damps():
     assert res.verdict == "stable"
     assert res.loss_rate_at_vbar > 0.0
     assert res.fitted_rate > 0.0
+    # the functional decays at least at min(loss_rate(vbar)/2, clearance),
+    # the rate the duality argument gives
+    assert res.fitted_rate >= res.comparator
     assert res.alpha_weight > 0.0
     assert res.v_inf is None or res.v_inf > res.vbar
 
@@ -257,18 +293,19 @@ def test_stability_low_production_damps():
 def test_stability_solves_the_adjoint_once(monkeypatch):
     eigen_module = importlib.import_module("priondyn.eigen")
     solve = eigen_module._principal_on_matrix
-    adjoint_levels = []
+    solves = []
 
     def counting(gen, v, **kw):
-        if kw.get("adjoint"):
-            adjoint_levels.append(v)
+        solves.append((v, bool(kw.get("adjoint"))))
         return solve(gen, v, **kw)
 
     coeffs = CoefficientSet(production=240.0, clearance=4.0)
     grid = SizeGrid.uniform(30.0, 200)
     monkeypatch.setattr(eigen_module, "_principal_on_matrix", counting)
     res = stability_experiment(coeffs, grid, epsilon=1e-3, t_end=400.0)
-    assert adjoint_levels == [res.vbar]
+    # one solve at vbar, the adjoint one, and no other adjoint solve
+    assert [s for s in solves if s[0] == res.vbar] == [(res.vbar, True)]
+    assert [v for v, adjoint in solves if adjoint] == [res.vbar]
     monkeypatch.undo()
     # the constants are those of a standalone solve; the verdict as before
     adj = adjoint_eigenpair(coeffs, grid, res.vbar)
