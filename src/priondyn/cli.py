@@ -13,7 +13,6 @@ Failures still write a machine-readable error file and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from dataclasses import replace
@@ -26,16 +25,17 @@ from . import reference
 from .config import (SWEEP_AXES, ConfigError, RunConfig, config_echo,
                      parse_config, sweep_axis_error)
 from .dynamics import (IntegratorFailure, growth_rate, incubation_time,
-                       integrate, seed_state)
+                       integrate, line_fit, seed_state)
 from .eigen import principal_eigenpair, scan_lambda
-from .records import ExperimentRecord, canonical_json, grid_hash, write_csv
+from .records import (ExperimentRecord, canonical_json, grid_hash,
+                      sha256_hex, write_csv)
 from .steady import bimodality_report, build_steady_state, detect_modes
 
 __all__ = ["main", "sweep"]
 
 
 def _digest(echo: dict) -> str:
-    return hashlib.sha256(canonical_json(echo).encode()).hexdigest()[:10]
+    return sha256_hex(canonical_json(echo).encode())[:10]
 
 
 def _write_json(path: Path, record: ExperimentRecord, timings: bool) -> None:
@@ -215,16 +215,15 @@ def _run_sweep(cfg: RunConfig, out: Path, tag: str):
     if axis == "dose":
         tinc = np.asarray(cols["t_incubation"])
         good = np.isfinite(tinc)
-        if good.sum() >= 2:
-            slope = float(np.polyfit(np.log(np.asarray(values)[good]),
-                                     tinc[good], 1)[0])
-            summary["slope_fitted"] = slope
+        log_dose = np.log(np.asarray(values)[good])
+        # a slope needs two distinct doses that crossed the threshold
+        summary["slope_fitted"] = summary["slope_predicted"] = None
+        if np.unique(log_dose).size >= 2:
+            summary["slope_fitted"] = line_fit(log_dose, tinc[good])[0]
             grid = cfg.make_grid()
             lam = principal_eigenpair(cfg.coeffs, grid, cfg.coeffs.vbar,
                                       tol=cfg.eigen_tol).lambda_eig
-            if lam > 0.0:
-                summary["slope_predicted"] = None
-            else:
+            if lam <= 0.0:
                 summary["slope_predicted"] = -1.0 / abs(lam)
     if axis in ("bell_amplitude", "frag_slope"):
         finite = [v for v in cols["t_incubation"] if np.isfinite(v)]

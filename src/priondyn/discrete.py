@@ -230,8 +230,11 @@ def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
     if int(md.sum()) < 3:
         raise ValueError("fit window [%g, %g] holds %d samples; need 3"
                          % (lo, hi, int(md.sum())))
-    slope_d = float(np.polyfit(traj_d.times[md],
-                               np.log(traj_d.count_series[md]), 1)[0])
+    # least-squares slope of log count against time, fitted here and not
+    # by dynamics.line_fit: the chain shares no code with the solver it checks
+    t_dev = traj_d.times[md] - traj_d.times[md].mean()
+    log_count = np.log(traj_d.count_series[md])
+    slope_d = float(t_dev @ (log_count - log_count.mean())) / float(t_dev @ t_dev)
     fit_c = growth_rate(traj_c, fit_window)
     closed = -loss_rate_constant(params.conversion, params.fragmentation,
                                  params.decay, vbar)

@@ -33,6 +33,7 @@ __all__ = [
     "IntegratorFailure",
     "seed_state",
     "integrate",
+    "line_fit",
     "growth_rate",
     "incubation_time",
     "stability_experiment",
@@ -261,6 +262,28 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
                       residual_series=np.concatenate(([0.0], row_res)))
 
 
+def line_fit(x, y) -> tuple:
+    """Least-squares line y ~ slope*x + intercept, as (slope, intercept).
+
+    The centred two-pass formula; it needs no LAPACK.  Raises ValueError
+    on fewer than two points or x values with no spread.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size < 2 or x.size != y.size:
+        raise ValueError("line fit needs at least two (x, y) pairs; got %d x "
+                         "and %d y values" % (x.size, y.size))
+    x_mean = x.mean()
+    dx = x - x_mean
+    sxx = float(dx @ dx)
+    if not sxx > 0.0:
+        raise ValueError("line fit needs x values with spread; all %d equal %g"
+                         % (x.size, x_mean))
+    y_mean = y.mean()
+    slope = float(dx @ (y - y_mean)) / sxx
+    return slope, float(y_mean - slope * x_mean)
+
+
 @dataclass(frozen=True)
 class GrowthFit:
     """Least-squares exponential rate of the polymer count over a window."""
@@ -290,7 +313,7 @@ def growth_rate(traj: Trajectory, window: tuple) -> GrowthFit:
     if rho.min() <= 0.0:
         raise ValueError("polymer count is nonpositive inside the fit window")
     tt = traj.times[m]
-    slope, intercept = np.polyfit(tt, np.log(rho), 1)
+    slope, intercept = line_fit(tt, np.log(rho))
     pred = slope * tt + intercept
     ssr = float(((np.log(rho) - pred) ** 2).sum())
     sst = float(((np.log(rho) - np.log(rho).mean()) ** 2).sum())
@@ -439,13 +462,12 @@ def stability_experiment(coeffs: CoefficientSet, grid: SizeGrid, epsilon: float,
         i = int(escape[0])
         fit_to = max(i, 3)
         verdict = "unstable"
-        fitted = float(np.polyfit(times[:fit_to + 1],
-                                  np.log(norms[:fit_to + 1]), 1)[0])
+        fitted = line_fit(times[:fit_to + 1], np.log(norms[:fit_to + 1]))[0]
         diagnostics["escape_time"] = float(times[i])
     elif norms[-1] <= norm0 / np.e and norms.min() > 0.0:
         tail = times >= times[-1] / 3.0
         verdict = "stable"
-        fitted = -float(np.polyfit(times[tail], np.log(norms[tail]), 1)[0])
+        fitted = -line_fit(times[tail], np.log(norms[tail]))[0]
     else:
         diagnostics["note"] = ("functional neither decayed below 1/e of its "
                                "initial value nor escaped the 10x ball")

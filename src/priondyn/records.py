@@ -9,7 +9,6 @@ would break byte-identity.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field as dc_field
 
@@ -17,10 +16,21 @@ import numpy as np
 
 from .grid import SizeGrid
 
+# CPython's built-in SHA-256 gives the same digests as hashlib without
+# loading OpenSSL's libcrypto
+try:
+    from _sha2 import sha256 as _sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 __all__ = [
     "PACKAGE_VERSION",
     "ExperimentRecord",
     "grid_hash",
+    "sha256_hex",
     "canonical_json",
     "write_csv",
 ]
@@ -28,12 +38,17 @@ __all__ = [
 PACKAGE_VERSION = "0.1.0"
 
 
+def sha256_hex(*chunks: bytes) -> str:
+    """Hex SHA-256 of the concatenated chunks."""
+    hsh = _sha256()
+    for chunk in chunks:
+        hsh.update(chunk)
+    return hsh.hexdigest()
+
+
 def grid_hash(grid: SizeGrid) -> str:
     """Stable fingerprint of a grid's geometry."""
-    hsh = hashlib.sha256()
-    hsh.update(grid.centers.tobytes())
-    hsh.update(grid.widths.tobytes())
-    return hsh.hexdigest()[:16]
+    return sha256_hex(grid.centers.tobytes(), grid.widths.tobytes())[:16]
 
 
 def _fmt_float(x: float) -> str:

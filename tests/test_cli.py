@@ -1,6 +1,8 @@
 """Command-line harness: files out, exit codes, reproducible bytes."""
 
 import ast
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 
 from priondyn import cli, config
 from priondyn.cli import main
+from priondyn.records import canonical_json
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -324,6 +327,28 @@ def test_dose_sweep_follows_the_log_law(tmp_path):
         1e3 * largest["results"]["rho0"], rel=1e-12)
 
 
+def test_repeated_doses_leave_the_slope_null(tmp_path):
+    # one distinct dose fixes no slope; the summary is still written
+    body = "\n".join([
+        "experiment = sweep",
+        "sweep.axis = dose",
+        "sweep.values = 1, 1",
+        "sweep.t_end = 150",
+        "grid.n = 100",
+        "grid.xmax = 60",
+        "",
+    ])
+    code, out = _run(tmp_path, "sweep", body)
+    assert code == 0
+    summary = json.loads(next(p for p in out.glob("sweep-*.json")
+                              if "-item-" not in p.name).read_text())
+    res = summary["results"]
+    assert res["n_failed"] == 0
+    assert res["t_incubation"][0] == res["t_incubation"][1] > 0.0
+    assert res["slope_fitted"] is None
+    assert res["slope_predicted"] is None
+
+
 def test_peak_center_items_carry_root_counters(tmp_path):
     cfg = tmp_path / "peak.cfg"
     cfg.write_text(FAST_PEAK_SWEEP)
@@ -536,12 +561,16 @@ def test_scipy_linalg_imports_cleanly_after_a_solve():
     assert proc.stdout.split() == ["True"] * 5
 
 
+def _src_trees():
+    import priondyn
+    for path in sorted(Path(priondyn.__file__).parent.rglob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
 def test_only_the_lapack_fallback_imports_scipy_linalg():
     # every other solve path goes through operator._lapack
-    import priondyn
     found = []
-    for path in sorted(Path(priondyn.__file__).parent.rglob("*.py")):
-        tree = ast.parse(path.read_text())
+    for name, tree in _src_trees():
         functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -553,8 +582,104 @@ def test_only_the_lapack_fallback_imports_scipy_linalg():
             if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
                 owners = [f.name for f in functions
                           if f.lineno <= node.lineno <= f.end_lineno]
-                found.append((path.name, owners[-1] if owners else None))
+                found.append((name, owners[-1] if owners else None))
     assert found == [("operator.py", "_lapack")]
+
+
+BUILTIN_SHA256 = any(importlib.util.find_spec(m) is not None
+                     for m in ("_sha2", "_sha256"))
+
+
+def _hashing_runs(tmp_path, tag, prelude=()):
+    """fig2, fig3 and one fig6 item at n=100 and the chain cross-check in
+    one fresh interpreter.
+
+    Returns whether OpenSSL's ``_hashlib`` was loaded afterwards, the
+    configs run by command, and the bytes written, by relative path.
+    """
+    configs = {}
+    for command, name in (("eigen", "fig2"), ("steady", "fig3")):
+        configs[command] = tmp_path / (name + ".cfg")
+        configs[command].write_text((CONFIG_DIR / (name + ".cfg")).read_text()
+                                    .replace("grid.n = 800", "grid.n = 100"))
+    configs["sweep"] = _fig6_at(tmp_path, 100, values="0.0628")
+    out = tmp_path / tag
+    code = "\n".join([
+        *prelude,
+        "import sys",
+        "import priondyn",
+        "from priondyn.cli import main",
+        *("assert main([%r, '--config', %r, '--out', %r]) == 0"
+          % (command, str(cfg), str(out)) for command, cfg in configs.items()),
+        "priondyn.compare_continuum(priondyn.default_calibration(),"
+        " t_end=30.0, fit_window=(10.0, 25.0))",
+        "print('_hashlib' in sys.modules)",
+    ])
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    written = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    return proc.stdout.strip(), configs, written
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256, reason="no built-in SHA-256 module")
+def test_runs_hash_without_openssl(tmp_path):
+    loaded, configs, written = _hashing_runs(tmp_path, "builtin")
+    assert loaded == "False"
+    for command, cfg_path in configs.items():
+        cfg = config.parse_config(cfg_path.read_text())
+        tag = hashlib.sha256(canonical_json(config.config_echo(cfg)).encode()
+                             ).hexdigest()[:10]
+        grid = cfg.make_grid()
+        expected = hashlib.sha256(grid.centers.tobytes()
+                                  + grid.widths.tobytes()).hexdigest()[:16]
+        name = Path("%s-%s-item-00.json" % (command, tag) if command == "sweep"
+                    else "%s-%s.json" % (command, tag))
+        assert json.loads(written[name])["diagnostics"]["grid_hash"] == expected
+
+
+def test_hashlib_fallback_writes_the_same_bytes(tmp_path):
+    # with the built-in modules blocked, records takes sha256 from hashlib
+    _, _, builtin = _hashing_runs(tmp_path, "builtin")
+    loaded, _, fallback = _hashing_runs(
+        tmp_path, "fallback",
+        prelude=("import sys", "sys.modules['_sha2'] = sys.modules['_sha256'] = None"))
+    assert loaded == "True"
+    assert fallback == builtin
+
+
+def test_no_least_squares_solver_under_src():
+    # lines are fitted by dynamics.line_fit, the chain's slope by its own
+    # two lines; neither needs LAPACK's least squares
+    found = [(name, node.lineno) for name, tree in _src_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("polyfit", "lstsq")]
+    assert found == []
+
+
+def test_only_the_sha256_fallback_imports_hashlib():
+    found = []
+    for name, tree in _src_trees():
+        handlers = [h for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "hashlib" in names:
+                in_handler = any(h.lineno <= node.lineno <= h.end_lineno
+                                 for h in handlers)
+                found.append((name, in_handler))
+    assert found == [("records.py", True)]
+
+
+def test_the_chain_fits_its_own_slope():
+    # README red line: the chain shares no code with the continuum solver
+    trees = dict(_src_trees())
+    names = {a.name for node in ast.walk(trees["discrete.py"])
+             if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "line_fit" not in names
 
 
 @pytest.mark.parametrize("module", ["priondyn", "priondyn.cli"])

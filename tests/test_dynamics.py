@@ -5,7 +5,7 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from priondyn import (Bell, CoefficientSet, EigenConvergenceError,
@@ -16,6 +16,7 @@ from priondyn import (Bell, CoefficientSet, EigenConvergenceError,
                       seed_state, stability_experiment)
 from priondyn.cli import sweep
 from priondyn.config import parse_config
+from priondyn.dynamics import line_fit
 from priondyn.reference import loss_rate_constant
 
 CONST = CoefficientSet(production=2400.0, clearance=4.0)
@@ -139,6 +140,44 @@ def test_growth_fit_window_validation(growth_run):
         growth_rate(growth_run, window=(35.0, 15.0))
     with pytest.raises(ValueError):
         growth_rate(growth_run, window=(39.99, 40.0))  # <3 samples
+
+
+FIT_VALUES = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=st.lists(FIT_VALUES, min_size=2, max_size=40, unique=True),
+       data=st.data())
+def test_line_fit_matches_polyfit(x, data):
+    x = np.asarray(x)
+    assume(np.ptp(x) >= 1e-3 * max(1.0, np.abs(x).max()))
+    y = np.asarray(data.draw(st.lists(FIT_VALUES, min_size=x.size,
+                                      max_size=x.size)))
+    slope, intercept = line_fit(x, y)
+    ref_slope, ref_intercept = np.polyfit(x, y, 1)
+    # relative to the scale each coefficient takes on this data
+    y_size = np.abs(y).max()
+    assert abs(slope - ref_slope) <= 1e-12 * (abs(ref_slope) + y_size / np.ptp(x))
+    assert abs(intercept - ref_intercept) <= 1e-12 * (
+        abs(ref_intercept) + y_size + abs(ref_slope) * np.abs(x).max())
+
+
+def test_line_fit_recovers_an_exact_line():
+    x = np.linspace(3.0, 40.0, 17)
+    slope, intercept = line_fit(x, 0.0871 * x - 2.5)
+    assert slope == pytest.approx(0.0871, rel=1e-14)
+    assert intercept == pytest.approx(-2.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("x, y, cause", [
+    ([], [], "at least two"),
+    ([1.0], [2.0], "at least two"),
+    ([1.0, 2.0], [2.0], "at least two"),
+    ([0.0, 0.0, 0.0], [1.0, 2.0, 3.0], "spread"),
+])
+def test_line_fit_refuses_degenerate_input(x, y, cause):
+    with pytest.raises(ValueError, match=cause):
+        line_fit(x, y)
 
 
 # --- incubation ------------------------------------------------------------
