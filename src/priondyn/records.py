@@ -60,11 +60,9 @@ def _fmt_float(x: float) -> str:
 def _canon(obj, parts: list, drop_keys=()):
     if obj is None:
         parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    elif isinstance(obj, (bool, np.bool_)):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         parts.append(_fmt_float(float(obj)))
@@ -104,22 +102,35 @@ def canonical_json(obj, drop_keys=()) -> str:
 
 
 def write_csv(path, header, columns) -> None:
-    """Columns of equal length to CSV with %.17g floats, '.' decimal."""
+    """Columns of equal length to CSV with %.17g floats, '.' decimal.
+
+    A header row, then one row per index; a float cell that is NaN or
+    infinite reads "null" and any other cell is str() of its value.
+    """
     columns = [np.asarray(c) for c in columns]
-    n = len(columns[0])
-    if any(len(c) != n for c in columns):
-        raise ValueError("columns have unequal lengths")
+    if not columns or len(header) != len(columns):
+        raise ValueError("header has %d names for %d columns"
+                         % (len(header), len(columns)))
+    shapes = [c.shape for c in columns]
+    if len(shapes[0]) != 1 or shapes.count(shapes[0]) != len(shapes):
+        raise ValueError("columns of shapes %s are not one-dimensional of "
+                         "equal length" % shapes)
+    # for finite floats %.17g in the row format writes the per-cell rule's
+    # bytes without a Python call per cell; other columns keep that rule
+    slots, values = [], []
+    for c in columns:
+        if c.dtype.kind == "f" and np.isfinite(c).all():
+            slots.append("%.17g")
+            values.append(c.tolist())
+        else:
+            slots.append("%s")
+            values.append([_fmt_float(float(v))
+                           if isinstance(v, (float, np.floating)) else str(v)
+                           for v in c])
+    row = ",".join(slots) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            cells = []
-            for c in columns:
-                val = c[i]
-                if isinstance(val, (float, np.floating)):
-                    cells.append(_fmt_float(float(val)))
-                else:
-                    cells.append(str(val))
-            fh.write(",".join(cells) + "\n")
+        fh.write("".join([row % cells for cells in zip(*values)]))
 
 
 @dataclass

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import priondyn
 from priondyn import (PACKAGE_VERSION, Affine, Bell, ConfigError, Constant,
@@ -253,6 +255,12 @@ def test_canonical_json_handles_numpy_and_nonfinite():
     assert parsed["n"] == 3
 
 
+def test_canonical_json_writes_numpy_booleans_as_json_booleans():
+    assert canonical_json(np.bool_(True)) == "true"
+    assert canonical_json({"a": np.False_, "b": [np.True_, True]}) == \
+        '{"a":false,"b":[true,true]}'
+
+
 def test_record_round_trip():
     rec = ExperimentRecord(experiment="eigen",
                            config_echo={"experiment": "eigen"},
@@ -270,10 +278,84 @@ def test_record_round_trip():
 def test_write_csv_layout(tmp_path):
     out = tmp_path / "t.csv"
     write_csv(out, ["a", "b"], [[1.0, 0.5], [2.0, float("nan")]])
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "a,b"
-    assert lines[1].startswith("1")
-    assert len(lines) == 3
+    assert out.read_text().splitlines() == ["a,b", "1,2", "0.5,null"]
+
+
+@pytest.mark.parametrize("header, columns, message", [
+    (["a"], [[1.0], [2.0]], "header has 1 names for 2 columns"),
+    (["a", "b", "c"], [[1.0], [2.0]], "header has 3 names for 2 columns"),
+    (["a"], [], "header has 1 names for 0 columns"),
+    ([], [], "header has 0 names for 0 columns"),
+    (["a", "b"], [[1.0, 2.0], [3.0]], "not one-dimensional of equal length"),
+    (["a"], [[[1.0, 2.0]]], "not one-dimensional of equal length"),
+])
+def test_write_csv_rejects_mismatched_input(tmp_path, header, columns, message):
+    out = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=message):
+        write_csv(out, header, columns)
+    assert not out.exists()
+
+
+def _reference_csv(path, header, columns):
+    """The cell-at-a-time writer: the oracle for write_csv's bytes."""
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(len(columns[0])):
+            cells = []
+            for c in columns:
+                val = c[i]
+                if isinstance(val, (float, np.floating)):
+                    x = float(val)
+                    cells.append("null" if math.isnan(x) or math.isinf(x)
+                                 else "%.17g" % x)
+                else:
+                    cells.append(str(val))
+            fh.write(",".join(cells) + "\n")
+
+
+# NaN, both infinities, signed zero, subnormals and the ends of the range
+EDGE_FLOATS = st.sampled_from([
+    float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324,
+    -2.2250738585072014e-308, 1e-307, 1.7976931348623157e308, -1e308])
+
+
+@st.composite
+def csv_columns(draw, n):
+    kind = draw(st.sampled_from(["finite", "float", "float32", "int", "bool",
+                                 "object"]))
+    if kind == "finite":
+        return np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                      min_size=n, max_size=n)), dtype=float)
+    if kind == "float":
+        cells = st.one_of(EDGE_FLOATS, st.floats())
+        return np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
+    if kind == "float32":
+        return np.array(draw(st.lists(st.floats(width=32), min_size=n, max_size=n)),
+                        dtype=np.float32)
+    if kind == "int":
+        cells = st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1)
+        return np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.int64)
+    if kind == "bool":
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    cells = st.one_of(st.none(), st.text(max_size=6), st.floats(),
+                      st.one_of(EDGE_FLOATS, st.floats()).map(np.float64))
+    column = np.empty(n, dtype=object)
+    column[:] = draw(st.lists(cells, min_size=n, max_size=n))
+    return column
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(min_value=0, max_value=50),
+       width=st.integers(min_value=1, max_value=5))
+def test_write_csv_bytes_match_the_cell_by_cell_writer(tmp_path_factory, data, n,
+                                                       width):
+    columns = [data.draw(csv_columns(n)) for _ in range(width)]
+    header = ["c%d" % k for k in range(width)]
+    base = tmp_path_factory.getbasetemp()
+    write_csv(base / "fast.csv", header, columns)
+    _reference_csv(base / "slow.csv", header, columns)
+    assert (base / "fast.csv").read_bytes() == (base / "slow.csv").read_bytes()
 
 
 def test_grid_hash_sensitivity():
