@@ -6,7 +6,8 @@ output files (CSV tables plus a JSON record) into the output directory.
 Each runner returns its results, diagnostics and exit code; ``main``
 writes them as the one JSON record of the run.  File names embed a
 digest of the canonical config echo so different configurations never
-collide; rerunning the same configuration overwrites byte-identically.
+collide; rerunning the same configuration overwrites byte-identically
+unless ``output.timings = true`` adds wall-clock seconds to the records.
 Failures still write a machine-readable error file and exit nonzero.
 """
 
@@ -38,8 +39,8 @@ def _digest(echo: dict) -> str:
     return sha256_hex(canonical_json(echo).encode())[:10]
 
 
-def _write_json(path: Path, record: ExperimentRecord, timings: bool) -> None:
-    path.write_text(record.to_json(include_timings=timings) + "\n")
+def _write_json(path: Path, record: ExperimentRecord) -> None:
+    path.write_text(record.to_json() + "\n")
 
 
 def _steady_blocks(ss):
@@ -74,7 +75,7 @@ def _integration_diagnostics(traj) -> dict:
 
 def _run_eigen(cfg: RunConfig, out: Path, tag: str):
     grid = cfg.make_grid()
-    scan = scan_lambda(cfg.coeffs, grid, cfg.eigen_v_values, tol=cfg.eigen_tol)
+    scan = scan_lambda(cfg.coeffs, grid, cfg.eigen_v_values)
     results = {
         "v_values": scan.v_values,
         "loss_rates": scan.lambda_values,
@@ -101,7 +102,7 @@ def _run_eigen(cfg: RunConfig, out: Path, tag: str):
 
 def _run_steady(cfg: RunConfig, out: Path, tag: str):
     grid = cfg.make_grid()
-    ss = build_steady_state(cfg.coeffs, grid, tol=cfg.eigen_tol)
+    ss = build_steady_state(cfg.coeffs, grid)
     rep, results, counters = _steady_blocks(ss)
     if rep.necessary_condition_met is not None:
         results["necessary_condition_met"] = rep.necessary_condition_met
@@ -149,8 +150,8 @@ def _run_simulate(cfg: RunConfig, out: Path, tag: str):
     }
     lam_vbar = None
     if cfg.coeffs.clearance > 0.0:
-        lam_vbar = principal_eigenpair(cfg.coeffs, grid, cfg.coeffs.vbar,
-                                       tol=cfg.eigen_tol).lambda_eig
+        lam_vbar = principal_eigenpair(cfg.coeffs, grid,
+                                       cfg.coeffs.vbar).lambda_eig
         results["loss_rate_at_vbar"] = lam_vbar
     try:
         fit = growth_rate(traj, (cfg.fit_start, cfg.fit_end))
@@ -191,8 +192,7 @@ def _sweep_scalar_rows(axis: str, records):
 def _run_sweep(cfg: RunConfig, out: Path, tag: str):
     records = sweep(cfg)
     for k, rec in enumerate(records):
-        _write_json(out / ("sweep-%s-item-%02d.json" % (tag, k)), rec,
-                    cfg.timings)
+        _write_json(out / ("sweep-%s-item-%02d.json" % (tag, k)), rec)
     axis = cfg.sweep_axis
     values = list(cfg.sweep_values)
     keys, cols, ok = _sweep_scalar_rows(axis, records)
@@ -221,8 +221,8 @@ def _run_sweep(cfg: RunConfig, out: Path, tag: str):
         if np.unique(log_dose).size >= 2:
             summary["slope_fitted"] = line_fit(log_dose, tinc[good])[0]
             grid = cfg.make_grid()
-            lam = principal_eigenpair(cfg.coeffs, grid, cfg.coeffs.vbar,
-                                      tol=cfg.eigen_tol).lambda_eig
+            lam = principal_eigenpair(cfg.coeffs, grid,
+                                      cfg.coeffs.vbar).lambda_eig
             if lam <= 0.0:
                 summary["slope_predicted"] = -1.0 / abs(lam)
     if axis in ("bell_amplitude", "frag_slope"):
@@ -250,7 +250,7 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
         diagnostics: dict = {"grid_hash": grid_hash(grid)}
         if axis == "tightness":
             v_eval = base.sweep_v_eval if base.sweep_v_eval is not None else base.coeffs.vbar
-            sol = principal_eigenpair(coeffs, grid, v_eval, tol=base.eigen_tol)
+            sol = principal_eigenpair(coeffs, grid, v_eval)
             conv = coeffs.conversion(grid.centers)
             conv_avg = float((conv * sol.u_vec) @ grid.widths)
             idx, _ = detect_modes(sol.u_vec, grid)
@@ -264,19 +264,19 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
             }
             diagnostics.update(residual=sol.residual, iterations=sol.iterations)
         elif axis == "peak_center":
-            ss = build_steady_state(coeffs, grid, tol=base.eigen_tol)
+            ss = build_steady_state(coeffs, grid)
             _, results, counters = _steady_blocks(ss)
             diagnostics.update(counters)
         else:
             scale = value if axis == "dose" else base.seed_scale
             initial = seed_state(coeffs, grid, scale=scale, v_init=base.v_init)
             rho0 = initial.moment0()
-            traj = integrate(coeffs, grid, initial, base.sweep_t_end,
+            traj = integrate(coeffs, grid, initial, base.t_end,
                              snapshot_times=(base.probe_time,),
-                             record_every=base.sweep_record_every,
+                             record_every=base.record_every,
                              dt_max=base.dt_max)
             threshold = fixed_threshold if fixed_threshold is not None \
-                else base.sweep_threshold_ratio * rho0
+                else base.threshold_ratio * rho0
             inc = incubation_time(traj, threshold, rho0)
             probe = next((uu for (ts, uu) in traj.snapshots
                           if abs(ts - base.probe_time) < 1e-9), None)
@@ -297,7 +297,8 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
     except Exception as exc:  # per-value isolation: a bad value must not kill the sweep
         results = {}
         diagnostics = {"error": str(exc), "error_type": type(exc).__name__}
-    diagnostics["timings"] = {"seconds": time.perf_counter() - t_start}
+    if base.timings:
+        diagnostics["timings"] = {"seconds": time.perf_counter() - t_start}
     return ExperimentRecord(experiment="sweep", config_echo=echo,
                             results=results, diagnostics=diagnostics)
 
@@ -323,7 +324,7 @@ def sweep(base: RunConfig) -> list:
         grid = base.make_grid()
         unit_count = float(reference.initial_seed_profile(grid.centers)
                            @ grid.widths)
-        fixed_threshold = base.sweep_threshold_ratio * max(values) * unit_count
+        fixed_threshold = base.threshold_ratio * max(values) * unit_count
     return [_sweep_item(base, axis, v, fixed_threshold) for v in values]
 
 
@@ -383,11 +384,11 @@ def main(argv=None) -> int:
         tag = _digest(echo)
         t0 = time.perf_counter()
         results, diagnostics, code = _RUNNERS[args.command][0](cfg, out, tag)
-        diagnostics["timings"] = {"seconds": time.perf_counter() - t0}
+        if cfg.timings:
+            diagnostics["timings"] = {"seconds": time.perf_counter() - t0}
         record = ExperimentRecord(experiment=args.command, config_echo=echo,
                                   results=results, diagnostics=diagnostics)
-        _write_json(out / ("%s-%s.json" % (args.command, tag)), record,
-                    cfg.timings)
+        _write_json(out / ("%s-%s.json" % (args.command, tag)), record)
         return code
     except Exception as exc:  # any failure: error file + nonzero exit
         print(exc if isinstance(exc, ConfigError) else "error: %s" % exc,

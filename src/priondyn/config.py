@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coefficients import SHAPES, Affine, CoefficientSet, CoefficientShape, Constant
-from .eigen import DEFAULT_TOL
 from .grid import SizeGrid
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "config_echo", "default_xmax",
@@ -96,7 +95,6 @@ class RunConfig:
     xmax: float = _key("grid.xmax", "float")
     n: int = _key("grid.n", "int", 800)
     eigen_v_values: Optional[tuple] = _key("eigen.v_values", "floatlist")
-    eigen_tol: float = _key("eigen.tol", "float", DEFAULT_TOL)
     t_end: float = _key("simulate.t_end", "float", 200.0)
     v_init: Optional[float] = _key("simulate.v_init", "float")
     seed_scale: float = _key("simulate.seed_scale", "float", 1.0)
@@ -108,11 +106,8 @@ class RunConfig:
     dt_max: Optional[float] = _key("simulate.dt_max", "float")
     sweep_axis: Optional[str] = _key("sweep.axis", "enum:axis")
     sweep_values: Optional[tuple] = _key("sweep.values", "floatlist")
-    sweep_t_end: float = _key("sweep.t_end", "float", 200.0)
     probe_time: float = _key("sweep.probe_time", "float", 96.0)
     sweep_v_eval: Optional[float] = _key("sweep.v_eval", "float")
-    sweep_threshold_ratio: float = _key("sweep.threshold_ratio", "float", 1e3)
-    sweep_record_every: int = _key("sweep.record_every", "int", 4)
     out_dir: str = _key("output.dir", "str", "out")
     timings: bool = _key("output.timings", "bool", False)
 
@@ -260,9 +255,9 @@ def parse_config(text: str) -> RunConfig:
     for key in ("eigen.v_values", "sweep.values"):
         if get(key) == ():
             errors.append("config: %s must list at least one value" % key)
-    for key in ("simulate.record_every", "sweep.record_every"):
-        if get(key) < 1:
-            errors.append("config: %s must be at least 1, got %d" % (key, get(key)))
+    if get("simulate.record_every") < 1:
+        errors.append("config: simulate.record_every must be at least 1, got %d"
+                      % get("simulate.record_every"))
     exp = scalars.get("experiment")
     if exp == "eigen" and get("eigen.v_values") is None:
         errors.append("config: experiment 'eigen' requires eigen.v_values")
@@ -303,33 +298,27 @@ def _shape_echo(shape) -> dict:
 def config_echo(cfg: RunConfig) -> dict:
     """Flatten a run configuration into a serializable dict.
 
-    The experiment's own section holds every set <experiment>.* key,
-    named by its suffix.  A key of another run section (a sweep reads
-    simulate.*, steady.* and eigen.* keys) is echoed under its section
-    when it differs from its default, so two configs that run differently
-    never share an echo; output.* only places files and is left out.  The
-    echo's digest names the output files, so a change here renames them;
-    that is why it still carries the fixed entries "kernel": "uniform" and
-    "seed": 0 of settings that no longer exist.
+    The model and grid are echoed in full.  A key of a run section
+    (eigen.*, simulate.*, sweep.*) is echoed under its section, named by
+    its suffix, when its value differs from its default; a sweep, for one,
+    reads simulate.* keys.  So two configs that run differently never
+    share an echo, and a key set to its default changes nothing.  output.*
+    only places files and is left out.  The echo's digest names the output
+    files, so a change here renames them.
     """
     c = cfg.coeffs
     echo = {
         "experiment": cfg.experiment,
         "model": {
-            "production": c.production, "clearance": c.clearance,
-            "x0": c.x0, "kernel": "uniform",
+            "production": c.production, "clearance": c.clearance, "x0": c.x0,
             "conversion": _shape_echo(c.conversion),
             "fragmentation": _shape_echo(c.fragmentation),
             "decay": _shape_echo(c.decay),
         },
         "grid": {"xmax": cfg.xmax, "n": cfg.n},
-        "seed": 0,
     }
     for key, (f, _, default) in _SCALAR_KEYS.items():
         section, _, name = key.partition(".")
-        if section not in EXPERIMENTS:
-            continue
-        value = getattr(cfg, f)
-        if (value is not None) if section == cfg.experiment else (value != default):
-            echo.setdefault(section, {})[name] = value
+        if section in EXPERIMENTS and getattr(cfg, f) != default:
+            echo.setdefault(section, {})[name] = getattr(cfg, f)
     return echo

@@ -44,11 +44,6 @@ class SizeGrid:
                    centers=0.5 * (edges[:-1] + edges[1:]),
                    widths=np.diff(edges))
 
-    @property
-    def edges(self) -> np.ndarray:
-        left = self.centers - 0.5 * self.widths
-        return np.concatenate((left, [self.centers[-1] + 0.5 * self.widths[-1]]))
-
 
 @dataclass
 class PolymerState:

@@ -2,9 +2,9 @@
 
 Output bytes must be reproducible run-to-run: JSON is emitted with sorted
 keys and every float printed as %.17g (enough digits to round-trip a
-double exactly), CSV with the same float format.  Wall-clock timings are
-kept out of serialized output unless explicitly requested, since they
-would break byte-identity.
+double exactly), CSV with the same float format.  A record is written as
+it stands: a run that wants byte-identical reruns keeps wall-clock
+timings out of it.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _canon(obj, parts: list, drop_keys=()):
+def _canon(obj, parts: list):
     if obj is None:
         parts.append("null")
     elif isinstance(obj, (bool, np.bool_)):
@@ -69,35 +69,31 @@ def _canon(obj, parts: list, drop_keys=()):
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
-        _canon(obj.tolist(), parts, drop_keys)
+        _canon(obj.tolist(), parts)
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, item in enumerate(obj):
             if i:
                 parts.append(",")
-            _canon(item, parts, drop_keys)
+            _canon(item, parts)
         parts.append("]")
     elif isinstance(obj, dict):
         parts.append("{")
-        first = True
-        for key in sorted(obj):
-            if key in drop_keys:
-                continue
-            if not first:
+        for i, key in enumerate(sorted(obj)):
+            if i:
                 parts.append(",")
-            first = False
             parts.append(json.dumps(str(key)))
             parts.append(":")
-            _canon(obj[key], parts, drop_keys)
+            _canon(obj[key], parts)
         parts.append("}")
     else:
         raise TypeError("cannot serialize %r" % type(obj).__name__)
 
 
-def canonical_json(obj, drop_keys=()) -> str:
+def canonical_json(obj) -> str:
     """Deterministic JSON text: sorted keys, %.17g floats, no whitespace."""
     parts: list = []
-    _canon(obj, parts, drop_keys=tuple(drop_keys))
+    _canon(obj, parts)
     return "".join(parts)
 
 
@@ -135,19 +131,14 @@ def write_csv(path, header, columns) -> None:
 
 @dataclass
 class ExperimentRecord:
-    """One experiment's inputs, outputs and health indicators.
-
-    diagnostics may carry a "timings" entry; it is dropped at
-    serialization unless include_timings is set, keeping output bytes
-    deterministic.
-    """
+    """One experiment's inputs, outputs and health indicators."""
 
     experiment: str
     config_echo: dict
     results: dict
     diagnostics: dict = dc_field(default_factory=dict)
 
-    def to_json(self, include_timings: bool = False) -> str:
+    def to_json(self) -> str:
         payload = {
             "experiment": self.experiment,
             "config": self.config_echo,
@@ -155,5 +146,4 @@ class ExperimentRecord:
             "diagnostics": self.diagnostics,
             "provenance": {"version": PACKAGE_VERSION},
         }
-        drop = () if include_timings else ("timings",)
-        return canonical_json(payload, drop_keys=drop)
+        return canonical_json(payload)

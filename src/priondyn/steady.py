@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import Affine, Constant, CoefficientSet, eval_coefficients
-from .eigen import DEFAULT_TOL, EigenSolution, generator_eigenpair
+from .eigen import EigenSolution, generator_eigenpair
 from .grid import SizeGrid
 from .operator import Generator
 
@@ -52,8 +52,7 @@ class VInfResult:
     solution: Optional[EigenSolution] = field(default=None, repr=False)
 
 
-def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid,
-               tol: float = DEFAULT_TOL) -> VInfResult:
+def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid) -> VInfResult:
     """Locate the monomer level where the loss rate crosses zero.
 
     A geometric ladder (doubling from 1) brackets the sign change inside
@@ -70,8 +69,8 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid,
     steps; here no step has a width bound and only the cap guarantees the
     end, so ending on the cap sets monotone_warning.  Each
     eigen solve starts from the profile of the previous evaluation, a
-    nearby level on the same generator, to eigen tolerance tol.  v_max is
-    ten times the uninfected level production/clearance.
+    nearby level on the same generator.  v_max is ten times the uninfected
+    level production/clearance.
     """
     v_max = 10.0 * coeffs.vbar if coeffs.clearance > 0.0 else 6000.0
     gen = Generator(coeffs, grid)
@@ -79,7 +78,7 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid,
 
     def lam(v: float) -> float:
         warm = evals[-1].u_vec if evals else None
-        evals.append(generator_eigenpair(gen, v, tol=tol, u0=warm))
+        evals.append(generator_eigenpair(gen, v, u0=warm))
         return evals[-1].lambda_eig
 
     def result(**kw) -> VInfResult:
@@ -165,10 +164,9 @@ class SteadyState:
         return float((xh @ self.u_profile) / (self.grid.widths @ self.u_profile))
 
 
-def build_steady_state(coeffs: CoefficientSet, grid: SizeGrid,
-                       tol: float = DEFAULT_TOL) -> SteadyState:
+def build_steady_state(coeffs: CoefficientSet, grid: SizeGrid) -> SteadyState:
     """Solve for the steady state: root, eigenprofile, count, existence."""
-    root = find_v_inf(coeffs, grid, tol=tol)
+    root = find_v_inf(coeffs, grid)
     if not root.found:
         raise ValueError(
             "no loss-rate root in (0, %g); cannot build a steady state"

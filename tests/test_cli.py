@@ -1,18 +1,24 @@
 """Command-line harness: files out, exit codes, reproducible bytes."""
 
 import ast
+import dataclasses
 import hashlib
 import importlib.util
 import json
 import os
+import string
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from priondyn import cli, config
+from priondyn import cli, config, eigen
 from priondyn.cli import main
+from priondyn.coefficients import SHAPES
 from priondyn.records import canonical_json
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -288,6 +294,75 @@ def test_empty_value_lists_are_config_errors(tmp_path, name, body, key):
     assert err["errors"] == ["config: %s must list at least one value" % key]
 
 
+RETIRED_KEYS = ("eigen.tol", "sweep.t_end", "sweep.record_every",
+                "sweep.threshold_ratio")
+SHAPE_PARAMS = sorted({"%s.%s" % (prefix, f.name)
+                       for prefix in config._SHAPE_PREFIXES
+                       for cls in SHAPES.values() for f in dataclasses.fields(cls)})
+# every scalar key whose parser rejects a word, and words no parser takes
+TYPED_KEYS = sorted(k for k, (_, tag, _) in config._SCALAR_KEYS.items() if tag != "str")
+JUNK_VALUES = ("x", "one", "1.2.3", "--1", "1e", "0x10", "true1", "2,,x")
+CONFIG_BASES = {
+    "eigen": FAST_EIGEN, "steady": FAST_STEADY, "simulate": FAST_SIMULATE,
+    "sweep": FAST_SWEEP, "peak": FAST_PEAK_SWEEP,
+    **{p.stem: p.read_text().replace("grid.n = 800", "grid.n = 50")
+       for p in sorted(CONFIG_DIR.glob("*.cfg"))},
+}
+
+
+def _is_unknown(key):
+    return key not in config._SCALAR_KEYS and not key.startswith(
+        tuple(p + "." for p in config._SHAPE_PREFIXES))
+
+
+@st.composite
+def _bad_line(draw, base_lines):
+    """(line, kind): a malformed, unknown, duplicated or badly valued line."""
+    kind = draw(st.sampled_from(["malformed", "unknown", "duplicate", "value"]))
+    if kind == "malformed":
+        text = draw(st.text(alphabet=string.ascii_letters + string.digits + " ._-",
+                            min_size=1, max_size=20).filter(str.strip))
+        return text, kind
+    if kind == "unknown":
+        key = draw(st.one_of(
+            st.sampled_from(RETIRED_KEYS),
+            st.from_regex(r"[a-z][a-z_]{0,7}(\.[a-z][a-z_]{0,7}){0,2}",
+                          fullmatch=True).filter(_is_unknown)))
+        return "%s = 1" % key, kind
+    if kind == "duplicate":
+        return draw(st.sampled_from([ln for ln in base_lines
+                                     if "=" in ln and not ln.startswith("#")])), kind
+    key = draw(st.sampled_from(TYPED_KEYS + SHAPE_PARAMS))
+    return "%s = %s" % (key, draw(st.sampled_from(JUNK_VALUES))), kind
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), base=st.sampled_from(sorted(CONFIG_BASES)))
+def test_any_bad_line_is_a_config_error(tmp_path_factory, data, base):
+    # a config with at least one malformed, unknown, duplicated or badly
+    # valued line exits 2 before any run, with every problem in its
+    # error file and each malformed or unknown line named by its number
+    text = CONFIG_BASES[base]
+    command = next(ln.split("=")[1].strip() for ln in text.splitlines()
+                   if ln.startswith("experiment"))
+    lines = [(ln, None) for ln in text.splitlines()]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        at = data.draw(st.integers(min_value=0, max_value=len(lines)))
+        lines.insert(at, data.draw(_bad_line(text.splitlines())))
+    work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    cfg = work / "bad.cfg"
+    cfg.write_text("\n".join(ln for ln, _ in lines) + "\n")
+    out = work / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error-%s.json" % command]
+    err = json.loads((out / ("error-%s.json" % command)).read_text())
+    assert err["error_type"] == "ConfigError"
+    assert err["errors"]
+    for number, (_, kind) in enumerate(lines, start=1):
+        if kind in ("malformed", "unknown"):
+            assert any(e.startswith("line %d: " % number) for e in err["errors"])
+
+
 # --- determinism -----------------------------------------------------------
 
 def _tree_bytes(root: Path) -> dict:
@@ -302,13 +377,76 @@ def test_byte_identical_reruns(tmp_path):
     assert _tree_bytes(out1) == _tree_bytes(out2)
 
 
+def test_timings_are_written_only_on_request(tmp_path):
+    # the integrating items of a sweep read the simulate.* keys; timings
+    # reach the run record and every item record only when asked for
+    body = "\n".join([
+        "experiment = sweep",
+        "sweep.axis = frag_slope",
+        "sweep.values = 0.03, 0.06",
+        "simulate.t_end = 2.0",
+        "simulate.record_every = 3",
+        "simulate.threshold_ratio = 10",
+        "grid.xmax = 60.0",
+        "grid.n = 60",
+        "",
+    ])
+    runs = {}
+    for name, extra in (("timed", "output.timings = true\n"), ("plain", ""),
+                        ("rerun", "")):
+        (tmp_path / name).mkdir()
+        code, runs[name] = _run(tmp_path / name, "sweep", body + extra)
+        assert code == 0
+    timed, plain = _tree_bytes(runs["timed"]), _tree_bytes(runs["plain"])
+    assert sorted(timed) == sorted(plain)
+    records = {n: json.loads(b) for n, b in timed.items() if n.endswith(".json")}
+    assert len(records) == 3
+    for rec in records.values():
+        assert rec["diagnostics"]["timings"]["seconds"] >= 0.0
+    for n, b in plain.items():
+        if n.endswith(".json"):
+            assert "timings" not in json.loads(b)["diagnostics"]
+        else:
+            assert b == timed[n]
+    assert plain == _tree_bytes(runs["rerun"])
+    item = json.loads(next(runs["plain"].glob("*-item-00.json")).read_text())
+    res = item["results"]
+    assert res["times"][-1] == 2.0
+    assert len(res["times"]) == 1 + -(-item["diagnostics"]["steps"] // 3)
+    assert res["threshold"] == pytest.approx(10.0 * res["rho0"], rel=1e-12)
+
+
+@pytest.mark.parametrize("name, body", [
+    ("eigen", FAST_EIGEN), ("steady", FAST_STEADY), ("simulate", FAST_SIMULATE),
+])
+def test_timings_reach_the_run_record_only_on_request(tmp_path, name, body):
+    # the one record of a run carries its wall-clock seconds only when
+    # output.timings is set; every other byte of the run is unchanged
+    runs = {}
+    for tag, extra in (("timed", "output.timings = true\n"), ("plain", "")):
+        (tmp_path / tag).mkdir()
+        code, out = _run(tmp_path / tag, name, body + extra)
+        assert code == 0
+        runs[tag] = _tree_bytes(out)
+    timed, plain = runs["timed"], runs["plain"]
+    assert sorted(timed) == sorted(plain)
+    (record,) = [n for n in plain if n.endswith(".json")]
+    assert "timings" not in json.loads(plain[record])["diagnostics"]
+    diag = json.loads(timed[record])["diagnostics"]
+    assert diag.pop("timings")["seconds"] >= 0.0
+    assert diag == json.loads(plain[record])["diagnostics"]
+    assert {n: b for n, b in timed.items() if n != record} == \
+        {n: b for n, b in plain.items() if n != record}
+
+
 def test_dose_sweep_follows_the_log_law(tmp_path):
     # C7's grid; at t_end 120 the 0.25 dose would cross only at day 119.96
     body = "\n".join([
         "experiment = sweep",
         "sweep.axis = dose",
         "sweep.values = 0.25, 1, 4",
-        "sweep.t_end = 150",
+        "simulate.t_end = 150",
+        "simulate.record_every = 4",
         "grid.n = 400",
         "grid.xmax = 60",
         "",
@@ -333,7 +471,8 @@ def test_repeated_doses_leave_the_slope_null(tmp_path):
         "experiment = sweep",
         "sweep.axis = dose",
         "sweep.values = 1, 1",
-        "sweep.t_end = 150",
+        "simulate.t_end = 150",
+        "simulate.record_every = 4",
         "grid.n = 100",
         "grid.xmax = 60",
         "",
@@ -365,18 +504,19 @@ def test_peak_center_items_carry_root_counters(tmp_path):
     ("steady", (CONFIG_DIR / "fig3.cfg").read_text()),
     ("sweep", FAST_PEAK_SWEEP),
 ])
-def test_eigen_tol_reaches_the_root_search(tmp_path, name, body):
-    # a looser eigen tolerance must loosen every solve of the root search,
-    # not only rename the output files
-    def root_iterations(text, tag):
+def test_eigen_tol_reaches_the_root_search(tmp_path, monkeypatch, name, body):
+    # every solve of the root search reads eigen.DEFAULT_TOL when it runs,
+    # so a looser tolerance loosens all of them
+    def root_iterations(tag):
         (tmp_path / tag).mkdir()
-        code, out = _run(tmp_path / tag, name, text)
+        code, out = _run(tmp_path / tag, name, body)
         assert code == 0
         return sum(json.loads(p.read_text())["diagnostics"]["root_iterations"]
                    for p in out.glob("*.json") if name == "steady" or "-item-" in p.name)
 
-    strict = root_iterations(body, "strict")
-    loose = root_iterations(body + "eigen.tol = 1e-6\n", "loose")
+    strict = root_iterations("strict")
+    monkeypatch.setattr(eigen, "DEFAULT_TOL", 1e-6)
+    loose = root_iterations("loose")
     assert loose < strict
 
 

@@ -89,14 +89,14 @@ def test_uniform_grid_geometry():
     assert g.widths.sum() == pytest.approx(30.0, rel=1e-14)
     # centers sit mid-cell
     np.testing.assert_allclose(g.centers, 0.05 + 0.1 * np.arange(300), rtol=1e-12)
-    edges = g.edges
-    assert edges[0] == 0.0
-    assert edges[-1] == pytest.approx(30.0, rel=1e-15)
+    # the cells tile [x0, xmax]
+    assert g.centers[0] - 0.5 * g.widths[0] == 0.0
+    assert g.centers[-1] + 0.5 * g.widths[-1] == pytest.approx(30.0, rel=1e-15)
 
 
 def test_uniform_grid_with_cutoff():
     g = SizeGrid.uniform(10.0, 100, x0=0.5)
-    assert g.edges[0] == pytest.approx(0.5)
+    assert g.centers[0] - 0.5 * g.widths[0] == pytest.approx(0.5)
     assert g.widths.sum() == pytest.approx(9.5, rel=1e-13)
     assert g.centers[0] > 0.5
 

@@ -27,9 +27,9 @@ CONFIG_DIR = ROOT / "configs"
 # output-file tags of the shipped configs; an echo or schema edit that
 # renames the outputs fails here
 SHIPPED_TAGS = {
-    "fig2": "48da1ee212", "fig2-bell": "805366053b", "fig3": "8b027e7509",
-    "fig3-control": "d8cad2c2cc", "fig4": "19473b89ee", "fig5": "1b99ceccfd",
-    "fig6": "eed2c53c67", "fig7": "b776c8fce3",
+    "fig2": "4d86114a6b", "fig2-bell": "665bc84811", "fig3": "82bc747412",
+    "fig3-control": "4688033b97", "fig4": "2aadbda1fd", "fig5": "d64a6e8e5c",
+    "fig6": "50ba4f6ea3", "fig7": "0963fe6b73",
 }
 
 
@@ -85,8 +85,11 @@ def test_error_collection_is_exhaustive():
     ("threads = 2", "threads must be 1"),
     ("model.kernel = uniform", "unknown key 'model.kernel'"),
     ("simulate.record_every = 0", "simulate.record_every must be at least 1"),
-    ("sweep.record_every = -1", "sweep.record_every must be at least 1"),
     ("steady.v_max = 100", "unknown key 'steady.v_max'"),
+    ("eigen.tol = 1e-8", "unknown key 'eigen.tol'"),
+    ("sweep.t_end = 200", "unknown key 'sweep.t_end'"),
+    ("sweep.record_every = 4", "unknown key 'sweep.record_every'"),
+    ("sweep.threshold_ratio = 1000", "unknown key 'sweep.threshold_ratio'"),
 ])
 def test_retired_and_out_of_range_keys_are_named(line, message):
     with pytest.raises(ConfigError, match=message):
@@ -265,14 +268,12 @@ def test_record_round_trip():
     rec = ExperimentRecord(experiment="eigen",
                            config_echo={"experiment": "eigen"},
                            results={"loss": [0.1, -0.2]},
-                           diagnostics={"iterations": 7, "timings": {"t": 1.0}})
+                           diagnostics={"iterations": 7})
     back = json.loads(rec.to_json())
     assert back["experiment"] == "eigen"
     assert back["results"]["loss"] == [0.1, -0.2]
-    assert "timings" not in back["diagnostics"]
+    assert back["diagnostics"] == {"iterations": 7}
     assert back["provenance"] == {"version": priondyn.__version__}
-    # timings only appear on request
-    assert "timings" in json.loads(rec.to_json(include_timings=True))["diagnostics"]
 
 
 def test_write_csv_layout(tmp_path):
@@ -400,14 +401,11 @@ def test_config_echo_names_changed_keys_of_other_sections():
     fig6 = (CONFIG_DIR / "fig6.cfg").read_text()
     echo = config_echo(parse_config(fig6))
     seeded = config_echo(parse_config(fig6 + "simulate.seed_scale = 5\n"))
-    assert seeded["simulate"] == {"seed_scale": 5.0}
+    assert seeded["simulate"] == {"record_every": 4, "seed_scale": 5.0}
     assert _digest(seeded) != _digest(echo)
     # a key set to its default, or a new output place, changes nothing
     moved = fig6.replace("output.dir = out/fig6", "output.dir = elsewhere")
     assert config_echo(parse_config(moved + "simulate.seed_scale = 1\n")) == echo
-    # a simulate run reads eigen.tol for its loss rate at vbar
-    sim = config_echo(parse_config("experiment = simulate\neigen.tol = 1e-8\n"))
-    assert sim["eigen"] == {"tol": 1e-8}
 
 
 def test_shipped_config_output_names_are_pinned():
@@ -447,3 +445,8 @@ def test_numerical_modules_import_no_experiment_layer():
     leaks = {m: sorted(_package_imports(m) & EXPERIMENT_LAYER)
              for m in NUMERICAL_MODULES}
     assert {m: names for m, names in leaks.items() if names} == {}
+
+
+def test_config_reads_only_the_model_and_the_grid():
+    # a setting of a solver is a constant of that solver, not a config key
+    assert _package_imports("config") <= {"coefficients", "grid"}

@@ -278,7 +278,7 @@ def test_sweep_isolates_failures(tmp_path):
         "experiment = sweep",
         "sweep.axis = bell_amplitude",
         "sweep.values = 0.01",
-        "sweep.t_end = 2.0",
+        "simulate.t_end = 2.0",
         "model.conversion.shape = bell",
         "model.conversion.base = 0.001",
         "model.conversion.amplitude = 0.01",

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy.linalg import eig
 
 from priondyn import (Affine, Bell, CoefficientSet, Constant, EigenConvergenceError,
-                      EigenSolution, Generator, SizeGrid, assemble, bimodality_report,
-                      build_steady_state, detect_modes, find_v_inf,
-                      stationary_profile_check)
+                      EigenSolution, Generator, PositivityViolationError, SizeGrid,
+                      assemble, bimodality_report, build_steady_state, detect_modes,
+                      find_v_inf, stationary_profile_check)
 from priondyn.eigen import DEFAULT_TOL
 from priondyn.steady import ROOT_TOL, _prominent_peaks
 
@@ -77,7 +77,7 @@ def _fake_loss_rate(monkeypatch, f):
     """Replace the eigen solve inside the root search by a scalar f(v)."""
     levels, warm = [], []
 
-    def fake(gen, v, tol, u0=None):
+    def fake(gen, v, u0=None):
         levels.append(v)
         warm.append(u0 is not None)
         u = None if v == 0.0 else np.full(gen.grid.n, 1.0 / gen.grid.xmax)
@@ -206,6 +206,37 @@ def test_root_search_failure_names_the_level(monkeypatch):
                         lambda self, v, s, b, adjoint=False: b.copy())
     with pytest.raises(EigenConvergenceError, match="level v=1 "):
         find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=np.log10(lo), max_value=np.log10(hi)).map(
+        lambda e: 10.0 ** e)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(amplitude=st.floats(min_value=1e-3, max_value=1e-1),
+       center=st.floats(min_value=1.0, max_value=5.0),
+       width_sq=_log_uniform(1e-4, 1e-1),
+       n=st.integers(min_value=100, max_value=1600),
+       production=st.one_of(st.just(2400.0), _log_uniform(1.0, 1e4)))
+def test_steady_runs_across_the_envelope(amplitude, center, width_sq, n, production):
+    # the bumps and grids of the dynamics envelope test, at the paper's
+    # production or at one from far below the coexistence threshold to far
+    # above it: a steady run returns a nonnegative profile at a finite
+    # root, or a named error
+    coeffs = CoefficientSet(production=production, clearance=4.0,
+                            conversion=Bell(0.001, amplitude, center, width_sq))
+    try:
+        ss = build_steady_state(coeffs, SizeGrid.uniform(30.0, n))
+    except ValueError as exc:
+        assert str(exc).startswith("no loss-rate root")
+        return
+    except (EigenConvergenceError, PositivityViolationError):
+        return
+    assert np.isfinite(ss.v_inf) and ss.v_inf > 0.0
+    assert ss.u_profile.min() >= 0.0
+    if ss.exists:
+        assert ss.rho_inf > 0.0
 
 # --- mode structure --------------------------------------------------------
 
