@@ -22,7 +22,7 @@ for a in alphas:
     coeffs = CoefficientSet(production=2400.0, clearance=4.0,
                             conversion=ScaledBell(0.001, a, 8.0))
     sol = principal_eigenpair(coeffs, grid, 600.0)
-    idx, _ = detect_modes(sol.u_vec, grid)
+    idx, _ = detect_modes(sol.u_vec)
     rates.append(-sol.lambda_eig)
     modes.append(idx.size)
     print("%9.5f   %+.8f   %d" % (a, rates[-1], modes[-1]))

@@ -43,32 +43,37 @@ def _write_json(path: Path, record: ExperimentRecord) -> None:
     path.write_text(record.to_json() + "\n")
 
 
-def _steady_blocks(ss):
-    """Bimodality report, result keys and root counters of one steady
-    state, shared by the steady runner and each peak_center sweep item."""
+def _steady(coeffs, grid):
+    """Steady state, its result keys and its root diagnostics, shared by
+    the steady runner and each peak_center sweep item."""
+    ss = build_steady_state(coeffs, grid)
     rep = bimodality_report(ss)
-    results = {
-        "v_inf": ss.v_inf,
-        "rho_inf": ss.rho_inf,
-        "exists": ss.exists,
-        "center_of_mass": rep.center_of_mass,
-        "n_modes": rep.n_modes,
-        "mode_locations": rep.mode_locations,
-        "secondary_mass_fraction": rep.secondary_mass_fraction,
-    }
-    counters = {"root_evaluations": ss.root.evaluations,
-                "root_iterations": ss.root.iterations}
-    return rep, results, counters
+    results = {"v_inf": ss.v_inf, "rho_inf": ss.rho_inf, "exists": ss.exists,
+               "center_of_mass": rep.center_of_mass, "n_modes": rep.n_modes,
+               "mode_locations": rep.mode_locations,
+               "secondary_mass_fraction": rep.secondary_mass_fraction}
+    if rep.necessary_condition_met is not None:
+        results["necessary_condition_met"] = rep.necessary_condition_met
+    root = {"monotone_warning": ss.root.monotone_warning,
+            "root_evaluations": ss.root.evaluations,
+            "root_iterations": ss.root.iterations}
+    return ss, results, root
 
 
-def _integration_diagnostics(traj) -> dict:
-    """Health of one integration, shared by simulate and sweep items."""
-    return {"max_conservation_residual": traj.max_residual,
-            "truncation_flux_total": traj.truncation_flux_total,
-            "steps": traj.steps, "rejections": traj.rejections,
-            "steps_by_limit": traj.steps_by_limit,
-            "halved_steps": traj.halved_steps,
-            "rejections_by_stage": traj.rejections_by_stage}
+def _outbreak(cfg: RunConfig, coeffs, grid, scale: float):
+    """Seed ``scale`` unit inocula and integrate with the simulate.* keys;
+    returns the inoculum count, the trajectory and the run's health."""
+    initial = seed_state(coeffs, grid, scale=scale, v_init=cfg.v_init)
+    traj = integrate(coeffs, grid, initial, cfg.t_end,
+                     snapshot_times=cfg.snapshot_times,
+                     record_every=cfg.record_every, dt_max=cfg.dt_max)
+    health = {"max_conservation_residual": traj.max_residual,
+              "truncation_flux_total": traj.truncation_flux_total,
+              "steps": traj.steps, "rejections": traj.rejections,
+              "steps_by_limit": traj.steps_by_limit,
+              "halved_steps": traj.halved_steps,
+              "rejections_by_stage": traj.rejections_by_stage}
+    return initial.moment0(), traj, health
 
 
 # --- experiment runners ----------------------------------------------------
@@ -102,28 +107,18 @@ def _run_eigen(cfg: RunConfig, out: Path, tag: str):
 
 def _run_steady(cfg: RunConfig, out: Path, tag: str):
     grid = cfg.make_grid()
-    ss = build_steady_state(cfg.coeffs, grid)
-    rep, results, counters = _steady_blocks(ss)
-    if rep.necessary_condition_met is not None:
-        results["necessary_condition_met"] = rep.necessary_condition_met
+    ss, results, root = _steady(cfg.coeffs, grid)
     if ss.u_inf is not None:
         write_csv(out / ("steady-%s-profile.csv" % tag),
                   ["x", "density"], [grid.centers, ss.u_inf])
-    return results, {"grid_hash": grid_hash(grid),
-                     "monotone_warning": ss.root.monotone_warning,
-                     **counters}, 0
+    return results, {"grid_hash": grid_hash(grid), **root}, 0
 
 
 def _run_simulate(cfg: RunConfig, out: Path, tag: str):
     grid = cfg.make_grid()
-    initial = seed_state(cfg.coeffs, grid, scale=cfg.seed_scale,
-                         v_init=cfg.v_init)
-    rho0 = initial.moment0()
     diagnostics: dict = {"grid_hash": grid_hash(grid)}
     try:
-        traj = integrate(cfg.coeffs, grid, initial, cfg.t_end,
-                         snapshot_times=cfg.snapshot_times,
-                         record_every=cfg.record_every, dt_max=cfg.dt_max)
+        rho0, traj, health = _outbreak(cfg, cfg.coeffs, grid, cfg.seed_scale)
     except IntegratorFailure as exc:
         diagnostics.update(error=str(exc), error_type="IntegratorFailure")
         state = exc.state
@@ -166,7 +161,7 @@ def _run_simulate(cfg: RunConfig, out: Path, tag: str):
                        incubation_reached=inc.reached,
                        incubation_predicted=inc.predicted,
                        incubation_threshold=inc.threshold)
-    diagnostics.update(_integration_diagnostics(traj))
+    diagnostics.update(health)
     return results, diagnostics, 0
 
 
@@ -253,7 +248,7 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
             sol = principal_eigenpair(coeffs, grid, v_eval)
             conv = coeffs.conversion(grid.centers)
             conv_avg = float((conv * sol.u_vec) @ grid.widths)
-            idx, _ = detect_modes(sol.u_vec, grid)
+            idx, _ = detect_modes(sol.u_vec)
             results = {
                 "v_eval": float(v_eval),
                 "loss_rate": sol.lambda_eig,
@@ -264,22 +259,14 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
             }
             diagnostics.update(residual=sol.residual, iterations=sol.iterations)
         elif axis == "peak_center":
-            ss = build_steady_state(coeffs, grid)
-            _, results, counters = _steady_blocks(ss)
-            diagnostics.update(counters)
+            _, results, root = _steady(coeffs, grid)
+            diagnostics.update(root)
         else:
             scale = value if axis == "dose" else base.seed_scale
-            initial = seed_state(coeffs, grid, scale=scale, v_init=base.v_init)
-            rho0 = initial.moment0()
-            traj = integrate(coeffs, grid, initial, base.t_end,
-                             snapshot_times=(base.probe_time,),
-                             record_every=base.record_every,
-                             dt_max=base.dt_max)
+            rho0, traj, health = _outbreak(base, coeffs, grid, scale)
             threshold = fixed_threshold if fixed_threshold is not None \
                 else base.threshold_ratio * rho0
             inc = incubation_time(traj, threshold, rho0)
-            probe = next((uu for (ts, uu) in traj.snapshots
-                          if abs(ts - base.probe_time) < 1e-9), None)
             results = {
                 "times": traj.times,
                 "rho_series": traj.rho_series,
@@ -288,12 +275,12 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
                 "threshold": threshold,
                 "t_incubation": inc.t_incubation,
                 "measured_growth_rate": inc.measured_growth_rate,
+                "snapshot_times": [ts for ts, _ in traj.snapshots],
+                # unit-count profiles: the size distribution's shape
+                "snapshot_profiles": [uu / (uu @ grid.widths)
+                                      for _, uu in traj.snapshots],
             }
-            if probe is not None:
-                count = float(probe @ grid.widths)
-                results["probe_time"] = base.probe_time
-                results["probe_profile"] = probe / count if count > 0 else probe
-            diagnostics.update(_integration_diagnostics(traj))
+            diagnostics.update(health)
     except Exception as exc:  # per-value isolation: a bad value must not kill the sweep
         results = {}
         diagnostics = {"error": str(exc), "error_type": type(exc).__name__}

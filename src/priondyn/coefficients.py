@@ -161,14 +161,13 @@ def _check_nonneg(values: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:
 
 
 def eval_coefficients(coeffs: CoefficientSet, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample the three rate shapes at the grid's cell centers.
+    """Sample the three rate shapes at the cell centers of SizeGrid ``grid``.
 
-    ``grid`` is a SizeGrid (anything with a ``centers`` array works).
     Returns (conversion, fragmentation, decay) as float arrays.  Raises
     ValueError naming the offending rate and location if any shape goes
     negative at any center.
     """
-    x = np.asarray(getattr(grid, "centers", grid), dtype=float)
+    x = grid.centers
     conv = _check_nonneg(np.asarray(coeffs.conversion(x), dtype=float), x, "conversion")
     frag = _check_nonneg(np.asarray(coeffs.fragmentation(x), dtype=float), x, "fragmentation")
     decay = _check_nonneg(np.asarray(coeffs.decay(x), dtype=float), x, "decay")

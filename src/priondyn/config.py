@@ -14,8 +14,9 @@ Format, one assignment per line::
     simulate.t_end = 200
 
 Comments start with '#'.  Lists are comma-separated.  Unknown keys are
-rejected; every violation is collected and reported with its line number
-rather than stopping at the first.
+rejected, and so is a run-section key (eigen.*, simulate.*, sweep.*) that
+the run does not read; every violation is collected and reported with its
+line number rather than stopping at the first.
 """
 
 from __future__ import annotations
@@ -77,16 +78,20 @@ def sweep_axis_error(coeffs: CoefficientSet, axis: str) -> Optional[str]:
         axis, "an" if shape[0] in "aeiou" else "a", shape, rate)
 
 
-def _key(key: str, tag: str, default=None):
-    """A RunConfig field set by config key ``key``, parsed by ``tag``."""
-    return dataclasses.field(metadata={"key": key, "tag": tag, "default": default})
+def _key(key: str, tag: str, default=None, reads=None):
+    """A RunConfig field set by config key ``key``, parsed by ``tag`` and
+    read by the commands and sweep axes in ``reads`` (None: every run)."""
+    return dataclasses.field(metadata=dict(key=key, tag=tag, default=default, reads=reads))
+
+
+_OUTBREAKS = ("simulate", "bell_amplitude", "frag_slope", "dose")  # runs that integrate
 
 
 @dataclass
 class RunConfig:
     """Validated run description; see module docstring for the file format.
 
-    Each field but coeffs declares its config key, type tag and default.
+    Each field but coeffs declares its config key, type tag, default and readers.
     Built only by parse_config, which fills every field.
     """
 
@@ -94,20 +99,20 @@ class RunConfig:
     coeffs: CoefficientSet
     xmax: float = _key("grid.xmax", "float")
     n: int = _key("grid.n", "int", 800)
-    eigen_v_values: Optional[tuple] = _key("eigen.v_values", "floatlist")
-    t_end: float = _key("simulate.t_end", "float", 200.0)
-    v_init: Optional[float] = _key("simulate.v_init", "float")
-    seed_scale: float = _key("simulate.seed_scale", "float", 1.0)
-    record_every: int = _key("simulate.record_every", "int", 1)
-    snapshot_times: tuple = _key("simulate.snapshot_times", "floatlist", (96.0,))
-    fit_start: float = _key("simulate.fit_start", "float", 15.0)
-    fit_end: float = _key("simulate.fit_end", "float", 40.0)
-    threshold_ratio: float = _key("simulate.threshold_ratio", "float", 1e3)
-    dt_max: Optional[float] = _key("simulate.dt_max", "float")
-    sweep_axis: Optional[str] = _key("sweep.axis", "enum:axis")
-    sweep_values: Optional[tuple] = _key("sweep.values", "floatlist")
-    probe_time: float = _key("sweep.probe_time", "float", 96.0)
-    sweep_v_eval: Optional[float] = _key("sweep.v_eval", "float")
+    eigen_v_values: Optional[tuple] = _key("eigen.v_values", "floatlist", reads=("eigen",))
+    t_end: float = _key("simulate.t_end", "float", 200.0, _OUTBREAKS)
+    v_init: Optional[float] = _key("simulate.v_init", "float", reads=_OUTBREAKS)
+    seed_scale: float = _key("simulate.seed_scale", "float", 1.0,
+                             ("simulate", "bell_amplitude", "frag_slope"))
+    record_every: int = _key("simulate.record_every", "int", 1, _OUTBREAKS)
+    snapshot_times: tuple = _key("simulate.snapshot_times", "floatlist", (96.0,), _OUTBREAKS)
+    fit_start: float = _key("simulate.fit_start", "float", 15.0, ("simulate",))
+    fit_end: float = _key("simulate.fit_end", "float", 40.0, ("simulate",))
+    threshold_ratio: float = _key("simulate.threshold_ratio", "float", 1e3, _OUTBREAKS)
+    dt_max: Optional[float] = _key("simulate.dt_max", "float", reads=_OUTBREAKS)
+    sweep_axis: Optional[str] = _key("sweep.axis", "enum:axis", reads=("sweep",))
+    sweep_values: Optional[tuple] = _key("sweep.values", "floatlist", reads=("sweep",))
+    sweep_v_eval: Optional[float] = _key("sweep.v_eval", "float", reads=("tightness",))
     out_dir: str = _key("output.dir", "str", "out")
     timings: bool = _key("output.timings", "bool", False)
 
@@ -127,6 +132,9 @@ _SCALAR_KEYS = {
     **{f.metadata["key"]: (f.name, f.metadata["tag"], f.metadata["default"])
        for f in dataclasses.fields(RunConfig) if f.metadata},
 }
+# run-section key -> the commands and sweep axes whose runs read it
+_READERS = {f.metadata["key"]: f.metadata["reads"]
+            for f in dataclasses.fields(RunConfig) if f.metadata.get("reads")}
 
 _SHAPE_PREFIXES = ("model.conversion", "model.fragmentation", "model.decay")
 
@@ -206,6 +214,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate; raises ConfigError listing every problem found."""
     errors: list = []
     scalars: dict = {}
+    key_lines: dict = {}
     shapes = {p: {} for p in _SHAPE_PREFIXES}
 
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -226,9 +235,10 @@ def parse_config(text: str) -> RunConfig:
         if key not in _SCALAR_KEYS:
             errors.append("line %d: unknown key %r" % (line_no, key))
             continue
-        if key in scalars:
+        if key in key_lines:
             errors.append("line %d: %s set twice" % (line_no, key))
             continue
+        key_lines[key] = line_no
         _, tag, _ = _SCALAR_KEYS[key]
         val = _parse_value(tag, raw, key, line_no, errors)
         if val is not None:
@@ -259,10 +269,17 @@ def parse_config(text: str) -> RunConfig:
         errors.append("config: simulate.record_every must be at least 1, got %d"
                       % get("simulate.record_every"))
     exp = scalars.get("experiment")
+    axis = get("sweep.axis") if exp == "sweep" else None
+    if exp is not None and (exp != "sweep" or axis is not None):
+        run = exp if axis is None else axis + " sweep"
+        for key, line_no in key_lines.items():
+            reads = _READERS.get(key)
+            if reads and exp not in reads and axis not in reads:
+                errors.append("line %d: %s is not read by %s runs" % (line_no, key, run))
     if exp == "eigen" and get("eigen.v_values") is None:
         errors.append("config: experiment 'eigen' requires eigen.v_values")
     if exp == "sweep":
-        if get("sweep.axis") is None:
+        if axis is None:
             errors.append("config: experiment 'sweep' requires sweep.axis")
         if get("sweep.values") is None:
             errors.append("config: experiment 'sweep' requires sweep.values")
@@ -273,7 +290,7 @@ def parse_config(text: str) -> RunConfig:
         production=get("model.production"), clearance=get("model.clearance"),
         x0=get("model.x0"),
         **{rate: shape for rate, shape in built_shapes.items() if shape is not None})
-    mismatch = sweep_axis_error(coeffs, get("sweep.axis")) if exp == "sweep" else None
+    mismatch = sweep_axis_error(coeffs, axis) if exp == "sweep" else None
     if mismatch:
         raise ConfigError(["config: " + mismatch])
 
@@ -301,9 +318,9 @@ def config_echo(cfg: RunConfig) -> dict:
     The model and grid are echoed in full.  A key of a run section
     (eigen.*, simulate.*, sweep.*) is echoed under its section, named by
     its suffix, when its value differs from its default; a sweep, for one,
-    reads simulate.* keys.  So two configs that run differently never
-    share an echo, and a key set to its default changes nothing.  output.*
-    only places files and is left out.  The echo's digest names the output
+    reads simulate.* keys.  A run accepts only the keys it reads, so each
+    echoed key changes the run and a key set to its default changes
+    nothing.  output.* only places files and is left out.  The echo's digest names the output
     files, so a change here renames them.
     """
     c = cfg.coeffs

@@ -73,7 +73,3 @@ class PolymerState:
     def moment0(self) -> float:
         """Total polymer count, sum(u*h)."""
         return float(self.u @ self.grid.widths)
-
-    def moment1(self) -> float:
-        """Total polymerized mass, sum(x*u*h)."""
-        return float((self.grid.centers * self.u) @ self.grid.widths)

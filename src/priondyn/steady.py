@@ -293,28 +293,26 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float):
     return peaks[keep], prom[keep]
 
 
-def detect_modes(u: np.ndarray, grid: SizeGrid):
+def detect_modes(u: np.ndarray):
     """Interior maxima of a profile after 3-point smoothing.
 
     Returns (indices, prominences).  The maxima and their prominences
     follow the rule of scipy.signal.find_peaks(sm, prominence=...), bit
     for bit: a plateau counts once, at its left-middle cell, and not at
-    all if it touches either end; the prominence is the peak minus the
-    higher of the lowest values on its two sides, each side walked out
-    to the first strictly higher value.  A maximum is kept when its
-    prominence is at least 1% of the smoothed peak value.  Peaks within
-    two cells of either end are then discarded: the outflow cell and the
-    imposed-zero inflow cell carry scheme artifacts, not structure.  A
-    profile always has at least one mode: when no interior maximum
-    survives, the global maximum of u is returned, with prominence u.max().
+    all if it touches either end, so a spike in the first or last cell is
+    never a mode; the prominence is the peak minus the higher of the
+    lowest values on its two sides, each side walked out to the first
+    strictly higher value.  A maximum is kept when its prominence is at
+    least 1% of the smoothed peak value.  A profile always has at least
+    one mode: when no interior maximum survives, the global maximum of u
+    is returned, with prominence u.max().
     """
     sm = u.astype(float).copy()
     sm[1:-1] = (u[:-2] + u[1:-1] + u[2:]) / 3.0
     idx, prom = _prominent_peaks(sm, 0.01 * float(sm.max()))
-    keep = (idx >= 2) & (idx <= grid.n - 3)
-    if not keep.any():
+    if not idx.size:
         return np.array([int(np.argmax(u))]), np.array([float(u.max())])
-    return idx[keep], prom[keep]
+    return idx, prom
 
 
 def bimodality_report(ss: SteadyState) -> BimodalityReport:
@@ -322,7 +320,7 @@ def bimodality_report(ss: SteadyState) -> BimodalityReport:
     coeffs = ss.coeffs
     grid = ss.grid
     u = ss.u_profile
-    idx, _ = detect_modes(u, grid)
+    idx, _ = detect_modes(u)
     locations = grid.centers[idx]
 
     frac = 0.0

@@ -220,7 +220,7 @@ def test_c09_tightness_sweep():
                                 conversion=ScaledBell(0.001, a, 8.0))
             sol = principal_eigenpair(cs, grid, 600.0)
             rates.append(-sol.lambda_eig)
-            idx, _ = detect_modes(sol.u_vec, grid)
+            idx, _ = detect_modes(sol.u_vec)
             n_modes.append(max(1, idx.size))
         k = int(np.argmax(rates))
         assert 0 < k < len(alphas) - 1  # growth peaks strictly inside

@@ -12,11 +12,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from priondyn import cli, config, eigen
+from priondyn import SizeGrid, cli, config, eigen
 from priondyn.cli import main
 from priondyn.coefficients import SHAPES
 from priondyn.records import canonical_json
@@ -295,7 +296,7 @@ def test_empty_value_lists_are_config_errors(tmp_path, name, body, key):
 
 
 RETIRED_KEYS = ("eigen.tol", "sweep.t_end", "sweep.record_every",
-                "sweep.threshold_ratio")
+                "sweep.threshold_ratio", "sweep.probe_time")
 SHAPE_PARAMS = sorted({"%s.%s" % (prefix, f.name)
                        for prefix in config._SHAPE_PREFIXES
                        for cls in SHAPES.values() for f in dataclasses.fields(cls)})
@@ -500,6 +501,57 @@ def test_peak_center_items_carry_root_counters(tmp_path):
         assert 0 < diag["root_evaluations"] <= diag["root_iterations"] + 1
 
 
+def _record(out, pattern):
+    return json.loads(next(out.glob(pattern)).read_text())
+
+
+def test_peak_center_items_record_what_a_steady_run_records(tmp_path):
+    # an item runs the steady runner's code on the edited coefficients
+    code, sweep_out = _run(tmp_path, "sweep",
+                           FAST_PEAK_SWEEP.replace("1.667, 4.167", "1.667"))
+    assert code == 0
+    steady = FAST_PEAK_SWEEP.replace("experiment = sweep", "experiment = steady")
+    steady = "\n".join(ln for ln in steady.splitlines() if not ln.startswith("sweep."))
+    code, steady_out = _run(tmp_path, "steady",
+                            steady.replace("center = 2.5", "center = 1.667"))
+    assert code == 0
+    item = _record(sweep_out, "sweep-*-item-00.json")
+    run = _record(steady_out, "steady-*.json")
+    assert item["results"] == run["results"]
+    assert "necessary_condition_met" in item["results"]
+    assert item["diagnostics"] == run["diagnostics"]
+    assert "monotone_warning" in item["diagnostics"]
+
+
+def test_frag_slope_items_integrate_as_a_simulate_run_does(tmp_path):
+    common = ["simulate.t_end = 8.0", "simulate.snapshot_times = 4.0",
+              "simulate.threshold_ratio = 2", "simulate.record_every = 2",
+              "grid.xmax = 60.0", "grid.n = 100", ""]
+    code, sweep_out = _run(tmp_path, "sweep", "\n".join([
+        "experiment = sweep", "sweep.axis = frag_slope", "sweep.values = 0.0471",
+        *common]))
+    assert code == 0
+    code, sim_out = _run(tmp_path, "simulate", "\n".join([
+        "experiment = simulate", "model.fragmentation.shape = affine",
+        "model.fragmentation.intercept = 0", "model.fragmentation.slope = 0.0471",
+        *common]))
+    assert code == 0
+    item = _record(sweep_out, "sweep-*-item-00.json")
+    run = _record(sim_out, "simulate-*[0-9a-f].json")
+    for key in ("rho0", "t_incubation", "snapshot_times"):
+        assert item["results"][key] == run["results"][key]
+    assert item["results"]["t_incubation"] is not None
+    # the item's profile is the run's snapshot scaled to unit count
+    # a contiguous copy, as the run's snapshot was: the dot products then agree
+    snap = np.loadtxt(next(sim_out.glob("*-snap-00.csv")), delimiter=",",
+                      skiprows=1)[:, 1].copy()
+    widths = SizeGrid.uniform(60.0, 100).widths
+    np.testing.assert_array_equal(item["results"]["snapshot_profiles"],
+                                  [snap / (snap @ widths)])
+    run["diagnostics"].pop("growth_fit_skipped")
+    assert item["diagnostics"] == run["diagnostics"]
+
+
 @pytest.mark.parametrize("name, body", [
     ("steady", (CONFIG_DIR / "fig3.cfg").read_text()),
     ("sweep", FAST_PEAK_SWEEP),
@@ -568,7 +620,7 @@ def test_integration_counters_explain_steps_and_rejections(tmp_path):
         assert sum(d["steps_by_limit"].values()) == d["steps"]
         assert sum(d["rejections_by_stage"].values()) == d["rejections"]
         assert 0 < d["halved_steps"] < d["steps"]
-        # one landing on the probe day, one on t_end
+        # one landing on the snapshot day, one on t_end
         assert d["steps_by_limit"]["event"] == 2
 
 

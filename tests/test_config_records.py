@@ -90,17 +90,39 @@ def test_error_collection_is_exhaustive():
     ("sweep.t_end = 200", "unknown key 'sweep.t_end'"),
     ("sweep.record_every = 4", "unknown key 'sweep.record_every'"),
     ("sweep.threshold_ratio = 1000", "unknown key 'sweep.threshold_ratio'"),
+    ("sweep.probe_time = 96", "unknown key 'sweep.probe_time'"),
 ])
 def test_retired_and_out_of_range_keys_are_named(line, message):
+    # a simulate run reads every simulate.* key, so each line has one fault
     with pytest.raises(ConfigError, match=message):
-        parse_config("experiment = steady\n" + line + "\n")
+        parse_config("experiment = simulate\n" + line + "\n")
 
 
-@pytest.mark.parametrize("base", ["experiment = simulate\n",
-                                  "experiment = sweep\nsweep.axis = dose\nsweep.values = 1\n"])
-@pytest.mark.parametrize("key", sorted(k for k, (_, _, default) in config._SCALAR_KEYS.items()
-                                       if default is not None))
-def test_a_key_set_to_its_default_changes_nothing(base, key):
+@pytest.mark.parametrize("name, line, run", [
+    ("fig2", "simulate.t_end = 50", "eigen"),
+    ("fig6", "simulate.fit_start = 20", "frag_slope sweep"),
+    ("fig4", "sweep.v_eval = 600", "peak_center sweep"),
+    ("fig3", "eigen.v_values = 10", "steady"),
+])
+def test_a_run_rejects_a_key_it_does_not_read(name, line, run):
+    text = (CONFIG_DIR / ("%s.cfg" % name)).read_text()
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(text + line + "\n")
+    assert exc_info.value.errors == ["line %d: %s is not read by %s runs" % (
+        len(text.splitlines()) + 1, line.split(" = ")[0], run)]
+
+
+# each key with a default, set on every base whose run reads it
+DEFAULT_BASES = {"simulate": "experiment = simulate\n",
+                 "dose": "experiment = sweep\nsweep.axis = dose\nsweep.values = 1\n"}
+
+
+@pytest.mark.parametrize("key, base", [
+    (key, base)
+    for key in sorted(k for k, (_, _, default) in config._SCALAR_KEYS.items()
+                      if default is not None)
+    for run, base in DEFAULT_BASES.items() if run in config._READERS.get(key, (run,))])
+def test_a_key_set_to_its_default_changes_nothing(key, base):
     _, tag, default = config._SCALAR_KEYS[key]
     text = ", ".join(map(str, default)) if tag == "floatlist" else str(default)
     plain = parse_config(base)
@@ -109,11 +131,24 @@ def test_a_key_set_to_its_default_changes_nothing(base, key):
     assert config_echo(explicit) == config_echo(plain)
 
 
+def _read_by(reads):
+    """The README's "read by" entry for a key whose readers are ``reads``."""
+    if reads is None:
+        return "all"
+    axes = [r for r in reads if r in config.SWEEP_AXES]
+    return ", ".join([r for r in reads if r not in axes]
+                     + (["sweep (%s)" % ", ".join(axes)] if axes else []))
+
+
 def test_readme_key_table_lists_every_scalar_key():
     text = (ROOT / "README.md").read_text()
     table = text[text.index("| key | default | read by |"):].split("\n\n", 1)[0]
-    keys = {m.group(1) for m in re.finditer(r"^\| `([a-z0-9_.]+)` \|", table, re.M)}
-    assert keys == set(config._SCALAR_KEYS)
+    read_by = {m.group(1): m.group(2) for m in re.finditer(
+        r"^\| `([a-z0-9_.]+)` \| [^|]* \| ([^|]*) \|$", table, re.M)}
+    assert set(read_by) == set(config._SCALAR_KEYS)
+    # the entry before any ';' names the runs that accept the key
+    for key, cell in read_by.items():
+        assert cell.split(";")[0] == _read_by(config._READERS.get(key)), key
 
 
 def test_records_carry_the_packaged_version():

@@ -283,17 +283,29 @@ def test_detect_modes_discards_boundary_ripple():
     x = grid.centers
     u = np.exp(-((x - 5.0) ** 2))
     u[0] = 10.0  # spike in the first cell must not count as a mode
-    idx, prominences = detect_modes(u, grid)
+    idx, prominences = detect_modes(u)
     assert len(idx) == 1
     assert abs(x[idx[0]] - 5.0) < 0.2
     assert prominences[0] > 0.0
+
+
+def test_detect_modes_keeps_a_hump_next_to_the_inflow_cell():
+    # a hump that rises from cell 0 to cell 1 and falls after is a mode,
+    # as on the shipped grid of the fig4 centre 0.833, where it sits in cell 1
+    grid = SizeGrid.uniform(10.0, 200)
+    x = grid.centers
+    u = np.exp(-((x - 5.0) ** 2))
+    u[:4] += [1.0, 1.6, 1.0, 0.4]
+    idx, _ = detect_modes(u)
+    assert len(idx) == 2 and idx[0] == 1
+    assert abs(x[idx[1]] - 5.0) < 0.2
 
 
 def test_detect_modes_two_humps_synthetic():
     grid = SizeGrid.uniform(20.0, 400)
     x = grid.centers
     u = np.exp(-((x - 4.0) ** 2)) + 0.5 * np.exp(-((x - 12.0) ** 2))
-    idx, _ = detect_modes(u, grid)
+    idx, _ = detect_modes(u)
     assert len(idx) == 2
     np.testing.assert_allclose(x[idx], [4.0, 12.0], atol=0.2)
 
