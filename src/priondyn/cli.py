@@ -62,17 +62,22 @@ def _steady(coeffs, grid):
 
 def _outbreak(cfg: RunConfig, coeffs, grid, scale: float):
     """Seed ``scale`` unit inocula and integrate with the simulate.* keys;
-    returns the inoculum count, the trajectory and the run's health."""
+    returns the inoculum count, the trajectory and the run's health,
+    which lists the snapshot instants the run did not take."""
     initial = seed_state(coeffs, grid, scale=scale, v_init=cfg.v_init)
     traj = integrate(coeffs, grid, initial, cfg.t_end,
                      snapshot_times=cfg.snapshot_times,
                      record_every=cfg.record_every, dt_max=cfg.dt_max)
+    taken = {ts for ts, _ in traj.snapshots}
     health = {"max_conservation_residual": traj.max_residual,
               "truncation_flux_total": traj.truncation_flux_total,
               "steps": traj.steps, "rejections": traj.rejections,
+              "rhs_evaluations": traj.rhs_evaluations,
               "steps_by_limit": traj.steps_by_limit,
               "halved_steps": traj.halved_steps,
-              "rejections_by_stage": traj.rejections_by_stage}
+              "rejections_by_stage": traj.rejections_by_stage,
+              "dropped_snapshot_times": [s for s in cfg.snapshot_times
+                                         if s not in taken]}
     return initial.moment0(), traj, health
 
 

@@ -2,16 +2,20 @@
 experiments built on it: growth-rate fits, incubation times, stability
 runs.
 
-The stepper is explicit Heun under a transport CFL bound and a reaction
-bound, with step rejection and halving if a stage goes negative.  The
-mass books are stage-consistent: the reported per-step residual compares
-the realized change of (monomer + polymer mass) against the stage-averaged
-sources, so it sits at rounding level and any real leak would show
+The stepper is SSPRK(4,2), the four-stage second-order strong-stability-
+preserving Runge-Kutta method: each stage is a forward-Euler step of a
+third of the step, so the transport CFL and reaction bounds allow three
+times their forward-Euler step for four right-hand-side evaluations.  A
+stage with a negative entry rejects the step and halves it.  The mass
+books are stage-consistent: the reported per-step residual compares the
+realized change of (monomer + polymer mass) against the mean of the four
+stage sources, so it sits at rounding level and any real leak would show
 immediately.  The right-hand side applies the structured generator in O(n).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -64,6 +68,8 @@ class Trajectory:
     steps taken while the working step was halved after a rejection;
     rejections_by_stage counts rejections by the first stage entry to go
     negative ("monomer" if V, else "polymer") and sums to rejections.
+    rhs_evaluations counts right-hand-side evaluations: four per accepted
+    step plus those a rejected step made up to its negative stage.
     """
 
     times: np.ndarray
@@ -81,6 +87,7 @@ class Trajectory:
     steps_by_limit: dict = field(default_factory=dict)
     halved_steps: int = 0
     rejections_by_stage: dict = field(default_factory=dict)
+    rhs_evaluations: int = 0
     residual_series: Optional[np.ndarray] = None
 
     @property
@@ -110,9 +117,10 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     Steps land exactly on requested snapshot instants and on t_end.  The
     step size is recomputed every step from the current monomer level
     (transport CFL, with safety factor 0.9) and the fixed reaction bound,
-    capped by dt_max when given; a stage with a negative entry rejects the
-    step and halves the working step, which relaxes back after a stretch
-    of accepted steps.
+    each tripled as a stage spans a third of the step, and capped by
+    dt_max when given; a stage with a negative entry rejects the step and
+    halves the working step, which relaxes back after a stretch of
+    accepted steps.
     """
     if t_end <= initial.t:
         raise ValueError("t_end=%g is not beyond the initial time %g" % (t_end, initial.t))
@@ -126,18 +134,20 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     conv, frag, decay, frag_eff = gen.conversion, gen.fragmentation, gen.decay, gen.frag_eff
     lam, gam = coeffs.production, coeffs.clearance
 
-    xh = x * h
-    convh = conv * h
-    muxh = decay * x * h
-    vgain = below_cutoff_mass_share(grid) * frag_eff * h  # monomer mass back, x0>0
-    fluxw = (x[-1] + h[-1]) * conv[-1]
+    # one product per state gives its count, mass and decay sink (for the
+    # books) and the monomer it takes up and gives back (for dV/dt); mass
+    # comes back from splits below the cutoff, so only when x0 > 0
+    moments = np.stack((h, x * h, decay * x * h, conv * h,
+                        below_cutoff_mass_share(grid) * frag_eff * h))
+    fluxw = float((x[-1] + h[-1]) * conv[-1])
     conv_max = float(conv.max())
     hmin = float(h.min())
-    # stage stability needs dt below 2/rate for every linear loss rate;
-    # clearance counts too, else a large-dt regime lets V oscillate above
-    # its supply ceiling
+    # each stage is a forward-Euler step of dt/3, which must stay below
+    # 2/rate for every linear loss rate (0.5/rate with margin); clearance
+    # counts too, else a large-dt regime lets V oscillate above its supply
+    # ceiling
     stiffest = max(float((decay + frag).max()), gam)
-    loss_cap = 0.5 / stiffest
+    loss_cap = 1.5 / stiffest
 
     snap_set = set(float(s) for s in snapshot_times if initial.t < s <= t_end)
     events = sorted(snap_set | {float(t_end)})
@@ -150,17 +160,18 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     V = float(initial.v)
     t = initial.t
 
-    # count, mass and decay sink of u, carried over from each accepted stage
-    rho_u, p_u, mu_u = u @ h, xh @ u, muxh @ u
+    # moments of u, carried over from the last stage of each accepted step
+    rho_u, p_u, mu_u, take_u, back_u = (moments @ u).tolist()
     rec_t = [t]
     rec_v = [V]
-    rec_rho = [float(rho_u)]
-    rec_p = [float(p_u)]
+    rec_rho = [rho_u]
+    rec_p = [p_u]
     rec_steps = [0]
     residuals: list = []
     flux_total = 0.0
     steps = 0
     rejections = 0
+    rhs_evaluations = 0
     steps_by_limit = dict.fromkeys(("cfl", "loss_cap", "dt_max", "event"), 0)
     halved_steps = 0
     rejections_by_stage = dict.fromkeys(("monomer", "polymer"), 0)
@@ -168,16 +179,12 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     ev_i = 0
     dt_min = 1e-14 * max(1.0, t_end - initial.t)
 
-    def rhs(uu, VV):
-        du = gen.apply(VV, uu)
-        dV = lam - VV * (gam + convh @ uu) + vgain @ uu
-        return du, dV
-
     while t < t_end - 1e-12:
         next_event = events[ev_i]
         dt_bound, limit = loss_cap, "loss_cap"
         if V * conv_max > 0.0:
-            dt_cfl = 0.9 * hmin / (V * conv_max)
+            # a stage of dt/3 keeps the Euler CFL bound 0.9*hmin/(V*conv_max)
+            dt_cfl = 2.7 * hmin / (V * conv_max)
             if dt_cfl < dt_bound:
                 dt_bound, limit = dt_cfl, "cfl"
         if dt_max is not None and dt_max < dt_bound:
@@ -195,40 +202,52 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
                 "step size underflow at t=%g (shrink=%g)" % (t, shrink),
                 state=PolymerState(v=V, u=u.copy(), grid=grid, t=t))
 
-        du1, dV1 = rhs(u, V)
-        u1 = u + dt * du1
-        V1 = V + dt * dV1
-        if u1.min() < 0.0 or V1 < 0.0:
+        # SSPRK(4,2) in Shu-Osher form: three forward-Euler stages of
+        # tau = dt/3, then u/4 + 3/4 of a fourth Euler stage from the
+        # third.  The step equals u + dt/4 times the sum of the four stage
+        # slopes, so the books take the mean of the four stage sources.
+        tau = dt / 3.0
+        w, W, mu_w, take_w, back_w = u, V, mu_u, take_u, back_u
+        src = out = 0.0
+        for stage in range(4):
+            dw = gen.apply(W, w)
+            dW = lam - W * (gam + take_w) + back_w
+            rhs_evaluations += 1
+            out_w = W * fluxw * w[-1]
+            src += lam - gam * W - mu_w - out_w
+            out += out_w
+            # w + tau*dw and u/4 + 3/4*w, in place: apply returns a fresh array
+            dw *= tau
+            dw += w
+            w = dw
+            W = W + tau * dW
+            if stage == 3:
+                w *= 0.75
+                w += 0.25 * u
+                W = 0.25 * V + 0.75 * W
+            negative = w.min() < 0.0 or W < 0.0
+            if negative:
+                break
+            rho_w, p_w, mu_w, take_w, back_w = (moments @ w).tolist()
+        if negative:
             shrink *= 0.5
             rejections += 1
-            rejections_by_stage["monomer" if V1 < 0.0 else "polymer"] += 1
+            rejections_by_stage["monomer" if W < 0.0 else "polymer"] += 1
             continue
-        du2, dV2 = rhs(u1, V1)
-        u2 = 0.5 * u + 0.5 * (u1 + dt * du2)
-        V2 = 0.5 * V + 0.5 * (V1 + dt * dV2)
-        if u2.min() < 0.0 or V2 < 0.0:
-            shrink *= 0.5
-            rejections += 1
-            rejections_by_stage["monomer" if V2 < 0.0 else "polymer"] += 1
-            continue
-        # no entry of u2 is negative and xh > 0, so its mass is finite iff
-        # every entry is (short of the sum overflowing)
-        p_u2 = xh @ u2
-        if not (np.isfinite(V2) and np.isfinite(p_u2)):
+        # no entry of w is negative and the mass weights are positive, so
+        # its mass is finite iff every entry is (short of the sum overflowing)
+        if not (math.isfinite(W) and math.isfinite(p_w)):
             raise IntegratorFailure(
                 "non-finite state at t=%g" % t,
                 state=PolymerState(v=V, u=u.copy(), grid=grid, t=t))
 
-        # books: realized d(V+P)/dt against the stage-averaged sources
-        dvp = (V2 + p_u2 - V - p_u) / dt
-        out0, out1 = V * fluxw * u[-1], V1 * fluxw * u1[-1]
-        src = 0.5 * ((lam - gam * V - mu_u - out0)
-                     + (lam - gam * V1 - muxh @ u1 - out1))
-        residuals.append(abs(dvp - src) / (float(rho_u) + V))
-        flux_total += 0.5 * dt * (out0 + out1)
+        # books: realized d(V+P)/dt against the mean of the stage sources
+        dvp = (W + p_w - V - p_u) / dt
+        residuals.append(abs(dvp - 0.25 * src) / (rho_u + V))
+        flux_total += 0.25 * dt * out
 
-        u, V = u2, V2
-        rho_u, p_u, mu_u = u @ h, p_u2, muxh @ u
+        u, V = w, W
+        rho_u, p_u, mu_u, take_u, back_u = rho_w, p_w, mu_w, take_w, back_w
         t = next_event if hit_event else t + dt
         steps += 1
         steps_by_limit["event" if hit_event else limit] += 1
@@ -243,8 +262,8 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         if steps % record_every == 0 or t >= t_end - 1e-12:
             rec_t.append(t)
             rec_v.append(V)
-            rec_rho.append(float(rho_u))
-            rec_p.append(float(p_u))
+            rec_rho.append(rho_u)
+            rec_p.append(p_u)
             rec_steps.append(steps)
 
     final = PolymerState(v=V, u=u.copy(), grid=grid, t=t)
@@ -259,6 +278,7 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
                       rejections=rejections, steps_by_limit=steps_by_limit,
                       halved_steps=halved_steps,
                       rejections_by_stage=rejections_by_stage,
+                      rhs_evaluations=rhs_evaluations,
                       residual_series=np.concatenate(([0.0], row_res)))
 
 

@@ -140,6 +140,7 @@ def test_simulate_outputs(tmp_path):
     payload = json.loads((out / js).read_text())
     assert payload["results"]["t_end"] == 6.0
     assert payload["results"]["v_final"] > 0.0
+    assert payload["diagnostics"]["dropped_snapshot_times"] == []
     header = (out / next(n for n in names if n.endswith("-trajectory.csv"))
               ).read_text().splitlines()[0]
     assert header == "t,v,polymer_count,polymer_mass,conservation_residual"
@@ -523,6 +524,37 @@ def test_peak_center_items_record_what_a_steady_run_records(tmp_path):
     assert "monotone_warning" in item["diagnostics"]
 
 
+def test_snapshot_instants_not_taken_are_recorded_as_dropped(tmp_path):
+    # a warning in the record, not a config error: the default snapshot
+    # day 96 lies past many a short run's end.  Instants before the start
+    # are dropped too
+    code, out = _run(tmp_path, "simulate", "\n".join([
+        "experiment = simulate", "simulate.t_end = 6", "simulate.snapshot_times = 3, 96",
+        "grid.n = 100", "grid.xmax = 60.0", ""]))
+    assert code == 0
+    run = _record(out, "simulate-*[0-9a-f].json")
+    assert run["results"]["snapshot_times"] == [3.0]
+    assert run["diagnostics"]["dropped_snapshot_times"] == [96.0]
+    (tmp_path / "early").mkdir()
+    code, out = _run(tmp_path / "early", "simulate", "\n".join([
+        "experiment = simulate", "simulate.t_end = 6",
+        "simulate.snapshot_times = -1, 0, 6", "grid.n = 100", "grid.xmax = 60.0", ""]))
+    assert code == 0
+    run = _record(out, "simulate-*[0-9a-f].json")
+    assert run["results"]["snapshot_times"] == [0.0, 6.0]
+    assert run["diagnostics"]["dropped_snapshot_times"] == [-1.0]
+    code, out = _run(tmp_path, "sweep", "\n".join([
+        "experiment = sweep", "sweep.axis = bell_amplitude", "sweep.values = 0.01",
+        "simulate.t_end = 2", "model.conversion.shape = bell",
+        "model.conversion.base = 0.001", "model.conversion.amplitude = 0.01",
+        "model.conversion.center = 2.0", "model.conversion.width_sq = 0.1",
+        "grid.n = 80", "grid.xmax = 30.0", ""]))
+    assert code == 0
+    item = _record(out, "sweep-*-item-00.json")
+    assert item["results"]["snapshot_times"] == []
+    assert item["diagnostics"]["dropped_snapshot_times"] == [96.0]
+
+
 def test_frag_slope_items_integrate_as_a_simulate_run_does(tmp_path):
     common = ["simulate.t_end = 8.0", "simulate.snapshot_times = 4.0",
               "simulate.threshold_ratio = 2", "simulate.record_every = 2",
@@ -615,10 +647,15 @@ def test_integration_counters_explain_steps_and_rejections(tmp_path):
     diags = [json.loads(p.read_text())["diagnostics"]
              for p in sorted(out1.glob("*-item-*.json"))]
     # slope 0.0628: counts the event-landing rule must leave unchanged
-    assert (diags[1]["steps"], diags[1]["rejections"]) == (4275, 20)
+    assert (diags[1]["steps"], diags[1]["rejections"]) == (1439, 8)
+    # 4*1439 for the accepted steps, 14 for the stages the rejected ones ran
+    assert diags[1]["rhs_evaluations"] == 5770
     for d in diags:
         assert sum(d["steps_by_limit"].values()) == d["steps"]
         assert sum(d["rejections_by_stage"].values()) == d["rejections"]
+        # four per accepted step; a rejected step made one to four
+        extra = d["rhs_evaluations"] - 4 * d["steps"]
+        assert d["rejections"] <= extra <= 4 * d["rejections"]
         assert 0 < d["halved_steps"] < d["steps"]
         # one landing on the snapshot day, one on t_end
         assert d["steps_by_limit"]["event"] == 2

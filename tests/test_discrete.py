@@ -39,7 +39,7 @@ def test_state_moments():
 
 
 def test_uninfected_relaxation_analytic():
-    # two-stage scheme: global error O(dt^2), so dt=1e-3 buys ~1e-6
+    # second-order scheme: global error O(dt^2), so dt=1e-3 buys ~1e-6
     p = _params()
     s = DiscreteState(v=100.0, u=np.zeros(p.sizes.size))
     traj = integrate_discrete(p, s, t_end=1.0, dt=0.001)
@@ -47,6 +47,20 @@ def test_uninfected_relaxation_analytic():
     expected = vbar + (100.0 - vbar) * np.exp(-4.0 * np.asarray(traj.times))
     np.testing.assert_allclose(traj.v_series, expected, rtol=5e-6)
     assert traj.mass_residual_max < 1e-12
+
+
+def test_uninfected_relaxation_converges_at_second_order():
+    # with no polymer, v(t) = vbar + (v0 - vbar)*exp(-clearance*t), and
+    # halving dt must cut the largest error about fourfold
+    p = _params(production=600.0, clearance=1.0)
+    s = DiscreteState(v=100.0, u=np.zeros(p.sizes.size))
+    errors = []
+    for dt in (0.2, 0.1, 0.05):
+        traj = integrate_discrete(p, s, t_end=2.0, dt=dt)
+        exact = 600.0 + (100.0 - 600.0) * np.exp(-1.0 * traj.times)
+        errors.append(np.abs(traj.v_series - exact).max())
+    ratios = np.asarray(errors[:-1]) / np.asarray(errors[1:])
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
 
 
 def test_mass_book_is_exact_in_growth():
@@ -108,7 +122,7 @@ def crosscheck():
 
 
 def test_uninfected_paths_are_identical(crosscheck):
-    # same Heun stage arithmetic, same fixed dt: bitwise agreement
+    # same four-stage arithmetic, same fixed dt: bitwise agreement
     assert crosscheck["uninfected_max_rel_diff_v"] == 0.0
 
 

@@ -41,6 +41,23 @@ def test_monomer_relaxation_matches_exponential():
     assert traj.rho_series[-1] == 0.0
 
 
+def test_monomer_relaxation_converges_at_second_order():
+    # u = 0 decouples V: V(t) = vbar + (V0 - vbar)*exp(-clearance*t).
+    # Halving the step must cut the largest V error about fourfold; a
+    # clearance of 1 keeps clearance*dt in the asymptotic range
+    coeffs = CoefficientSet(production=600.0, clearance=1.0)
+    grid = _grid(100)
+    initial = PolymerState(v=100.0, u=np.zeros(grid.n), grid=grid, t=0.0)
+    errors = []
+    for dt in (0.2, 0.1, 0.05):
+        traj = integrate(coeffs, grid, initial, t_end=2.0, dt_max=dt)
+        assert traj.steps_by_limit["dt_max"] == traj.steps - 1
+        exact = 600.0 + (100.0 - 600.0) * np.exp(-1.0 * traj.times)
+        errors.append(np.abs(traj.v_series - exact).max())
+    ratios = np.asarray(errors[:-1]) / np.asarray(errors[1:])
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+
+
 def test_record_every_below_one_is_refused():
     grid = _grid(50)
     with pytest.raises(ValueError, match="record_every"):
@@ -86,13 +103,18 @@ def test_snapshot_outside_span_is_ignored():
 
 
 def test_snapshot_just_past_a_full_step_is_reached():
-    # on this grid a full step ends 2 ulp short of t=5; the step must
-    # land on the snapshot rather than leave a sliver below the step floor
-    grid = SizeGrid.uniform(50.0 / 3.0, 200)
-    traj = integrate(CONST, grid, seed_state(CONST, grid), t_end=20.0,
+    # the reaction bound is 1.5/clearance = 0.25 exactly; the first step,
+    # set by the CFL bound at V = 600, rounds a hair below it, so the
+    # twentieth full step ends 1 ulp short of t=5.  The step must land on
+    # the snapshot rather than leave a sliver below the step floor
+    coeffs = CoefficientSet(production=3600.0, clearance=6.0)
+    grid = SizeGrid.uniform(10.0, 180)
+    plain = integrate(coeffs, grid, seed_state(coeffs, grid), t_end=20.0)
+    assert 0.0 < 5.0 - plain.times[20] < 1e-14
+    traj = integrate(coeffs, grid, seed_state(coeffs, grid), t_end=20.0,
                      snapshot_times=(5.0, 10.0))
     assert [t for t, _ in traj.snapshots] == [5.0, 10.0]
-    assert traj.steps == 160
+    assert traj.steps == plain.steps == 80
 
 
 def test_rounding_sized_last_step_is_absorbed():
