@@ -74,8 +74,6 @@ def _outbreak(cfg: RunConfig, coeffs, grid, scale: float):
               "steps": traj.steps, "rejections": traj.rejections,
               "rhs_evaluations": traj.rhs_evaluations,
               "steps_by_limit": traj.steps_by_limit,
-              "halved_steps": traj.halved_steps,
-              "rejections_by_stage": traj.rejections_by_stage,
               "dropped_snapshot_times": [s for s in cfg.snapshot_times
                                          if s not in taken]}
     return initial.moment0(), traj, health

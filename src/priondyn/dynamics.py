@@ -4,12 +4,15 @@ runs.
 
 The stepper is SSPRK(4,2), the four-stage second-order strong-stability-
 preserving Runge-Kutta method: each stage is a forward-Euler step of a
-third of the step, so the transport CFL and reaction bounds allow three
-times their forward-Euler step for four right-hand-side evaluations.  A
-stage with a negative entry rejects the step and halves it.  The mass
-books are stage-consistent: the reported per-step residual compares the
-realized change of (monomer + polymer mass) against the mean of the four
-stage sources, so it sits at rounding level and any real leak would show
+third of the step, so a step may be three times the forward-Euler step
+for four right-hand-side evaluations.  Each step is read off the rates at
+its start: the largest loss rate of the generator (its negated diagonal:
+transport out of a cell plus decay and splitting) and the monomer's own
+loss rate (clearance plus uptake).  A stage with a negative entry rejects
+the step, which is retried at half the length.  The mass books are
+stage-consistent: the reported per-step residual compares the realized
+change of (monomer + polymer mass) against the mean of the four stage
+sources, so it sits at rounding level and any real leak would show
 immediately.  The right-hand side applies the structured generator in O(n).
 """
 
@@ -63,13 +66,12 @@ class Trajectory:
     first).  Rows are recorded every record_every-th step and at the last.
 
     steps_by_limit counts accepted steps by the bound that set them
-    ("cfl", "loss_cap", "dt_max", or "event" for a step landing on a
-    snapshot or t_end) and sums to steps; halved_steps counts accepted
-    steps taken while the working step was halved after a rejection;
-    rejections_by_stage counts rejections by the first stage entry to go
-    negative ("monomer" if V, else "polymer") and sums to rejections.
-    rhs_evaluations counts right-hand-side evaluations: four per accepted
-    step plus those a rejected step made up to its negative stage.
+    ("polymer" for the generator's largest loss rate, "monomer" for
+    clearance plus uptake, "dt_max", or "event" for a step landing on a
+    snapshot or t_end; a retried step counts under the bound it halved)
+    and sums to steps.  rhs_evaluations counts right-hand-side
+    evaluations: four per accepted step plus those a rejected step made
+    up to its negative stage.
     """
 
     times: np.ndarray
@@ -85,8 +87,6 @@ class Trajectory:
     steps: int
     rejections: int
     steps_by_limit: dict = field(default_factory=dict)
-    halved_steps: int = 0
-    rejections_by_stage: dict = field(default_factory=dict)
     rhs_evaluations: int = 0
     residual_series: Optional[np.ndarray] = None
 
@@ -114,24 +114,25 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
               record_every: int = 1, dt_max: Optional[float] = None) -> Trajectory:
     """Advance the coupled system from ``initial`` to absolute time t_end.
 
-    Steps land exactly on requested snapshot instants and on t_end.  The
-    step size is recomputed every step from the current monomer level
-    (transport CFL, with safety factor 0.9) and the fixed reaction bound,
-    each tripled as a stage spans a third of the step, and capped by
-    dt_max when given; a stage with a negative entry rejects the step and
-    halves the working step, which relaxes back after a stretch of
-    accepted steps.
+    Steps land exactly on requested snapshot instants and on t_end.  Each
+    step is dt = 3/max(max(-L(V) diagonal), (clearance + uptake)/1.5),
+    from the state at its start, capped by dt_max when given: a stage of
+    dt/3 then keeps every polymer entry nonnegative at the starting V and
+    the monomer rate at 3/4 of its forward-Euler stability limit.  A stage
+    with a negative entry (the rates moved within the step) rejects the
+    step, which is retried at half the length.
     """
     if t_end <= initial.t:
         raise ValueError("t_end=%g is not beyond the initial time %g" % (t_end, initial.t))
     if record_every < 1:
         raise ValueError("record_every must be at least 1, got %d" % record_every)
     if initial.grid is not grid and (initial.grid.n != grid.n
-                                     or initial.grid.xmax != grid.xmax):
+                                     or initial.grid.xmax != grid.xmax
+                                     or initial.grid.x0 != grid.x0):
         raise ValueError("initial state lives on a different grid")
     x, h = grid.centers, grid.widths
     gen = Generator(coeffs, grid)
-    conv, frag, decay, frag_eff = gen.conversion, gen.fragmentation, gen.decay, gen.frag_eff
+    conv, decay, frag_eff = gen.conversion, gen.decay, gen.frag_eff
     lam, gam = coeffs.production, coeffs.clearance
 
     # one product per state gives its count, mass and decay sink (for the
@@ -140,14 +141,6 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     moments = np.stack((h, x * h, decay * x * h, conv * h,
                         below_cutoff_mass_share(grid) * frag_eff * h))
     fluxw = float((x[-1] + h[-1]) * conv[-1])
-    conv_max = float(conv.max())
-    hmin = float(h.min())
-    # each stage is a forward-Euler step of dt/3, which must stay below
-    # 2/rate for every linear loss rate (0.5/rate with margin); clearance
-    # counts too, else a large-dt regime lets V oscillate above its supply
-    # ceiling
-    stiffest = max(float((decay + frag).max()), gam)
-    loss_cap = 1.5 / stiffest
 
     snap_set = set(float(s) for s in snapshot_times if initial.t < s <= t_end)
     events = sorted(snap_set | {float(t_end)})
@@ -172,21 +165,22 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     steps = 0
     rejections = 0
     rhs_evaluations = 0
-    steps_by_limit = dict.fromkeys(("cfl", "loss_cap", "dt_max", "event"), 0)
-    halved_steps = 0
-    rejections_by_stage = dict.fromkeys(("monomer", "polymer"), 0)
+    steps_by_limit = dict.fromkeys(("polymer", "monomer", "dt_max", "event"), 0)
     shrink = 1.0
     ev_i = 0
     dt_min = 1e-14 * max(1.0, t_end - initial.t)
 
     while t < t_end - 1e-12:
         next_event = events[ev_i]
-        dt_bound, limit = loss_cap, "loss_cap"
-        if V * conv_max > 0.0:
-            # a stage of dt/3 keeps the Euler CFL bound 0.9*hmin/(V*conv_max)
-            dt_cfl = 2.7 * hmin / (V * conv_max)
-            if dt_cfl < dt_bound:
-                dt_bound, limit = dt_cfl, "cfl"
+        # each stage is a forward-Euler step of tau = dt/3.  It keeps u
+        # nonnegative while tau times every loss rate of L(V), the negated
+        # diagonal, is at most 1.  The monomer rate gam + take_u may reach
+        # 1.5/tau, 3/4 of the stage's stability limit; the source
+        # lam + back_u keeps V positive near balance
+        rate, limit = -float(gen.diagonal(V).min()), "polymer"
+        if gam + take_u > 1.5 * rate:
+            rate, limit = (gam + take_u) / 1.5, "monomer"
+        dt_bound = 3.0 / rate if rate > 0.0 else math.inf
         if dt_max is not None and dt_max < dt_bound:
             dt_bound, limit = dt_max, "dt_max"
         dt_try = dt_bound * shrink
@@ -230,10 +224,12 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
                 break
             rho_w, p_w, mu_w, take_w, back_w = (moments @ w).tolist()
         if negative:
+            # retry this step at half the length; the next step starts
+            # from its own bound again
             shrink *= 0.5
             rejections += 1
-            rejections_by_stage["monomer" if W < 0.0 else "polymer"] += 1
             continue
+        shrink = 1.0
         # no entry of w is negative and the mass weights are positive, so
         # its mass is finite iff every entry is (short of the sum overflowing)
         if not (math.isfinite(W) and math.isfinite(p_w)):
@@ -251,10 +247,6 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         t = next_event if hit_event else t + dt
         steps += 1
         steps_by_limit["event" if hit_event else limit] += 1
-        if shrink < 1.0:
-            halved_steps += 1
-        if steps % 200 == 0 and shrink < 1.0:
-            shrink = min(1.0, 2.0 * shrink)
         if hit_event:
             if next_event in snap_set:
                 snapshots.append((t, u.copy()))
@@ -276,8 +268,6 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
                       truncation_flux_total=float(flux_total), grid=grid,
                       coeffs=coeffs, final_state=final, steps=steps,
                       rejections=rejections, steps_by_limit=steps_by_limit,
-                      halved_steps=halved_steps,
-                      rejections_by_stage=rejections_by_stage,
                       rhs_evaluations=rhs_evaluations,
                       residual_series=np.concatenate(([0.0], row_res)))
 
@@ -367,7 +357,8 @@ class IncubationResult:
 
 def incubation_time(traj: Trajectory, threshold: float, inoculation: float,
                     loss_rate_at_vbar: Optional[float] = None) -> IncubationResult:
-    """First crossing of the count threshold, linearly interpolated."""
+    """First crossing of the count threshold, interpolated in log count
+    (the count grows exponentially between recorded rows)."""
     if not (threshold > inoculation > 0.0):
         raise ValueError("need threshold > inoculation > 0")
     rho = traj.rho_series
@@ -384,7 +375,9 @@ def incubation_time(traj: Trajectory, threshold: float, inoculation: float,
     if i == 0:
         t_cross = float(t[0])
     else:
-        frac = (threshold - rho[i - 1]) / (rho[i] - rho[i - 1])
+        # a count that is 0 stays 0, so rho[i - 1] > 0 here
+        frac = (math.log(threshold / rho[i - 1])
+                / math.log(rho[i] / rho[i - 1]))
         t_cross = float(t[i - 1] + frac * (t[i] - t[i - 1]))
     measured = None
     lo, hi = 0.2 * t_cross, 0.8 * t_cross

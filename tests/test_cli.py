@@ -647,18 +647,29 @@ def test_integration_counters_explain_steps_and_rejections(tmp_path):
     diags = [json.loads(p.read_text())["diagnostics"]
              for p in sorted(out1.glob("*-item-*.json"))]
     # slope 0.0628: counts the event-landing rule must leave unchanged
-    assert (diags[1]["steps"], diags[1]["rejections"]) == (1439, 8)
-    # 4*1439 for the accepted steps, 14 for the stages the rejected ones ran
-    assert diags[1]["rhs_evaluations"] == 5770
+    assert (diags[1]["steps"], diags[1]["rejections"]) == (1508, 0)
+    # four per accepted step; no stage went negative
+    assert diags[1]["rhs_evaluations"] == 6032
     for d in diags:
         assert sum(d["steps_by_limit"].values()) == d["steps"]
-        assert sum(d["rejections_by_stage"].values()) == d["rejections"]
         # four per accepted step; a rejected step made one to four
         extra = d["rhs_evaluations"] - 4 * d["steps"]
         assert d["rejections"] <= extra <= 4 * d["rejections"]
-        assert 0 < d["halved_steps"] < d["steps"]
         # one landing on the snapshot day, one on t_end
         assert d["steps_by_limit"]["event"] == 2
+
+
+def test_fig5_monomer_level_does_not_oscillate():
+    # the shipped amplitude-0.01 item; runs with dt_max 0.01, 0.005 and
+    # 0.0025 agree on V = 73.38, 64.04 and 59.69 at days 160, 180 and 200.
+    # A step that lets the monomer stage pass its stability limit records
+    # 100.60, 115.18 and 60.47 instead
+    text = (CONFIG_DIR / "fig5.cfg").read_text().replace(
+        "sweep.values = 0.001, 0.01, 0.1", "sweep.values = 0.01")
+    [item] = cli.sweep(config.parse_config(text))
+    res = item.results
+    v = np.interp([160.0, 180.0, 200.0], res["times"], res["v_series"])
+    np.testing.assert_allclose(v, [73.38, 64.04, 59.69], atol=0.1)
 
 
 COSTLY_SCIPY = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.signal")

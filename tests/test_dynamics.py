@@ -103,18 +103,20 @@ def test_snapshot_outside_span_is_ignored():
 
 
 def test_snapshot_just_past_a_full_step_is_reached():
-    # the reaction bound is 1.5/clearance = 0.25 exactly; the first step,
-    # set by the CFL bound at V = 600, rounds a hair below it, so the
-    # twentieth full step ends 1 ulp short of t=5.  The step must land on
-    # the snapshot rather than leave a sliver below the step floor
-    coeffs = CoefficientSet(production=3600.0, clearance=6.0)
+    # a clearance of 54 makes the monomer bound set every step to 3 over
+    # 54/1.5, i.e. 1/12: the uptake of a seed of 5e-14 polymers is below
+    # the rounding of 54, and V stays at 600 exactly.  The sixtieth full
+    # step ends 1 ulp short of t=5.  The step must land on the snapshot
+    # rather than leave a sliver below the step floor
+    coeffs = CoefficientSet(production=32400.0, clearance=54.0)
     grid = SizeGrid.uniform(10.0, 180)
-    plain = integrate(coeffs, grid, seed_state(coeffs, grid), t_end=20.0)
-    assert 0.0 < 5.0 - plain.times[20] < 1e-14
-    traj = integrate(coeffs, grid, seed_state(coeffs, grid), t_end=20.0,
+    initial = seed_state(coeffs, grid, scale=1e-13)
+    plain = integrate(coeffs, grid, initial, t_end=20.0)
+    assert plain.times[60] == np.nextafter(5.0, 0.0)
+    traj = integrate(coeffs, grid, initial, t_end=20.0,
                      snapshot_times=(5.0, 10.0))
     assert [t for t, _ in traj.snapshots] == [5.0, 10.0]
-    assert traj.steps == plain.steps == 80
+    assert traj.steps == plain.steps == 240
 
 
 def test_rounding_sized_last_step_is_absorbed():
@@ -127,8 +129,31 @@ def test_rounding_sized_last_step_is_absorbed():
     assert traj.times[-1] == 100.0
     assert np.diff(traj.times).min() > 0.049
     assert traj.max_residual < 1e-8
-    assert traj.steps_by_limit == {"cfl": 0, "loss_cap": 0, "dt_max": 1999,
+    assert traj.steps_by_limit == {"polymer": 0, "monomer": 0, "dt_max": 1999,
                                    "event": 1}
+
+
+def test_negative_stage_is_retried_at_half_the_step():
+    # from v_init = 0 the first step is set by the loss rates alone, and
+    # the monomer level growing inside it drives a transport stage negative
+    grid = SizeGrid.uniform(60.0, 800)
+    traj = integrate(CONST, grid, seed_state(CONST, grid, v_init=0.0), t_end=2.0)
+    assert traj.rejections >= 1
+    assert traj.max_residual <= 1e-8
+    assert traj.final_state.u.min() >= 0.0
+    assert traj.rho_series.min() >= 0.0 and traj.v_series.min() >= 0.0
+    # four evaluations per accepted step and at least one per rejection
+    assert 4 * traj.steps + traj.rejections <= traj.rhs_evaluations
+
+
+@pytest.mark.parametrize("other", [SizeGrid.uniform(30.0, 60),
+                                   SizeGrid.uniform(40.0, 50),
+                                   SizeGrid.uniform(30.0, 50, x0=0.5)],
+                         ids=["n", "xmax", "x0"])
+def test_state_on_another_grid_is_refused(other):
+    grid = SizeGrid.uniform(30.0, 50)
+    with pytest.raises(ValueError, match="different grid"):
+        integrate(CONST, other, seed_state(CONST, grid), t_end=1.0)
 
 
 def test_rejects_empty_span():
@@ -218,8 +243,8 @@ def test_incubation_interpolates_crossing():
     traj = _toy_traj([0.0, 1.0, 2.0], [1.0, 2.0, 8.0])
     res = incubation_time(traj, threshold=4.0, inoculation=1.0)
     assert res.reached
-    # linear interpolation between (1, 2) and (2, 8)
-    assert res.t_incubation == pytest.approx(1.0 + 2.0 / 6.0)
+    # log-count interpolation between (1, 2) and (2, 8): 4 is halfway
+    assert res.t_incubation == pytest.approx(1.5)
     assert res.threshold == 4.0
 
 
