@@ -25,8 +25,8 @@ from .eigen import (EigenConvergenceError, EigenSolution, HypothesisConstants,
                     hypothesis_constants, principal_eigenpair, scan_lambda)
 from .grid import PolymerState, SizeGrid
 from .kernel import below_cutoff_mass_share, kernel_weights
-from .operator import (AdjointOperator, BalanceResult, FragOperator, Generator,
-                       assemble, assemble_adjoint, macroscopic_balance,
+from .operator import (BalanceResult, FragOperator, Generator, assemble,
+                       assemble_adjoint, macroscopic_balance,
                        transport_reaction_parts)
 from .records import (PACKAGE_VERSION, ExperimentRecord, canonical_json,
                       grid_hash, write_csv)
@@ -53,8 +53,8 @@ __all__ = [
     "scan_lambda",
     "PolymerState", "SizeGrid",
     "below_cutoff_mass_share", "kernel_weights",
-    "AdjointOperator", "BalanceResult", "FragOperator", "Generator", "assemble",
-    "assemble_adjoint", "macroscopic_balance", "transport_reaction_parts",
+    "BalanceResult", "FragOperator", "Generator", "assemble", "assemble_adjoint",
+    "macroscopic_balance", "transport_reaction_parts",
     "PACKAGE_VERSION", "ExperimentRecord", "canonical_json", "grid_hash",
     "write_csv",
     "BimodalityReport", "SteadyState", "StationaryCheck", "VInfResult",

@@ -212,17 +212,19 @@ class MomentEstimates:
 def eigenvalue_from_moments(solution: EigenSolution, coeffs: CoefficientSet) -> MomentEstimates:
     """Recompute the loss rate from the converged profile via both balances.
 
-    Uses the effective splitting rate the operator actually applies
-    (disabled in the smallest cell), so the only defect left in each route
-    is the outflow flux at xmax, returned for use as a tolerance bound.
+    Samples the rates itself rather than reading them off the solver's
+    generator, with splitting disabled in the smallest cell (it has no
+    admissible destination) as the model prescribes.  The only defect left
+    in each route is then the outflow flux at xmax, returned for use as a
+    tolerance bound.
     """
     if solution.u_vec is None:
         raise ValueError("solution has no eigenvector (degenerate v=0 solve)")
     grid = solution.grid
     u = solution.u_vec
     x, h = grid.centers, grid.widths
-    gen = Generator(coeffs, grid)
-    conv, decay, frag_eff = gen.conversion, gen.decay, gen.frag_eff
+    conv, frag, decay = eval_coefficients(coeffs, grid)
+    frag_eff = np.concatenate(([0.0], frag[1:]))
 
     count = float(u @ h)
     mass = float((x * u) @ h)

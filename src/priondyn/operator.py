@@ -26,7 +26,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .kernel import below_cutoff_mass_share, kernel_weights
 __all__ = [
     "Generator",
     "FragOperator",
-    "AdjointOperator",
     "BalanceResult",
     "transport_reaction_parts",
     "assemble",
@@ -114,8 +113,8 @@ class Generator:
         conv, frag, decay = eval_coefficients(coeffs, grid)
         frag_eff = frag.copy()
         frag_eff[0] = 0.0
-        self.coeffs, self.grid = coeffs, grid
-        self.conversion, self.fragmentation, self.decay = conv, frag, decay
+        self.grid = grid
+        self.conversion, self.decay = conv, decay
         self.frag_eff = frag_eff
         self.t_diag = -conv / h
         self.t_sub = conv[:-1] / h[1:]
@@ -215,8 +214,9 @@ def transport_reaction_parts(coeffs: CoefficientSet, grid: SizeGrid):
     Returns (T, B, samples) with L(v) = v*T + B.  T is the first-order
     upwind transport of the conversion flux (flow is rightward, inflow
     boundary value zero, outflow at xmax free).  B collects decay, splitting
-    loss and splitting gain.  ``samples`` is a dict of the sampled rate
-    arrays plus the effective splitting rate actually used.
+    loss and splitting gain.  ``samples`` is a dict of the sampled
+    conversion and decay rates and the effective splitting rate actually
+    used.
 
     Splitting in the smallest cell is disabled (no admissible destination
     cell): its rate enters neither the loss diagonal nor the gain table, so
@@ -241,8 +241,7 @@ def transport_reaction_parts(coeffs: CoefficientSet, grid: SizeGrid):
             T[i, i - 1] += conv[i - 1] / h[i]
 
     B = -np.diag(decay + frag_eff) + G
-    samples = {"conversion": conv, "fragmentation": frag, "decay": decay,
-               "frag_eff": frag_eff, "active": active}
+    samples = {"conversion": conv, "decay": decay, "frag_eff": frag_eff}
     return T, B, samples
 
 
@@ -253,7 +252,6 @@ class FragOperator:
     v: float
     matrix: np.ndarray = field(repr=False)
     grid: SizeGrid
-    coeffs: CoefficientSet
     conversion: np.ndarray = field(repr=False)
     frag_eff: np.ndarray = field(repr=False)
     decay: np.ndarray = field(repr=False)
@@ -262,41 +260,27 @@ class FragOperator:
         return self.matrix @ u
 
 
-@dataclass(frozen=True)
-class AdjointOperator:
-    """Weighted transpose of the generator: exact discrete duality partner.
-
-    With H = diag(cell widths), the matrix is H^{-1} L^T H, so
-    <phi, L u> = <L* phi, u> holds to rounding for the width-weighted inner
-    product <a, b> = sum(a*b*h).
-    """
-
-    v: float
-    matrix: np.ndarray = field(repr=False)
-    grid: SizeGrid
-    coeffs: CoefficientSet
-
-    def apply(self, phi: np.ndarray) -> np.ndarray:
-        return self.matrix @ phi
-
-
 def assemble(coeffs: CoefficientSet, grid: SizeGrid, v: float) -> FragOperator:
     """Build the generator matrix L(v) = v*T + B."""
     if v < 0.0:
         raise ValueError("monomer level must be nonnegative, got %g" % v)
     T, B, samples = transport_reaction_parts(coeffs, grid)
-    return FragOperator(v=float(v), matrix=v * T + B, grid=grid, coeffs=coeffs,
+    return FragOperator(v=float(v), matrix=v * T + B, grid=grid,
                         conversion=samples["conversion"],
                         frag_eff=samples["frag_eff"],
                         decay=samples["decay"])
 
 
-def assemble_adjoint(coeffs: CoefficientSet, grid: SizeGrid, v: float) -> AdjointOperator:
-    """Build the adjoint generator H^{-1} L^T H (equals L^T on uniform grids)."""
+def assemble_adjoint(coeffs: CoefficientSet, grid: SizeGrid, v: float) -> FragOperator:
+    """Build the adjoint generator H^{-1} L^T H (equals L^T on uniform grids).
+
+    With H = diag(cell widths), <phi, L u> = <L* phi, u> holds to rounding
+    for the width-weighted inner product <a, b> = sum(a*b*h).  Only the
+    matrix differs from the primal ``FragOperator``.
+    """
     primal = assemble(coeffs, grid, v)
     h = grid.widths
-    adj = (primal.matrix.T * h[None, :]) / h[:, None]
-    return AdjointOperator(v=float(v), matrix=adj, grid=grid, coeffs=coeffs)
+    return replace(primal, matrix=(primal.matrix.T * h[None, :]) / h[:, None])
 
 
 @dataclass(frozen=True)

@@ -22,20 +22,13 @@ import numpy as np
 
 __all__ = [
     "loss_rate_constant",
-    "growth_rate_constant",
     "adjoint_slope_length",
     "adjoint_profile",
-    "equilibrium_monomer_level",
-    "equilibrium_polymer_count",
-    "mean_size_at_equilibrium",
     "unimodal_profile",
-    "unimodal_profile_mass",
-    "unimodal_profile_mean",
     "dilated_equilibrium_profile",
     "affine_family_loss_rate",
     "incubation_time_log_law",
     "initial_seed_profile",
-    "initial_seed_mass",
 ]
 
 
@@ -63,11 +56,6 @@ def loss_rate_constant(conv0: float, frag_slope: float, decay0: float, v: float)
     return decay0 - math.sqrt(conv0 * frag_slope * v)
 
 
-def growth_rate_constant(conv0: float, frag_slope: float, decay0: float, v: float) -> float:
-    """Negative of :func:`loss_rate_constant`; the exponential growth rate."""
-    return -loss_rate_constant(conv0, frag_slope, decay0, v)
-
-
 def adjoint_slope_length(conv0: float, frag_slope: float, v: float) -> float:
     """Length scale L of the affine adjoint weight ``1 + x/L``."""
     return math.sqrt(conv0 * v / frag_slope)
@@ -76,32 +64,6 @@ def adjoint_slope_length(conv0: float, frag_slope: float, v: float) -> float:
 def adjoint_profile(x, conv0: float, frag_slope: float, v: float):
     """The affine adjoint eigenweight ``1 + x/L`` evaluated on ``x``."""
     return 1.0 + np.asarray(x) / adjoint_slope_length(conv0, frag_slope, v)
-
-
-def equilibrium_monomer_level(conv0: float, frag_slope: float, decay0: float) -> float:
-    """Monomer level at which the loss rate vanishes: decay0**2/(conv0*frag_slope)."""
-    return decay0 * decay0 / (conv0 * frag_slope)
-
-
-def equilibrium_polymer_count(production: float, clearance: float,
-                              conv0: float, frag_slope: float, decay0: float) -> float:
-    """Total polymer count at the coexistence equilibrium.
-
-    From the stationary monomer balance: (production/v_eq - clearance)/conv0,
-    with v_eq from :func:`equilibrium_monomer_level`.  Positive exactly when
-    v_eq < production/clearance.
-    """
-    v_eq = equilibrium_monomer_level(conv0, frag_slope, decay0)
-    return (production / v_eq - clearance) / conv0
-
-
-def mean_size_at_equilibrium(frag_slope: float, decay0: float) -> float:
-    """Number-averaged polymer size at equilibrium: decay0/frag_slope.
-
-    Independent of the conversion speed; holds for any conversion profile as
-    long as decay is constant and fragmentation is size-proportional.
-    """
-    return decay0 / frag_slope
 
 
 # --- the explicit unimodal equilibrium shape -------------------------------
@@ -114,31 +76,12 @@ def mean_size_at_equilibrium(frag_slope: float, decay0: float) -> float:
 # exactly 1.
 
 UNIMODAL_MASS_EXACT = 0.5
-UNIMODAL_MEAN_EXACT = 1.0
 
 
 def unimodal_profile(r):
     """Rescaled equilibrium density shape (unnormalized)."""
     r = np.asarray(r, dtype=float)
     return (r + 0.5 * r * r) * np.exp(-r - 0.5 * r * r)
-
-
-def unimodal_profile_mass(upper: float = math.inf) -> float:
-    """Quadrature of the shape on [0, upper]; exact 1/2 for upper=inf."""
-    if math.isinf(upper):
-        return UNIMODAL_MASS_EXACT
-    from scipy.integrate import quad  # costly import, needed only here
-    val, _ = quad(lambda r: float(unimodal_profile(r)), 0.0, upper)
-    return val
-
-
-def unimodal_profile_mean(upper: float = math.inf) -> float:
-    """Normalized first moment of the shape on [0, upper]; exact 1 for inf."""
-    if math.isinf(upper):
-        return UNIMODAL_MEAN_EXACT
-    from scipy.integrate import quad  # costly import, needed only here
-    m1, _ = quad(lambda r: float(r * unimodal_profile(r)), 0.0, upper)
-    return m1 / unimodal_profile_mass(upper)
 
 
 def dilated_equilibrium_profile(x, frag_slope: float, decay0: float):
@@ -184,22 +127,9 @@ def incubation_time_log_law(loss_rate_at_vbar: float, threshold_ratio: float) ->
 
 
 # --- standard initial seeding profile --------------------------------------
-#
-# 0.5*x**2/(1 + x**4) integrates to pi/(4*sqrt(2)) on [0, inf).
-
-INITIAL_SEED_MASS_EXACT = math.pi / (4.0 * math.sqrt(2.0))
-
 
 def initial_seed_profile(x):
     """Small polymer seeding used by the time-domain experiments."""
     x = np.asarray(x, dtype=float)
     return 0.5 * x * x / (1.0 + x ** 4)
 
-
-def initial_seed_mass(upper: float = math.inf) -> float:
-    """Quadrature of the seed profile on [0, upper]; pi/(4*sqrt(2)) at inf."""
-    if math.isinf(upper):
-        return INITIAL_SEED_MASS_EXACT
-    from scipy.integrate import quad  # costly import, needed only here
-    val, _ = quad(lambda s: float(initial_seed_profile(s)), 0.0, upper)
-    return val

@@ -82,6 +82,8 @@ def test_c02_equilibrium_anchors(steady800):
     def body():
         t0 = time.perf_counter()
         assert steady800.exists
+        # closed forms of CONST: v_eq = decay0**2/(conv0*slope),
+        # count = (production/v_eq - clearance)/conv0, mean size = decay0/slope
         assert abs(steady800.v_inf - 83.33333333333334) <= 0.01 * 83.33333333333334
         assert abs(steady800.rho_inf - 24800.0) <= 0.02 * 24800.0
         com = steady800.center_of_mass()

@@ -555,6 +555,18 @@ def test_snapshot_instants_not_taken_are_recorded_as_dropped(tmp_path):
     assert item["diagnostics"]["dropped_snapshot_times"] == [96.0]
 
 
+def test_simulate_records_an_integrator_failure(tmp_path):
+    # a step bound below the smallest allowed step fails the first step
+    code, out = _run(tmp_path, "simulate", "\n".join([
+        "experiment = simulate", "simulate.dt_max = 1e-20", "grid.n = 100", ""]))
+    assert code == 1
+    names = [p.name for p in out.iterdir()]
+    assert len(names) == 1 and names[0].startswith("simulate-")
+    run = _record(out, "simulate-*.json")
+    assert run["results"] == {"failed_at": 0.0, "v_last": 600.0}
+    assert run["diagnostics"]["error_type"] == "IntegratorFailure"
+
+
 def test_frag_slope_items_integrate_as_a_simulate_run_does(tmp_path):
     common = ["simulate.t_end = 8.0", "simulate.snapshot_times = 4.0",
               "simulate.threshold_ratio = 2", "simulate.record_every = 2",
@@ -807,18 +819,22 @@ def _src_trees():
         yield path.name, ast.parse(path.read_text())
 
 
+def _imports(tree):
+    """Each import statement of a module with the dotted names it loads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node, [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node, [node.module] + ["%s.%s" % (node.module, a.name)
+                                         for a in node.names]
+
+
 def test_only_the_lapack_fallback_imports_scipy_linalg():
     # every other solve path goes through operator._lapack
     found = []
     for name, tree in _src_trees():
         functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [node.module] + ["%s.%s" % (node.module, a.name) for a in node.names]
-            else:
-                continue
+        for node, names in _imports(tree):
             if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
                 owners = [f.name for f in functions
                           if f.lineno <= node.lineno <= f.end_lineno]
@@ -896,17 +912,33 @@ def test_no_least_squares_solver_under_src():
     assert found == []
 
 
+def test_no_module_under_src_imports_scipy_integrate():
+    found = [(name, n) for name, tree in _src_trees() for _, names in _imports(tree)
+             for n in names if n == "scipy.integrate" or n.startswith("scipy.integrate.")]
+    assert found == []
+
+
+def test_every_closed_form_is_called_outside_its_self_tests():
+    # a closed form that only its own frozen-value test calls checks nothing
+    from priondyn import reference
+    root = Path(__file__).resolve().parent.parent
+    paths = [p for d in ("src", "demos", "tests") for p in (root / d).rglob("*.py")
+             if p.name != "test_reference_oracles.py"]
+    called = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name)
+                           else getattr(func, "attr", None))
+    assert sorted(set(reference.__all__) - called) == []
+
+
 def test_only_the_sha256_fallback_imports_hashlib():
     found = []
     for name, tree in _src_trees():
         handlers = [h for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module]
-            else:
-                continue
+        for node, names in _imports(tree):
             if "hashlib" in names:
                 in_handler = any(h.lineno <= node.lineno <= h.end_lineno
                                  for h in handlers)

