@@ -64,6 +64,34 @@ def test_record_every_below_one_is_refused():
         integrate(CONST, grid, seed_state(CONST, grid), t_end=1.0, record_every=0)
 
 
+# --- seeding ----------------------------------------------------------------
+
+def _seed_count_closed(upper):
+    # integral of 0.5*x**2/(1 + x**4) over [0, upper], from its elementary
+    # antiderivative (pi/(4*sqrt(2)) as upper -> infinity)
+    r = np.sqrt(2.0)
+
+    def antiderivative(x):
+        return 0.5 * (np.log((x * x - r * x + 1.0) / (x * x + r * x + 1.0)) / (4.0 * r)
+                      + (np.arctan(r * x + 1.0) + np.arctan(r * x - 1.0)) / (2.0 * r))
+
+    return float(antiderivative(upper) - antiderivative(0.0))
+
+
+def test_seed_count_converges_to_the_profile_integral():
+    # seed_state samples the profile at cell centres, so its count is the
+    # midpoint rule: halving the cell width must cut the error fourfold
+    exact = _seed_count_closed(50.0)
+    errors = []
+    for n in (250, 500, 1000):
+        state = seed_state(CONST, _grid(n, 50.0), scale=3.0)
+        assert state.v == CONST.vbar and state.t == 0.0
+        errors.append(abs(state.moment0() / 3.0 - exact))
+    ratios = np.asarray(errors[:-1]) / np.asarray(errors[1:])
+    assert np.all((3.9 <= ratios) & (ratios <= 4.1)), ratios
+    assert errors[-1] < 1e-8 * exact
+
+
 # --- books -----------------------------------------------------------------
 
 def test_conservation_residuals_stay_tiny():

@@ -136,6 +136,21 @@ def test_adjoint_duality_random_pairs():
         assert abs(lhs - rhs) <= 1e-10 * scale
 
 
+def test_adjoint_is_the_primal_with_the_weighted_transpose():
+    # only the matrix differs: v, grid and the sampled rates are the primal's
+    grid = SizeGrid.uniform(30.0, 80, x0=0.5)
+    op = assemble(BELLY, grid, 150.0)
+    adj = assemble_adjoint(BELLY, grid, 150.0)
+    assert type(adj) is type(op)
+    assert adj.v == op.v and adj.grid is grid
+    for name in ("conversion", "frag_eff", "decay"):
+        assert np.array_equal(getattr(adj, name), getattr(op, name)), name
+    # uniform cells: H^{-1} L^T H is L^T up to the rounding of the widths
+    np.testing.assert_allclose(adj.matrix, op.matrix.T, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(adj.apply(np.ones(grid.n)), op.matrix.sum(axis=0),
+                               rtol=1e-12, atol=1e-14)
+
+
 def test_adjoint_on_constants_reads_column_sums():
     # with constant splitting and x0=0 the interior action on 1 is
     # exactly (splitting - decay): count doubles on split, dies on decay
