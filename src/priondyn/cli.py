@@ -124,9 +124,7 @@ def _run_simulate(cfg: RunConfig, out: Path, tag: str):
         rho0, traj, health = _outbreak(cfg, cfg.coeffs, grid, cfg.seed_scale)
     except IntegratorFailure as exc:
         diagnostics.update(error=str(exc), error_type="IntegratorFailure")
-        state = exc.state
-        results = {"failed_at": state.t if state is not None else None,
-                   "v_last": state.v if state is not None else None}
+        results = {"failed_at": exc.state.t, "v_last": exc.state.v}
         return results, diagnostics, 1
 
     write_csv(out / ("simulate-%s-trajectory.csv" % tag),
@@ -249,8 +247,7 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
         if axis == "tightness":
             v_eval = base.sweep_v_eval if base.sweep_v_eval is not None else base.coeffs.vbar
             sol = principal_eigenpair(coeffs, grid, v_eval)
-            conv = coeffs.conversion(grid.centers)
-            conv_avg = float((conv * sol.u_vec) @ grid.widths)
+            conv_avg = float((sol.generator.conversion * sol.u_vec) @ grid.widths)
             idx, _ = detect_modes(sol.u_vec)
             results = {
                 "v_eval": float(v_eval),

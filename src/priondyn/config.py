@@ -268,6 +268,10 @@ def parse_config(text: str) -> RunConfig:
     if get("simulate.record_every") < 1:
         errors.append("config: simulate.record_every must be at least 1, got %d"
                       % get("simulate.record_every"))
+    dt_max, dt_floor = get("simulate.dt_max"), 1e-14 * max(1.0, get("simulate.t_end"))
+    if dt_max is not None and not dt_max >= dt_floor:  # integrate's smallest step
+        errors.append("config: simulate.dt_max must be at least 1e-14*max(1, "
+                      "simulate.t_end) = %g, got %g" % (dt_floor, dt_max))
     exp = scalars.get("experiment")
     axis = get("sweep.axis") if exp == "sweep" else None
     if exp is not None and (exp != "sweep" or axis is not None):

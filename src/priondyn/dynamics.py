@@ -27,10 +27,8 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .eigen import HypothesisConstants, adjoint_eigenpair, hypothesis_constants
 from .grid import PolymerState, SizeGrid
-from .kernel import below_cutoff_mass_share
 from .operator import Generator
 from .reference import initial_seed_profile
-from .steady import find_v_inf
 
 __all__ = [
     "Trajectory",
@@ -50,7 +48,7 @@ __all__ = [
 class IntegratorFailure(RuntimeError):
     """Integration aborted; carries the last valid state and time."""
 
-    def __init__(self, message: str, state: Optional[PolymerState] = None):
+    def __init__(self, message: str, state: PolymerState):
         super().__init__(message)
         self.state = state
 
@@ -132,15 +130,12 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         raise ValueError("initial state lives on a different grid")
     x, h = grid.centers, grid.widths
     gen = Generator(coeffs, grid)
-    conv, decay, frag_eff = gen.conversion, gen.decay, gen.frag_eff
     lam, gam = coeffs.production, coeffs.clearance
 
     # one product per state gives its count, mass and decay sink (for the
-    # books) and the monomer it takes up and gives back (for dV/dt); mass
-    # comes back from splits below the cutoff, so only when x0 > 0
-    moments = np.stack((h, x * h, decay * x * h, conv * h,
-                        below_cutoff_mass_share(grid) * frag_eff * h))
-    fluxw = float((x[-1] + h[-1]) * conv[-1])
+    # books) and the monomer it takes up and gives back (for dV/dt)
+    moments = np.stack((h, x * h, gen.decay * x * h, gen.uptake, gen.returned))
+    fluxw = float((x[-1] + h[-1]) * gen.conversion[-1])
 
     snap_set = set(float(s) for s in snapshot_times if initial.t < s <= t_end)
     events = sorted(snap_set | {float(t_end)})
@@ -414,7 +409,6 @@ class StabilityResult:
     comparator: Optional[float]
     alpha_weight: float
     loss_rate_at_vbar: float
-    v_inf: Optional[float]
     vbar: float
     constants: HypothesisConstants
     norm_values: np.ndarray
@@ -437,10 +431,8 @@ def stability_experiment(coeffs: CoefficientSet, grid: SizeGrid, epsilon: float,
     vbar = coeffs.vbar
     adj = adjoint_eigenpair(coeffs, grid, vbar)
     lam_vbar = adj.lambda_eig
-    consts = hypothesis_constants(coeffs, adj)
+    consts = hypothesis_constants(adj)
     phi = adj.phi_vec
-    root = find_v_inf(coeffs, grid)
-    v_inf = root.v_inf if root.found else None
     regime = "damping" if lam_vbar > 0.0 else "amplifying"
     comparator = min(lam_vbar / 2.0, coeffs.clearance) if lam_vbar > 0.0 else None
     alpha = 2.0 * consts.k2 * vbar / lam_vbar if lam_vbar > 0.0 else 1.0
@@ -486,6 +478,6 @@ def stability_experiment(coeffs: CoefficientSet, grid: SizeGrid, epsilon: float,
                                "initial value nor escaped the 10x ball")
     return StabilityResult(verdict=verdict, regime=regime, fitted_rate=fitted,
                            comparator=comparator, alpha_weight=alpha,
-                           loss_rate_at_vbar=lam_vbar, v_inf=v_inf, vbar=vbar,
+                           loss_rate_at_vbar=lam_vbar, vbar=vbar,
                            constants=consts, norm_values=norms,
                            diagnostics=diagnostics)

@@ -85,9 +85,9 @@ class EigenSolution:
     phi_vec is the adjoint weight when this solution came from the adjoint
     solve, normalized so its linear extrapolation to the minimal size
     equals 1, phi(x0) = 1.  residual is the l1 norm of (G - nu)v at
-    convergence; residual_log holds the inverse-iteration history.  At
-    v = 0 the solution is degenerate: no vector, the loss rate read off
-    the diagonal.
+    convergence; residual_log holds the inverse-iteration history, and
+    generator the generator solved.  At v = 0 the solution is degenerate:
+    no vector, the loss rate read off the diagonal.
     """
 
     v: float
@@ -96,9 +96,13 @@ class EigenSolution:
     phi_vec: Optional[np.ndarray]
     residual: float
     iterations: int
-    grid: SizeGrid
+    generator: Generator = field(repr=False)
     degenerate: bool = False
     residual_log: list = field(default_factory=list, repr=False)
+
+    @property
+    def grid(self) -> SizeGrid:
+        return self.generator.grid
 
     @property
     def growth_rate(self) -> float:
@@ -174,11 +178,10 @@ def generator_eigenpair(gen: Generator, v: float,
     if v == 0.0:
         return EigenSolution(v=0.0, lambda_eig=float(gen.loss.min()), u_vec=None,
                              phi_vec=None, residual=0.0, iterations=0,
-                             grid=gen.grid, degenerate=True)
+                             generator=gen, degenerate=True)
     nu, vec, r, log, it = _principal_on_matrix(gen, v, u0=u0)
     return EigenSolution(v=float(v), lambda_eig=-nu, u_vec=vec, phi_vec=None,
-                         residual=r, iterations=it, grid=gen.grid,
-                         residual_log=log)
+                         residual=r, iterations=it, generator=gen, residual_log=log)
 
 
 def principal_eigenpair(coeffs: CoefficientSet, grid: SizeGrid,
@@ -252,8 +255,8 @@ def adjoint_eigenpair(coeffs: CoefficientSet, grid: SizeGrid, v: float) -> Eigen
     if v == 0.0:
         raise ValueError("adjoint weight is not defined at zero monomer level "
                          "(degenerate transport)")
-    nu, vec, r, log, it = _principal_on_matrix(Generator(coeffs, grid), v,
-                                               adjoint=True)
+    gen = Generator(coeffs, grid)
+    nu, vec, r, log, it = _principal_on_matrix(gen, v, adjoint=True)
     x = grid.centers
     # extrapolate to x0 through the first two cell centers
     phi0 = vec[0] + (grid.x0 - x[0]) * (vec[1] - vec[0]) / (x[1] - x[0])
@@ -262,7 +265,7 @@ def adjoint_eigenpair(coeffs: CoefficientSet, grid: SizeGrid, v: float) -> Eigen
             "adjoint weight extrapolates to %.3e at the minimal size" % float(phi0))
     vec = vec / phi0
     return EigenSolution(v=v, lambda_eig=-nu, u_vec=None, phi_vec=vec,
-                         residual=r, iterations=it, grid=grid, residual_log=log)
+                         residual=r, iterations=it, generator=gen, residual_log=log)
 
 
 @dataclass(frozen=True)
@@ -330,21 +333,20 @@ class HypothesisConstants:
     v: float
 
 
-def hypothesis_constants(coeffs: CoefficientSet,
-                         adjoint: EigenSolution) -> HypothesisConstants:
+def hypothesis_constants(adjoint: EigenSolution) -> HypothesisConstants:
     """Estimate the comparison constants between conversion and adjoint weight.
 
-    ``adjoint`` is an ``adjoint_eigenpair`` solution; its grid and level
-    are the ones used.  Differentiates the weight by centered differences
-    and takes sup/inf of the three ratios on the trusted window (see
-    HypothesisConstants).
+    ``adjoint`` is an ``adjoint_eigenpair`` solution; its level, grid and
+    the conversion rate of its generator are the ones used.  Differentiates
+    the weight by centered differences and takes sup/inf of the three ratios
+    on the trusted window (see HypothesisConstants).
     """
     phi = adjoint.phi_vec
     if phi is None or phi.min() <= 0.0:
         raise PositivityViolationError("adjoint weight must be strictly positive")
     grid = adjoint.grid
     x = grid.centers
-    conv, _, _ = eval_coefficients(coeffs, grid)
+    conv = adjoint.generator.conversion
     dphi = np.gradient(phi, x)  # centered interior, one-sided ends
     ratio1 = np.abs(conv * dphi) / phi
     ratio2 = conv / phi

@@ -99,7 +99,9 @@ class Generator:
     - ``gain1``, ``gain2``: the mass-corrected splitting gain on the first
       and second superdiagonals (entry k sits in column k+1, resp. k+2);
     - ``far_gain``: c_j = 2*frag_eff_j*h_j/y_j, the value of every gain
-      entry G[i, j] with j >= i+3 (the plain midpoint weight h_i/y_j).
+      entry G[i, j] with j >= i+3 (the plain midpoint weight h_i/y_j);
+    - ``uptake`` = conv_j*h_j and ``returned`` = (x0**2/y_j)*frag_eff_j*h_j,
+      the fragment mass landing below x0: the weights of the monomer equation.
 
     So L(v)u is a suffix sum plus bands, its adjoint a prefix sum plus
     bands, and subtracting from each row of s*I - L(v) the row below it
@@ -115,7 +117,8 @@ class Generator:
         frag_eff[0] = 0.0
         self.grid = grid
         self.conversion, self.decay = conv, decay
-        self.frag_eff = frag_eff
+        self.uptake = conv * h
+        self.returned = grid.x0 ** 2 / x * frag_eff * h
         self.t_diag = -conv / h
         self.t_sub = conv[:-1] / h[1:]
         self.loss = decay + frag_eff
@@ -265,10 +268,7 @@ def assemble(coeffs: CoefficientSet, grid: SizeGrid, v: float) -> FragOperator:
     if v < 0.0:
         raise ValueError("monomer level must be nonnegative, got %g" % v)
     T, B, samples = transport_reaction_parts(coeffs, grid)
-    return FragOperator(v=float(v), matrix=v * T + B, grid=grid,
-                        conversion=samples["conversion"],
-                        frag_eff=samples["frag_eff"],
-                        decay=samples["decay"])
+    return FragOperator(v=float(v), matrix=v * T + B, grid=grid, **samples)
 
 
 def assemble_adjoint(coeffs: CoefficientSet, grid: SizeGrid, v: float) -> FragOperator:

@@ -165,24 +165,28 @@ class SteadyState:
 
 
 def build_steady_state(coeffs: CoefficientSet, grid: SizeGrid) -> SteadyState:
-    """Solve for the steady state: root, eigenprofile, count, existence."""
+    """Solve for the steady state: root, eigenprofile, count, existence.
+
+    The count rho closes the monomer balance with the weights of the root's
+    generator, production = v*clearance + rho*(v*<conv, u> - <returned, u>)
+    for u = u_profile; returned is zero when x0 = 0.
+    """
     root = find_v_inf(coeffs, grid)
     if not root.found:
         raise ValueError(
             "no loss-rate root in (0, %g); cannot build a steady state"
             % root.bracket_hi)
-    sol = root.solution
-    conv, _, _ = eval_coefficients(coeffs, grid)
-    conv_avg = float((conv * sol.u_vec) @ grid.widths)
-    exists = root.v_inf < coeffs.vbar
-    rho = None
-    u_inf = None
+    gen, u, v = root.solution.generator, root.solution.u_vec, root.v_inf
+    net_uptake = (float((gen.conversion * u) @ grid.widths)
+                  - float(gen.returned @ u) / v)
+    exists = v < coeffs.vbar
+    rho = u_inf = None
     if exists:
-        rho = (coeffs.production / root.v_inf - coeffs.clearance) / conv_avg
-        u_inf = rho * sol.u_vec
-    return SteadyState(v_inf=root.v_inf, rho_inf=rho, u_inf=u_inf,
+        rho = (coeffs.production / v - coeffs.clearance) / net_uptake
+        u_inf = rho * u
+    return SteadyState(v_inf=v, rho_inf=rho, u_inf=u_inf,
                        exists=exists, vbar=coeffs.vbar, grid=grid, coeffs=coeffs,
-                       u_profile=sol.u_vec, root=root)
+                       u_profile=u, root=root)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from priondyn import SizeGrid, cli, config, eigen
+from priondyn import IntegratorFailure, PolymerState, SizeGrid, cli, config, eigen
 from priondyn.cli import main
 from priondyn.coefficients import SHAPES
 from priondyn.records import canonical_json
@@ -555,16 +555,33 @@ def test_snapshot_instants_not_taken_are_recorded_as_dropped(tmp_path):
     assert item["diagnostics"]["dropped_snapshot_times"] == [96.0]
 
 
-def test_simulate_records_an_integrator_failure(tmp_path):
-    # a step bound below the smallest allowed step fails the first step
+def test_simulate_records_an_integrator_failure(tmp_path, monkeypatch):
+    # the run records the last valid state the failure carries
+    def failing(coeffs, grid, initial, *args, **kwargs):
+        state = PolymerState(v=123.0, u=initial.u, grid=grid, t=3.5)
+        raise IntegratorFailure("non-finite state at t=3.5", state=state)
+
+    monkeypatch.setattr(cli, "integrate", failing)
     code, out = _run(tmp_path, "simulate", "\n".join([
-        "experiment = simulate", "simulate.dt_max = 1e-20", "grid.n = 100", ""]))
+        "experiment = simulate", "grid.n = 100", ""]))
     assert code == 1
     names = [p.name for p in out.iterdir()]
     assert len(names) == 1 and names[0].startswith("simulate-")
     run = _record(out, "simulate-*.json")
-    assert run["results"] == {"failed_at": 0.0, "v_last": 600.0}
+    assert run["results"] == {"failed_at": 3.5, "v_last": 123.0}
+    assert run["diagnostics"]["error"] == "non-finite state at t=3.5"
     assert run["diagnostics"]["error_type"] == "IntegratorFailure"
+
+
+@pytest.mark.parametrize("dt_max", ["0", "-1", "1e-20", "1.9e-12"])
+def test_dt_max_below_the_smallest_step_is_a_config_error(tmp_path, dt_max):
+    # t_end = 200: integrate's smallest step is 2e-12
+    code, out = _run(tmp_path, "simulate", "\n".join([
+        "experiment = simulate", "simulate.dt_max = " + dt_max, "grid.n = 100", ""]))
+    assert code == 2
+    err = json.loads((out / "error-simulate.json").read_text())
+    assert err["errors"] == ["config: simulate.dt_max must be at least 1e-14*max(1, "
+                             "simulate.t_end) = 2e-12, got %g" % float(dt_max)]
 
 
 def test_frag_slope_items_integrate_as_a_simulate_run_does(tmp_path):

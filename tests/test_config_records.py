@@ -485,3 +485,46 @@ def test_numerical_modules_import_no_experiment_layer():
 def test_config_reads_only_the_model_and_the_grid():
     # a setting of a solver is a constant of that solver, not a config key
     assert _package_imports("config") <= {"coefficients", "grid"}
+
+
+def _callers(module: str, names: set) -> list:
+    """(called name, qualified caller) for each call of one of ``names``."""
+    path = Path(priondyn.__file__).parent / (module + ".py")
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, owner + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if called in names:
+                    found.append((called, ".".join(owner)))
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_rates_are_sampled_in_one_place():
+    # every layer reads the rates its solve's generator sampled; only the
+    # dense oracle and the two checks that must not trust the solver sample
+    # their own
+    modules = sorted(p.stem for p in Path(priondyn.__file__).parent.glob("*.py"))
+    rates = {"conversion", "fragmentation", "decay"}
+    found = sorted((m,) + c for m in modules
+                   for c in _callers(m, rates | {"eval_coefficients"}))
+    assert found == [
+        ("coefficients", "conversion", "eval_coefficients"),
+        ("coefficients", "decay", "eval_coefficients"),
+        ("coefficients", "fragmentation", "eval_coefficients"),
+        ("eigen", "eval_coefficients", "eigenvalue_from_moments"),
+        ("operator", "eval_coefficients", "Generator.__init__"),
+        ("operator", "eval_coefficients", "transport_reaction_parts"),
+        ("steady", "eval_coefficients", "stationary_profile_check"),
+    ]
+    # the kernel table belongs to the dense oracle
+    assert [m for m in ("dynamics", "steady", "eigen", "cli")
+            if "kernel" in _package_imports(m)] == []

@@ -411,7 +411,6 @@ def test_stability_low_production_damps():
     # the rate the duality argument gives
     assert res.fitted_rate >= res.comparator
     assert res.alpha_weight > 0.0
-    assert res.v_inf is None or res.v_inf > res.vbar
 
 
 def test_stability_solves_the_adjoint_once(monkeypatch):
@@ -433,7 +432,7 @@ def test_stability_solves_the_adjoint_once(monkeypatch):
     monkeypatch.undo()
     # the constants are those of a standalone solve; the verdict as before
     adj = adjoint_eigenpair(coeffs, grid, res.vbar)
-    assert res.constants == hypothesis_constants(coeffs, adj)
+    assert res.constants == hypothesis_constants(adj)
     assert res.alpha_weight == 2.0 * res.constants.k2 * res.vbar / res.loss_rate_at_vbar
     assert res.verdict == "stable"
 

@@ -207,7 +207,7 @@ def test_hypothesis_constants_match_affine_weight(grid800):
     # with phi = 1 + x/L: sup |conv*phi'|/phi = conv0/L at x=0, and
     # sup conv/phi = conv0 at x=0, inf conv/phi at the window edge
     adj = adjoint_eigenpair(CONST, grid800, 600.0)
-    consts = hypothesis_constants(CONST, adj)
+    consts = hypothesis_constants(adj)
     L = np.sqrt(0.001 * 600.0 / 0.03)
     assert consts.k1 == pytest.approx(0.001 / L, rel=5e-3)
     assert consts.k2 == pytest.approx(0.001, rel=5e-3)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy.linalg import eig
 
 from priondyn import (Affine, Bell, CoefficientSet, Constant, EigenConvergenceError,
-                      EigenSolution, Generator, PositivityViolationError, SizeGrid,
-                      assemble, bimodality_report, build_steady_state, detect_modes,
-                      find_v_inf, stationary_profile_check)
+                      EigenSolution, Generator, PolymerState, PositivityViolationError,
+                      SizeGrid, assemble, bimodality_report, build_steady_state,
+                      detect_modes, find_v_inf, integrate, stationary_profile_check)
 from priondyn.eigen import DEFAULT_TOL
 from priondyn.steady import ROOT_TOL, _prominent_peaks
 
@@ -82,7 +82,7 @@ def _fake_loss_rate(monkeypatch, f):
         warm.append(u0 is not None)
         u = None if v == 0.0 else np.full(gen.grid.n, 1.0 / gen.grid.xmax)
         return EigenSolution(v=v, lambda_eig=f(v), u_vec=u, phi_vec=None,
-                             residual=0.0, iterations=1, grid=gen.grid)
+                             residual=0.0, iterations=1, generator=gen)
 
     monkeypatch.setattr(steady_module, "generator_eigenpair", fake)
     return levels, warm
@@ -136,6 +136,21 @@ def test_bracket_search_ending_on_its_cap_says_so(monkeypatch):
 def test_profile_integrates_to_one(baseline):
     total = float(baseline.u_profile @ baseline.grid.widths)
     assert total == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("x0", [0.5, 2.0])
+def test_steady_state_is_a_fixed_point_with_a_minimal_size(x0):
+    # fragments below x0 hand their mass back to the monomer pool, so the
+    # steady count must close a monomer balance that includes that return
+    coeffs = CoefficientSet(production=2400.0, clearance=4.0, x0=x0)
+    grid = SizeGrid.uniform(30.0, 400, x0=x0)
+    ss = build_steady_state(coeffs, grid)
+    assert ss.exists
+    traj = integrate(coeffs, grid, PolymerState(v=ss.v_inf, u=ss.u_inf, grid=grid),
+                     t_end=50.0)
+    assert traj.rho_series[0] == pytest.approx(ss.rho_inf, rel=1e-12)
+    assert np.abs(traj.v_series / ss.v_inf - 1.0).max() <= 1e-6
+    assert np.abs(traj.rho_series / ss.rho_inf - 1.0).max() <= 1e-6
 
 
 # --- existence boundary ----------------------------------------------------
