@@ -88,6 +88,7 @@ class DiscreteTrajectory:
     mass_residual_max: float
     top_bin_share: float
     steps: int
+    halvings: int  # steps split in two after a negative stage
 
 
 def _rhs(params: DiscreteParams, loss: np.ndarray, u: np.ndarray, v: float):
@@ -110,7 +111,8 @@ def _rhs(params: DiscreteParams, loss: np.ndarray, u: np.ndarray, v: float):
 def _ssp_step(params: DiscreteParams, sizes, loss, u, v, dt, depth=0):
     """One SSPRK(4,2) step: three forward-Euler stages of dt/3, then u/4
     plus 3/4 of a fourth stage from the third; on a negative stage,
-    recurse on two half steps.
+    recurse on two half steps.  Returns u, v, the book residual and the
+    number of halvings.
 
     sizes is params.sizes and loss the diagonal _rhs takes, both built once
     by the caller.
@@ -134,13 +136,13 @@ def _ssp_step(params: DiscreteParams, sizes, loss, u, v, dt, depth=0):
         # stage-consistent book: the step is u + dt/4 times the summed slopes
         dvp = (vk + sizes @ uk - v - sizes @ u) / dt
         resid = abs(dvp - 0.25 * src) / (abs(u).sum() + v)
-        return uk, vk, resid
+        return uk, vk, resid, 0
     if depth >= 20:
         raise RuntimeError("discrete step kept producing negative densities "
                            "after 20 halvings (dt=%g)" % dt)
-    u, v, r1 = _ssp_step(params, sizes, loss, u, v, 0.5 * dt, depth + 1)
-    u, v, r2 = _ssp_step(params, sizes, loss, u, v, 0.5 * dt, depth + 1)
-    return u, v, max(r1, r2)
+    u, v, r1, h1 = _ssp_step(params, sizes, loss, u, v, 0.5 * dt, depth + 1)
+    u, v, r2, h2 = _ssp_step(params, sizes, loss, u, v, 0.5 * dt, depth + 1)
+    return u, v, max(r1, r2), 1 + h1 + h2
 
 
 def integrate_discrete(params: DiscreteParams, state: DiscreteState,
@@ -162,10 +164,11 @@ def integrate_discrete(params: DiscreteParams, state: DiscreteState,
     times, vs, counts = [t], [v], [u.sum()]
     resid_max = 0.0
     top_share = 0.0
-    steps = 0
+    steps = halvings = 0
     while t < t_end - 1e-12:
         step = min(dt, t_end - t)
-        u, v, resid = _ssp_step(params, sizes, loss, u, v, step)
+        u, v, resid, split = _ssp_step(params, sizes, loss, u, v, step)
+        halvings += split
         if not (np.isfinite(v) and np.isfinite(u).all()):
             raise RuntimeError("discrete integration diverged at t=%g" % t)
         resid_max = max(resid_max, resid)
@@ -181,7 +184,8 @@ def integrate_discrete(params: DiscreteParams, state: DiscreteState,
     return DiscreteTrajectory(
         times=np.asarray(times), v_series=np.asarray(vs),
         count_series=np.asarray(counts), final_state=DiscreteState(v=v, u=u, t=t),
-        mass_residual_max=resid_max, top_bin_share=top_share, steps=steps)
+        mass_residual_max=resid_max, top_bin_share=top_share, steps=steps,
+        halvings=halvings)
 
 
 # --- continuum cross-check -------------------------------------------------
@@ -198,26 +202,42 @@ def matched_continuum_setup(params: DiscreteParams):
 
 
 def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
-                      dt: float = 0.06, fit_window: tuple = (20.0, 50.0)) -> dict:
+                      dt: float = 0.3, fit_window: tuple = (20.0, 50.0)) -> dict:
     """Run the chain and its continuum twin side by side.
 
-    Both march at the fixed step dt (the continuum's dt_max); the default
-    0.06 is three forward-Euler stages of 0.02 each.
+    Both march at the fixed step dt (the continuum's dt_max) and record a
+    row every max(1, round(0.3/dt)) steps, so the fit and the path
+    comparison read the same 0.3-day instants at any step.  dt must stay
+    below both twins' positive-stage bound, 3 over the largest loss rate
+    at vbar: 3/(conversion*vbar + decay + fragmentation*(n_max - 1)), 0.483
+    for default_calibration(); above it the continuum shortens its own
+    steps and a ValueError says so.
 
     Two runs: an uninfected one (no polymers) where both must reproduce
     the identical monomer relaxation to rounding, and a seeded one (count
     1e-3 on each side) whose exponential count growth rates are compared
     against each other and against the constant-coefficient closed form.
+    The report carries dt, the steps of all four runs, the chain's
+    halvings and the continuum's rejections and steps_by_limit.
     """
     coeffs, grid = matched_continuum_setup(params)
     vbar = params.production / params.clearance
+    every = max(1, round(0.3 / dt))
 
     # uninfected: both integrators collapse to the same scalar V update
     v_start = 0.3 * vbar
     zero_d = DiscreteState(v=v_start, u=np.zeros_like(params.sizes))
-    traj_d0 = integrate_discrete(params, zero_d, t_end, dt, record_every=5)
+    traj_d0 = integrate_discrete(params, zero_d, t_end, dt, record_every=every)
     zero_c = PolymerState(v=v_start, u=np.zeros(grid.n), grid=grid)
-    traj_c0 = integrate(coeffs, grid, zero_c, t_end, record_every=5, dt_max=dt)
+    traj_c0 = integrate(coeffs, grid, zero_c, t_end, record_every=every, dt_max=dt)
+    own = traj_c0.steps_by_limit["polymer"] + traj_c0.steps_by_limit["monomer"]
+    if own:
+        bound = 3.0 / (params.conversion * vbar + params.decay
+                       + params.fragmentation * (params.n_max - 1.0))
+        raise ValueError("dt=%g is above the twins' step bound %.3g at vbar "
+                         "(3 over the largest loss rate): the continuum took "
+                         "%d polymer- or monomer-limited steps shorter than "
+                         "dt, so the twins do not share steps" % (dt, bound, own))
     v_c_at = np.interp(traj_d0.times, traj_c0.times, traj_c0.v_series)
     uninfected_diff = float(np.max(np.abs(v_c_at - traj_d0.v_series)
                                    / np.maximum(traj_d0.v_series, 1e-300)))
@@ -226,12 +246,12 @@ def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
     shape_d = 0.5 * params.sizes ** 2 / (1.0 + params.sizes ** 4)
     seed_d = 1e-3 / shape_d.sum() * shape_d
     traj_d = integrate_discrete(params, DiscreteState(v=vbar, u=seed_d),
-                                t_end, dt, record_every=5)
+                                t_end, dt, record_every=every)
     xc = grid.centers
     shape_c = 0.5 * xc ** 2 / (1.0 + xc ** 4)
     seed_c = 1e-3 / float(shape_c @ grid.widths) * shape_c
     traj_c = integrate(coeffs, grid, PolymerState(v=vbar, u=seed_c, grid=grid),
-                       t_end, record_every=5, dt_max=dt)
+                       t_end, record_every=every, dt_max=dt)
 
     lo, hi = fit_window
     md = (traj_d.times >= lo) & (traj_d.times <= hi)
@@ -261,6 +281,14 @@ def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
         "mean_size_eigenmode": float(mean_mode),
         "mass_residual_max": traj_d.mass_residual_max,
         "top_bin_share": traj_d.top_bin_share,
+        "dt": dt,
+        "steps": {"chain_uninfected": traj_d0.steps,
+                  "continuum_uninfected": traj_c0.steps,
+                  "chain_seeded": traj_d.steps, "continuum_seeded": traj_c.steps},
+        "chain_halvings": traj_d0.halvings + traj_d.halvings,
+        "continuum_rejections": traj_c0.rejections + traj_c.rejections,
+        "continuum_steps_by_limit": {k: traj_c0.steps_by_limit[k] + n for k, n
+                                     in traj_c.steps_by_limit.items()},
         "structural_note": ("chain starts at size n0=%d while the continuum "
                             "density vanishes only at 0; rates differ by the "
                             "resulting boundary-layer correction" % params.n0),

@@ -84,6 +84,20 @@ def test_records_land_on_grid():
     assert traj.steps == 6  # five full steps plus the shortened last one
 
 
+def test_a_halved_step_is_counted_and_equals_two_half_steps():
+    # the largest loss rate is 6.1095, so a third of a 1-day step drives
+    # an entry negative and the step is split once into two 0.5-day steps
+    p = _params()
+    u0 = np.exp(-0.05 * p.sizes)
+    u0 *= 1e-3 / u0.sum()
+    whole = integrate_discrete(p, DiscreteState(v=600.0, u=u0), 1.0, 1.0)
+    halves = integrate_discrete(p, DiscreteState(v=600.0, u=u0), 1.0, 0.5)
+    assert (whole.steps, whole.halvings) == (1, 1)
+    assert (halves.steps, halves.halvings) == (2, 0)
+    np.testing.assert_array_equal(whole.final_state.u, halves.final_state.u)
+    assert whole.final_state.v == halves.final_state.v
+
+
 def test_record_every_below_one_is_refused():
     p = _params(n_max=50)
     s = DiscreteState(v=60.0, u=np.zeros(p.sizes.size))
@@ -112,6 +126,13 @@ def test_compare_rejects_empty_fit_window():
     with pytest.raises(ValueError, match="window"):
         compare_continuum(default_calibration(), t_end=1.0, dt=0.1,
                           fit_window=(20.0, 50.0))
+
+
+def test_step_above_the_shared_bound_is_named():
+    # at vbar the continuum's own polymer bound is 0.483 days; a longer dt
+    # makes it take shorter steps than the chain, so the twins part ways
+    with pytest.raises(ValueError, match=r"dt=0\.6 .*bound 0\.483"):
+        compare_continuum(default_calibration(), dt=0.6)
 
 
 # --- the cross-check itself ------------------------------------------------
@@ -144,3 +165,33 @@ def test_mean_sizes_agree(crosscheck):
     e = crosscheck["mean_size_eigenmode"]
     assert e == pytest.approx(np.sqrt(0.01 * 600.0 / 5e-4), rel=1e-12)
     assert d == pytest.approx(e, rel=0.05)
+
+
+def test_cross_check_counts_its_steps(crosscheck):
+    # 70 days at 0.3: 233 full steps and a shortened last one in each run
+    assert crosscheck["dt"] == 0.3
+    assert crosscheck["steps"] == dict.fromkeys(
+        ("chain_uninfected", "continuum_uninfected", "chain_seeded",
+         "continuum_seeded"), 234)
+    assert crosscheck["chain_halvings"] == 0
+    assert crosscheck["continuum_rejections"] == 0
+    assert crosscheck["continuum_steps_by_limit"] == {
+        "polymer": 0, "monomer": 0, "dt_max": 466, "event": 2}
+
+
+def test_refining_the_step_moves_nothing(crosscheck):
+    # rows stay 0.3 days apart at dt = 0.06, so only the step changes
+    fine = compare_continuum(default_calibration(), dt=0.06)
+    assert fine["steps"]["chain_seeded"] == 1167
+    for key in ("growth_rate_discrete", "growth_rate_continuum"):
+        assert crosscheck[key] == pytest.approx(fine[key], rel=1e-4)
+    assert crosscheck["growth_rel_diff"] == pytest.approx(
+        fine["growth_rel_diff"], abs=1e-5)
+    assert crosscheck["uninfected_max_rel_diff_v"] == 0.0
+    assert fine["uninfected_max_rel_diff_v"] == 0.0
+    # at dt = 0.06 the row rule gives every 5th step, the rows the
+    # cross-check read before its default step became 0.3
+    assert fine["growth_rate_discrete"] == pytest.approx(0.041405137002628524,
+                                                         rel=1e-12)
+    assert fine["growth_rate_continuum"] == pytest.approx(0.04207241555099092,
+                                                          rel=1e-12)
