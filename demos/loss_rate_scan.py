@@ -29,7 +29,7 @@ for v, lam in zip(scan.v_values, scan.lambda_values):
 print()
 print("monotone decreasing:", scan.decreasing)
 print("sign at largest level:", scan.sign_at_largest)
-print("loss at v=0 minus decay floor:", scan.lambda0_minus_decay0)
+print("loss rate at v=0 (the decay floor, 0.05):", scan.lambda_values[0])
 
 # the crossing of zero marks the invasion threshold: below it seeds die
 # out, above it they take off

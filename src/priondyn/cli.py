@@ -60,6 +60,14 @@ def _steady(coeffs, grid):
     return ss, results, root
 
 
+def _loss_rate_at_vbar(coeffs, grid) -> Optional[float]:
+    """Loss rate at the uninfected level vbar, None at zero clearance
+    (vbar is then infinite); read by simulate runs and the dose summary."""
+    if coeffs.clearance == 0.0:
+        return None
+    return principal_eigenpair(coeffs, grid, coeffs.vbar).lambda_eig
+
+
 def _outbreak(cfg: RunConfig, coeffs, grid, scale: float):
     """Seed ``scale`` unit inocula and integrate with the simulate.* keys;
     returns the inoculum count, the trajectory and the run's health,
@@ -91,8 +99,6 @@ def _run_eigen(cfg: RunConfig, out: Path, tag: str):
         "decreasing": scan.decreasing,
         "sign_at_largest": scan.sign_at_largest,
     }
-    if scan.lambda0_minus_decay0 is not None:
-        results["loss_rate_at_zero_minus_decay"] = scan.lambda0_minus_decay0
     residuals, iters = [], []
     for k, sol in enumerate(scan.solutions):
         residuals.append(sol.residual)
@@ -144,10 +150,8 @@ def _run_simulate(cfg: RunConfig, out: Path, tag: str):
         "rho0": rho0,
         "snapshot_times": [ts for ts, _ in traj.snapshots],
     }
-    lam_vbar = None
-    if cfg.coeffs.clearance > 0.0:
-        lam_vbar = principal_eigenpair(cfg.coeffs, grid,
-                                       cfg.coeffs.vbar).lambda_eig
+    lam_vbar = _loss_rate_at_vbar(cfg.coeffs, grid)
+    if lam_vbar is not None:
         results["loss_rate_at_vbar"] = lam_vbar
     try:
         fit = growth_rate(traj, (cfg.fit_start, cfg.fit_end))
@@ -175,14 +179,12 @@ def _sweep_scalar_rows(axis: str, records):
     }
     keys = keymap.get(axis, ("rho0", "t_incubation", "measured_growth_rate"))
     cols = {k: [] for k in keys}
-    ok = []
     for rec in records:
-        failed = "error" in rec.diagnostics
-        ok.append(not failed)
         for k in keys:
-            val = rec.results.get(k) if not failed else None
+            # a failed item has no results
+            val = rec.results.get(k)
             cols[k].append(float("nan") if val is None else float(val))
-    return keys, cols, ok
+    return keys, cols
 
 
 def _run_sweep(cfg: RunConfig, out: Path, tag: str):
@@ -191,13 +193,13 @@ def _run_sweep(cfg: RunConfig, out: Path, tag: str):
         _write_json(out / ("sweep-%s-item-%02d.json" % (tag, k)), rec)
     axis = cfg.sweep_axis
     values = list(cfg.sweep_values)
-    keys, cols, ok = _sweep_scalar_rows(axis, records)
+    keys, cols = _sweep_scalar_rows(axis, records)
     write_csv(out / ("sweep-%s.csv" % tag), ["value"] + list(keys),
               [np.asarray(values, dtype=float)]
               + [np.asarray(cols[k]) for k in keys])
 
     summary: dict = {"axis": axis, "values": values,
-                     "n_failed": int(len(ok) - sum(ok))}
+                     "n_failed": sum("error" in rec.diagnostics for rec in records)}
     summary.update({k: cols[k] for k in keys})
     if axis == "tightness":
         gr = np.asarray(cols["growth_rate"])
@@ -216,10 +218,8 @@ def _run_sweep(cfg: RunConfig, out: Path, tag: str):
         summary["slope_fitted"] = summary["slope_predicted"] = None
         if np.unique(log_dose).size >= 2:
             summary["slope_fitted"] = line_fit(log_dose, tinc[good])[0]
-            grid = cfg.make_grid()
-            lam = principal_eigenpair(cfg.coeffs, grid,
-                                      cfg.coeffs.vbar).lambda_eig
-            if lam <= 0.0:
+            lam = _loss_rate_at_vbar(cfg.coeffs, cfg.make_grid())
+            if lam is not None and lam <= 0.0:
                 summary["slope_predicted"] = -1.0 / abs(lam)
     if axis in ("bell_amplitude", "frag_slope"):
         finite = [v for v in cols["t_incubation"] if np.isfinite(v)]

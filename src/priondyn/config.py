@@ -22,6 +22,7 @@ line number rather than stopping at the first.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -139,11 +140,17 @@ _READERS = {f.metadata["key"]: f.metadata["reads"]
 _SHAPE_PREFIXES = ("model.conversion", "model.fragmentation", "model.decay")
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
 def _parse_value(tag: str, raw: str, key: str, line_no: int, errors: list):
     raw = raw.strip()
     try:
         if tag == "float":
-            return float(raw)
+            return _finite(float(raw))
         if tag == "int":
             return int(raw)
         if tag == "bool":
@@ -153,20 +160,18 @@ def _parse_value(tag: str, raw: str, key: str, line_no: int, errors: list):
                 return False
             raise ValueError(raw)
         if tag == "floatlist":
-            return tuple(float(p) for p in raw.split(",") if p.strip() != "")
+            return tuple(_finite(float(p)) for p in raw.split(",") if p.strip() != "")
         if tag == "str":
             return raw
-        if tag.startswith("enum:"):
-            choices = EXPERIMENTS if tag == "enum:experiment" else SWEEP_AXES
-            if raw not in choices:
-                raise ValueError("must be one of %s" % (", ".join(choices)))
-            return raw
+        # the one tag left is enum:experiment or enum:axis
+        choices = EXPERIMENTS if tag == "enum:experiment" else SWEEP_AXES
+        if raw not in choices:
+            raise ValueError("must be one of %s" % (", ".join(choices)))
+        return raw
     except ValueError as exc:
         detail = str(exc) if str(exc) != raw else "cannot parse %r as %s" % (raw, tag)
         errors.append("line %d: %s: %s" % (line_no, key, detail))
         return None
-    errors.append("line %d: %s: unhandled value type %s" % (line_no, key, tag))
-    return None
 
 
 def _build_shape(prefix: str, entries: dict, errors: list) -> Optional[CoefficientShape]:

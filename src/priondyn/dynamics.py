@@ -96,7 +96,7 @@ class Trajectory:
 
 
 def seed_state(coeffs: CoefficientSet, grid: SizeGrid, scale: float = 1.0,
-               v_init: Optional[float] = None, t: float = 0.0) -> PolymerState:
+               v_init: Optional[float] = None) -> PolymerState:
     """Standard initial condition: scaled seeding profile, monomer at the
     uninfected level production/clearance unless overridden."""
     if v_init is None:
@@ -104,7 +104,7 @@ def seed_state(coeffs: CoefficientSet, grid: SizeGrid, scale: float = 1.0,
             raise ValueError("v_init required when clearance is zero")
         v_init = coeffs.vbar
     u0 = scale * initial_seed_profile(grid.centers)
-    return PolymerState(v=float(v_init), u=u0, grid=grid, t=t)
+    return PolymerState(v=float(v_init), u=u0, grid=grid)
 
 
 def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
@@ -374,13 +374,10 @@ def incubation_time(traj: Trajectory, threshold: float, inoculation: float,
         frac = (math.log(threshold / rho[i - 1])
                 / math.log(rho[i] / rho[i - 1]))
         t_cross = float(t[i - 1] + frac * (t[i] - t[i - 1]))
-    measured = None
-    lo, hi = 0.2 * t_cross, 0.8 * t_cross
-    if ((t >= lo) & (t <= hi)).sum() >= 3 and hi > lo:
-        try:
-            measured = growth_rate(traj, (lo, hi)).rate
-        except ValueError:
-            measured = None
+    try:
+        measured = growth_rate(traj, (0.2 * t_cross, 0.8 * t_cross)).rate
+    except ValueError:  # empty window, fewer than 3 rows or a zero count
+        measured = None
     return IncubationResult(t_incubation=t_cross, threshold=threshold,
                             predicted=predicted, measured_growth_rate=measured,
                             reached=True, final_rho=float(rho[-1]))

@@ -6,11 +6,13 @@ Everything user-facing stores lambda_eig = -nu, the LOSS rate, and exposes
 growth_rate = -lambda_eig = nu.  Negative lambda_eig means the polymer
 population grows.
 
-Every solve runs on the structured ``operator.Generator`` through one
-routine, ``_principal_on_matrix``: inverse iteration whose O(n) shifted
-solves keep the shift above the principal eigenvalue, so each iterate
-stays a nonnegative vector.  The dense assembly is not used here; it is
-the oracle the tests check these solves against.
+Every solve, of L(v) or of its transpose (the adjoint: cells are equal),
+enters through ``generator_eigenpair`` and runs on the structured
+``operator.Generator`` in one routine, ``_principal_on_matrix``: inverse
+iteration whose O(n) shifted solves keep the shift above the principal
+eigenvalue, so each iterate stays a nonnegative vector.  The dense
+assembly is not used here; it is the oracle the tests check these solves
+against.
 
 A solve may start from a given profile (``u0``) instead of a flat
 vector.  The root search in ``steady.find_v_inf`` does this: each of its
@@ -41,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientSet, Constant, eval_coefficients
+from .coefficients import CoefficientSet, eval_coefficients
 from .grid import SizeGrid
 from .operator import Generator
 
@@ -163,25 +165,37 @@ def _principal_on_matrix(gen: Generator, v: float, adjoint: bool = False,
     return nu, u / (u @ gen.grid.widths), r, res_log, it
 
 
-def generator_eigenpair(gen: Generator, v: float,
-                        u0: Optional[np.ndarray] = None) -> EigenSolution:
-    """Loss rate and unit-count profile of a prebuilt generator at level v.
+def generator_eigenpair(gen: Generator, v: float, u0: Optional[np.ndarray] = None,
+                        adjoint: bool = False) -> EigenSolution:
+    """Loss rate and Perron vector of a prebuilt generator at level v.
 
-    At v = 0 the transport term vanishes and the generator is triangular:
-    the loss rate is min(decay + effective splitting), read off the
-    diagonal, and the solution is degenerate (u_vec None).  u0 warm-starts
-    the solve from a profile at a nearby level on the same generator (see
-    the module docstring for when that pays).
+    The one entry of every solve: the primal fills u_vec, the adjoint
+    (``adjoint``: the transpose) phi_vec, each scaled as EigenSolution
+    says.  At v = 0 the generator is triangular: the primal loss rate is
+    min(decay + effective splitting), read off the diagonal (u_vec None),
+    and the adjoint weight is not defined.  u0 warm-starts the solve from a
+    vector at a nearby level (see the module docstring for when that pays).
     """
-    if v < 0.0:
-        raise ValueError("monomer level must be nonnegative, got %g" % v)
+    if not 0.0 <= v < float("inf"):
+        raise ValueError("monomer level must be finite and nonnegative, got %g" % v)
     if v == 0.0:
+        if adjoint:
+            raise ValueError("adjoint weight is not defined at zero monomer level")
         return EigenSolution(v=0.0, lambda_eig=float(gen.loss.min()), u_vec=None,
                              phi_vec=None, residual=0.0, iterations=0,
                              generator=gen, degenerate=True)
-    nu, vec, r, log, it = _principal_on_matrix(gen, v, u0=u0)
-    return EigenSolution(v=float(v), lambda_eig=-nu, u_vec=vec, phi_vec=None,
-                         residual=r, iterations=it, generator=gen, residual_log=log)
+    nu, vec, r, log, it = _principal_on_matrix(gen, v, adjoint=adjoint, u0=u0)
+    if adjoint:
+        x = gen.grid.centers
+        # extrapolate to x0 through the first two cell centers
+        phi0 = vec[0] + (gen.grid.x0 - x[0]) * (vec[1] - vec[0]) / (x[1] - x[0])
+        if phi0 <= 0.0:
+            raise PositivityViolationError(
+                "adjoint weight extrapolates to %.3e at the minimal size" % float(phi0))
+        vec = vec / phi0
+    return EigenSolution(v=float(v), lambda_eig=-nu, u_vec=None if adjoint else vec,
+                         phi_vec=vec if adjoint else None, residual=r, iterations=it,
+                         generator=gen, residual_log=log)
 
 
 def principal_eigenpair(coeffs: CoefficientSet, grid: SizeGrid,
@@ -243,29 +257,11 @@ def eigenvalue_from_moments(solution: EigenSolution, coeffs: CoefficientSet) -> 
 
 
 def adjoint_eigenpair(coeffs: CoefficientSet, grid: SizeGrid, v: float) -> EigenSolution:
-    """Adjoint weight and its loss rate at monomer level v.
+    """Adjoint weight phi_vec and its loss rate at monomer level v.
 
-    The adjoint matrix shares the primal spectrum, so lambda_eig here must
-    match the primal solve to rounding.  phi_vec is strictly positive,
-    scaled so the linear extrapolation through the first two cells hits 1
-    at the minimal size.
+    See ``generator_eigenpair``; this builds the generator for one call.
     """
-    if v < 0.0:
-        raise ValueError("monomer level must be nonnegative, got %g" % v)
-    if v == 0.0:
-        raise ValueError("adjoint weight is not defined at zero monomer level "
-                         "(degenerate transport)")
-    gen = Generator(coeffs, grid)
-    nu, vec, r, log, it = _principal_on_matrix(gen, v, adjoint=True)
-    x = grid.centers
-    # extrapolate to x0 through the first two cell centers
-    phi0 = vec[0] + (grid.x0 - x[0]) * (vec[1] - vec[0]) / (x[1] - x[0])
-    if phi0 <= 0.0:
-        raise PositivityViolationError(
-            "adjoint weight extrapolates to %.3e at the minimal size" % float(phi0))
-    vec = vec / phi0
-    return EigenSolution(v=v, lambda_eig=-nu, u_vec=None, phi_vec=vec,
-                         residual=r, iterations=it, generator=gen, residual_log=log)
+    return generator_eigenpair(Generator(coeffs, grid), v, adjoint=True)
 
 
 @dataclass(frozen=True)
@@ -278,7 +274,6 @@ class ScanResult:
     v_values: np.ndarray
     lambda_values: np.ndarray
     decreasing: bool
-    lambda0_minus_decay0: Optional[float]
     sign_at_largest: int
     solutions: list = field(repr=False)
 
@@ -292,10 +287,10 @@ def scan_lambda(coeffs: CoefficientSet, grid: SizeGrid,
     """Evaluate the loss rate on a strictly increasing ladder of levels.
 
     The verdict ``decreasing`` certifies strict decrease with a 1e-10
-    tolerance band.  When decay is constant the zero-level loss rate minus
-    that constant is reported (it should vanish identically) and the sign
-    of the loss rate at the largest level probes eventual decay of the
-    scan.  One generator serves the whole ladder.
+    tolerance band, and the sign of the loss rate at the largest level
+    probes eventual decay of the scan.  A level 0 in the ladder reports
+    the zero-level loss rate, min(decay + effective splitting).  One
+    generator serves the whole ladder.
     """
     v_arr = np.asarray(list(v_list), dtype=float)
     if v_arr.size < 1:
@@ -306,13 +301,9 @@ def scan_lambda(coeffs: CoefficientSet, grid: SizeGrid,
     sols = [generator_eigenpair(gen, v) for v in v_arr]
     lams = np.array([sol.lambda_eig for sol in sols])
     decreasing = bool(np.all(np.diff(lams) < 1e-10))
-    l0md = None
-    if isinstance(coeffs.decay, Constant):
-        l0md = float(gen.loss.min()) - coeffs.decay.value
     sign = int(np.sign(lams[-1]))
     return ScanResult(v_values=v_arr, lambda_values=lams, decreasing=decreasing,
-                      lambda0_minus_decay0=l0md, sign_at_largest=sign,
-                      solutions=sols)
+                      sign_at_largest=sign, solutions=sols)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ __all__ = ["SizeGrid", "PolymerState"]
 
 @dataclass(frozen=True)
 class SizeGrid:
-    """Cell-centered finite-volume grid on [x0, xmax].
+    """Cell-centered finite-volume grid of n equal cells on [x0, xmax].
+
+    Built by ``uniform`` only; equal cells make L^T the generator's adjoint.
 
     Attributes
     ----------

@@ -14,10 +14,10 @@ the principal eigenvalue of L(v).
 Two forms live here.  ``Generator`` is the structured form every solver
 uses: bidiagonal transport, the loss diagonal, two mass-corrected gain
 superdiagonals, and above them a gain that depends on the column only,
-so apply, adjoint apply and shifted solves all cost O(n).  The dense chain
-``transport_reaction_parts`` -> ``assemble``/``assemble_adjoint`` builds
-the same matrix entry by entry from the kernel table; it is the
-independent oracle the structured form is tested against.
+so apply, adjoint apply (L^T: cells are equal) and shifted solves all
+cost O(n).  The dense chain ``transport_reaction_parts`` ->
+``assemble``/``assemble_adjoint`` builds the same matrix entry by entry
+from the kernel table; it is the independent oracle of the structured form.
 """
 
 from __future__ import annotations
@@ -165,25 +165,23 @@ class Generator:
         return out
 
     def apply_adjoint(self, v: float, phi: np.ndarray) -> np.ndarray:
-        """H^{-1} L(v)^T H phi in O(n), with H = diag(cell widths)."""
-        h = self.grid.widths
-        w = h * phi
-        out = self.diagonal(v) * w
-        out[:-1] += v * self.t_sub * w[1:]
-        out[1:] += self.gain1 * w[:-1]
-        out[2:] += self.gain2 * w[:-2]
-        out[3:] += self.far_gain[3:] * np.cumsum(w[:-3])
-        return out / h
+        """L(v)^T phi in O(n): the adjoint on equal cells."""
+        out = self.diagonal(v) * phi
+        out[:-1] += v * self.t_sub * phi[1:]
+        out[1:] += self.gain1 * phi[:-1]
+        out[2:] += self.gain2 * phi[:-2]
+        out[3:] += self.far_gain[3:] * np.cumsum(phi[:-3])
+        return out
 
     def solve_shifted(self, v: float, s: float, b: np.ndarray,
                       adjoint: bool = False) -> np.ndarray:
-        """Solve (s*I - L(v)) x = b, or the same with the adjoint of L(v).
+        """Solve (s*I - L(v)) x = b, or the same with L(v)^T.
 
         With M = s*I - L(v) and P the unit upper bidiagonal matrix that
         subtracts from each row the row below it, P M is banded (1 lower,
         3 upper diagonals): the column-constant gain cancels except in its
         first entry.  The adjoint solve reuses the factors transposed:
-        (s*I - H^{-1} L(v)^T H) y = b is (P M)^T z = H b with H y = P^T z.
+        (s*I - L(v)^T) y = b is (P M)^T z = b with y = P^T z.
         """
         lapack = _lapack()
         n = self.grid.n
@@ -205,10 +203,9 @@ class Generator:
             rhs[:-1] -= b[1:]
             x, _ = lapack.dgbtrs(lu, 1, 3, rhs, piv, overwrite_b=1)
             return x
-        h = self.grid.widths
-        z, _ = lapack.dgbtrs(lu, 1, 3, h * b, piv, trans=1, overwrite_b=1)
+        z, _ = lapack.dgbtrs(lu, 1, 3, b, piv, trans=1)
         z[1:] -= z[:-1].copy()
-        return z / h
+        return z
 
 
 def transport_reaction_parts(coeffs: CoefficientSet, grid: SizeGrid):
@@ -276,7 +273,8 @@ def assemble_adjoint(coeffs: CoefficientSet, grid: SizeGrid, v: float) -> FragOp
 
     With H = diag(cell widths), <phi, L u> = <L* phi, u> holds to rounding
     for the width-weighted inner product <a, b> = sum(a*b*h).  Only the
-    matrix differs from the primal ``FragOperator``.
+    matrix differs from the primal ``FragOperator``.  ``Generator`` applies
+    the plain transpose; this weighted form stays independent of it.
     """
     primal = assemble(coeffs, grid, v)
     h = grid.widths

@@ -303,7 +303,10 @@ SHAPE_PARAMS = sorted({"%s.%s" % (prefix, f.name)
                        for cls in SHAPES.values() for f in dataclasses.fields(cls)})
 # every scalar key whose parser rejects a word, and words no parser takes
 TYPED_KEYS = sorted(k for k, (_, tag, _) in config._SCALAR_KEYS.items() if tag != "str")
-JUNK_VALUES = ("x", "one", "1.2.3", "--1", "1e", "0x10", "true1", "2,,x")
+JUNK_VALUES = ("x", "one", "1.2.3", "--1", "1e", "0x10", "true1", "2,,x",
+               "nan", "inf", "-inf", "1e999")
+FLOAT_KEYS = sorted(k for k, (_, tag, _) in config._SCALAR_KEYS.items()
+                    if tag in ("float", "floatlist"))
 CONFIG_BASES = {
     "eigen": FAST_EIGEN, "steady": FAST_STEADY, "simulate": FAST_SIMULATE,
     "sweep": FAST_SWEEP, "peak": FAST_PEAK_SWEEP,
@@ -363,6 +366,24 @@ def test_any_bad_line_is_a_config_error(tmp_path_factory, data, base):
     for number, (_, kind) in enumerate(lines, start=1):
         if kind in ("malformed", "unknown"):
             assert any(e.startswith("line %d: " % number) for e in err["errors"])
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS + SHAPE_PARAMS)
+def test_nonfinite_numbers_are_config_errors(key):
+    # nan and the infinities parse as floats; no run can use them
+    lines = ["experiment = eigen"]
+    prefix, _, param = key.rpartition(".")
+    if prefix in config._SHAPE_PREFIXES:
+        shape = next(name for name, cls in SHAPES.items()
+                     if param in {f.name for f in dataclasses.fields(cls)})
+        lines.append("%s.shape = %s" % (prefix, shape))
+    listed = config._SCALAR_KEYS.get(key, (None, "float"))[1] == "floatlist"
+    for word in ("nan", "inf", "-inf", "1e999"):
+        value = "1, " + word if listed else word
+        with pytest.raises(config.ConfigError) as info:
+            config.parse_config("\n".join(lines + ["%s = %s" % (key, value)]))
+        assert "line %d: %s: must be a finite number" % (len(lines) + 1, key) \
+            in info.value.errors
 
 
 # --- determinism -----------------------------------------------------------
@@ -488,6 +509,52 @@ def test_repeated_doses_leave_the_slope_null(tmp_path):
     assert res["t_incubation"][0] == res["t_incubation"][1] > 0.0
     assert res["slope_fitted"] is None
     assert res["slope_predicted"] is None
+
+
+def test_zero_clearance_dose_sweep_writes_its_summary(tmp_path):
+    # vbar is infinite at zero clearance: the log law predicts no slope,
+    # and the summary is written all the same
+    body = "\n".join([
+        "experiment = sweep",
+        "sweep.axis = dose",
+        "sweep.values = 1, 4",
+        "model.clearance = 0",
+        "simulate.v_init = 600",
+        "simulate.t_end = 30",
+        "simulate.threshold_ratio = 10",
+        "simulate.snapshot_times = 10",
+        "grid.xmax = 60",
+        "grid.n = 100",
+        "",
+    ])
+    code, out = _run(tmp_path, "sweep", body)
+    assert code == 0
+    summary = json.loads(next(p for p in out.glob("sweep-*.json")
+                              if "-item-" not in p.name).read_text())
+    res = summary["results"]
+    assert res["n_failed"] == 0
+    assert all(0.0 < t < 30.0 for t in res["t_incubation"])
+    assert res["slope_fitted"] < 0.0
+    assert res["slope_predicted"] is None
+
+
+def test_zero_clearance_tightness_sweep_names_the_level(tmp_path):
+    # with no sweep.v_eval the items read the loss rate at vbar, which is
+    # infinite here: each item records the named error, the sweep goes on
+    body = FAST_SWEEP.replace("sweep.v_eval = 600.0\n", "model.clearance = 0\n")
+    code, out = _run(tmp_path, "sweep", body)
+    assert code == 0
+    items = sorted(out.glob("sweep-*-item-*.json"))
+    assert len(items) == 3
+    for p in items:
+        rec = json.loads(p.read_text())
+        assert rec["results"] == {}
+        assert rec["diagnostics"]["error_type"] == "ValueError"
+        assert rec["diagnostics"]["error"] == \
+            "monomer level must be finite and nonnegative, got inf"
+    summary = json.loads(next(p for p in out.glob("sweep-*.json")
+                              if "-item-" not in p.name).read_text())
+    assert summary["results"]["n_failed"] == 3
 
 
 def test_peak_center_items_carry_root_counters(tmp_path):

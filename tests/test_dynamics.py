@@ -196,7 +196,7 @@ def test_step_underflow_raises_with_the_last_valid_state():
 
 def test_rejects_empty_span():
     grid = _grid(100)
-    initial = seed_state(CONST, grid, t=3.0)
+    initial = dataclasses.replace(seed_state(CONST, grid), t=3.0)
     with pytest.raises(ValueError):
         integrate(CONST, grid, initial, t_end=3.0)
 

@@ -154,6 +154,28 @@ def test_adjoint_rejects_zero_level(grid800):
         adjoint_eigenpair(CONST, grid800, 0.0)
 
 
+def test_one_entry_serves_primal_and_adjoint(grid800):
+    gen = Generator(CONST, grid800)
+    via_entry = generator_eigenpair(gen, 300.0, adjoint=True)
+    standalone = adjoint_eigenpair(CONST, grid800, 300.0)
+    assert np.array_equal(via_entry.phi_vec, standalone.phi_vec)
+    assert via_entry.lambda_eig == standalone.lambda_eig
+    assert via_entry.iterations == standalone.iterations
+    assert via_entry.u_vec is None and via_entry.generator is gen
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["primal", "adjoint"])
+@pytest.mark.parametrize("v", [float("inf"), float("nan"), -1.0])
+def test_level_must_be_finite_and_nonnegative(grid800, v, adjoint):
+    gen = Generator(CONST, grid800)
+    with pytest.raises(ValueError, match="^monomer level must be finite and "
+                                         "nonnegative, got %g$" % v):
+        generator_eigenpair(gen, v, adjoint=adjoint)
+    solve = adjoint_eigenpair if adjoint else principal_eigenpair
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        solve(CONST, grid800, v)
+
+
 def test_primal_adjoint_eigenvalues_agree(grid800):
     a = principal_eigenpair(CONST, grid800, 300.0).lambda_eig
     b = adjoint_eigenpair(CONST, grid800, 300.0).lambda_eig
@@ -179,7 +201,6 @@ def test_scan_certificate():
     scan = scan_lambda(CONST, grid, [0.0, 10.0, 40.0, 83.33, 100.0, 300.0, 600.0])
     assert scan.decreasing
     assert scan.sign_at_largest == -1
-    assert scan.lambda0_minus_decay0 == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_array_equal(scan.growth_rates, -scan.lambda_values)
     closed = [loss_rate_constant(0.001, 0.03, 0.05, v) for v in scan.v_values]
     np.testing.assert_allclose(scan.lambda_values, closed, rtol=0, atol=2e-3)
