@@ -30,10 +30,9 @@ print("fitted growth %.6f vs frozen-level %.6f  (drift %.2e, R2 %.6f)"
       % (fit.rate, -lam, fit.v_drift, fit.r_squared))
 
 rho0 = traj.rho_series[0]
-res = incubation_time(traj, threshold=1e3 * rho0, inoculation=rho0,
-                      loss_rate_at_vbar=lam)
+res = incubation_time(traj, threshold=1e3 * rho0, inoculation=rho0)
 print("threshold crossed at t = %.2f  (log law predicts %.2f)"
-      % (res.t_incubation, res.predicted))
+      % (res.t_incubation, incubation_time_log_law(lam, 1e3)))
 
 # quadruple the dose and the crossing comes earlier by ln(4)/|loss|
 big = seed_state(coeffs, grid, scale=4e-6, v_init=600.0)

@@ -4,10 +4,13 @@ sweeps built on them.
 Every run reads a plain-text config, executes, and drops deterministic
 output files (CSV tables plus a JSON record) into the output directory.
 Each runner returns its results, diagnostics and exit code; ``main``
-writes them as the one JSON record of the run.  File names embed a
-digest of the canonical config echo so different configurations never
-collide; rerunning the same configuration overwrites byte-identically
-unless ``output.timings = true`` adds wall-clock seconds to the records.
+writes them as the one JSON record of the run.  A sweep item runs its
+runner's own summary: ``_steady`` for peak_center items, ``_outbreak``
+(seeding, integration, threshold crossing, failure record) for the
+bell_amplitude, frag_slope and dose items.  File names embed a digest of
+the canonical config echo so different configurations never collide;
+rerunning the same configuration overwrites byte-identically unless
+``output.timings = true`` adds wall-clock seconds to the records.
 Failures still write a machine-readable error file and exit nonzero.
 """
 
@@ -68,23 +71,43 @@ def _loss_rate_at_vbar(coeffs, grid) -> Optional[float]:
     return principal_eigenpair(coeffs, grid, coeffs.vbar).lambda_eig
 
 
-def _outbreak(cfg: RunConfig, coeffs, grid, scale: float):
+def _outbreak(cfg: RunConfig, coeffs, grid, scale: float,
+              threshold: Optional[float] = None):
     """Seed ``scale`` unit inocula and integrate with the simulate.* keys;
-    returns the inoculum count, the trajectory and the run's health,
-    which lists the snapshot instants the run did not take."""
+    the one outbreak summary of simulate runs and integrating sweep items.
+
+    Returns (trajectory, results, health).  On an IntegratorFailure the
+    trajectory is None, the results hold the last valid state and the
+    health the error.  Otherwise the health lists the snapshot instants not
+    taken, and the results hold the inoculum count, the snapshot instants
+    and, for a nonzero inoculum, the crossing of ``threshold`` (by default
+    threshold_ratio times the inoculum count).
+    """
     initial = seed_state(coeffs, grid, scale=scale, v_init=cfg.v_init)
-    traj = integrate(coeffs, grid, initial, cfg.t_end,
-                     snapshot_times=cfg.snapshot_times,
-                     record_every=cfg.record_every, dt_max=cfg.dt_max)
-    taken = {ts for ts, _ in traj.snapshots}
-    health = {"max_conservation_residual": traj.max_residual,
-              "truncation_flux_total": traj.truncation_flux_total,
-              "steps": traj.steps, "rejections": traj.rejections,
-              "rhs_evaluations": traj.rhs_evaluations,
-              "steps_by_limit": traj.steps_by_limit,
-              "dropped_snapshot_times": [s for s in cfg.snapshot_times
-                                         if s not in taken]}
-    return initial.moment0(), traj, health
+    try:
+        traj = integrate(coeffs, grid, initial, cfg.t_end,
+                         snapshot_times=cfg.snapshot_times,
+                         record_every=cfg.record_every, dt_max=cfg.dt_max)
+    except IntegratorFailure as exc:
+        return (None, {"failed_at": exc.state.t, "v_last": exc.state.v},
+                {"error": str(exc), "error_type": "IntegratorFailure"})
+    taken = [ts for ts, _ in traj.snapshots]
+    health = dict(
+        max_conservation_residual=traj.max_residual,
+        truncation_flux_total=traj.truncation_flux_total,
+        steps=traj.steps, rejections=traj.rejections,
+        rhs_evaluations=traj.rhs_evaluations,
+        steps_by_limit=traj.steps_by_limit,
+        dropped_snapshot_times=[s for s in cfg.snapshot_times if s not in taken])
+    rho0 = initial.moment0()
+    results = {"rho0": rho0, "snapshot_times": taken}
+    if rho0 > 0.0:
+        if threshold is None:
+            threshold = cfg.threshold_ratio * rho0
+        inc = incubation_time(traj, threshold, rho0)
+        results.update(threshold=threshold, t_incubation=inc.t_incubation,
+                       measured_growth_rate=inc.measured_growth_rate)
+    return traj, results, health
 
 
 # --- experiment runners ----------------------------------------------------
@@ -125,13 +148,10 @@ def _run_steady(cfg: RunConfig, out: Path, tag: str):
 
 def _run_simulate(cfg: RunConfig, out: Path, tag: str):
     grid = cfg.make_grid()
-    diagnostics: dict = {"grid_hash": grid_hash(grid)}
-    try:
-        rho0, traj, health = _outbreak(cfg, cfg.coeffs, grid, cfg.seed_scale)
-    except IntegratorFailure as exc:
-        diagnostics.update(error=str(exc), error_type="IntegratorFailure")
-        results = {"failed_at": exc.state.t, "v_last": exc.state.v}
-        return results, diagnostics, 1
+    traj, outbreak, health = _outbreak(cfg, cfg.coeffs, grid, cfg.seed_scale)
+    diagnostics = {"grid_hash": grid_hash(grid), **health}
+    if traj is None:
+        return outbreak, diagnostics, 1
 
     write_csv(out / ("simulate-%s-trajectory.csv" % tag),
               ["t", "v", "polymer_count", "polymer_mass",
@@ -142,14 +162,9 @@ def _run_simulate(cfg: RunConfig, out: Path, tag: str):
         write_csv(out / ("simulate-%s-snap-%02d.csv" % (tag, k)),
                   ["x", "density"], [grid.centers, uu])
 
-    results = {
-        "t_end": traj.times[-1],
-        "v_final": traj.v_series[-1],
-        "count_final": traj.rho_series[-1],
-        "mass_final": traj.p_series[-1],
-        "rho0": rho0,
-        "snapshot_times": [ts for ts, _ in traj.snapshots],
-    }
+    results = {"t_end": traj.times[-1], "v_final": traj.v_series[-1],
+               "count_final": traj.rho_series[-1],
+               "mass_final": traj.p_series[-1], **outbreak}
     lam_vbar = _loss_rate_at_vbar(cfg.coeffs, grid)
     if lam_vbar is not None:
         results["loss_rate_at_vbar"] = lam_vbar
@@ -159,14 +174,10 @@ def _run_simulate(cfg: RunConfig, out: Path, tag: str):
                        growth_v_drift=fit.v_drift)
     except ValueError as exc:
         diagnostics["growth_fit_skipped"] = str(exc)
-    if rho0 > 0.0:
-        inc = incubation_time(traj, cfg.threshold_ratio * rho0, rho0,
-                              loss_rate_at_vbar=lam_vbar)
-        results.update(t_incubation=inc.t_incubation,
-                       incubation_reached=inc.reached,
-                       incubation_predicted=inc.predicted,
-                       incubation_threshold=inc.threshold)
-    diagnostics.update(health)
+    if "threshold" in outbreak:
+        results["incubation_predicted"] = (
+            reference.incubation_time_log_law(lam_vbar, cfg.threshold_ratio)
+            if lam_vbar is not None and lam_vbar < 0.0 else None)
     return results, diagnostics, 0
 
 
@@ -263,24 +274,16 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
             diagnostics.update(root)
         else:
             scale = value if axis == "dose" else base.seed_scale
-            rho0, traj, health = _outbreak(base, coeffs, grid, scale)
-            threshold = fixed_threshold if fixed_threshold is not None \
-                else base.threshold_ratio * rho0
-            inc = incubation_time(traj, threshold, rho0)
-            results = {
-                "times": traj.times,
-                "rho_series": traj.rho_series,
-                "v_series": traj.v_series,
-                "rho0": rho0,
-                "threshold": threshold,
-                "t_incubation": inc.t_incubation,
-                "measured_growth_rate": inc.measured_growth_rate,
-                "snapshot_times": [ts for ts, _ in traj.snapshots],
-                # unit-count profiles: the size distribution's shape
-                "snapshot_profiles": [uu / (uu @ grid.widths)
-                                      for _, uu in traj.snapshots],
-            }
+            traj, results, health = _outbreak(base, coeffs, grid, scale,
+                                              fixed_threshold)
             diagnostics.update(health)
+            if traj is not None:
+                results.update(
+                    times=traj.times, rho_series=traj.rho_series,
+                    v_series=traj.v_series,
+                    # unit-count profiles: the size distribution's shape
+                    snapshot_profiles=[uu / (uu @ grid.widths)
+                                       for _, uu in traj.snapshots])
     except Exception as exc:  # per-value isolation: a bad value must not kill the sweep
         results = {}
         diagnostics = {"error": str(exc), "error_type": type(exc).__name__}
@@ -308,10 +311,8 @@ def sweep(base: RunConfig) -> list:
         raise ValueError(mismatch)
     fixed_threshold = None
     if axis == "dose":
-        grid = base.make_grid()
-        unit_count = float(reference.initial_seed_profile(grid.centers)
-                           @ grid.widths)
-        fixed_threshold = base.threshold_ratio * max(values) * unit_count
+        unit = seed_state(base.coeffs, base.make_grid(), v_init=base.v_init)
+        fixed_threshold = base.threshold_ratio * max(values) * unit.moment0()
     return [_sweep_item(base, axis, v, fixed_threshold) for v in values]
 
 

@@ -285,6 +285,11 @@ def parse_config(text: str) -> RunConfig:
             reads = _READERS.get(key)
             if reads and exp not in reads and axis not in reads:
                 errors.append("line %d: %s is not read by %s runs" % (line_no, key, run))
+    for key in ("simulate.v_init", "sweep.v_eval"):  # both default to vbar
+        if get("model.clearance") == 0.0 and get(key) is None \
+                and (exp in _READERS[key] or axis in _READERS[key]):
+            errors.append("config: %s is required at zero clearance, where vbar "
+                          "is infinite" % key)
     if exp == "eigen" and get("eigen.v_values") is None:
         errors.append("config: experiment 'eigen' requires eigen.v_values")
     if exp == "sweep":

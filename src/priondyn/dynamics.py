@@ -112,7 +112,9 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
               record_every: int = 1, dt_max: Optional[float] = None) -> Trajectory:
     """Advance the coupled system from ``initial`` to absolute time t_end.
 
-    Steps land exactly on requested snapshot instants and on t_end.  Each
+    Steps land exactly on requested snapshot instants and on t_end; each
+    instant in [initial.t, t_end] gives one snapshot, taken without a
+    step when it lies within the smallest step of the current time.  Each
     step is dt = 3/max(max(-L(V) diagonal), (clearance + uptake)/1.5),
     from the state at its start, capped by dt_max when given: a stage of
     dt/3 then keeps every polymer entry nonnegative at the starting V and
@@ -137,12 +139,9 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     moments = np.stack((h, x * h, gen.decay * x * h, gen.uptake, gen.returned))
     fluxw = float((x[-1] + h[-1]) * gen.conversion[-1])
 
-    snap_set = set(float(s) for s in snapshot_times if initial.t < s <= t_end)
+    snap_set = set(float(s) for s in snapshot_times if initial.t <= s <= t_end)
     events = sorted(snap_set | {float(t_end)})
     snapshots: list = []
-    for s in snapshot_times:
-        if abs(s - initial.t) <= 1e-12:
-            snapshots.append((initial.t, initial.u.copy()))
 
     u = initial.u.astype(float).copy()
     V = float(initial.v)
@@ -165,7 +164,14 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     ev_i = 0
     dt_min = 1e-14 * max(1.0, t_end - initial.t)
 
-    while t < t_end - 1e-12:
+    while True:
+        # an event within the smallest step of t is taken there, without a step
+        while ev_i < len(events) and events[ev_i] - t <= dt_min:
+            if events[ev_i] in snap_set:
+                snapshots.append((events[ev_i], u.copy()))
+            ev_i += 1
+        if ev_i == len(events):
+            break
         next_event = events[ev_i]
         # each stage is a forward-Euler step of tau = dt/3.  It keeps u
         # nonnegative while tau times every loss rate of L(V), the negated
@@ -242,11 +248,7 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         t = next_event if hit_event else t + dt
         steps += 1
         steps_by_limit["event" if hit_event else limit] += 1
-        if hit_event:
-            if next_event in snap_set:
-                snapshots.append((t, u.copy()))
-            ev_i += 1
-        if steps % record_every == 0 or t >= t_end - 1e-12:
+        if steps % record_every == 0 or t_end - t <= dt_min:
             rec_t.append(t)
             rec_v.append(V)
             rec_rho.append(rho_u)
@@ -334,38 +336,24 @@ def growth_rate(traj: Trajectory, window: tuple) -> GrowthFit:
 
 @dataclass(frozen=True)
 class IncubationResult:
-    """Threshold-crossing time of the polymer count.
-
-    predicted is the log-law value -log(threshold/inoculation)/loss_rate,
-    filled only when the supplied loss rate at the uninfected level is
-    negative (growth regime).  When the trajectory never reaches the
-    threshold, t_incubation is None and final_rho records where it ended.
-    """
+    """Threshold-crossing time of the polymer count: None when the
+    trajectory never reaches the threshold."""
 
     t_incubation: Optional[float]
     threshold: float
-    predicted: Optional[float]
     measured_growth_rate: Optional[float]
-    reached: bool
-    final_rho: float
 
 
-def incubation_time(traj: Trajectory, threshold: float, inoculation: float,
-                    loss_rate_at_vbar: Optional[float] = None) -> IncubationResult:
+def incubation_time(traj: Trajectory, threshold: float,
+                    inoculation: float) -> IncubationResult:
     """First crossing of the count threshold, interpolated in log count
     (the count grows exponentially between recorded rows)."""
     if not (threshold > inoculation > 0.0):
         raise ValueError("need threshold > inoculation > 0")
-    rho = traj.rho_series
-    t = traj.times
+    rho, t = traj.rho_series, traj.times
     above = np.flatnonzero(rho >= threshold)
-    predicted = None
-    if loss_rate_at_vbar is not None and loss_rate_at_vbar < 0.0:
-        predicted = float(np.log(threshold / inoculation) / (-loss_rate_at_vbar))
     if above.size == 0:
-        return IncubationResult(t_incubation=None, threshold=threshold,
-                                predicted=predicted, measured_growth_rate=None,
-                                reached=False, final_rho=float(rho[-1]))
+        return IncubationResult(None, threshold, None)
     i = int(above[0])
     if i == 0:
         t_cross = float(t[0])
@@ -378,9 +366,7 @@ def incubation_time(traj: Trajectory, threshold: float, inoculation: float,
         measured = growth_rate(traj, (0.2 * t_cross, 0.8 * t_cross)).rate
     except ValueError:  # empty window, fewer than 3 rows or a zero count
         measured = None
-    return IncubationResult(t_incubation=t_cross, threshold=threshold,
-                            predicted=predicted, measured_growth_rate=measured,
-                            reached=True, final_rho=float(rho[-1]))
+    return IncubationResult(t_cross, threshold, measured)
 
 
 # --- stability experiment --------------------------------------------------

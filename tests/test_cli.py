@@ -539,22 +539,31 @@ def test_zero_clearance_dose_sweep_writes_its_summary(tmp_path):
 
 
 def test_zero_clearance_tightness_sweep_names_the_level(tmp_path):
-    # with no sweep.v_eval the items read the loss rate at vbar, which is
-    # infinite here: each item records the named error, the sweep goes on
+    # with no sweep.v_eval the items would read the loss rate at vbar,
+    # which is infinite here: the config is refused before any item runs
     body = FAST_SWEEP.replace("sweep.v_eval = 600.0\n", "model.clearance = 0\n")
     code, out = _run(tmp_path, "sweep", body)
-    assert code == 0
-    items = sorted(out.glob("sweep-*-item-*.json"))
-    assert len(items) == 3
-    for p in items:
-        rec = json.loads(p.read_text())
-        assert rec["results"] == {}
-        assert rec["diagnostics"]["error_type"] == "ValueError"
-        assert rec["diagnostics"]["error"] == \
-            "monomer level must be finite and nonnegative, got inf"
-    summary = json.loads(next(p for p in out.glob("sweep-*.json")
-                              if "-item-" not in p.name).read_text())
-    assert summary["results"]["n_failed"] == 3
+    assert code == 2
+    assert [p.name for p in out.iterdir()] == ["error-sweep.json"]
+    err = json.loads((out / "error-sweep.json").read_text())
+    assert err["error_type"] == "ConfigError"
+    assert err["errors"] == ["config: sweep.v_eval is required at zero clearance, "
+                             "where vbar is infinite"]
+
+
+@pytest.mark.parametrize("name, body", [
+    ("simulate", "experiment = simulate\n"),
+    ("sweep", "experiment = sweep\nsweep.axis = dose\nsweep.values = 1\n"),
+    ("sweep", "experiment = sweep\nsweep.axis = frag_slope\nsweep.values = 0.03\n"),
+], ids=["simulate", "dose", "frag_slope"])
+def test_zero_clearance_outbreak_needs_a_starting_level(tmp_path, name, body):
+    # the monomer starts at vbar unless simulate.v_init says otherwise
+    code, out = _run(tmp_path, name, body + "model.clearance = 0\ngrid.n = 50\n")
+    assert code == 2
+    err = json.loads((out / ("error-%s.json" % name)).read_text())
+    assert err["error_type"] == "ConfigError"
+    assert err["errors"] == ["config: simulate.v_init is required at zero clearance, "
+                             "where vbar is infinite"]
 
 
 def test_peak_center_items_carry_root_counters(tmp_path):
@@ -622,13 +631,14 @@ def test_snapshot_instants_not_taken_are_recorded_as_dropped(tmp_path):
     assert item["diagnostics"]["dropped_snapshot_times"] == [96.0]
 
 
+def _failing_integrate(coeffs, grid, initial, *args, **kwargs):
+    state = PolymerState(v=123.0, u=initial.u, grid=grid, t=3.5)
+    raise IntegratorFailure("non-finite state at t=3.5", state=state)
+
+
 def test_simulate_records_an_integrator_failure(tmp_path, monkeypatch):
     # the run records the last valid state the failure carries
-    def failing(coeffs, grid, initial, *args, **kwargs):
-        state = PolymerState(v=123.0, u=initial.u, grid=grid, t=3.5)
-        raise IntegratorFailure("non-finite state at t=3.5", state=state)
-
-    monkeypatch.setattr(cli, "integrate", failing)
+    monkeypatch.setattr(cli, "integrate", _failing_integrate)
     code, out = _run(tmp_path, "simulate", "\n".join([
         "experiment = simulate", "grid.n = 100", ""]))
     assert code == 1
@@ -638,6 +648,56 @@ def test_simulate_records_an_integrator_failure(tmp_path, monkeypatch):
     assert run["results"] == {"failed_at": 3.5, "v_last": 123.0}
     assert run["diagnostics"]["error"] == "non-finite state at t=3.5"
     assert run["diagnostics"]["error_type"] == "IntegratorFailure"
+
+
+FAST_FRAG_SWEEP = "\n".join([
+    "experiment = sweep", "sweep.axis = frag_slope", "sweep.values = 0.0471",
+    "simulate.t_end = 8.0", "grid.xmax = 60.0", "grid.n = 100", ""])
+
+
+def test_sweep_item_records_an_integrator_failure(tmp_path, monkeypatch):
+    # an integrating item records the failure as a simulate run does
+    monkeypatch.setattr(cli, "integrate", _failing_integrate)
+    code, out = _run(tmp_path, "sweep", FAST_FRAG_SWEEP)
+    assert code == 0
+    item = _record(out, "sweep-*-item-00.json")
+    assert item["results"] == {"failed_at": 3.5, "v_last": 123.0}
+    assert item["diagnostics"]["error"] == "non-finite state at t=3.5"
+    assert item["diagnostics"]["error_type"] == "IntegratorFailure"
+    assert "grid_hash" in item["diagnostics"]
+    summary = _record(out, "sweep-*[0-9a-f].json")
+    assert summary["results"]["n_failed"] == 1
+    assert summary["results"]["t_incubation"] == [None]
+
+
+def test_sweep_item_with_no_inoculum_records_no_incubation(tmp_path):
+    # a zero inoculum never crosses a threshold: no error, as in a simulate run
+    code, out = _run(tmp_path, "sweep",
+                     FAST_FRAG_SWEEP + "simulate.seed_scale = 0\n")
+    assert code == 0
+    item = _record(out, "sweep-*-item-00.json")
+    assert "error" not in item["diagnostics"]
+    assert item["results"]["rho0"] == 0.0
+    assert not {"threshold", "t_incubation", "measured_growth_rate"} & set(item["results"])
+    assert _record(out, "sweep-*[0-9a-f].json")["results"]["n_failed"] == 0
+
+
+@pytest.mark.parametrize("t_end, requested", [
+    ("200", "5, 5.000000000001"), ("200", "1e-13"), ("200", "1.5e-12"), ("6", "1e-13")])
+def test_each_requested_instant_gives_one_snapshot(tmp_path, t_end, requested):
+    # instants closer than the smallest step (1e-14*max(1, t_end)) to the
+    # current time are taken there, without a step
+    code, out = _run(tmp_path, "simulate", "\n".join([
+        "experiment = simulate", "simulate.t_end = " + t_end,
+        "simulate.snapshot_times = " + requested, "grid.n = 100",
+        "grid.xmax = 60", ""]))
+    assert code == 0
+    run = _record(out, "simulate-*[0-9a-f].json")
+    wanted = [float(s) for s in requested.split(",")]
+    assert run["results"]["snapshot_times"] == wanted
+    assert run["diagnostics"]["dropped_snapshot_times"] == []
+    assert len(list(out.glob("*-snap-*.csv"))) == len(wanted)
+    assert run["results"]["t_end"] == float(t_end)
 
 
 @pytest.mark.parametrize("dt_max", ["0", "-1", "1e-20", "1.9e-12"])
@@ -666,7 +726,8 @@ def test_frag_slope_items_integrate_as_a_simulate_run_does(tmp_path):
     assert code == 0
     item = _record(sweep_out, "sweep-*-item-00.json")
     run = _record(sim_out, "simulate-*[0-9a-f].json")
-    for key in ("rho0", "t_incubation", "snapshot_times"):
+    for key in ("rho0", "threshold", "t_incubation", "measured_growth_rate",
+                "snapshot_times"):
         assert item["results"][key] == run["results"][key]
     assert item["results"]["t_incubation"] is not None
     # the item's profile is the run's snapshot scaled to unit count

@@ -17,7 +17,7 @@ from priondyn import (Bell, CoefficientSet, EigenConvergenceError,
 from priondyn.cli import sweep
 from priondyn.config import parse_config
 from priondyn.dynamics import line_fit
-from priondyn.reference import loss_rate_constant
+from priondyn.reference import incubation_time_log_law, loss_rate_constant
 
 CONST = CoefficientSet(production=2400.0, clearance=4.0)
 BELL = CoefficientSet(production=2400.0, clearance=4.0,
@@ -280,7 +280,6 @@ def _toy_traj(times, rho, v=600.0):
 def test_incubation_interpolates_crossing():
     traj = _toy_traj([0.0, 1.0, 2.0], [1.0, 2.0, 8.0])
     res = incubation_time(traj, threshold=4.0, inoculation=1.0)
-    assert res.reached
     # log-count interpolation between (1, 2) and (2, 8): 4 is halfway
     assert res.t_incubation == pytest.approx(1.5)
     assert res.threshold == 4.0
@@ -289,20 +288,22 @@ def test_incubation_interpolates_crossing():
 def test_incubation_not_reached():
     traj = _toy_traj([0.0, 1.0], [1.0, 2.0])
     res = incubation_time(traj, threshold=10.0, inoculation=1.0)
-    assert not res.reached
     assert res.t_incubation is None
-    assert res.final_rho == 2.0
+    assert res.measured_growth_rate is None
 
 
 def test_incubation_log_law_prediction():
-    traj = _toy_traj([0.0, 1.0, 2.0], [1.0, 2.0, 8.0])
-    res = incubation_time(traj, threshold=4.0, inoculation=1.0,
-                          loss_rate_at_vbar=-0.05)
-    assert res.predicted == pytest.approx(np.log(4.0) / 0.05)
+    # a count growing at exactly 0.05 per day crosses where the log law
+    # at loss rate -0.05 says: log-count interpolation is exact here
+    times = np.arange(41.0)
+    traj = _toy_traj(times, np.exp(0.05 * times))
+    res = incubation_time(traj, threshold=4.0, inoculation=1.0)
+    assert res.t_incubation == pytest.approx(incubation_time_log_law(-0.05, 4.0))
+    assert res.t_incubation == pytest.approx(np.log(4.0) / 0.05)
+    assert res.measured_growth_rate == pytest.approx(0.05)
     # a nonnegative loss rate admits no outbreak prediction
-    res2 = incubation_time(traj, threshold=4.0, inoculation=1.0,
-                           loss_rate_at_vbar=0.02)
-    assert res2.predicted is None
+    with pytest.raises(ValueError, match="healthy state is unstable"):
+        incubation_time_log_law(0.02, 4.0)
 
 
 # --- positivity ------------------------------------------------------------
