@@ -4,13 +4,15 @@ sweeps built on them.
 Every run reads a plain-text config, executes, and drops deterministic
 output files (CSV tables plus a JSON record) into the output directory.
 Each runner returns its results, diagnostics and exit code; ``main``
-writes them as the one JSON record of the run.  A sweep item runs its
-runner's own summary: ``_steady`` for peak_center items, ``_outbreak``
-(seeding, integration, threshold crossing, failure record) for the
-bell_amplitude, frag_slope and dose items.  File names embed a digest of
-the canonical config echo so different configurations never collide;
-rerunning the same configuration overwrites byte-identically unless
-``output.timings = true`` adds wall-clock seconds to the records.
+writes them as the one JSON record of the run.  A sweep item makes the
+edit and runs the summary that its axis's row of ``config.SWEEP_AXES``
+names: ``level`` (frozen-level eigenpair), ``steady`` (``_steady``) or
+``outbreak`` (``_outbreak``: seeding, integration, threshold crossing,
+failure record); ``_SWEEP_COLUMNS`` names each summary's table columns.
+File names embed a digest of the canonical config echo so different
+configurations never collide; rerunning the same configuration overwrites
+byte-identically unless ``output.timings = true`` adds wall-clock seconds
+to the records.
 Failures still write a machine-readable error file and exit nonzero.
 """
 
@@ -48,7 +50,7 @@ def _write_json(path: Path, record: ExperimentRecord) -> None:
 
 def _steady(coeffs, grid):
     """Steady state, its result keys and its root diagnostics, shared by
-    the steady runner and each peak_center sweep item."""
+    the steady runner and each sweep item of a steady summary."""
     ss = build_steady_state(coeffs, grid)
     rep = bimodality_report(ss)
     results = {"v_inf": ss.v_inf, "rho_inf": ss.rho_inf, "exists": ss.exists,
@@ -71,10 +73,10 @@ def _loss_rate_at_vbar(coeffs, grid) -> Optional[float]:
     return principal_eigenpair(coeffs, grid, coeffs.vbar).lambda_eig
 
 
-def _outbreak(cfg: RunConfig, coeffs, grid, scale: float,
-              threshold: Optional[float] = None):
-    """Seed ``scale`` unit inocula and integrate with the simulate.* keys;
-    the one outbreak summary of simulate runs and integrating sweep items.
+def _outbreak(cfg: RunConfig, grid, threshold: Optional[float] = None):
+    """Seed cfg.seed_scale unit inocula and integrate cfg.coeffs with the
+    simulate.* keys; the one outbreak summary of simulate runs and
+    integrating sweep items.
 
     Returns (trajectory, results, health).  On an IntegratorFailure the
     trajectory is None, the results hold the last valid state and the
@@ -83,9 +85,9 @@ def _outbreak(cfg: RunConfig, coeffs, grid, scale: float,
     and, for a nonzero inoculum, the crossing of ``threshold`` (by default
     threshold_ratio times the inoculum count).
     """
-    initial = seed_state(coeffs, grid, scale=scale, v_init=cfg.v_init)
+    initial = seed_state(cfg.coeffs, grid, scale=cfg.seed_scale, v_init=cfg.v_init)
     try:
-        traj = integrate(coeffs, grid, initial, cfg.t_end,
+        traj = integrate(cfg.coeffs, grid, initial, cfg.t_end,
                          snapshot_times=cfg.snapshot_times,
                          record_every=cfg.record_every, dt_max=cfg.dt_max)
     except IntegratorFailure as exc:
@@ -148,7 +150,7 @@ def _run_steady(cfg: RunConfig, out: Path, tag: str):
 
 def _run_simulate(cfg: RunConfig, out: Path, tag: str):
     grid = cfg.make_grid()
-    traj, outbreak, health = _outbreak(cfg, cfg.coeffs, grid, cfg.seed_scale)
+    traj, outbreak, health = _outbreak(cfg, grid)
     diagnostics = {"grid_hash": grid_hash(grid), **health}
     if traj is None:
         return outbreak, diagnostics, 1
@@ -181,21 +183,12 @@ def _run_simulate(cfg: RunConfig, out: Path, tag: str):
     return results, diagnostics, 0
 
 
-def _sweep_scalar_rows(axis: str, records):
-    """Per-item scalar columns for the sweep summary table."""
-    keymap = {
-        "tightness": ("loss_rate", "growth_rate", "conv_average", "n_modes"),
-        "peak_center": ("v_inf", "n_modes", "center_of_mass",
-                        "secondary_mass_fraction"),
-    }
-    keys = keymap.get(axis, ("rho0", "t_incubation", "measured_growth_rate"))
-    cols = {k: [] for k in keys}
-    for rec in records:
-        for k in keys:
-            # a failed item has no results
-            val = rec.results.get(k)
-            cols[k].append(float("nan") if val is None else float(val))
-    return keys, cols
+# summary an axis runs -> the per-item result keys of the sweep table
+_SWEEP_COLUMNS = {
+    "level": ("loss_rate", "growth_rate", "conv_average", "n_modes"),
+    "steady": ("v_inf", "n_modes", "center_of_mass", "secondary_mass_fraction"),
+    "outbreak": ("rho0", "t_incubation", "measured_growth_rate"),
+}
 
 
 def _run_sweep(cfg: RunConfig, out: Path, tag: str):
@@ -204,14 +197,16 @@ def _run_sweep(cfg: RunConfig, out: Path, tag: str):
         _write_json(out / ("sweep-%s-item-%02d.json" % (tag, k)), rec)
     axis = cfg.sweep_axis
     values = list(cfg.sweep_values)
-    keys, cols = _sweep_scalar_rows(axis, records)
+    keys = _SWEEP_COLUMNS[SWEEP_AXES[axis][0]]
+    # a failed item has no results, an uncrossed one no t_incubation
+    cols = {k: [float("nan") if rec.results.get(k) is None else float(rec.results[k])
+                for rec in records] for k in keys}
     write_csv(out / ("sweep-%s.csv" % tag), ["value"] + list(keys),
               [np.asarray(values, dtype=float)]
               + [np.asarray(cols[k]) for k in keys])
 
     summary: dict = {"axis": axis, "values": values,
-                     "n_failed": sum("error" in rec.diagnostics for rec in records)}
-    summary.update({k: cols[k] for k in keys})
+                     "n_failed": sum("error" in rec.diagnostics for rec in records), **cols}
     if axis == "tightness":
         gr = np.asarray(cols["growth_rate"])
         if np.isfinite(gr).any():
@@ -248,16 +243,19 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
     echo = config_echo(base)
     echo["sweep_axis"] = axis
     echo["sweep_value"] = float(value)
+    summary, rate, _, param = SWEEP_AXES[axis]
     try:
-        coeffs = base.coeffs
-        if SWEEP_AXES[axis] is not None:
-            rate, _, param = SWEEP_AXES[axis]
-            coeffs = replace(coeffs, **{rate: replace(getattr(coeffs, rate), **{param: value})})
-        grid = base.make_grid()
+        # the row's one edit: a parameter of a rate, else a run field
+        edit = {param: value}
+        if rate is not None:
+            edit = {"coeffs": replace(base.coeffs, **{
+                rate: replace(getattr(base.coeffs, rate), **edit)})}
+        cfg = replace(base, **edit)
+        grid = cfg.make_grid()
         diagnostics: dict = {"grid_hash": grid_hash(grid)}
-        if axis == "tightness":
-            v_eval = base.sweep_v_eval if base.sweep_v_eval is not None else base.coeffs.vbar
-            sol = principal_eigenpair(coeffs, grid, v_eval)
+        if summary == "level":
+            v_eval = cfg.sweep_v_eval if cfg.sweep_v_eval is not None else cfg.coeffs.vbar
+            sol = principal_eigenpair(cfg.coeffs, grid, v_eval)
             conv_avg = float((sol.generator.conversion * sol.u_vec) @ grid.widths)
             idx, _ = detect_modes(sol.u_vec)
             results = {
@@ -269,13 +267,11 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
                 "mode_locations": grid.centers[idx],
             }
             diagnostics.update(residual=sol.residual, iterations=sol.iterations)
-        elif axis == "peak_center":
-            _, results, root = _steady(coeffs, grid)
+        elif summary == "steady":
+            _, results, root = _steady(cfg.coeffs, grid)
             diagnostics.update(root)
         else:
-            scale = value if axis == "dose" else base.seed_scale
-            traj, results, health = _outbreak(base, coeffs, grid, scale,
-                                              fixed_threshold)
+            traj, results, health = _outbreak(cfg, grid, fixed_threshold)
             diagnostics.update(health)
             if traj is not None:
                 results.update(

@@ -33,14 +33,14 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "config_echo", "default_x
            "SWEEP_AXES", "sweep_axis_error"]
 
 EXPERIMENTS = ("eigen", "steady", "simulate", "sweep")
-# axis -> (rate it edits, shape that rate must have, parameter it sets);
-# dose scales the inoculum and edits no rate
+# axis -> (summary its items run, rate it edits, shape that rate must have,
+# parameter it sets); dose edits the run field seed_scale and no rate
 SWEEP_AXES = {
-    "bell_amplitude": ("conversion", "bell", "amplitude"),
-    "frag_slope": ("fragmentation", "affine", "slope"),
-    "tightness": ("conversion", "scaled_bell", "tightness"),
-    "peak_center": ("conversion", "bell", "center"),
-    "dose": None,
+    "bell_amplitude": ("outbreak", "conversion", "bell", "amplitude"),
+    "frag_slope": ("outbreak", "fragmentation", "affine", "slope"),
+    "tightness": ("level", "conversion", "scaled_bell", "tightness"),
+    "peak_center": ("steady", "conversion", "bell", "center"),
+    "dose": ("outbreak", None, None, "seed_scale"),
 }
 
 
@@ -70,10 +70,8 @@ def sweep_axis_error(coeffs: CoefficientSet, axis: str) -> Optional[str]:
     """Why ``axis`` cannot sweep ``coeffs``, or None when it fits."""
     if axis not in SWEEP_AXES:
         return "unknown sweep axis %r" % (axis,)
-    if SWEEP_AXES[axis] is None:
-        return None
-    rate, shape, _ = SWEEP_AXES[axis]
-    if isinstance(getattr(coeffs, rate), SHAPES[shape]):
+    _, rate, shape, _ = SWEEP_AXES[axis]
+    if rate is None or isinstance(getattr(coeffs, rate), SHAPES[shape]):
         return None
     return "%s sweep requires %s %s %s shape" % (
         axis, "an" if shape[0] in "aeiou" else "a", shape, rate)
@@ -85,7 +83,8 @@ def _key(key: str, tag: str, default=None, reads=None):
     return dataclasses.field(metadata=dict(key=key, tag=tag, default=default, reads=reads))
 
 
-_OUTBREAKS = ("simulate", "bell_amplitude", "frag_slope", "dose")  # runs that integrate
+# the runs that integrate
+_OUTBREAKS = ("simulate",) + tuple(a for a, row in SWEEP_AXES.items() if row[0] == "outbreak")
 
 
 @dataclass
