@@ -198,7 +198,7 @@ def _run_sweep(cfg: RunConfig, out: Path, tag: str):
     axis = cfg.sweep_axis
     values = list(cfg.sweep_values)
     keys = _SWEEP_COLUMNS[SWEEP_AXES[axis][0]]
-    # a failed item has no results, an uncrossed one no t_incubation
+    # NaN where an item lacks the result: it failed, or never crossed
     cols = {k: [float("nan") if rec.results.get(k) is None else float(rec.results[k])
                 for rec in records] for k in keys}
     write_csv(out / ("sweep-%s.csv" % tag), ["value"] + list(keys),
@@ -240,9 +240,7 @@ def _run_sweep(cfg: RunConfig, out: Path, tag: str):
 def _sweep_item(base: RunConfig, axis: str, value: float,
                 fixed_threshold: Optional[float]) -> ExperimentRecord:
     t_start = time.perf_counter()
-    echo = config_echo(base)
-    echo["sweep_axis"] = axis
-    echo["sweep_value"] = float(value)
+    echo = {**config_echo(base), "sweep_axis": axis, "sweep_value": float(value)}
     summary, rate, _, param = SWEEP_AXES[axis]
     try:
         # the row's one edit: a parameter of a rate, else a run field
@@ -290,13 +288,9 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
 
 
 def sweep(base: RunConfig) -> list:
-    """Run one experiment per value along base's sweep axis.
-
-    Axes bell_amplitude and frag_slope integrate the full system per
-    value; tightness evaluates the frozen-level eigenpair; peak_center
-    builds steady states; dose reruns the same system at scaled
-    inoculations against one fixed threshold (set by the largest dose, so
-    the largest dose crosses at exactly the configured ratio).  An axis
+    """Run one item per value along base's sweep axis, as its row of
+    config.SWEEP_AXES says; dose items share one threshold, set by the
+    largest dose, which crosses at exactly the configured ratio.  An axis
     that does not fit the configured shapes raises ValueError before any
     item runs; a failing value yields an error record and the rest of the
     sweep continues.

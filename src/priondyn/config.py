@@ -136,6 +136,14 @@ _SCALAR_KEYS = {
 _READERS = {f.metadata["key"]: f.metadata["reads"]
             for f in dataclasses.fields(RunConfig) if f.metadata.get("reads")}
 
+# key -> (bound, strict): the value, or each value of the list, must exceed
+# the bound (strict) or reach it, and a bounded list must rise strictly
+_BOUNDS = {"model.production": (0, False), "model.clearance": (0, False),
+           "model.x0": (0, False), "grid.n": (2, False), "eigen.v_values": (0, False),
+           "simulate.t_end": (0, True), "simulate.seed_scale": (0, False),
+           "simulate.record_every": (1, False), "simulate.threshold_ratio": (1, True),
+           "sweep.v_eval": (0, True)}
+
 _SHAPE_PREFIXES = ("model.conversion", "model.fragmentation", "model.decay")
 
 
@@ -245,6 +253,15 @@ def parse_config(text: str) -> RunConfig:
         key_lines[key] = line_no
         _, tag, _ = _SCALAR_KEYS[key]
         val = _parse_value(tag, raw, key, line_no, errors)
+        if val is not None and key in _BOUNDS:
+            bound, strict = _BOUNDS[key]
+            vals = val if tag == "floatlist" else (val,)
+            if any(v < bound or strict and v == bound for v in vals) \
+                    or any(a >= b for a, b in zip(vals, vals[1:])):
+                errors.append("line %d: %s must be %s %g%s, got %s" % (
+                    line_no, key, "greater than" if strict else "at least", bound,
+                    " and strictly increasing" if tag == "floatlist" else "", raw))
+                continue
         if val is not None:
             scalars[key] = val
 
@@ -257,21 +274,12 @@ def parse_config(text: str) -> RunConfig:
     if "experiment" not in scalars:
         errors.append("config: missing required key 'experiment'")
 
-    for key, label in (("model.production", "production"), ("model.clearance", "clearance"),
-                       ("model.x0", "x0")):
-        if get(key) is not None and get(key) < 0.0:
-            errors.append("config: %s must be nonnegative, got %g" % (label, get(key)))
-    if get("grid.n") < 2:
-        errors.append("config: grid.n must be at least 2, got %d" % get("grid.n"))
     if get("threads") != 1:
         errors.append("config: threads must be 1 (sweeps run serially), got %d"
                       % get("threads"))
     for key in ("eigen.v_values", "sweep.values"):
         if get(key) == ():
             errors.append("config: %s must list at least one value" % key)
-    if get("simulate.record_every") < 1:
-        errors.append("config: simulate.record_every must be at least 1, got %d"
-                      % get("simulate.record_every"))
     dt_max, dt_floor = get("simulate.dt_max"), 1e-14 * max(1.0, get("simulate.t_end"))
     if dt_max is not None and not dt_max >= dt_floor:  # integrate's smallest step
         errors.append("config: simulate.dt_max must be at least 1e-14*max(1, "

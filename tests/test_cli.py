@@ -741,6 +741,27 @@ def test_frag_slope_items_integrate_as_a_simulate_run_does(tmp_path):
     assert item["diagnostics"] == run["diagnostics"]
 
 
+def test_one_row_of_sweep_axes_makes_an_axis(tmp_path, monkeypatch):
+    # an outbreak axis that moves the bump needs its row and nothing else:
+    # its items integrate and the sweep table carries the outbreak columns
+    monkeypatch.setitem(config.SWEEP_AXES, "bump_center",
+                        ("outbreak", "conversion", "bell", "center"))
+    base = config.parse_config((CONFIG_DIR / "fig5.cfg").read_text())
+    cfg = dataclasses.replace(base, n=60, t_end=5.0, sweep_axis="bump_center",
+                              sweep_values=(1.5, 2.5))
+    summary, _, code = cli._run_sweep(cfg, tmp_path, "row")
+    assert (code, summary["n_failed"]) == (0, 0)
+    items = [json.loads((tmp_path / ("sweep-row-item-%02d.json" % k)).read_text())
+             for k in range(2)]
+    for item in items:
+        assert {"rho0", "t_incubation", "times"} <= set(item["results"])
+        assert item["diagnostics"]["steps"] > 0
+    # each item integrated its own bump
+    assert items[0]["results"]["rho_series"] != items[1]["results"]["rho_series"]
+    header = (tmp_path / "sweep-row.csv").read_text().splitlines()[0]
+    assert header == "value,rho0,t_incubation,measured_growth_rate"
+
+
 @pytest.mark.parametrize("name, body", [
     ("steady", (CONFIG_DIR / "fig3.cfg").read_text()),
     ("sweep", FAST_PEAK_SWEEP),

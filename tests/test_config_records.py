@@ -91,11 +91,42 @@ def test_error_collection_is_exhaustive():
     ("sweep.record_every = 4", "unknown key 'sweep.record_every'"),
     ("sweep.threshold_ratio = 1000", "unknown key 'sweep.threshold_ratio'"),
     ("sweep.probe_time = 96", "unknown key 'sweep.probe_time'"),
+    ("simulate.threshold_ratio = 1", "line 2: simulate.threshold_ratio must be greater than 1"),
+    ("simulate.t_end = 0", "line 2: simulate.t_end must be greater than 0, got 0$"),
+    ("simulate.t_end = -5", "line 2: simulate.t_end must be greater than 0, got -5$"),
+    ("simulate.seed_scale = -1", "line 2: simulate.seed_scale must be at least 0, got -1$"),
 ])
 def test_retired_and_out_of_range_keys_are_named(line, message):
     # a simulate run reads every simulate.* key, so each line has one fault
     with pytest.raises(ConfigError, match=message):
         parse_config("experiment = simulate\n" + line + "\n")
+
+
+LEVEL_BASES = {
+    "tightness": "\n".join([
+        "experiment = sweep", "sweep.axis = tightness", "sweep.values = 0.1",
+        "model.conversion.shape = scaled_bell", "model.conversion.base = 0.001",
+        "model.conversion.tightness = 0.1", "model.conversion.center = 8", ""]),
+    "eigen": "experiment = eigen\n",
+}
+
+
+@pytest.mark.parametrize("run, line, message", [
+    ("tightness", "sweep.v_eval = 0", "sweep.v_eval must be greater than 0, got 0"),
+    ("tightness", "sweep.v_eval = -600", "sweep.v_eval must be greater than 0, got -600"),
+    ("eigen", "eigen.v_values = 600, 8",
+     "eigen.v_values must be at least 0 and strictly increasing, got 600, 8"),
+    ("eigen", "eigen.v_values = 8, 8",
+     "eigen.v_values must be at least 0 and strictly increasing, got 8, 8"),
+    ("eigen", "eigen.v_values = -1, 8",
+     "eigen.v_values must be at least 0 and strictly increasing, got -1, 8"),
+])
+def test_a_level_out_of_range_is_named(run, line, message):
+    # a level no solve can use: zero has no profile, and a scan rises strictly
+    base = LEVEL_BASES[run]
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(base + line + "\n")
+    assert "line %d: %s" % (len(base.splitlines()) + 1, message) in exc_info.value.errors
 
 
 @pytest.mark.parametrize("name, line, run", [
@@ -149,6 +180,31 @@ def test_readme_key_table_lists_every_scalar_key():
     # the entry before any ';' names the runs that accept the key
     for key, cell in read_by.items():
         assert cell.split(";")[0] == _read_by(config._READERS.get(key)), key
+
+
+def _readme_table(header):
+    text = (ROOT / "README.md").read_text()
+    return text[text.index(header):].split("\n\n", 1)[0]
+
+
+def test_readme_key_table_states_every_bound():
+    table = _readme_table("| key | default | read by |")
+    for key, (bound, strict) in config._BOUNDS.items():
+        default = re.search(r"^\| `%s` \| ([^|]*) \|" % re.escape(key), table, re.M).group(1)
+        listed = config._SCALAR_KEYS[key][1] == "floatlist"
+        assert default.endswith("; must be %s %g%s" % (
+            "greater than" if strict else "at least", bound,
+            " and strictly increasing" if listed else "")), key
+
+
+def test_readme_axis_table_is_sweep_axes():
+    table = _readme_table("| axis | summary it runs |")
+    rows = {m.group(1): m.group(2, 3, 4) for m in re.finditer(
+        r"^\| `([a-z_]+)` \| ([a-z]+) \| ([^|]*) \| ([a-z_]+) \|$", table, re.M)}
+    assert rows == {
+        axis: (summary, "%s, `%s`" % (rate, shape) if rate is not None
+               else "none: it sets `simulate.%s` per item" % param, param)
+        for axis, (summary, rate, shape, param) in config.SWEEP_AXES.items()}
 
 
 def test_records_carry_the_packaged_version():
