@@ -83,8 +83,12 @@ def _key(key: str, tag: str, default=None, reads=None):
     return dataclasses.field(metadata=dict(key=key, tag=tag, default=default, reads=reads))
 
 
-# the runs that integrate
-_OUTBREAKS = ("simulate",) + tuple(a for a, row in SWEEP_AXES.items() if row[0] == "outbreak")
+def _axes(summary: str, but: str = "") -> tuple:
+    """The sweep axes whose items run ``summary``, less any that sets ``but``."""
+    return tuple(a for a, row in SWEEP_AXES.items() if row[0] == summary and row[3] != but)
+
+
+_OUTBREAKS = ("simulate",) + _axes("outbreak")  # the runs that integrate
 
 
 @dataclass
@@ -103,7 +107,7 @@ class RunConfig:
     t_end: float = _key("simulate.t_end", "float", 200.0, _OUTBREAKS)
     v_init: Optional[float] = _key("simulate.v_init", "float", reads=_OUTBREAKS)
     seed_scale: float = _key("simulate.seed_scale", "float", 1.0,
-                             ("simulate", "bell_amplitude", "frag_slope"))
+                             ("simulate",) + _axes("outbreak", but="seed_scale"))
     record_every: int = _key("simulate.record_every", "int", 1, _OUTBREAKS)
     snapshot_times: tuple = _key("simulate.snapshot_times", "floatlist", (96.0,), _OUTBREAKS)
     fit_start: float = _key("simulate.fit_start", "float", 15.0, ("simulate",))
@@ -112,7 +116,7 @@ class RunConfig:
     dt_max: Optional[float] = _key("simulate.dt_max", "float", reads=_OUTBREAKS)
     sweep_axis: Optional[str] = _key("sweep.axis", "enum:axis", reads=("sweep",))
     sweep_values: Optional[tuple] = _key("sweep.values", "floatlist", reads=("sweep",))
-    sweep_v_eval: Optional[float] = _key("sweep.v_eval", "float", reads=("tightness",))
+    sweep_v_eval: Optional[float] = _key("sweep.v_eval", "float", reads=_axes("level"))
     out_dir: str = _key("output.dir", "str", "out")
     timings: bool = _key("output.timings", "bool", False)
 
@@ -261,7 +265,6 @@ def parse_config(text: str) -> RunConfig:
                 errors.append("line %d: %s must be %s %g%s, got %s" % (
                     line_no, key, "greater than" if strict else "at least", bound,
                     " and strictly increasing" if tag == "floatlist" else "", raw))
-                continue
         if val is not None:
             scalars[key] = val
 
@@ -297,13 +300,10 @@ def parse_config(text: str) -> RunConfig:
                 and (exp in _READERS[key] or axis in _READERS[key]):
             errors.append("config: %s is required at zero clearance, where vbar "
                           "is infinite" % key)
-    if exp == "eigen" and get("eigen.v_values") is None:
-        errors.append("config: experiment 'eigen' requires eigen.v_values")
-    if exp == "sweep":
-        if axis is None:
-            errors.append("config: experiment 'sweep' requires sweep.axis")
-        if get("sweep.values") is None:
-            errors.append("config: experiment 'sweep' requires sweep.values")
+    for run, key in (("eigen", "eigen.v_values"), ("sweep", "sweep.axis"),
+                     ("sweep", "sweep.values")):
+        if exp == run and get(key) is None:
+            errors.append("config: experiment %r requires %s" % (run, key))
     if errors:
         raise ConfigError(errors)
 
