@@ -147,6 +147,8 @@ _BOUNDS = {"model.production": (0, False), "model.clearance": (0, False),
            "simulate.t_end": (0, True), "simulate.seed_scale": (0, False),
            "simulate.record_every": (1, False), "simulate.threshold_ratio": (1, True),
            "sweep.v_eval": (0, True)}
+# shape parameter -> (bound, strict), as _BOUNDS, for every rate of that shape
+_SHAPE_BOUNDS = {"width_sq": (0, True)}
 
 _SHAPE_PREFIXES = ("model.conversion", "model.fragmentation", "model.decay")
 
@@ -155,6 +157,17 @@ def _finite(value: float) -> float:
     if not math.isfinite(value):
         raise ValueError("must be a finite number")
     return value
+
+
+def _bound_error(bound_strict: tuple, vals: tuple, rising: bool) -> Optional[str]:
+    """The bound that ``vals`` break, as "must be ..." text, or None when
+    each value keeps ``bound_strict`` (and, when ``rising``, they rise)."""
+    bound, strict = bound_strict
+    if any(v < bound or strict and v == bound for v in vals) \
+            or rising and any(a >= b for a, b in zip(vals, vals[1:])):
+        return "must be %s %g%s" % ("greater than" if strict else "at least", bound,
+                                    " and strictly increasing" if rising else "")
+    return None
 
 
 def _parse_value(tag: str, raw: str, key: str, line_no: int, errors: list):
@@ -211,8 +224,13 @@ def _build_shape(prefix: str, entries: dict, errors: list) -> Optional[Coefficie
                              ", ".join(sorted(wanted))))
             ok = False
             continue
-        val = _parse_value("float", raw, "%s.%s" % (prefix, name), pln, errors)
-        if val is None:
+        key = "%s.%s" % (prefix, name)
+        val = _parse_value("float", raw, key, pln, errors)
+        broken = val is not None and name in _SHAPE_BOUNDS \
+            and _bound_error(_SHAPE_BOUNDS[name], (val,), False)
+        if broken:
+            errors.append("line %d: %s %s, got %s" % (pln, key, broken, raw.strip()))
+        if val is None or broken:
             ok = False
         else:
             params[name] = val
@@ -258,13 +276,10 @@ def parse_config(text: str) -> RunConfig:
         _, tag, _ = _SCALAR_KEYS[key]
         val = _parse_value(tag, raw, key, line_no, errors)
         if val is not None and key in _BOUNDS:
-            bound, strict = _BOUNDS[key]
-            vals = val if tag == "floatlist" else (val,)
-            if any(v < bound or strict and v == bound for v in vals) \
-                    or any(a >= b for a, b in zip(vals, vals[1:])):
-                errors.append("line %d: %s must be %s %g%s, got %s" % (
-                    line_no, key, "greater than" if strict else "at least", bound,
-                    " and strictly increasing" if tag == "floatlist" else "", raw))
+            listed = tag == "floatlist"
+            broken = _bound_error(_BOUNDS[key], val if listed else (val,), listed)
+            if broken:
+                errors.append("line %d: %s %s, got %s" % (line_no, key, broken, raw))
         if val is not None:
             scalars[key] = val
 
@@ -300,6 +315,20 @@ def parse_config(text: str) -> RunConfig:
                 and (exp in _READERS[key] or axis in _READERS[key]):
             errors.append("config: %s is required at zero clearance, where vbar "
                           "is infinite" % key)
+    if axis is not None and get("sweep.values"):
+        # each value is held to the bound of the key that the axis's edit sets
+        _, rate, _, param = SWEEP_AXES[axis]
+        if rate is None:
+            edited = next(k for k, (f, _, _) in _SCALAR_KEYS.items() if f == param)
+            bounds = _BOUNDS.get(edited)
+        else:
+            edited, bounds = "model.%s.%s" % (rate, param), _SHAPE_BOUNDS.get(param)
+        broken = bounds and _bound_error(bounds, get("sweep.values"), False)
+        if broken:
+            errors.append("line %d: sweep.values %s, the bound of %s that a %s "
+                          "sweep sets, got %s" % (
+                              key_lines["sweep.values"], broken, edited, axis,
+                              ", ".join("%g" % v for v in get("sweep.values"))))
     for run, key in (("eigen", "eigen.v_values"), ("sweep", "sweep.axis"),
                      ("sweep", "sweep.values")):
         if exp == run and get(key) is None:

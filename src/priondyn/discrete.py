@@ -11,9 +11,9 @@ fragmentation*n0*(n0-1)*U to the pool; that closes the books exactly:
 
 with the last term the only (monitored) leak, from polymers growing past
 the top bin.  The stepper deliberately uses the same four-stage SSPRK(4,2)
-arithmetic as the continuum integrator, coded separately, so that with
-u = 0 both reduce to the identical scalar update for V and agree to the
-last bit.
+arithmetic as the continuum integrator's explicit step, coded separately,
+so that with u = 0 both reduce to the identical scalar update for V and
+agree to the last bit.
 """
 
 from __future__ import annotations
@@ -210,8 +210,9 @@ def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
     comparison read the same 0.3-day instants at any step.  dt must stay
     below both twins' positive-stage bound, 3 over the largest loss rate
     at vbar: 3/(conversion*vbar + decay + fragmentation*(n_max - 1)), 0.483
-    for default_calibration(); above it the continuum shortens its own
-    steps and a ValueError says so.
+    for default_calibration(), and at most 4.5/clearance, where the
+    continuum's monomer stages turn implicit.  Above either the continuum
+    leaves the chain's explicit V update and a ValueError says so.
 
     Two runs: an uninfected one (no polymers) where both must reproduce
     the identical monomer relaxation to rounding, and a seeded one (count
@@ -230,14 +231,16 @@ def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
     traj_d0 = integrate_discrete(params, zero_d, t_end, dt, record_every=every)
     zero_c = PolymerState(v=v_start, u=np.zeros(grid.n), grid=grid)
     traj_c0 = integrate(coeffs, grid, zero_c, t_end, record_every=every, dt_max=dt)
-    own = traj_c0.steps_by_limit["polymer"] + traj_c0.steps_by_limit["monomer"]
+    own = traj_c0.steps_by_limit["polymer"] + traj_c0.implicit_monomer_steps
     if own:
-        bound = 3.0 / (params.conversion * vbar + params.decay
-                       + params.fragmentation * (params.n_max - 1.0))
+        bound = min(3.0 / (params.conversion * vbar + params.decay
+                           + params.fragmentation * (params.n_max - 1.0)),
+                    4.5 / params.clearance)
         raise ValueError("dt=%g is above the twins' step bound %.3g at vbar "
-                         "(3 over the largest loss rate): the continuum took "
-                         "%d polymer- or monomer-limited steps shorter than "
-                         "dt, so the twins do not share steps" % (dt, bound, own))
+                         "(3 over the largest loss rate, 4.5 over the "
+                         "clearance): the continuum took %d polymer-limited "
+                         "or implicit-monomer steps, so the twins do not "
+                         "share the explicit V update" % (dt, bound, own))
     v_c_at = np.interp(traj_d0.times, traj_c0.times, traj_c0.v_series)
     uninfected_diff = float(np.max(np.abs(v_c_at - traj_d0.v_series)
                                    / np.maximum(traj_d0.v_series, 1e-300)))

@@ -5,15 +5,23 @@ runs.
 The stepper is SSPRK(4,2), the four-stage second-order strong-stability-
 preserving Runge-Kutta method: each stage is a forward-Euler step of a
 third of the step, so a step may be three times the forward-Euler step
-for four right-hand-side evaluations.  Each step is read off the rates at
-its start: the largest loss rate of the generator (its negated diagonal:
-transport out of a cell plus decay and splitting) and the monomer's own
-loss rate (clearance plus uptake).  A stage with a negative entry rejects
-the step, which is retried at half the length.  The mass books are
-stage-consistent: the reported per-step residual compares the realized
-change of (monomer + polymer mass) against the mean of the four stage
-sources, so it sits at rounding level and any real leak would show
-immediately.  The right-hand side applies the structured generator in O(n).
+for four right-hand-side evaluations.  Each step is read off the largest
+loss rate of the generator at its start (its negated diagonal: transport
+out of a cell plus decay and splitting).  The monomer's own loss rate
+(clearance plus uptake) sets no step.  Where it is stiff, tau*(clearance
++ uptake) > 1.5 with tau a third of the step, the step keeps its four
+explicit polymer stages and takes the monomer level of each stage from
+implicit monomer stages instead (an IMEX pair: a stiffly accurate ESDIRK
+sharing the weights and stage times of SSPRK(4,2), second order and
+damping the monomer's fast relaxation); each stage level solves its
+linear monomer equation exactly, and the step ends on the last one.
+Such steps are counted as implicit_monomer_steps.  A stage with a
+negative entry rejects the step, which is retried at half the length.
+The mass books are stage-consistent on steps of both kinds: the reported
+per-step residual compares the realized change of (monomer + polymer
+mass) against the mean of the four stage sources, so it sits at rounding
+level and any real leak would show immediately.  The right-hand side
+applies the structured generator in O(n).
 """
 
 from __future__ import annotations
@@ -44,6 +52,15 @@ __all__ = [
     "stability_experiment",
 ]
 
+# The monomer stages of a stiff step: a stiffly accurate ESDIRK with the
+# weights b = (1/4, 1/4, 1/4, 1/4) and the stage times (0, 1/3, 2/3, 1) of
+# SSPRK(4,2).  Its first stage is V itself; row k of the later stages holds
+# the coefficients (times dt) of the slopes of stages 0..k, the diagonal
+# last.  Each stage time is its row sum and every stage is second order,
+# so the pair stays second order in V however stiff the monomer is; on the
+# negative real axis |R| <= 1 and R(inf) = 0.
+_MONOMER_ROWS = ((1 / 6, 1 / 6), (2 / 9, 2 / 9, 2 / 9), (0.25, 0.25, 0.25, 0.25))
+
 
 class IntegratorFailure(RuntimeError):
     """Integration aborted; carries the last valid state and time."""
@@ -64,12 +81,13 @@ class Trajectory:
     first).  Rows are recorded every record_every-th step and at the last.
 
     steps_by_limit counts accepted steps by the bound that set them
-    ("polymer" for the generator's largest loss rate, "monomer" for
-    clearance plus uptake, "dt_max", or "event" for a step landing on a
-    snapshot or t_end; a retried step counts under the bound it halved)
-    and sums to steps.  rhs_evaluations counts right-hand-side
-    evaluations: four per accepted step plus those a rejected step made
-    up to its negative stage.
+    ("polymer" for the generator's largest loss rate, "dt_max", or
+    "event" for a step landing on a snapshot or t_end; a retried step
+    counts under the bound it halved) and sums to steps.
+    implicit_monomer_steps counts the accepted steps whose monomer
+    levels came from the implicit stages.  rhs_evaluations counts
+    right-hand-side evaluations: four per accepted step plus those a
+    rejected step made up to its negative stage.
     """
 
     times: np.ndarray
@@ -86,6 +104,7 @@ class Trajectory:
     rejections: int
     steps_by_limit: dict = field(default_factory=dict)
     rhs_evaluations: int = 0
+    implicit_monomer_steps: int = 0
     residual_series: Optional[np.ndarray] = None
 
     @property
@@ -115,12 +134,17 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     Steps land exactly on requested snapshot instants and on t_end; each
     instant in [initial.t, t_end] gives one snapshot, taken without a
     step when it lies within the smallest step of the current time.  Each
-    step is dt = 3/max(max(-L(V) diagonal), (clearance + uptake)/1.5),
-    from the state at its start, capped by dt_max when given: a stage of
-    dt/3 then keeps every polymer entry nonnegative at the starting V and
-    the monomer rate at 3/4 of its forward-Euler stability limit.  A stage
-    with a negative entry (the rates moved within the step) rejects the
-    step, which is retried at half the length.
+    step is dt = 3/max(-L(V) diagonal), from the state at its start,
+    capped by dt_max when given: a stage of dt/3 then keeps every polymer
+    entry nonnegative at the starting V.  A step with dt/3*(clearance +
+    uptake) > 1.5, past 3/4 of the explicit monomer stage's stability
+    limit, takes implicit monomer stages (see _MONOMER_ROWS): stage k
+    applies L(W_k) with W_k = V + dt*sum_j a_kj*F_j, F_j = production +
+    returned_j - (clearance + uptake_j)*W_j, solved for W_k in closed
+    form, and the step ends at V+ = W_3.  Any other step is the explicit
+    SSPRK(4,2) step throughout.  A stage with a negative entry (the rates
+    moved within the step) rejects the step, which is retried at half the
+    length.
     """
     if t_end <= initial.t:
         raise ValueError("t_end=%g is not beyond the initial time %g" % (t_end, initial.t))
@@ -159,7 +183,8 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     steps = 0
     rejections = 0
     rhs_evaluations = 0
-    steps_by_limit = dict.fromkeys(("polymer", "monomer", "dt_max", "event"), 0)
+    steps_by_limit = dict.fromkeys(("polymer", "dt_max", "event"), 0)
+    implicit_steps = 0
     shrink = 1.0
     ev_i = 0
     dt_min = 1e-14 * max(1.0, t_end - initial.t)
@@ -175,12 +200,8 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         next_event = events[ev_i]
         # each stage is a forward-Euler step of tau = dt/3.  It keeps u
         # nonnegative while tau times every loss rate of L(V), the negated
-        # diagonal, is at most 1.  The monomer rate gam + take_u may reach
-        # 1.5/tau, 3/4 of the stage's stability limit; the source
-        # lam + back_u keeps V positive near balance
+        # diagonal, is at most 1
         rate, limit = -float(gen.diagonal(V).min()), "polymer"
-        if gam + take_u > 1.5 * rate:
-            rate, limit = (gam + take_u) / 1.5, "monomer"
         dt_bound = 3.0 / rate if rate > 0.0 else math.inf
         if dt_max is not None and dt_max < dt_bound:
             dt_bound, limit = dt_max, "dt_max"
@@ -201,10 +222,21 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         # tau = dt/3, then u/4 + 3/4 of a fourth Euler stage from the
         # third.  The step equals u + dt/4 times the sum of the four stage
         # slopes, so the books take the mean of the four stage sources.
+        # A step that would take the monomer rate past 1.5/tau, 3/4 of a
+        # stage's stability limit, keeps the polymer stages and takes the
+        # stage levels of V from the rows of _MONOMER_ROWS instead
         tau = dt / 3.0
+        implicit = tau * (gam + take_u) > 1.5
         w, W, mu_w, take_w, back_w = u, V, mu_u, take_u, back_u
         src = out = 0.0
+        slopes = []
         for stage in range(4):
+            if implicit and stage:
+                # W solves W = V + dt*(row . slopes + diag*slope(W)) exactly
+                *row, diag = _MONOMER_ROWS[stage - 1]
+                W = ((V + dt * (sum(a * f for a, f in zip(row, slopes))
+                                + diag * (lam + back_w)))
+                     / (1.0 + diag * dt * (gam + take_w)))
             dw = gen.apply(W, w)
             dW = lam - W * (gam + take_w) + back_w
             rhs_evaluations += 1
@@ -215,11 +247,16 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
             dw *= tau
             dw += w
             w = dw
-            W = W + tau * dW
+            if implicit:
+                # the last row is the weights: the step ends on the last level
+                slopes.append(dW)
+            else:
+                W = W + tau * dW
             if stage == 3:
                 w *= 0.75
                 w += 0.25 * u
-                W = 0.25 * V + 0.75 * W
+                if not implicit:
+                    W = 0.25 * V + 0.75 * W
             negative = w.min() < 0.0 or W < 0.0
             if negative:
                 break
@@ -248,6 +285,7 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         t = next_event if hit_event else t + dt
         steps += 1
         steps_by_limit["event" if hit_event else limit] += 1
+        implicit_steps += implicit
         if steps % record_every == 0 or t_end - t <= dt_min:
             rec_t.append(t)
             rec_v.append(V)
@@ -266,6 +304,7 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
                       coeffs=coeffs, final_state=final, steps=steps,
                       rejections=rejections, steps_by_limit=steps_by_limit,
                       rhs_evaluations=rhs_evaluations,
+                      implicit_monomer_steps=implicit_steps,
                       residual_series=np.concatenate(([0.0], row_res)))
 
 

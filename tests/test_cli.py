@@ -538,6 +538,51 @@ def test_zero_clearance_dose_sweep_writes_its_summary(tmp_path):
     assert res["slope_predicted"] is None
 
 
+def test_negative_dose_is_a_config_error(tmp_path):
+    # a dose sets simulate.seed_scale, so it is held to that key's bound
+    # before any item integrates a negative inoculum
+    body = "\n".join([
+        "experiment = sweep",
+        "sweep.axis = dose",
+        "sweep.values = -1, 1",
+        "simulate.t_end = 5",
+        "grid.n = 50",
+        "",
+    ])
+    code, out = _run(tmp_path, "sweep", body)
+    assert code == 2
+    assert [p.name for p in out.iterdir()] == ["error-sweep.json"]
+    err = json.loads((out / "error-sweep.json").read_text())
+    assert err["error_type"] == "ConfigError"
+    assert err["errors"] == ["line 3: sweep.values must be at least 0, the bound of "
+                             "simulate.seed_scale that a dose sweep sets, got -1, 1"]
+
+
+@pytest.mark.parametrize("name, body", [
+    ("steady", "experiment = steady\n"),
+    ("sweep", "experiment = sweep\nsweep.axis = bell_amplitude\nsweep.values = 0.01\n"),
+], ids=["steady", "bell_amplitude"])
+def test_zero_bell_width_is_a_config_error(tmp_path, name, body):
+    # width_sq divides the exponent: a zero width is refused at parse time
+    # rather than dividing by zero in the run
+    bell = "\n".join([
+        "model.conversion.shape = bell",
+        "model.conversion.base = 0.001",
+        "model.conversion.amplitude = 0.01",
+        "model.conversion.center = 2",
+        "model.conversion.width_sq = 0",
+        "grid.n = 50",
+        "",
+    ])
+    code, out = _run(tmp_path, name, body + bell)
+    assert code == 2
+    assert [p.name for p in out.iterdir()] == ["error-%s.json" % name]
+    err = json.loads((out / ("error-%s.json" % name)).read_text())
+    line = len(body.splitlines()) + 5
+    assert err["errors"] == ["line %d: model.conversion.width_sq must be greater "
+                             "than 0, got 0" % line]
+
+
 def test_zero_clearance_tightness_sweep_names_the_level(tmp_path):
     # with no sweep.v_eval the items would read the loss rate at vbar,
     # which is infinite here: the config is refused before any item runs
@@ -824,10 +869,13 @@ def test_integration_counters_explain_steps_and_rejections(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
     diags = [json.loads(p.read_text())["diagnostics"]
              for p in sorted(out1.glob("*-item-*.json"))]
-    # slope 0.0628: counts the event-landing rule must leave unchanged
-    assert (diags[1]["steps"], diags[1]["rejections"]) == (1508, 0)
+    # slope 0.0628: counts the event-landing rule must leave unchanged.
+    # After the outbreak the monomer is stiff, and 187 steps take the
+    # implicit monomer stages instead of shortening for it
+    assert (diags[1]["steps"], diags[1]["rejections"]) == (305, 0)
+    assert diags[1]["implicit_monomer_steps"] == 187
     # four per accepted step; no stage went negative
-    assert diags[1]["rhs_evaluations"] == 6032
+    assert diags[1]["rhs_evaluations"] == 1220
     for d in diags:
         assert sum(d["steps_by_limit"].values()) == d["steps"]
         # four per accepted step; a rejected step made one to four

@@ -1,5 +1,7 @@
 """Discrete-size chain oracle and its continuum cross-check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,16 @@ def test_step_above_the_shared_bound_is_named():
         compare_continuum(default_calibration(), dt=0.6)
 
 
+def test_step_past_the_explicit_monomer_limit_is_named():
+    # a clearance of 20 puts dt/3 * clearance at 2 > 1.5 at dt = 0.3 while
+    # the polymer bound stays at 0.483: the continuum's uninfected run
+    # takes implicit monomer stages, which the chain's V update does not
+    calib = dataclasses.replace(default_calibration(), production=12000.0,
+                                clearance=20.0)
+    with pytest.raises(ValueError, match=r"dt=0\.3 .*bound 0\.225 .*implicit"):
+        compare_continuum(calib, dt=0.3)
+
+
 # --- the cross-check itself ------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -176,7 +188,7 @@ def test_cross_check_counts_its_steps(crosscheck):
     assert crosscheck["chain_halvings"] == 0
     assert crosscheck["continuum_rejections"] == 0
     assert crosscheck["continuum_steps_by_limit"] == {
-        "polymer": 0, "monomer": 0, "dt_max": 466, "event": 2}
+        "polymer": 0, "dt_max": 466, "event": 2}
 
 
 def test_refining_the_step_moves_nothing(crosscheck):

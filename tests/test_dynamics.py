@@ -131,18 +131,17 @@ def test_snapshot_outside_span_is_ignored():
 
 
 def test_snapshot_just_past_a_full_step_is_reached():
-    # a clearance of 54 makes the monomer bound set every step to 3 over
-    # 54/1.5, i.e. 1/12: the uptake of a seed of 5e-14 polymers is below
-    # the rounding of 54, and V stays at 600 exactly.  The sixtieth full
-    # step ends 1 ulp short of t=5.  The step must land on the snapshot
-    # rather than leave a sliver below the step floor
-    coeffs = CoefficientSet(production=32400.0, clearance=54.0)
+    # dt_max = 1/12 sets every step, below the polymer bound of 0.27: the
+    # uptake of a seed of 5e-14 polymers is below the rounding of the
+    # clearance, and V stays at 600 exactly.  The sixtieth full step ends
+    # 1 ulp short of t=5.  The step must land on the snapshot rather than
+    # leave a sliver below the step floor
     grid = SizeGrid.uniform(10.0, 180)
-    initial = seed_state(coeffs, grid, scale=1e-13)
-    plain = integrate(coeffs, grid, initial, t_end=20.0)
+    initial = seed_state(CONST, grid, scale=1e-13)
+    plain = integrate(CONST, grid, initial, t_end=20.0, dt_max=1 / 12)
     assert plain.times[60] == np.nextafter(5.0, 0.0)
-    traj = integrate(coeffs, grid, initial, t_end=20.0,
-                     snapshot_times=(5.0, 10.0))
+    traj = integrate(CONST, grid, initial, t_end=20.0,
+                     snapshot_times=(5.0, 10.0), dt_max=1 / 12)
     assert [t for t, _ in traj.snapshots] == [5.0, 10.0]
     assert traj.steps == plain.steps == 240
 
@@ -157,8 +156,7 @@ def test_rounding_sized_last_step_is_absorbed():
     assert traj.times[-1] == 100.0
     assert np.diff(traj.times).min() > 0.049
     assert traj.max_residual < 1e-8
-    assert traj.steps_by_limit == {"polymer": 0, "monomer": 0, "dt_max": 1999,
-                                   "event": 1}
+    assert traj.steps_by_limit == {"polymer": 0, "dt_max": 1999, "event": 1}
 
 
 def test_negative_stage_is_retried_at_half_the_step():
@@ -172,6 +170,55 @@ def test_negative_stage_is_retried_at_half_the_step():
     assert traj.rho_series.min() >= 0.0 and traj.v_series.min() >= 0.0
     # four evaluations per accepted step and at least one per rejection
     assert 4 * traj.steps + traj.rejections <= traj.rhs_evaluations
+
+
+# --- implicit monomer stages -----------------------------------------------
+
+# a clearance of 540 puts dt/3 * clearance at 1.8 or more for dt >= 0.01
+STIFF = CoefficientSet(production=540.0 * 600.0, clearance=540.0)
+
+
+def test_implicit_monomer_stages_converge_at_second_order():
+    # every step of dt_max in {0.04, 0.02, 0.01} takes the implicit monomer
+    # stages; a seed of 1e6 takes up half the monomer, so V falls from 600
+    # to about 290 through a fast layer and then follows the polymers.
+    # Halving the step must cut the largest V error against an explicit
+    # run at dt_max = 1e-3 about fourfold, with the books at rounding
+    grid = SizeGrid.uniform(30.0, 60)
+    initial = seed_state(STIFF, grid, scale=1e6)
+    instants = (0.4, 0.8, 1.2, 1.6, 2.0)
+
+    def v_at(traj):
+        v_by_time = dict(zip(traj.times.tolist(), traj.v_series.tolist()))
+        return np.array([v_by_time[t] for t in instants])
+
+    ref = integrate(STIFF, grid, initial, 2.0, snapshot_times=instants[:-1], dt_max=1e-3)
+    assert ref.implicit_monomer_steps == 0
+    errors = []
+    for dt in (0.04, 0.02, 0.01):
+        traj = integrate(STIFF, grid, initial, 2.0, snapshot_times=instants[:-1],
+                         dt_max=dt)
+        assert traj.implicit_monomer_steps == traj.steps and traj.rejections == 0
+        assert traj.max_residual <= 1e-12
+        assert traj.v_series.min() > 0.0 and traj.rho_series.min() > 0.0
+        assert min(snap.min() for _, snap in traj.snapshots) >= 0.0
+        assert traj.final_state.u.min() >= 0.0
+        errors.append(np.abs(v_at(traj) - v_at(ref)).max() / v_at(ref).max())
+    orders = np.log2(np.asarray(errors[:-1]) / np.asarray(errors[1:]))
+    assert np.all(orders >= 1.8), orders
+
+
+def test_negative_implicit_stage_is_retried_at_half_the_step():
+    # from ten times its balance the monomer overshoots below 0 in an
+    # implicit stage of a 0.04-day step; halving until every stage keeps
+    # its sign recovers, and the books and signs hold throughout
+    grid = SizeGrid.uniform(30.0, 60)
+    traj = integrate(STIFF, grid, seed_state(STIFF, grid, scale=1e4, v_init=6000.0),
+                     1.0, dt_max=0.04)
+    assert traj.rejections >= 1 and traj.times[1] < 0.04
+    assert traj.implicit_monomer_steps >= 1
+    assert traj.max_residual <= 1e-12
+    assert traj.v_series.min() > 0.0 and traj.final_state.u.min() >= 0.0
 
 
 @pytest.mark.parametrize("other", [SizeGrid.uniform(30.0, 60),
