@@ -18,7 +18,7 @@ coeffs = CoefficientSet(production=2400.0, clearance=4.0)
 grid = SizeGrid.uniform(60.0, 400)
 
 initial = seed_state(coeffs, grid, scale=1e-6, v_init=600.0)
-traj = integrate(coeffs, grid, initial, t_end=100.0, record_every=4)
+traj = integrate(coeffs, grid, initial, t_end=100.0)
 
 resid = max(traj.conservation_residuals)
 print("steps %d, rejections %d, worst mass-book residual %.2e"
@@ -36,7 +36,7 @@ print("threshold crossed at t = %.2f  (log law predicts %.2f)"
 
 # quadruple the dose and the crossing comes earlier by ln(4)/|loss|
 big = seed_state(coeffs, grid, scale=4e-6, v_init=600.0)
-traj4 = integrate(coeffs, grid, big, t_end=100.0, record_every=4)
+traj4 = integrate(coeffs, grid, big, t_end=100.0)
 res4 = incubation_time(traj4, threshold=1e3 * rho0, inoculation=4.0 * rho0)
 print("4x dose: t = %.2f, shift %.2f vs ln(4)/|loss| = %.2f"
       % (res4.t_incubation, res.t_incubation - res4.t_incubation,

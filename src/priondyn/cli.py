@@ -88,8 +88,7 @@ def _outbreak(cfg: RunConfig, grid, threshold: Optional[float] = None):
     initial = seed_state(cfg.coeffs, grid, scale=cfg.seed_scale, v_init=cfg.v_init)
     try:
         traj = integrate(cfg.coeffs, grid, initial, cfg.t_end,
-                         snapshot_times=cfg.snapshot_times,
-                         record_every=cfg.record_every, dt_max=cfg.dt_max)
+                         snapshot_times=cfg.snapshot_times, dt_max=cfg.dt_max)
     except IntegratorFailure as exc:
         return (None, {"failed_at": exc.state.t, "v_last": exc.state.v},
                 {"error": str(exc), "error_type": "IntegratorFailure"})
@@ -111,6 +110,11 @@ def _outbreak(cfg: RunConfig, grid, threshold: Optional[float] = None):
         results.update(threshold=threshold, t_incubation=inc.t_incubation,
                        measured_growth_rate=inc.measured_growth_rate)
     return traj, results, health
+
+
+def _written_rows(cfg: RunConfig, traj) -> np.ndarray:
+    """Rows an outbreak writes: 0, every record_every-th step and the last."""
+    return np.append(np.arange(0, traj.steps, cfg.record_every), traj.steps)
 
 
 # --- experiment runners ----------------------------------------------------
@@ -156,11 +160,14 @@ def _run_simulate(cfg: RunConfig, out: Path, tag: str):
     if traj is None:
         return outbreak, diagnostics, 1
 
+    rows = _written_rows(cfg, traj)
+    # a written row's residual is the largest since the previous written row
+    residual = np.maximum.reduceat(traj.conservation_residuals, rows[:-1])
     write_csv(out / ("simulate-%s-trajectory.csv" % tag),
               ["t", "v", "polymer_count", "polymer_mass",
                "conservation_residual"],
-              [traj.times, traj.v_series, traj.rho_series, traj.p_series,
-               traj.residual_series])
+              [traj.times[rows], traj.v_series[rows], traj.rho_series[rows],
+               traj.p_series[rows], np.concatenate(([0.0], residual))])
     for k, (ts, uu) in enumerate(traj.snapshots):
         write_csv(out / ("simulate-%s-snap-%02d.csv" % (tag, k)),
                   ["x", "density"], [grid.centers, uu])
@@ -273,12 +280,12 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
             traj, results, health = _outbreak(cfg, grid, fixed_threshold)
             diagnostics.update(health)
             if traj is not None:
-                results.update(
-                    times=traj.times, rho_series=traj.rho_series,
-                    v_series=traj.v_series,
-                    # unit-count profiles: the size distribution's shape
-                    snapshot_profiles=[uu / (uu @ grid.widths)
-                                       for _, uu in traj.snapshots])
+                rows = _written_rows(cfg, traj)
+                results.update(times=traj.times[rows], rho_series=traj.rho_series[rows],
+                               v_series=traj.v_series[rows],
+                               # unit-count profiles: the size distribution's shape
+                               snapshot_profiles=[uu / (uu @ grid.widths)
+                                                  for _, uu in traj.snapshots])
     except Exception as exc:  # per-value isolation: a bad value must not kill the sweep
         results = {}
         diagnostics = {"error": str(exc), "error_type": type(exc).__name__}

@@ -311,10 +311,14 @@ def parse_config(text: str) -> RunConfig:
             if reads and exp not in reads and axis not in reads:
                 errors.append("line %d: %s is not read by %s runs" % (line_no, key, run))
     for key in ("simulate.v_init", "sweep.v_eval"):  # both default to vbar
-        if get("model.clearance") == 0.0 and get(key) is None \
-                and (exp in _READERS[key] or axis in _READERS[key]):
-            errors.append("config: %s is required at zero clearance, where vbar "
-                          "is infinite" % key)
+        if get(key) is None and (exp in _READERS[key] or axis in _READERS[key]):
+            if get("model.clearance") == 0.0:
+                errors.append("config: %s is required at zero clearance, where "
+                              "vbar is infinite" % key)
+            elif key == "sweep.v_eval" and get("model.production") == 0.0:
+                # a level solve at 0 has no profile; an integration may start there
+                errors.append("line %d: %s is required at zero production, where "
+                              "vbar is 0" % (key_lines["model.production"], key))
     if axis is not None and get("sweep.values"):
         # each value is held to the bound of the key that the axis's edit sets
         _, rate, _, param = SWEEP_AXES[axis]

@@ -18,7 +18,7 @@ agree to the last bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -205,11 +205,12 @@ def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
                       dt: float = 0.3, fit_window: tuple = (20.0, 50.0)) -> dict:
     """Run the chain and its continuum twin side by side.
 
-    Both march at the fixed step dt (the continuum's dt_max) and record a
-    row every max(1, round(0.3/dt)) steps, so the fit and the path
-    comparison read the same 0.3-day instants at any step.  dt must stay
-    below both twins' positive-stage bound, 3 over the largest loss rate
-    at vbar: 3/(conversion*vbar + decay + fragmentation*(n_max - 1)), 0.483
+    Both march at the fixed step dt (the continuum's dt_max).  The chain
+    records a row every max(1, round(0.3/dt)) steps and the continuum one
+    per step; the fit and the path comparison read the continuum at the
+    chain's rows, about 0.3 days apart at any dt.  dt must stay below
+    both twins' positive-stage bound, 3 over the largest loss rate at
+    vbar: 3/(conversion*vbar + decay + fragmentation*(n_max - 1)), 0.483
     for default_calibration(), and at most 4.5/clearance, where the
     continuum's monomer stages turn implicit.  Above either the continuum
     leaves the chain's explicit V update and a ValueError says so.
@@ -230,7 +231,7 @@ def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
     zero_d = DiscreteState(v=v_start, u=np.zeros_like(params.sizes))
     traj_d0 = integrate_discrete(params, zero_d, t_end, dt, record_every=every)
     zero_c = PolymerState(v=v_start, u=np.zeros(grid.n), grid=grid)
-    traj_c0 = integrate(coeffs, grid, zero_c, t_end, record_every=every, dt_max=dt)
+    traj_c0 = integrate(coeffs, grid, zero_c, t_end, dt_max=dt)
     own = traj_c0.steps_by_limit["polymer"] + traj_c0.implicit_monomer_steps
     if own:
         bound = min(3.0 / (params.conversion * vbar + params.decay
@@ -254,7 +255,7 @@ def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
     shape_c = 0.5 * xc ** 2 / (1.0 + xc ** 4)
     seed_c = 1e-3 / float(shape_c @ grid.widths) * shape_c
     traj_c = integrate(coeffs, grid, PolymerState(v=vbar, u=seed_c, grid=grid),
-                       t_end, record_every=every, dt_max=dt)
+                       t_end, dt_max=dt)
 
     lo, hi = fit_window
     md = (traj_d.times >= lo) & (traj_d.times <= hi)
@@ -266,7 +267,9 @@ def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
     t_dev = traj_d.times[md] - traj_d.times[md].mean()
     log_count = np.log(traj_d.count_series[md])
     slope_d = float(t_dev @ (log_count - log_count.mean())) / float(t_dev @ t_dev)
-    fit_c = growth_rate(traj_c, fit_window)
+    fit_c = growth_rate(replace(traj_c, times=traj_d.times, **{
+        k: np.interp(traj_d.times, traj_c.times, getattr(traj_c, k))
+        for k in ("rho_series", "v_series")}), fit_window)
     closed = -loss_rate_constant(params.conversion, params.fragmentation,
                                  params.decay, vbar)
     mean_final = traj_d.final_state.mass(params) / traj_d.final_state.count()

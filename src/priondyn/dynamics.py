@@ -74,11 +74,10 @@ class IntegratorFailure(RuntimeError):
 class Trajectory:
     """Recorded history of one integration.
 
-    rho_series is the polymer count U(t) = integral of u; p_series the
-    polymerized mass.  conservation_residuals holds one relative residual
-    per accepted step (length = steps, not len(times)); residual_series
-    holds the largest of them since the previous recorded row (0 in the
-    first).  Rows are recorded every record_every-th step and at the last.
+    One row per accepted step after the initial row, so times has steps +
+    1 entries.  rho_series is the polymer count U(t) = integral of u;
+    p_series the polymerized mass.  conservation_residuals holds the
+    relative book residual of each accepted step (length = steps).
 
     steps_by_limit counts accepted steps by the bound that set them
     ("polymer" for the generator's largest loss rate, "dt_max", or
@@ -105,7 +104,6 @@ class Trajectory:
     steps_by_limit: dict = field(default_factory=dict)
     rhs_evaluations: int = 0
     implicit_monomer_steps: int = 0
-    residual_series: Optional[np.ndarray] = None
 
     @property
     def max_residual(self) -> float:
@@ -128,8 +126,9 @@ def seed_state(coeffs: CoefficientSet, grid: SizeGrid, scale: float = 1.0,
 
 def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
               t_end: float, snapshot_times: Sequence[float] = (),
-              record_every: int = 1, dt_max: Optional[float] = None) -> Trajectory:
-    """Advance the coupled system from ``initial`` to absolute time t_end.
+              dt_max: Optional[float] = None) -> Trajectory:
+    """Advance the coupled system from ``initial`` to absolute time t_end,
+    recording the scalars of the initial state and of every accepted step.
 
     Steps land exactly on requested snapshot instants and on t_end; each
     instant in [initial.t, t_end] gives one snapshot, taken without a
@@ -148,8 +147,6 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     """
     if t_end <= initial.t:
         raise ValueError("t_end=%g is not beyond the initial time %g" % (t_end, initial.t))
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1, got %d" % record_every)
     if initial.grid is not grid and (initial.grid.n != grid.n
                                      or initial.grid.xmax != grid.xmax
                                      or initial.grid.x0 != grid.x0):
@@ -173,11 +170,7 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
 
     # moments of u, carried over from the last stage of each accepted step
     rho_u, p_u, mu_u, take_u, back_u = (moments @ u).tolist()
-    rec_t = [t]
-    rec_v = [V]
-    rec_rho = [rho_u]
-    rec_p = [p_u]
-    rec_steps = [0]
+    rows = ([t], [V], [rho_u], [p_u])  # time, monomer, count, mass
     residuals: list = []
     flux_total = 0.0
     steps = 0
@@ -286,26 +279,17 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         steps += 1
         steps_by_limit["event" if hit_event else limit] += 1
         implicit_steps += implicit
-        if steps % record_every == 0 or t_end - t <= dt_min:
-            rec_t.append(t)
-            rec_v.append(V)
-            rec_rho.append(rho_u)
-            rec_p.append(p_u)
-            rec_steps.append(steps)
+        for series, value in zip(rows, (t, V, rho_u, p_u)):
+            series.append(value)
 
     final = PolymerState(v=V, u=u.copy(), grid=grid, t=t)
-    residuals = np.asarray(residuals)
-    row_res = np.maximum.reduceat(residuals, rec_steps[:-1])
-    return Trajectory(times=np.asarray(rec_t), v_series=np.asarray(rec_v),
-                      rho_series=np.asarray(rec_rho), p_series=np.asarray(rec_p),
-                      snapshots=snapshots,
-                      conservation_residuals=residuals,
+    return Trajectory(*map(np.asarray, rows), snapshots=snapshots,
+                      conservation_residuals=np.asarray(residuals),
                       truncation_flux_total=float(flux_total), grid=grid,
                       coeffs=coeffs, final_state=final, steps=steps,
                       rejections=rejections, steps_by_limit=steps_by_limit,
                       rhs_evaluations=rhs_evaluations,
-                      implicit_monomer_steps=implicit_steps,
-                      residual_series=np.concatenate(([0.0], row_res)))
+                      implicit_monomer_steps=implicit_steps)
 
 
 def line_fit(x, y) -> tuple:
@@ -386,7 +370,8 @@ class IncubationResult:
 def incubation_time(traj: Trajectory, threshold: float,
                     inoculation: float) -> IncubationResult:
     """First crossing of the count threshold, interpolated in log count
-    (the count grows exponentially between recorded rows)."""
+    between the steps around it; the measured growth rate fits every
+    step in [0.2, 0.8] of the crossing time."""
     if not (threshold > inoculation > 0.0):
         raise ValueError("need threshold > inoculation > 0")
     rho, t = traj.rho_series, traj.times
@@ -445,8 +430,9 @@ def stability_experiment(coeffs: CoefficientSet, grid: SizeGrid, epsilon: float,
     The decay functional is alpha*<u, phi> + |V - vbar| with phi the
     adjoint weight at vbar and alpha = 2*K2*vbar/loss_rate(vbar) in the
     damping regime (the weighting that makes the functional contract),
-    sampled at 40 evenly spaced instants; escape is declared when the
-    functional exceeds ten times its initial value.
+    sampled at 40 evenly spaced instants, each the end of an accepted step
+    and so a row of the trajectory; escape is declared when the functional
+    exceeds ten times its initial value.
     """
     if coeffs.clearance <= 0.0:
         raise ValueError("stability experiment needs a positive clearance")
@@ -472,8 +458,7 @@ def stability_experiment(coeffs: CoefficientSet, grid: SizeGrid, epsilon: float,
     norm0 = norm_of(initial.u, initial.v)
     traj = integrate(coeffs, grid, initial, t_end, snapshot_times=sample_times)
     times = np.array([t for t, _ in traj.snapshots])
-    # every step is recorded and each snapshot instant ends one, so this
-    # reads V at the snapshot rather than interpolating across steps
+    # each snapshot instant ends a step, so this reads V off that step's row
     v_at = np.interp(times, traj.times, traj.v_series)
     norms = np.array([norm_of(uu, vv) for (_, uu), vv in zip(traj.snapshots, v_at)])
     diagnostics = {"norm0": norm0, "steps": traj.steps,

@@ -52,7 +52,7 @@ def bump_run():
     grid = SizeGrid.uniform(60.0, 800)
     initial = seed_state(BELL_001, grid, scale=1e-4, v_init=600.0)
     return integrate(BELL_001, grid, initial, t_end=200.0,
-                     snapshot_times=(96.0,), record_every=8)
+                     snapshot_times=(96.0,))
 
 
 # --- C1: frozen-level loss rates -------------------------------------------
@@ -154,7 +154,7 @@ def test_c07_incubation_log_law():
         lam = loss_rate_constant(0.001, 0.03, 0.05, 600.0)
 
         initial = seed_state(CONST, grid, scale=1e-6, v_init=600.0)
-        traj = integrate(CONST, grid, initial, t_end=100.0, record_every=4)
+        traj = integrate(CONST, grid, initial, t_end=100.0)
         rho0 = traj.rho_series[0]
         res = incubation_time(traj, threshold=1e3 * rho0, inoculation=rho0)
         assert res.t_incubation is not None
@@ -168,7 +168,7 @@ def test_c07_incubation_log_law():
         threshold = 1e3 * rho0
         for d in doses:
             ini = seed_state(CONST, grid, scale=1e-6 * d, v_init=600.0)
-            tr = integrate(CONST, grid, ini, t_end=120.0, record_every=4)
+            tr = integrate(CONST, grid, ini, t_end=120.0)
             t_incs.append(incubation_time(tr, threshold=threshold,
                                           inoculation=d * rho0).t_incubation)
         slope = np.polyfit(np.log(doses), t_incs, 1)[0]
@@ -243,7 +243,7 @@ def test_c10_stability_dichotomy():
 
         grid = SizeGrid.uniform(60.0, 400)
         initial = seed_state(CONST, grid, scale=1e-3, v_init=600.0)
-        traj = integrate(CONST, grid, initial, t_end=800.0, record_every=16)
+        traj = integrate(CONST, grid, initial, t_end=800.0)
         v_end = traj.v_series[-1]
         assert abs(v_end - 250.0 / 3.0) <= 0.02 * 250.0 / 3.0
 

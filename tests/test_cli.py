@@ -786,6 +786,23 @@ def test_frag_slope_items_integrate_as_a_simulate_run_does(tmp_path):
     assert item["diagnostics"] == run["diagnostics"]
 
 
+@pytest.mark.parametrize("name", ["fig5", "fig6"])
+def test_record_every_thins_the_written_rows_only(name):
+    # the crossing and the growth fit read every step; the key picks which
+    # rows an item writes: rows 0, 4, 8, ... and the last
+    base = dataclasses.replace(
+        config.parse_config((CONFIG_DIR / (name + ".cfg")).read_text()), n=100)
+    every = {k: cli.sweep(dataclasses.replace(base, record_every=k)) for k in (1, 4)}
+    for full, thinned in zip(every[1], every[4]):
+        assert "error" not in full.diagnostics
+        for key in ("t_incubation", "measured_growth_rate"):
+            assert thinned.results[key] == full.results[key] is not None
+        steps = full.diagnostics["steps"]
+        rows = sorted(set(range(0, steps + 1, 4)) | {steps})
+        for key in ("times", "rho_series", "v_series"):
+            np.testing.assert_array_equal(thinned.results[key], full.results[key][rows])
+
+
 def test_one_row_of_sweep_axes_makes_an_axis(tmp_path, monkeypatch):
     # an outbreak axis that moves the bump needs its row and nothing else:
     # its items integrate and the sweep table carries the outbreak columns

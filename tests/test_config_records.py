@@ -114,6 +114,9 @@ LEVEL_BASES = {
 @pytest.mark.parametrize("run, line, message", [
     ("tightness", "sweep.v_eval = 0", "sweep.v_eval must be greater than 0, got 0"),
     ("tightness", "sweep.v_eval = -600", "sweep.v_eval must be greater than 0, got -600"),
+    # no sweep.v_eval: the default level vbar = production/clearance is 0
+    ("tightness", "model.production = 0",
+     "sweep.v_eval is required at zero production, where vbar is 0"),
     ("eigen", "eigen.v_values = 600, 8",
      "eigen.v_values must be at least 0 and strictly increasing, got 600, 8"),
     ("eigen", "eigen.v_values = 8, 8",

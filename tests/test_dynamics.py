@@ -58,12 +58,6 @@ def test_monomer_relaxation_converges_at_second_order():
     assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
 
 
-def test_record_every_below_one_is_refused():
-    grid = _grid(50)
-    with pytest.raises(ValueError, match="record_every"):
-        integrate(CONST, grid, seed_state(CONST, grid), t_end=1.0, record_every=0)
-
-
 # --- seeding ----------------------------------------------------------------
 
 def _seed_count_closed(upper):

@@ -11,7 +11,8 @@ from scipy.linalg import eig
 from priondyn import (Affine, Bell, CoefficientSet, Constant, EigenConvergenceError,
                       EigenSolution, Generator, PolymerState, PositivityViolationError,
                       SizeGrid, assemble, bimodality_report, build_steady_state,
-                      detect_modes, find_v_inf, integrate, stationary_profile_check)
+                      detect_modes, find_v_inf, integrate, principal_eigenpair,
+                      stationary_profile_check)
 from priondyn.eigen import DEFAULT_TOL
 from priondyn.steady import ROOT_TOL, _prominent_peaks
 
@@ -151,6 +152,36 @@ def test_steady_state_is_a_fixed_point_with_a_minimal_size(x0):
     assert traj.rho_series[0] == pytest.approx(ss.rho_inf, rel=1e-12)
     assert np.abs(traj.v_series / ss.v_inf - 1.0).max() <= 1e-6
     assert np.abs(traj.rho_series / ss.rho_inf - 1.0).max() <= 1e-6
+
+
+# measured n = 800 relative errors against the moment closure, as
+# (loss rate at v = 600, v_inf, rho_inf); each may grow at most twofold
+MOMENT_CLOSURE_ERRORS = {0.0: (2.3e-6, 5.5e-5, 6.4e-5),
+                         0.5: (1.5e-5, 1.3e-4, 1.5e-4),
+                         2.0: (1.7e-4, 1.1e-4, 3.1e-4)}
+
+
+@pytest.mark.parametrize("x0", sorted(MOMENT_CLOSURE_ERRORS))
+def test_minimal_size_matches_the_moment_closure(x0):
+    # constant conversion tau, fragmentation beta*(x - x0) and decay mu close
+    # the moment equations (Greer, Pujo-Menjouet & Webb): the loss rate is
+    # mu + beta*x0 - sqrt(beta*tau*v), its root v_inf = (mu + beta*x0)**2
+    # /(beta*tau), and the monomer balance, returned mass included, gives
+    # rho_inf = (production - clearance*v_inf)/(tau*v_inf - beta*x0**2)
+    tau, beta, mu, production, clearance = 0.001, 0.03, 0.05, 2400.0, 4.0
+    loss = mu + beta * x0 - np.sqrt(beta * tau * 600.0)
+    v_inf = (mu + beta * x0) ** 2 / (beta * tau)
+    rho_inf = (production - clearance * v_inf) / (tau * v_inf - beta * x0 ** 2)
+    coeffs = CoefficientSet(production=production, clearance=clearance, x0=x0)
+    errors = []
+    for n in (400, 800):
+        grid = SizeGrid.uniform(30.0 + x0, n, x0)
+        ss = build_steady_state(coeffs, grid)
+        got = (principal_eigenpair(coeffs, grid, 600.0).lambda_eig, ss.v_inf, ss.rho_inf)
+        errors.append(np.abs(np.subtract(got, (loss, v_inf, rho_inf))
+                             / np.abs((loss, v_inf, rho_inf))))
+    assert np.all(errors[1] <= 2.0 * np.asarray(MOMENT_CLOSURE_ERRORS[x0])), errors[1]
+    assert np.all(np.log2(errors[0] / errors[1]) >= 1.8), errors
 
 
 # --- existence boundary ----------------------------------------------------
