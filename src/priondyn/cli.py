@@ -61,7 +61,8 @@ def _steady(coeffs, grid):
         results["necessary_condition_met"] = rep.necessary_condition_met
     root = {"monotone_warning": ss.root.monotone_warning,
             "root_evaluations": ss.root.evaluations,
-            "root_iterations": ss.root.iterations}
+            "root_iterations": ss.root.iterations,
+            "root_sign_tests": ss.root.sign_tests}
     return ss, results, root
 
 

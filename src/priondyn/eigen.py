@@ -15,10 +15,15 @@ assembly is not used here; it is the oracle the tests check these solves
 against.
 
 A solve may start from a given profile (``u0``) instead of a flat
-vector.  The root search in ``steady.find_v_inf`` does this: each of its
-levels lies close to the one before, and on the fig3 bump at n=800 a
-start from the profile at 1.01*v converges in 2-3 iterations against
-14-16 cold.  Scans start flat.  Their levels are an order of magnitude
+vector.  The root search in ``steady.find_v_inf`` does this, and solves
+only three kinds of level.  Its doubling ladder takes no eigen solve: one
+shifted solve x = -L(v)^{-1} 1 certifies the sign of the loss rate (x > 0
+gives L(v)x = -1 < 0, so nu <= -1/max x < 0; nu < 0 makes -L(v) a
+nonsingular M-matrix, so x >= 1/max(-diag L(v)) > 0).  The lower bracket
+end starts from its x, the upper from the lower end's profile, and each
+bracket-search level from the level before, which lies close: on the
+fig3 bump at n=800 a start from the profile at 1.01*v converges in 2-3
+iterations against 14-16 cold.  Scans start flat.  Their levels are an order of magnitude
 apart (8, 600, 2000 and 8, 64, 600, 4000 in the benchmark ladders), and
 there a warm start raised the largest iteration count at n=400-3200 from
 16 to 39 (the flat shape at v=600 started from v=8: 38 against 8); a

@@ -114,6 +114,7 @@ def test_steady_outputs(tmp_path):
     assert payload["results"]["exists"] is True
     diag = payload["diagnostics"]
     assert 0 < diag["root_evaluations"] <= diag["root_iterations"] + 1
+    assert diag["root_sign_tests"] > 0
     assert payload["results"]["v_inf"] == pytest.approx(83.33, rel=1e-2)
     assert payload["results"]["n_modes"] == 1
     profiles = [p for p in out.iterdir() if p.name.endswith("profile.csv")]
@@ -226,6 +227,18 @@ def test_error_file_goes_to_the_configured_output_dir(tmp_path, monkeypatch):
     err = json.loads(Path("o1/error-steady.json").read_text())
     assert "no loss-rate root" in err["error"]
     assert not Path("out").exists()
+
+
+def test_zero_loss_rate_at_zero_level_fails_the_run(tmp_path):
+    # no decay leaves the smallest cell with a zero loss rate at v=0, so no
+    # positive level is a root: the run fails as a run without a root does
+    code, out = _run(tmp_path, "steady",
+                     "experiment = steady\nmodel.decay.shape = constant\n"
+                     "model.decay.value = 0\ngrid.n = 100\ngrid.xmax = 30\n")
+    assert code == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error-steady.json"]
+    err = json.loads((out / "error-steady.json").read_text())
+    assert err["error"].startswith("no loss-rate root above v=0")
 
 
 def test_threads_key_must_be_one(tmp_path):
@@ -621,6 +634,7 @@ def test_peak_center_items_carry_root_counters(tmp_path):
     for p in items:
         diag = json.loads(p.read_text())["diagnostics"]
         assert 0 < diag["root_evaluations"] <= diag["root_iterations"] + 1
+        assert diag["root_sign_tests"] > 0
 
 
 def _record(out, pattern):

@@ -10,9 +10,9 @@ from scipy.linalg import eig
 
 from priondyn import (Affine, Bell, CoefficientSet, Constant, EigenConvergenceError,
                       EigenSolution, Generator, PolymerState, PositivityViolationError,
-                      SizeGrid, assemble, bimodality_report, build_steady_state,
-                      detect_modes, find_v_inf, integrate, principal_eigenpair,
-                      stationary_profile_check)
+                      RootBracketError, SizeGrid, assemble, bimodality_report,
+                      build_steady_state, detect_modes, find_v_inf, integrate,
+                      principal_eigenpair, stationary_profile_check)
 from priondyn.eigen import DEFAULT_TOL
 from priondyn.steady import ROOT_TOL, _prominent_peaks
 
@@ -53,16 +53,22 @@ def test_root_diagnostics(baseline):
     # evaluations: deterministic, not a timing
     assert 0 < root.evaluations <= 16
     assert root.iterations >= root.evaluations - 1  # v=0 takes no iteration
+    # the ladder 1, 2, ..., 128 takes signs, not eigen solves
+    assert root.sign_tests == 8
     assert not root.monotone_warning
 
 
-@pytest.mark.parametrize("coeffs,xmax", [
+ORACLE_CASES = [
     (CoefficientSet(production=2400.0, clearance=4.0,
                     conversion=Bell(0.001, 0.1, 2.0, width_sq=0.1)), 60.0),
     (CONST, 30.0),
     (CoefficientSet(production=2400.0, clearance=4.0,
                     conversion=Bell(0.001, 0.1, 4.167, width_sq=0.1)), 60.0),
-], ids=["fig3", "fig3-control", "fig4-center-4.167"])
+]
+ORACLE_IDS = ["fig3", "fig3-control", "fig4-center-4.167"]
+
+
+@pytest.mark.parametrize("coeffs,xmax", ORACLE_CASES, ids=ORACLE_IDS)
 def test_root_against_dense_oracle(coeffs, xmax):
     grid = SizeGrid.uniform(xmax, 400)
     root = find_v_inf(coeffs, grid)
@@ -74,8 +80,37 @@ def test_root_against_dense_oracle(coeffs, xmax):
     assert abs(nu) <= ROOT_TOL + DEFAULT_TOL * scale
 
 
-def _fake_loss_rate(monkeypatch, f):
-    """Replace the eigen solve inside the root search by a scalar f(v)."""
+@pytest.mark.parametrize("coeffs,xmax", ORACLE_CASES, ids=ORACLE_IDS)
+@pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0])
+def test_sign_test_against_dense_oracle(coeffs, xmax, factor):
+    # the ladder's certificate reads "positive loss rate" exactly when the
+    # dense principal eigenvalue is negative, on either side of the root
+    grid = SizeGrid.uniform(xmax, 300)
+    gen = Generator(coeffs, grid)
+    v = factor * find_v_inf(coeffs, grid).v_inf
+    x = steady_module._positive_loss_certificate(gen, v)
+    nu = eig(assemble(coeffs, grid, v).matrix, right=False).real.max()
+    assert (x is not None) == (nu < 0.0), (nu, factor)
+    if x is not None:
+        # -L(v) is then an M-matrix: x >= 1/max(-diag L(v)) entrywise
+        assert x.min() >= 1.0 / float((-gen.diagonal(v)).max())
+
+
+def _fake_sign(monkeypatch, f):
+    """Replace the ladder's sign certificate by the sign of a scalar f(v)."""
+    levels = []
+
+    def fake(gen, v):
+        levels.append(v)
+        return np.ones(gen.grid.n) if f(v) > 0.0 else None
+
+    monkeypatch.setattr(steady_module, "_positive_loss_certificate", fake)
+    return levels
+
+
+def _fake_loss_rate(monkeypatch, f, sign=None):
+    """Replace the eigen solve inside the root search by a scalar f(v), and
+    the ladder's sign certificate by the sign of f (or of sign, if given)."""
     levels, warm = [], []
 
     def fake(gen, v, u0=None):
@@ -86,23 +121,26 @@ def _fake_loss_rate(monkeypatch, f):
                              residual=0.0, iterations=1, generator=gen)
 
     monkeypatch.setattr(steady_module, "generator_eigenpair", fake)
-    return levels, warm
+    return levels, warm, _fake_sign(monkeypatch, sign or f)
 
 
 def test_exact_zero_at_bracket_end_is_returned(monkeypatch):
-    levels, warm = _fake_loss_rate(monkeypatch, lambda v: 4.0 - v)
+    levels, warm, signs = _fake_loss_rate(monkeypatch, lambda v: 4.0 - v)
     root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
-    assert levels == [0.0, 1.0, 2.0, 4.0]
-    # each solve starts from the previous profile; v=0 has none
-    assert warm == [False, False, True, True]
+    # the ladder takes signs only; eigen solves at 0 and the bracket ends
+    assert signs == [1.0, 2.0, 4.0]
+    assert levels == [0.0, 2.0, 4.0]
+    # lo starts from its certificate, hi from lo's profile; v=0 has none
+    assert warm == [False, True, True]
     assert root.found and root.v_inf == 4.0 and root.lambda_at_root == 0.0
     assert root.solution.v == 4.0
+    assert (root.evaluations, root.sign_tests) == (3, 3)
 
 
 def test_bracket_search_does_not_stall_on_a_convex_loss_rate(monkeypatch):
     # plain regula falsi keeps the far end fixed here and creeps (23
     # evaluations); the halved end weight moves it (13)
-    levels, _ = _fake_loss_rate(monkeypatch, lambda v: np.exp(-v) - np.exp(-5.0))
+    levels, _, _ = _fake_loss_rate(monkeypatch, lambda v: np.exp(-v) - np.exp(-5.0))
     root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
     assert root.found
     assert root.v_inf == pytest.approx(5.0, rel=1e-6)
@@ -112,7 +150,7 @@ def test_bracket_search_does_not_stall_on_a_convex_loss_rate(monkeypatch):
 
 def test_bracket_search_needs_only_a_sign_change(monkeypatch):
     # a jump, no slope anywhere: the bracket still closes on it
-    levels, _ = _fake_loss_rate(monkeypatch, lambda v: 1.0 if v < np.pi else -1.0)
+    levels, _, _ = _fake_loss_rate(monkeypatch, lambda v: 1.0 if v < np.pi else -1.0)
     root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
     assert root.found
     assert root.bracket_lo < np.pi <= root.bracket_hi
@@ -124,14 +162,43 @@ def test_bracket_search_needs_only_a_sign_change(monkeypatch):
 
 
 def test_bracket_search_ending_on_its_cap_says_so(monkeypatch):
-    levels, _ = _fake_loss_rate(monkeypatch, lambda v: np.exp(-v) - np.exp(-5.0))
+    levels, _, signs = _fake_loss_rate(monkeypatch, lambda v: np.exp(-v) - np.exp(-5.0))
     monkeypatch.setattr(steady_module, "ROOT_MAX_STEPS", 3)
     root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
-    # ladder 0, 1, ..., 8, then the three capped steps
-    assert len(levels) == 5 + 3
+    # signs at 1, ..., 8; eigen solves at 0, lo = 4 and hi = 8, then the
+    # three capped steps
+    assert signs == [1.0, 2.0, 4.0, 8.0]
+    assert len(levels) == 3 + 3
     assert root.found and abs(root.lambda_at_root) > ROOT_TOL
     assert "stopped after 3 steps" in root.monotone_warning
     assert root.bracket_lo <= root.v_inf <= root.bracket_hi
+
+
+def test_loss_rate_rising_to_the_bracket_warns(monkeypatch):
+    # positive up to pi, but larger at lo = 2 than at 0: the root is found,
+    # and the rise between the levels that carry a loss rate is flagged
+    _fake_loss_rate(monkeypatch, lambda v: 1.0 + v if v < np.pi else -1.0)
+    root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
+    assert root.found
+    assert root.bracket_lo < np.pi <= root.bracket_hi
+    assert "not strictly decreasing" in root.monotone_warning
+
+
+def test_bracket_end_contradicting_its_sign(monkeypatch):
+    # the ladder certifies a positive loss rate at lo = 2; an eigen solve
+    # there within ROOT_TOL of zero makes lo the root, one beyond it is an
+    # error that names the level, and no bracket search runs on it
+    def sign(v):
+        return 4.0 - v
+
+    levels, _, _ = _fake_loss_rate(monkeypatch, lambda v: 2.0 - v, sign=sign)
+    root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
+    assert levels == [0.0, 2.0]
+    assert root.found and root.v_inf == 2.0 and root.lambda_at_root == 0.0
+    levels, _, _ = _fake_loss_rate(monkeypatch, lambda v: 1.0 - v, sign=sign)
+    with pytest.raises(RootBracketError, match="level v=2 "):
+        find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
+    assert levels == [0.0, 2.0]
 
 
 def test_profile_integrates_to_one(baseline):
@@ -247,10 +314,12 @@ def test_stationary_check_guards_its_class():
 
 def test_root_search_failure_names_the_level(monkeypatch):
     # a shifted solve that makes no headway exhausts the iteration budget
-    # at the first ladder level; the error must say which level that was
+    # at the first eigen solve, the bracket end lo = 2 that the ladder's
+    # signs chose; the error must say which level that was
+    _fake_sign(monkeypatch, lambda v: 4.0 - v)
     monkeypatch.setattr(Generator, "solve_shifted",
                         lambda self, v, s, b, adjoint=False: b.copy())
-    with pytest.raises(EigenConvergenceError, match="level v=1 "):
+    with pytest.raises(EigenConvergenceError, match="level v=2 "):
         find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
 
 
