@@ -30,10 +30,9 @@ from .operator import (BalanceResult, FragOperator, Generator, assemble,
                        transport_reaction_parts)
 from .records import (PACKAGE_VERSION, ExperimentRecord, canonical_json,
                       grid_hash, write_csv)
-from .steady import (BimodalityReport, RootBracketError, SteadyState,
-                     StationaryCheck, VInfResult, bimodality_report,
-                     build_steady_state, detect_modes, find_v_inf,
-                     stationary_profile_check)
+from .steady import (BimodalityReport, SteadyState, StationaryCheck,
+                     VInfResult, bimodality_report, build_steady_state,
+                     detect_modes, find_v_inf, stationary_profile_check)
 
 __version__ = PACKAGE_VERSION
 
@@ -58,8 +57,7 @@ __all__ = [
     "macroscopic_balance", "transport_reaction_parts",
     "PACKAGE_VERSION", "ExperimentRecord", "canonical_json", "grid_hash",
     "write_csv",
-    "BimodalityReport", "RootBracketError", "SteadyState", "StationaryCheck",
-    "VInfResult",
+    "BimodalityReport", "SteadyState", "StationaryCheck", "VInfResult",
     "bimodality_report", "build_steady_state", "detect_modes", "find_v_inf",
     "stationary_profile_check",
     "__version__",

@@ -59,9 +59,9 @@ def _steady(coeffs, grid):
                "secondary_mass_fraction": rep.secondary_mass_fraction}
     if rep.necessary_condition_met is not None:
         results["necessary_condition_met"] = rep.necessary_condition_met
-    root = {"monotone_warning": ss.root.monotone_warning,
-            "root_evaluations": ss.root.evaluations,
+    root = {"root_evaluations": ss.root.evaluations,
             "root_iterations": ss.root.iterations,
+            "root_loss_rate": ss.root.lambda_at_root,
             "root_sign_tests": ss.root.sign_tests}
     return ss, results, root
 

@@ -148,7 +148,7 @@ _BOUNDS = {"model.production": (0, False), "model.clearance": (0, False),
            "simulate.record_every": (1, False), "simulate.threshold_ratio": (1, True),
            "sweep.v_eval": (0, True)}
 # shape parameter -> (bound, strict), as _BOUNDS, for every rate of that shape
-_SHAPE_BOUNDS = {"width_sq": (0, True)}
+_SHAPE_BOUNDS = {"width_sq": (0, True), "tightness": (0, True)}
 
 _SHAPE_PREFIXES = ("model.conversion", "model.fragmentation", "model.decay")
 

@@ -15,21 +15,19 @@ assembly is not used here; it is the oracle the tests check these solves
 against.
 
 A solve may start from a given profile (``u0``) instead of a flat
-vector.  The root search in ``steady.find_v_inf`` does this, and solves
-only three kinds of level.  Its doubling ladder takes no eigen solve: one
-shifted solve x = -L(v)^{-1} 1 certifies the sign of the loss rate (x > 0
-gives L(v)x = -1 < 0, so nu <= -1/max x < 0; nu < 0 makes -L(v) a
-nonsingular M-matrix, so x >= 1/max(-diag L(v)) > 0).  The lower bracket
-end starts from its x, the upper from the lower end's profile, and each
-bracket-search level from the level before, which lies close: on the
-fig3 bump at n=800 a start from the profile at 1.01*v converges in 2-3
-iterations against 14-16 cold.  Scans start flat.  Their levels are an order of magnitude
-apart (8, 600, 2000 and 8, 64, 600, 4000 in the benchmark ladders), and
-there a warm start raised the largest iteration count at n=400-3200 from
-16 to 39 (the flat shape at v=600 started from v=8: 38 against 8); a
-flat start is closer to a far profile than another far profile is.
-Solves for different coefficient sets, such as the tightness sweep, also
-start flat.
+vector.  The root search in ``steady.find_v_inf`` takes one eigen solve,
+at the root, and starts it there from x = -L(v)^{-1} 1, the shifted
+solve that certified the level's sign (x > 0 gives L(v)x = -1 < 0, so
+nu <= -1/max x < 0; nu < 0 makes -L(v) a nonsingular M-matrix, so
+x >= 1/max(-diag L(v)) > 0).  Every other level of the search takes that
+sign test only.  At the root x is the Perron vector to rounding, and the
+solve stops after 1 inverse iteration on every shipped root.  Scans
+start flat.  Their levels are an order of magnitude apart (8, 600, 2000
+and 8, 64, 600, 4000 in the benchmark ladders), and there a warm start
+raised the largest iteration count at n=400-3200 from 16 to 39 (the flat
+shape at v=600 started from v=8: 38 against 8); a flat start is closer
+to a far profile than another far profile is.  Solves for different
+coefficient sets, such as the tightness sweep, also start flat.
 
 Every solve stops on one rule with fixed constants: the l1 residual
 |Au - nu*u| of the l1-normalised iterate u falls below DEFAULT_TOL times

@@ -13,7 +13,6 @@ from .grid import SizeGrid
 from .operator import Generator
 
 __all__ = [
-    "RootBracketError",
     "VInfResult",
     "SteadyState",
     "StationaryCheck",
@@ -24,13 +23,6 @@ __all__ = [
     "bimodality_report",
 ]
 
-ROOT_TOL = 1e-8
-ROOT_MAX_STEPS = 200
-
-
-class RootBracketError(RuntimeError):
-    """A bracket end's eigen solve contradicts its certified sign."""
-
 
 @dataclass(frozen=True)
 class VInfResult:
@@ -38,15 +30,12 @@ class VInfResult:
 
     When found is False, (bracket_lo, bracket_hi) is the scanned range that
     produced no sign change; (0, 0) when the loss rate is already 0 at
-    v = 0.  monotone_warning is set if the loss rates at 0 and at the two
-    bracket ends failed to decrease, or if the bracket search stopped on
-    its step cap before meeting either stop rule; the root is still
-    returned (the sign change is what the bracket search needs), and
-    lambda_at_root says how far it is from zero.  solution is the
-    eigenpair at v_inf when found.  evaluations counts loss-rate
-    evaluations (eigen solves, v = 0 included) and iterations the inverse
-    iterations they took in total; sign_tests counts the ladder levels
-    whose sign was certified by one shifted solve instead.
+    v = 0.  When found, v_inf is bracket_lo, the highest level certified to
+    have a positive loss rate, and bracket_hi - bracket_lo <= 1e-13 *
+    bracket_hi; lambda_at_root and solution come from the one eigen solve
+    at v_inf.  sign_tests counts the levels whose sign one shifted solve
+    certified, evaluations the eigen solves (1 when found, else 0) and
+    iterations their inverse iterations.
     """
 
     found: bool
@@ -57,7 +46,6 @@ class VInfResult:
     evaluations: int
     iterations: int
     sign_tests: int
-    monotone_warning: Optional[str] = None
     solution: Optional[EigenSolution] = field(default=None, repr=False)
 
 
@@ -78,65 +66,35 @@ def _positive_loss_certificate(gen: Generator, v: float) -> Optional[np.ndarray]
 def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid) -> VInfResult:
     """Locate the monomer level where the loss rate crosses zero.
 
-    A geometric ladder (doubling from 1) brackets the sign change inside
-    [0, v_max].  Each ladder level takes one shifted solve, not an eigen
-    solve: x = -L(v)^{-1} 1 (``_positive_loss_certificate``) fixes the sign
-    of the loss rate.  If x > 0 then L(v)x = -1 < 0, so by Collatz-Wielandt
-    nu(v) <= -1/max x < 0; if nu(v) < 0 then -L(v) is a nonsingular
-    M-matrix and x >= 1/max(-diag L(v)) > 0.  So the levels between 0 and
-    lo carry a certified sign, not a value.  Only the bracket ends get
-    eigen solves, lo warm-started from its x and hi from lo's profile.  An
-    end whose loss rate contradicts its sign is taken as the root when
-    |loss rate| <= ROOT_TOL and raises RootBracketError otherwise: a
-    bracket with wrong signs is never searched.  A loss rate of 0 at v = 0
-    (a cell with neither decay nor splitting) leaves no positive root.
+    Every level takes one shifted solve, not an eigen solve: x = -L(v)^{-1} 1
+    (``_positive_loss_certificate``) fixes the sign of the loss rate.  If
+    x > 0 then L(v)x = -1 < 0, so by Collatz-Wielandt nu(v) <= -1/max x < 0;
+    if nu(v) < 0 then -L(v) is a nonsingular M-matrix and x >= 1/max(-diag
+    L(v)) > 0.  At v = 0 the generator is triangular and the loss rate is
+    min(decay + splitting), read off its diagonal; when that is 0 (a cell
+    with neither decay nor splitting) there is no positive root.
 
-    An Illinois bracket search (regula falsi that halves the stored value
-    at an end kept twice in a row) then drives |loss rate| below ROOT_TOL.
-    Of bisection's guarantees it keeps the invariant f(lo) > 0 >= f(hi) at
-    every step (a secant point outside the open bracket is replaced by
-    the midpoint), the stop rules |f| <= ROOT_TOL and bracket width <=
-    1e-13*max(1, hi), and the cap of ROOT_MAX_STEPS steps.  So it needs
-    only the sign change, never the slope: the decrease of the loss rate
-    is a conclusion the scan certifies, not an assumption the root finder
-    leans on.  It does not keep bisection's halving of the bracket at
-    every step, which always met the width stop in about 45 steps; here
-    no step has a width bound and only the cap guarantees the end, so
-    ending on the cap sets monotone_warning.  Each of its eigen solves
-    starts from the profile of the previous evaluation, a nearby level on
-    the same generator.  The monotone check reads the levels that carry a
-    loss rate from before the search, 0, lo and hi; the search's own
-    levels lie within the solve tolerance of each other.  v_max is ten
-    times the uninfected level production/clearance.
+    A geometric ladder (doubling from 1) brackets the sign change inside
+    [0, v_max]; v_max is ten times the uninfected level
+    production/clearance.  Bisection then keeps f(lo) > 0 >= f(hi) and
+    stops at hi - lo <= 1e-13*hi, which is relative to hi, so lo ends above
+    0 even when the root lies below the first ladder level.  It reads
+    signs only: no slope, no tolerance on the loss rate and no cap.  The
+    one eigen solve is at v_inf = lo, started from lo's x, which there is
+    the Perron vector to rounding.
     """
     v_max = 10.0 * coeffs.vbar if coeffs.clearance > 0.0 else 6000.0
     gen = Generator(coeffs, grid)
-    evals: list = []
     sign_tests = 0
 
-    def lam(v: float, warm: Optional[np.ndarray] = None) -> float:
-        if warm is None and evals:
-            warm = evals[-1].u_vec
-        evals.append(generator_eigenpair(gen, v, u0=warm))
-        return evals[-1].lambda_eig
+    def not_found(hi: float) -> VInfResult:
+        return VInfResult(found=False, v_inf=None, lambda_at_root=None,
+                          bracket_lo=0.0, bracket_hi=hi, evaluations=0,
+                          iterations=0, sign_tests=sign_tests)
 
-    def result(**kw) -> VInfResult:
-        return VInfResult(evaluations=len(evals),
-                          iterations=sum(e.iterations for e in evals),
-                          sign_tests=sign_tests, **kw)
-
-    def certified(v: float, f: float, positive: bool) -> None:
-        if (f > 0.0) != positive and abs(f) > ROOT_TOL:
-            raise RootBracketError(
-                "loss rate %.6g at level v=%g contradicts its certified sign "
-                "(%s)" % (f, v, "positive" if positive else "nonpositive"))
-
-    # f(0) = min(decay + splitting) >= 0: eval_coefficients rejects negative
-    # rates, and splitting is off in the smallest cell
-    f_zero = lam(0.0)
-    if f_zero <= 0.0:
-        return result(found=False, v_inf=None, lambda_at_root=None,
-                      bracket_lo=0.0, bracket_hi=0.0)
+    # eval_coefficients rejects negative rates, so f(0) >= 0
+    if gen.loss.min() <= 0.0:
+        return not_found(0.0)
     lo, x_lo = 0.0, None
     hi = min(1.0, v_max)
     while True:
@@ -146,57 +104,21 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid) -> VInfResult:
             break
         lo, x_lo = hi, x
         if hi >= v_max:
-            return result(found=False, v_inf=None, lambda_at_root=None,
-                          bracket_lo=0.0, bracket_hi=v_max)
+            return not_found(v_max)
         hi = min(2.0 * hi, v_max)
-
-    f_lo = f_zero if lo == 0.0 else lam(lo, x_lo)
-    certified(lo, f_lo, True)
-    rates = [f_zero] if lo == 0.0 else [f_zero, f_lo]
-    # mid is where the search stands: lo itself when its loss rate is
-    # within ROOT_TOL of zero, else hi, whose level may already be the root
-    mid, f_mid = lo, f_lo
-    if f_lo > 0.0:
-        f_hi = lam(hi)
-        certified(hi, f_hi, False)
-        rates.append(f_hi)
-        mid, f_mid = hi, f_hi
-    warning = None
-    if np.any(np.diff(rates) >= 0.0):
-        warning = ("loss rate not strictly decreasing over the levels 0, lo "
-                   "and hi; root is still bracketed")
-
-    # Illinois steps until the loss rate itself is small; f_lo and f_hi
-    # keep their signs but may be halved, so they only weight the secant point
-    side = 0
-    steps = ROOT_MAX_STEPS if abs(f_mid) > ROOT_TOL else 0
-    for _ in range(steps):
-        mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < mid < hi:
-            mid = 0.5 * (lo + hi)
-        f_mid = lam(mid)
-        if abs(f_mid) <= ROOT_TOL:
-            break
-        if f_mid > 0.0:
-            lo, f_lo = mid, f_mid
-            if side > 0:
-                f_hi *= 0.5
-            side = 1
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        x = _positive_loss_certificate(gen, mid)
+        sign_tests += 1
+        if x is None:
+            hi = mid
         else:
-            hi, f_hi = mid, f_mid
-            if side < 0:
-                f_lo *= 0.5
-            side = -1
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-    else:
-        if steps:
-            note = ("bracket search stopped after %d steps with |loss rate| "
-                    "%.3g > %g" % (steps, abs(f_mid), ROOT_TOL))
-            warning = note if warning is None else warning + "; " + note
-    return result(found=True, v_inf=float(mid), lambda_at_root=float(f_mid),
-                  bracket_lo=float(lo), bracket_hi=float(hi),
-                  monotone_warning=warning, solution=evals[-1])
+            lo, x_lo = mid, x
+    sol = generator_eigenpair(gen, lo, u0=x_lo)
+    return VInfResult(found=True, v_inf=lo, lambda_at_root=sol.lambda_eig,
+                      bracket_lo=lo, bracket_hi=hi, evaluations=1,
+                      iterations=sol.iterations, sign_tests=sign_tests,
+                      solution=sol)
 
 
 @dataclass

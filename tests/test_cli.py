@@ -596,6 +596,26 @@ def test_zero_bell_width_is_a_config_error(tmp_path, name, body):
                              "than 0, got 0" % line]
 
 
+@pytest.mark.parametrize("name, body, error", [
+    ("steady", FAST_SWEEP.replace("experiment = sweep", "experiment = steady")
+     .replace("sweep.axis = tightness\nsweep.values = 0.05, 0.2, 0.8\n"
+              "sweep.v_eval = 600.0\n", "")
+     .replace("tightness = 0.1", "tightness = 0"),
+     "line 4: model.conversion.tightness must be greater than 0, got 0"),
+    ("sweep", FAST_SWEEP.replace("0.05, 0.2, 0.8", "0, 0.2"),
+     "line 3: sweep.values must be greater than 0, the bound of "
+     "model.conversion.tightness that a tightness sweep sets, got 0, 0.2"),
+], ids=["steady", "tightness"])
+def test_zero_tightness_is_a_config_error(tmp_path, name, body, error):
+    # a scaled bell of tightness 0 has no bump left to carry its unit area:
+    # refused at parse time rather than run as the base rate alone
+    code, out = _run(tmp_path, name, body)
+    assert code == 2
+    assert [p.name for p in out.iterdir()] == ["error-%s.json" % name]
+    err = json.loads((out / ("error-%s.json" % name)).read_text())
+    assert err["errors"] == [error]
+
+
 def test_zero_clearance_tightness_sweep_names_the_level(tmp_path):
     # with no sweep.v_eval the items would read the loss rate at vbar,
     # which is infinite here: the config is refused before any item runs
@@ -656,7 +676,7 @@ def test_peak_center_items_record_what_a_steady_run_records(tmp_path):
     assert item["results"] == run["results"]
     assert "necessary_condition_met" in item["results"]
     assert item["diagnostics"] == run["diagnostics"]
-    assert "monotone_warning" in item["diagnostics"]
+    assert "root_loss_rate" in item["diagnostics"]
 
 
 def test_snapshot_instants_not_taken_are_recorded_as_dropped(tmp_path):
@@ -843,19 +863,30 @@ def test_one_row_of_sweep_axes_makes_an_axis(tmp_path, monkeypatch):
     ("sweep", FAST_PEAK_SWEEP),
 ])
 def test_eigen_tol_reaches_the_root_search(tmp_path, monkeypatch, name, body):
-    # every solve of the root search reads eigen.DEFAULT_TOL when it runs,
-    # so a looser tolerance loosens all of them
-    def root_iterations(tag):
+    # the root's one eigen solve reads eigen.DEFAULT_TOL when it runs: at a
+    # tolerance no residual meets it fails, and the error names v_inf, the
+    # level the sign tests chose at the default tolerance
+    def run(tag):
         (tmp_path / tag).mkdir()
-        code, out = _run(tmp_path / tag, name, body)
-        assert code == 0
-        return sum(json.loads(p.read_text())["diagnostics"]["root_iterations"]
-                   for p in out.glob("*.json") if name == "steady" or "-item-" in p.name)
+        return _run(tmp_path / tag, name, body)
 
-    strict = root_iterations("strict")
-    monkeypatch.setattr(eigen, "DEFAULT_TOL", 1e-6)
-    loose = root_iterations("loose")
-    assert loose < strict
+    def records(out):
+        return [json.loads(p.read_text()) for p in sorted(out.glob("*.json"))
+                if name == "steady" or "-item-" in p.name]
+
+    code, out = run("default")
+    assert code == 0
+    levels = ["level v=%g " % r["results"]["v_inf"] for r in records(out)]
+    monkeypatch.setattr(eigen, "DEFAULT_TOL", 0.0)
+    code, out = run("unattainable")
+    if name == "steady":
+        assert code == 2
+        errors = [json.loads((out / "error-steady.json").read_text())]
+    else:
+        assert code == 0
+        errors = [r["diagnostics"] for r in records(out)]
+    assert [e["error_type"] for e in errors] == ["EigenConvergenceError"] * len(levels)
+    assert all(level in e["error"] for level, e in zip(levels, errors)), errors
 
 
 def test_tightness_item_without_interior_peak_locates_its_mode(tmp_path):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from priondyn import (Bell, CoefficientSet, EigenConvergenceError,
+from priondyn import (Affine, Bell, CoefficientSet, EigenConvergenceError,
                       IntegratorFailure, PolymerState, PositivityViolationError, SizeGrid,
                       Trajectory, adjoint_eigenpair, growth_rate,
                       hypothesis_constants,
@@ -18,6 +19,8 @@ from priondyn.cli import sweep
 from priondyn.config import parse_config
 from priondyn.dynamics import line_fit
 from priondyn.reference import incubation_time_log_law, loss_rate_constant
+
+from oracle import MomentClosure
 
 CONST = CoefficientSet(production=2400.0, clearance=4.0)
 BELL = CoefficientSet(production=2400.0, clearance=4.0,
@@ -345,6 +348,43 @@ def test_incubation_log_law_prediction():
     # a nonnegative loss rate admits no outbreak prediction
     with pytest.raises(ValueError, match="healthy state is unstable"):
         incubation_time_log_law(0.02, 4.0)
+
+
+# measured relative t_inc errors against the moment closure at n = 400 and
+# 800, dt_max = 0.02; the n = 800 error may grow at most twofold
+CLOSURE_OUTBREAK_ERRORS = {0.0: (-3.82e-4, -4.90e-5), 0.5: (-6.30e-4, -1.60e-4)}
+
+
+@pytest.mark.parametrize("x0", sorted(CLOSURE_OUTBREAK_ERRORS))
+def test_light_seed_outbreak_matches_the_moment_closure(x0):
+    # a seed with an exponential tail loses no mass through xmax, so the
+    # count of the run follows the closed moment ODE (tests/oracle.py)
+    # started from the discrete count and mass of the seed
+    closure = MomentClosure(tau=0.001, beta=0.0628, mu=0.05, production=2400.0,
+                            clearance=4.0, x0=x0)
+    coeffs = CoefficientSet(production=2400.0, clearance=4.0, x0=x0,
+                            fragmentation=Affine(0.0, 0.0628))
+    errors = []
+    for n in (400, 800):
+        grid = SizeGrid.uniform(60.0, n, x0)
+        x, h = grid.centers, grid.widths
+        u0 = 1e-3 * (x - x0) ** 2 * np.exp(-2.0 * (x - x0))
+        count = float(u0 @ h)
+        threshold = 1e3 * count
+
+        def crossing(t, y):
+            return y[0] - threshold
+
+        crossing.terminal = True
+        ode = solve_ivp(closure.rhs, (0.0, 200.0), [count, float((x * u0) @ h), 600.0],
+                        method="DOP853", rtol=1e-13, atol=1e-30, events=crossing)
+        t_ode = float(ode.t_events[0][0])
+        traj = integrate(coeffs, grid, PolymerState(v=600.0, u=u0, grid=grid),
+                         t_end=1.05 * t_ode, dt_max=0.02)
+        t_inc = incubation_time(traj, threshold, count).t_incubation
+        errors.append((t_inc - t_ode) / t_ode)
+    assert abs(errors[1]) <= 2.0 * abs(CLOSURE_OUTBREAK_ERRORS[x0][1]), errors
+    assert np.log2(errors[0] / errors[1]) >= 1.8, errors
 
 
 # --- positivity ------------------------------------------------------------

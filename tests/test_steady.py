@@ -1,6 +1,8 @@
 """Steady-state construction, existence logic, and mode counting."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from scipy.linalg import eig
 
 from priondyn import (Affine, Bell, CoefficientSet, Constant, EigenConvergenceError,
                       EigenSolution, Generator, PolymerState, PositivityViolationError,
-                      RootBracketError, SizeGrid, assemble, bimodality_report,
-                      build_steady_state, detect_modes, find_v_inf, integrate,
-                      principal_eigenpair, stationary_profile_check)
+                      SizeGrid, assemble, bimodality_report, build_steady_state,
+                      detect_modes, find_v_inf, integrate, principal_eigenpair,
+                      stationary_profile_check)
 from priondyn.eigen import DEFAULT_TOL
-from priondyn.steady import ROOT_TOL, _prominent_peaks
+from priondyn.steady import _prominent_peaks
+
+from oracle import MomentClosure
 
 steady_module = importlib.import_module("priondyn.steady")
 
@@ -46,16 +50,14 @@ def test_steady_anchors(baseline):
 def test_root_diagnostics(baseline):
     root = baseline.root
     assert root.found
-    assert root.bracket_lo < root.v_inf < root.bracket_hi
-    # bracket tolerance in v maps through the loss-rate slope (~3e-4)
-    assert abs(root.lambda_at_root) < 1e-7
-    # the closed-form root (test_steady_anchors) within a fixed count of
-    # evaluations: deterministic, not a timing
-    assert 0 < root.evaluations <= 16
-    assert root.iterations >= root.evaluations - 1  # v=0 takes no iteration
-    # the ladder 1, 2, ..., 128 takes signs, not eigen solves
-    assert root.sign_tests == 8
-    assert not root.monotone_warning
+    assert root.v_inf == root.bracket_lo < root.bracket_hi
+    assert root.bracket_hi - root.bracket_lo <= 1e-13 * root.bracket_hi
+    # a bracket of 1e-13 relative maps through the loss-rate slope (~3e-4)
+    assert abs(root.lambda_at_root) <= 1e-12
+    # one eigen solve, at v_inf; the ladder 1, 2, ..., 128 and the
+    # bisection take signs only: deterministic counts, not a timing
+    assert root.evaluations == 1
+    assert root.sign_tests == 51
 
 
 ORACLE_CASES = [
@@ -77,7 +79,7 @@ def test_root_against_dense_oracle(coeffs, xmax):
     scale = float((gen.apply(root.v_inf, np.ones(grid.n))
                    - 2.0 * gen.diagonal(root.v_inf)).max())
     nu = eig(assemble(coeffs, grid, root.v_inf).matrix, right=False).real.max()
-    assert abs(nu) <= ROOT_TOL + DEFAULT_TOL * scale
+    assert abs(nu) <= DEFAULT_TOL * scale
 
 
 @pytest.mark.parametrize("coeffs,xmax", ORACLE_CASES, ids=ORACLE_IDS)
@@ -97,7 +99,7 @@ def test_sign_test_against_dense_oracle(coeffs, xmax, factor):
 
 
 def _fake_sign(monkeypatch, f):
-    """Replace the ladder's sign certificate by the sign of a scalar f(v)."""
+    """Replace the root search's sign certificate by the sign of a scalar f(v)."""
     levels = []
 
     def fake(gen, v):
@@ -108,97 +110,57 @@ def _fake_sign(monkeypatch, f):
     return levels
 
 
-def _fake_loss_rate(monkeypatch, f, sign=None):
+def _fake_loss_rate(monkeypatch, f):
     """Replace the eigen solve inside the root search by a scalar f(v), and
-    the ladder's sign certificate by the sign of f (or of sign, if given)."""
+    the sign certificate by the sign of f."""
     levels, warm = [], []
 
     def fake(gen, v, u0=None):
         levels.append(v)
         warm.append(u0 is not None)
-        u = None if v == 0.0 else np.full(gen.grid.n, 1.0 / gen.grid.xmax)
+        u = np.full(gen.grid.n, 1.0 / gen.grid.xmax)
         return EigenSolution(v=v, lambda_eig=f(v), u_vec=u, phi_vec=None,
                              residual=0.0, iterations=1, generator=gen)
 
     monkeypatch.setattr(steady_module, "generator_eigenpair", fake)
-    return levels, warm, _fake_sign(monkeypatch, sign or f)
+    return levels, warm, _fake_sign(monkeypatch, f)
 
 
 def test_exact_zero_at_bracket_end_is_returned(monkeypatch):
+    # the root sits on ladder level 4: the bisection closes below it
     levels, warm, signs = _fake_loss_rate(monkeypatch, lambda v: 4.0 - v)
     root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
-    # the ladder takes signs only; eigen solves at 0 and the bracket ends
-    assert signs == [1.0, 2.0, 4.0]
-    assert levels == [0.0, 2.0, 4.0]
-    # lo starts from its certificate, hi from lo's profile; v=0 has none
-    assert warm == [False, True, True]
-    assert root.found and root.v_inf == 4.0 and root.lambda_at_root == 0.0
-    assert root.solution.v == 4.0
-    assert (root.evaluations, root.sign_tests) == (3, 3)
-
-
-def test_bracket_search_does_not_stall_on_a_convex_loss_rate(monkeypatch):
-    # plain regula falsi keeps the far end fixed here and creeps (23
-    # evaluations); the halved end weight moves it (13)
-    levels, _, _ = _fake_loss_rate(monkeypatch, lambda v: np.exp(-v) - np.exp(-5.0))
-    root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
-    assert root.found
-    assert root.v_inf == pytest.approx(5.0, rel=1e-6)
-    assert abs(root.lambda_at_root) <= ROOT_TOL
-    assert len(levels) <= 15
+    assert signs[:3] == [1.0, 2.0, 4.0]
+    assert root.found and 4.0 - 1e-13 * 4.0 <= root.v_inf < 4.0
+    # one eigen solve, at lo, started from its certificate
+    assert levels == [root.v_inf] and warm == [True]
+    assert root.solution.v == root.v_inf
+    assert (root.evaluations, root.sign_tests) == (1, len(signs))
 
 
 def test_bracket_search_needs_only_a_sign_change(monkeypatch):
     # a jump, no slope anywhere: the bracket still closes on it
-    levels, _, _ = _fake_loss_rate(monkeypatch, lambda v: 1.0 if v < np.pi else -1.0)
+    levels, warm, signs = _fake_loss_rate(monkeypatch,
+                                          lambda v: 1.0 if v < np.pi else -1.0)
     root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
     assert root.found
     assert root.bracket_lo < np.pi <= root.bracket_hi
     assert root.bracket_hi - root.bracket_lo <= 1e-13 * root.bracket_hi
-    # the halved end weights pull the secant point inward, so a jump
-    # costs about what bisection pays (45 steps here), far below the cap
-    assert len(levels) < 60
-    assert all(0.0 <= v <= 4.0 for v in levels)
+    assert len(signs) <= 60
+    assert all(0.0 < v <= 4.0 for v in signs)
+    assert levels == [root.bracket_lo] and warm == [True]
 
 
-def test_bracket_search_ending_on_its_cap_says_so(monkeypatch):
-    levels, _, signs = _fake_loss_rate(monkeypatch, lambda v: np.exp(-v) - np.exp(-5.0))
-    monkeypatch.setattr(steady_module, "ROOT_MAX_STEPS", 3)
-    root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
-    # signs at 1, ..., 8; eigen solves at 0, lo = 4 and hi = 8, then the
-    # three capped steps
-    assert signs == [1.0, 2.0, 4.0, 8.0]
-    assert len(levels) == 3 + 3
-    assert root.found and abs(root.lambda_at_root) > ROOT_TOL
-    assert "stopped after 3 steps" in root.monotone_warning
-    assert root.bracket_lo <= root.v_inf <= root.bracket_hi
-
-
-def test_loss_rate_rising_to_the_bracket_warns(monkeypatch):
-    # positive up to pi, but larger at lo = 2 than at 0: the root is found,
-    # and the rise between the levels that carry a loss rate is flagged
-    _fake_loss_rate(monkeypatch, lambda v: 1.0 + v if v < np.pi else -1.0)
+def test_root_below_the_first_ladder_level(monkeypatch):
+    # the ladder's first level already reads nonpositive; the bisection
+    # stop is relative to hi, so it still ends on a certified lo > 0
+    levels, warm, signs = _fake_loss_rate(monkeypatch, lambda v: 1e-6 - v)
     root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
     assert root.found
-    assert root.bracket_lo < np.pi <= root.bracket_hi
-    assert "not strictly decreasing" in root.monotone_warning
-
-
-def test_bracket_end_contradicting_its_sign(monkeypatch):
-    # the ladder certifies a positive loss rate at lo = 2; an eigen solve
-    # there within ROOT_TOL of zero makes lo the root, one beyond it is an
-    # error that names the level, and no bracket search runs on it
-    def sign(v):
-        return 4.0 - v
-
-    levels, _, _ = _fake_loss_rate(monkeypatch, lambda v: 2.0 - v, sign=sign)
-    root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
-    assert levels == [0.0, 2.0]
-    assert root.found and root.v_inf == 2.0 and root.lambda_at_root == 0.0
-    levels, _, _ = _fake_loss_rate(monkeypatch, lambda v: 1.0 - v, sign=sign)
-    with pytest.raises(RootBracketError, match="level v=2 "):
-        find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
-    assert levels == [0.0, 2.0]
+    assert 0.0 < root.bracket_lo < 1e-6 <= root.bracket_hi
+    assert root.bracket_hi - root.bracket_lo <= 1e-13 * root.bracket_hi
+    assert levels == [root.bracket_lo] and warm == [True]
+    assert len(signs) <= 80
 
 
 def test_profile_integrates_to_one(baseline):
@@ -230,25 +192,35 @@ MOMENT_CLOSURE_ERRORS = {0.0: (2.3e-6, 5.5e-5, 6.4e-5),
 
 @pytest.mark.parametrize("x0", sorted(MOMENT_CLOSURE_ERRORS))
 def test_minimal_size_matches_the_moment_closure(x0):
-    # constant conversion tau, fragmentation beta*(x - x0) and decay mu close
-    # the moment equations (Greer, Pujo-Menjouet & Webb): the loss rate is
-    # mu + beta*x0 - sqrt(beta*tau*v), its root v_inf = (mu + beta*x0)**2
-    # /(beta*tau), and the monomer balance, returned mass included, gives
-    # rho_inf = (production - clearance*v_inf)/(tau*v_inf - beta*x0**2)
-    tau, beta, mu, production, clearance = 0.001, 0.03, 0.05, 2400.0, 4.0
-    loss = mu + beta * x0 - np.sqrt(beta * tau * 600.0)
-    v_inf = (mu + beta * x0) ** 2 / (beta * tau)
-    rho_inf = (production - clearance * v_inf) / (tau * v_inf - beta * x0 ** 2)
-    coeffs = CoefficientSet(production=production, clearance=clearance, x0=x0)
+    # constant conversion tau, splitting beta*x and decay mu close the
+    # moment equations (tests/oracle.py), which give the loss rate, its
+    # root and the steady count, returned mass included
+    closure = MomentClosure(tau=0.001, beta=0.03, mu=0.05, production=2400.0,
+                            clearance=4.0, x0=x0)
+    want = (closure.loss_rate(600.0), closure.v_inf(), closure.rho_inf())
+    coeffs = CoefficientSet(production=2400.0, clearance=4.0, x0=x0)
     errors = []
     for n in (400, 800):
         grid = SizeGrid.uniform(30.0 + x0, n, x0)
         ss = build_steady_state(coeffs, grid)
         got = (principal_eigenpair(coeffs, grid, 600.0).lambda_eig, ss.v_inf, ss.rho_inf)
-        errors.append(np.abs(np.subtract(got, (loss, v_inf, rho_inf))
-                             / np.abs((loss, v_inf, rho_inf))))
+        errors.append(np.abs(np.subtract(got, want) / np.abs(want)))
     assert np.all(errors[1] <= 2.0 * np.asarray(MOMENT_CLOSURE_ERRORS[x0])), errors[1]
     assert np.all(np.log2(errors[0] / errors[1]) >= 1.8), errors
+
+
+def test_oracle_imports_nothing_from_the_package():
+    # the closed forms are the arbiter only while they share no code with
+    # the solver they check
+    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported and not [m for m in imported
+                             if m.startswith((".", "priondyn"))], imported
 
 
 # --- existence boundary ----------------------------------------------------
@@ -314,12 +286,12 @@ def test_stationary_check_guards_its_class():
 
 def test_root_search_failure_names_the_level(monkeypatch):
     # a shifted solve that makes no headway exhausts the iteration budget
-    # at the first eigen solve, the bracket end lo = 2 that the ladder's
-    # signs chose; the error must say which level that was
+    # at the one eigen solve, the level just below 4 that the bisection
+    # ends on; the error must say which level that was
     _fake_sign(monkeypatch, lambda v: 4.0 - v)
     monkeypatch.setattr(Generator, "solve_shifted",
                         lambda self, v, s, b, adjoint=False: b.copy())
-    with pytest.raises(EigenConvergenceError, match="level v=2 "):
+    with pytest.raises(EigenConvergenceError, match="level v=4 "):
         find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
 
 
