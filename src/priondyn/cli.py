@@ -130,10 +130,11 @@ def _run_eigen(cfg: RunConfig, out: Path, tag: str):
         "decreasing": scan.decreasing,
         "sign_at_largest": scan.sign_at_largest,
     }
-    residuals, iters = [], []
+    residuals, iters, solves = [], [], []
     for k, sol in enumerate(scan.solutions):
         residuals.append(sol.residual)
         iters.append(sol.iterations)
+        solves.append(sol.shifted_solves)
         if sol.u_vec is not None:
             write_csv(out / ("eigen-%s-v%02d.csv" % (tag, k)),
                       ["x", "density"], [grid.centers, sol.u_vec])
@@ -142,7 +143,7 @@ def _run_eigen(cfg: RunConfig, out: Path, tag: str):
               [scan.v_values, scan.lambda_values, scan.growth_rates,
                np.asarray(residuals), np.asarray(iters, dtype=float)])
     return results, {"grid_hash": grid_hash(grid), "residuals": residuals,
-                     "iterations": iters}, 0
+                     "iterations": iters, "shifted_solves": solves}, 0
 
 
 def _run_steady(cfg: RunConfig, out: Path, tag: str):
@@ -273,7 +274,8 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
                 "n_modes": int(idx.size),
                 "mode_locations": grid.centers[idx],
             }
-            diagnostics.update(residual=sol.residual, iterations=sol.iterations)
+            diagnostics.update(residual=sol.residual, iterations=sol.iterations,
+                               shifted_solves=sol.shifted_solves)
         elif summary == "steady":
             _, results, root = _steady(cfg.coeffs, grid)
             diagnostics.update(root)

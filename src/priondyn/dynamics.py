@@ -20,8 +20,8 @@ negative entry rejects the step, which is retried at half the length.
 The mass books are stage-consistent on steps of both kinds: the reported
 per-step residual compares the realized change of (monomer + polymer
 mass) against the mean of the four stage sources, so it sits at rounding
-level and any real leak would show immediately.  The right-hand side
-applies the structured generator in O(n).
+level and any real leak would show immediately.  Each polymer stage
+w + tau*L(V)w is one O(n) product of the structured generator's term rows.
 """
 
 from __future__ import annotations
@@ -230,16 +230,14 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
                 W = ((V + dt * (sum(a * f for a, f in zip(row, slopes))
                                 + diag * (lam + back_w)))
                      / (1.0 + diag * dt * (gam + take_w)))
-            dw = gen.apply(W, w)
             dW = lam - W * (gam + take_w) + back_w
             rhs_evaluations += 1
             out_w = W * fluxw * w[-1]
             src += lam - gam * W - mu_w - out_w
             out += out_w
-            # w + tau*dw and u/4 + 3/4*w, in place: apply returns a fresh array
-            dw *= tau
-            dw += w
-            w = dw
+            # the stage w + tau*L(W)w is a fresh array, so u/4 + 3/4*w below
+            # may work in place
+            w = gen.apply(W, w, tau)
             if implicit:
                 # the last row is the weights: the step ends on the last level
                 slopes.append(dW)

@@ -15,9 +15,14 @@ Two forms live here.  ``Generator`` is the structured form every solver
 uses: bidiagonal transport, the loss diagonal, two mass-corrected gain
 superdiagonals, and above them a gain that depends on the column only,
 so apply, adjoint apply (L^T: cells are equal) and shifted solves all
-cost O(n).  The dense chain ``transport_reaction_parts`` ->
-``assemble``/``assemble_adjoint`` builds the same matrix entry by entry
-from the kernel table; it is the independent oracle of the structured form.
+cost O(n).  Apply fills seven term rows from u (four bands, the loss, the
+far-gain suffix sum, u itself) and returns one weighted sum of them: the
+weights (v, v, 1, 1, 1, 1) give L(v)u and (tau*v, tau*v, tau, tau, tau,
+tau, 1) the forward-Euler stage u + tau*L(v)u, in one matrix-vector
+product whose bits may differ from a sum band by band.  The dense chain
+``transport_reaction_parts`` -> ``assemble``/``assemble_adjoint`` builds
+the same matrix entry by entry from the kernel table; it is the
+independent oracle of the structured form.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -104,10 +110,14 @@ class Generator:
       the fragment mass landing below x0: the weights of the monomer equation.
 
     So L(v)u is a suffix sum plus bands, its adjoint a prefix sum plus
-    bands, and subtracting from each row of s*I - L(v) the row below it
-    leaves a band matrix with one lower and three upper diagonals, which
-    LAPACK factors in O(n).  Splitting in the smallest cell is disabled
-    (no admissible destination cell), as in ``transport_reaction_parts``.
+    bands.  ``apply`` writes the terms of L(v)u into fixed rows (the
+    transport rows unscaled, so no row depends on v) and weights them in
+    one matrix-vector product; that adds them in BLAS's order, so its bits
+    may differ from a sum band by band.  Subtracting from each row of
+    s*I - L(v) the row below it leaves a band matrix with one lower and
+    three upper diagonals, which LAPACK factors in O(n).  Splitting in the
+    smallest cell is disabled (no admissible destination cell), as in
+    ``transport_reaction_parts``.
     """
 
     def __init__(self, coeffs: CoefficientSet, grid: SizeGrid):
@@ -135,34 +145,61 @@ class Generator:
         self.gain1 = out[1:] / h[:-1] * np.concatenate(([w01], h[1:-1] / y + b))
         self.gain2 = out[2:] / h[:-2] * (h[:-2] / y + d0 - b)
         self.far_gain = out / x
-        # apply's scratch: band rows aligned so that column i multiplies
-        # u[i-1], u[i], u[i+1], u[i+2], read through a 4-row view of u
-        # padded with zeros; only the first two rows depend on v
+        # apply's term rows, refilled from u on each call:
+        #   0-3  the band table (t_sub, t_diag, gain1, gain2), aligned so
+        #        that column i multiplies u[i-1], u[i], u[i+1], u[i+2],
+        #        times a 4-row view of u padded with zeros;
+        #   4    -loss*u;
+        #   5    the far-gain suffix sum, sum over j >= i+3 of far_gain*u;
+        #   6    u itself, for the Euler stage.
+        # Rows 0 and 1 carry the weight v, so no row depends on v.
         n = grid.n
-        self._bands = np.zeros((4, n))
-        self._bands[2, :-1] = self.gain1
-        self._bands[3, :-2] = self.gain2
+        self._table = np.zeros((4, n))
+        self._table[0, 1:] = self.t_sub
+        self._table[1] = self.t_diag
+        self._table[2, :-1] = self.gain1
+        self._table[3, :-2] = self.gain2
+        self._neg_loss = -self.loss
+        self._rows = np.zeros((7, n))
         self._upad = np.zeros(n + 3)
         self._ushift = np.lib.stride_tricks.sliding_window_view(self._upad, n)
+        # the far gain of columns n-1 down to 3 (none when n <= 3), and the
+        # cells 0..n-4 of row 5 read backwards, where the suffix sum lands
+        self._far_rev = self.far_gain[:2:-1]
+        self._far_terms = np.empty(max(n - 3, 0))
+        self._suffix = self._rows[5, :max(n - 3, 0)][::-1]
+        self._weights = np.ones(7)
 
     def diagonal(self, v: float) -> np.ndarray:
         """Diagonal of L(v), shared with its adjoint."""
         return v * self.t_diag - self.loss
 
-    def apply(self, v: float, u: np.ndarray) -> np.ndarray:
-        """L(v) u in O(n), as a fresh array.
+    def apply(self, v: float, u: np.ndarray,
+              tau: Optional[float] = None) -> np.ndarray:
+        """L(v) u in O(n), or the Euler stage u + tau*L(v) u, as a fresh array.
 
-        The four bands take one product and one sum down the columns,
-        which adds them in order (subdiagonal, diagonal, gain1, gain2);
-        the suffix sum of the far gain comes last.
+        Both are one product of a weight vector with the term rows (see
+        ``__init__``), filled from u: L(v) u takes the weights
+        (v, v, 1, 1, 1, 1) on rows 0-5, the stage takes
+        (tau*v, tau*v, tau, tau, tau, tau, 1) on all seven.  The product
+        adds the terms in BLAS's order, so the bits may differ from a sum
+        band by band, within a few rounding units of the sum of the terms'
+        magnitudes; a cell whose terms are all zero is exactly 0.
         """
-        bands = self._bands
-        bands[0, 1:] = v * self.t_sub
-        bands[1] = self.diagonal(v)
+        rows, weights = self._rows, self._weights
         self._upad[1:-2] = u
-        out = np.add.reduce(bands * self._ushift, axis=0)
-        out[:-3] += np.add.accumulate(self.far_gain[:2:-1] * u[:2:-1])[::-1]
-        return out
+        np.multiply(self._table, self._ushift, out=rows[:4])
+        np.multiply(self._neg_loss, u, out=rows[4])
+        np.multiply(self._far_rev, u[:2:-1], out=self._far_terms)
+        np.add.accumulate(self._far_terms, out=self._suffix)
+        if tau is None:
+            weights[:2] = v
+            weights[2:6] = 1.0
+            return weights[:6] @ rows[:6]
+        rows[6] = u
+        weights[:2] = tau * v
+        weights[2:6] = tau
+        return weights @ rows
 
     def apply_adjoint(self, v: float, phi: np.ndarray) -> np.ndarray:
         """L(v)^T phi in O(n): the adjoint on equal cells."""

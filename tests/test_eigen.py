@@ -114,6 +114,66 @@ def test_residual_log_tail_decreases(grid800):
     assert np.all(np.diff(tail) < 0.0) or tail[-1] < 1e-12
 
 
+# --- trial shifts ----------------------------------------------------------
+
+def test_rejected_trial_shift_falls_back_to_the_safe_shift(monkeypatch):
+    # the first trial returns a negative entry: that step solves again at
+    # the safe shift, and the solve counts both
+    gen = Generator(BUMP, SizeGrid.uniform(60.0, 800))
+    v, n = 600.0, gen.grid.n
+    scale = float((gen.apply(v, np.ones(n)) - 2.0 * gen.diagonal(v)).max())
+    clean = generator_eigenpair(gen, v)
+    solve, shifts = Generator.solve_shifted, []
+
+    def spoiled(self, v, s, b, adjoint=False):
+        shifts.append(s)
+        x = solve(self, v, s, b, adjoint=adjoint)
+        if len(shifts) == 1:
+            x[n // 2] = -1.0
+        return x
+
+    monkeypatch.setattr(Generator, "solve_shifted", spoiled)
+    sol = generator_eigenpair(gen, v)
+    assert shifts[1] > shifts[0]
+    assert abs(sol.lambda_eig - clean.lambda_eig) <= DEFAULT_TOL * scale
+    assert sol.shifted_solves == len(shifts) >= sol.iterations + 1
+    assert clean.shifted_solves >= clean.iterations
+
+
+def test_trial_shifts_keep_the_bump_ladder_short():
+    # with the safe shift alone the fig3 bump's ladder takes 58 iterations
+    gen = Generator(BUMP, SizeGrid.uniform(60.0, 800))
+    sols = [generator_eigenpair(gen, v) for v in (8.0, 64.0, 600.0, 4000.0)]
+    assert sum(sol.iterations for sol in sols) <= 35
+
+
+@pytest.mark.parametrize("coeffs,xmax", [(CONST, 30.0), (BUMP, 60.0)],
+                         ids=["fig2", "fig2-bell"])
+def test_loss_rates_match_the_dense_eigenvalue(coeffs, xmax):
+    # The stop bounds the residual r of the l1-normed iterate by
+    # DEFAULT_TOL*scale.  With y the dense eigenvector on the other side,
+    # y.r = (nu - estimate)*(y.vec), so the loss rate lies within
+    # kappa*DEFAULT_TOL*scale, kappa = max|y|*sum|vec|/|y.vec|.  The primal
+    # holds DEFAULT_TOL*scale itself; the adjoint weight grows with size
+    # while the Perron vector sits at small sizes, so its kappa reaches 1.8e3
+    grid = SizeGrid.uniform(xmax, 200)
+    gen = Generator(coeffs, grid)
+    for v in (10.0, 40.0, 83.33, 100.0, 300.0, 600.0):
+        A = assemble(coeffs, grid, v).matrix
+        vals, left, right = eig(A, left=True)
+        k = int(np.argmax(vals.real))
+        nu = float(vals[k].real)
+        for adjoint, y in ((False, left[:, k].real), (True, right[:, k].real)):
+            sol = generator_eigenpair(gen, v, adjoint=adjoint)
+            vec = sol.phi_vec if adjoint else sol.u_vec
+            scale = float(np.abs(A).sum(axis=0 if adjoint else 1).max())
+            kappa = float(np.abs(y).max() * np.abs(vec).sum() / abs(y @ vec))
+            err = abs(sol.growth_rate - nu)
+            assert err <= kappa * DEFAULT_TOL * scale, (v, adjoint)
+            if not adjoint:
+                assert err <= DEFAULT_TOL * scale, v
+
+
 # --- moment-route cross-check ----------------------------------------------
 
 @pytest.mark.parametrize("v", [100.0, 600.0])

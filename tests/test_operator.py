@@ -60,10 +60,11 @@ def test_level_splits_linearly():
     center_frac=st.floats(min_value=0.0, max_value=1.0),
     width_sq=st.floats(min_value=0.01, max_value=10.0),
     v=st.floats(min_value=0.0, max_value=4000.0),
+    tau=st.floats(min_value=0.0, max_value=10.0),
     seed=st.integers(min_value=0, max_value=2 ** 16),
 )
 def test_structured_generator_matches_dense(n, xmax, x0_frac, bell, amplitude,
-                                            center_frac, width_sq, v, seed):
+                                            center_frac, width_sq, v, tau, seed):
     x0 = x0_frac * xmax
     conversion = (Bell(0.001, amplitude, x0 + center_frac * (xmax - x0), width_sq)
                   if bell else Affine(0.001, amplitude * 1e-3))
@@ -77,6 +78,8 @@ def test_structured_generator_matches_dense(n, xmax, x0_frac, bell, amplitude,
     u = np.random.default_rng(seed).random(n)
     np.testing.assert_allclose(gen.apply(v, u), A @ u, rtol=0,
                                atol=1e-12 * float((np.abs(A) @ u).max()))
+    np.testing.assert_allclose(gen.apply(v, u, tau), u + tau * (A @ u), rtol=0,
+                               atol=1e-12 * float((u + tau * (np.abs(A) @ u)).max()))
     np.testing.assert_allclose(gen.apply_adjoint(v, u), As @ u, rtol=0,
                                atol=1e-12 * float((np.abs(As) @ u).max()))
     # a shift above every absolute row sum keeps both systems well posed
@@ -91,31 +94,49 @@ def test_structured_generator_matches_dense(n, xmax, x0_frac, bell, amplitude,
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.integers(min_value=2, max_value=64),
+    n=st.one_of(st.sampled_from([2, 3, 4]), st.integers(min_value=2, max_value=64)),
     bell=st.booleans(),
     v=st.floats(min_value=0.0, max_value=4000.0),
+    tau=st.floats(min_value=0.0, max_value=10.0),
     data=st.data(),
 )
-def test_generator_apply_is_the_band_by_band_sum(n, bell, v, data):
-    # the fused apply must keep the bits of the plain sum, zeros included
+def test_generator_apply_is_the_band_by_band_sum(n, bell, v, tau, data):
+    # apply is one product of the term rows, so it adds the terms in BLAS's
+    # order: within a few rounding units of the sum band by band, of the
+    # terms' magnitudes, plus a few units of underflow (a product of small
+    # factors is subnormal) per unit of weight and of unweighted term; a
+    # cell whose terms are all zero is exactly 0
     coeffs = BELLY if bell else CONST
     gen = Generator(coeffs, SizeGrid.uniform(30.0, n))
     entries = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6))
     u, w = (np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
             for _ in range(2))
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
 
-    def band_by_band(u):
-        out = gen.diagonal(v) * u
-        out[1:] += v * gen.t_sub * u[:-1]
-        out[:-1] += gen.gain1 * u[1:]
-        out[:-2] += gen.gain2 * u[2:]
-        out[:-3] += np.cumsum((gen.far_gain * u)[:2:-1])[::-1]
+    def band_by_band(u, v=v, c=lambda a: a, f=lambda a: a):
+        # f = np.abs sums the terms' magnitudes; c maps each coefficient
+        out = f(v * (c(gen.t_diag) * u)) + f(-c(gen.loss) * u)
+        out[1:] += f(v * (c(gen.t_sub) * u[:-1]))
+        out[:-1] += f(c(gen.gain1) * u[1:])
+        out[:-2] += f(c(gen.gain2) * u[2:])
+        out[:-3] += np.cumsum((c(gen.far_gain) * u)[:2:-1])[::-1]
         return out
 
     first = gen.apply(v, u)
     second = gen.apply(v, w)
-    assert np.array_equal(first, band_by_band(u))
-    assert np.array_equal(second, band_by_band(w))
+    for x, got in ((u, first), (w, second)):
+        size = band_by_band(x, f=np.abs)
+        unweighted = band_by_band(x, 1.0, f=np.abs)
+        under = 8 * tiny * (1.0 + v) * (1.0 + tau) * (1.0 + unweighted)
+        # the cells where every term has a zero factor
+        zero = band_by_band((x != 0.0) * 1.0, (v != 0.0) * 1.0,
+                            c=lambda a: (a != 0.0) * 1.0, f=np.abs) == 0.0
+        assert np.all(np.abs(got - band_by_band(x)) <= 8 * eps * size + under)
+        assert np.all(got[zero] == 0.0)
+        stage = gen.apply(v, x, tau)
+        assert np.all(np.abs(stage - (x + tau * got))
+                      <= 8 * eps * (x + tau * size) + under)
+        assert np.all(stage[zero & (x == 0.0)] == 0.0)
     assert not np.shares_memory(first, second)
 
 
