@@ -21,12 +21,11 @@ from .dynamics import (GrowthFit, IncubationResult, IntegratorFailure,
                        stability_experiment)
 from .eigen import (EigenConvergenceError, EigenSolution, HypothesisConstants,
                     PositivityViolationError, ScanResult, adjoint_eigenpair,
-                    eigenvalue_from_moments, generator_eigenpair,
-                    hypothesis_constants, principal_eigenpair, scan_lambda)
+                    generator_eigenpair, hypothesis_constants,
+                    principal_eigenpair, scan_lambda)
 from .grid import PolymerState, SizeGrid
-from .kernel import below_cutoff_mass_share, kernel_weights
-from .operator import (BalanceResult, FragOperator, Generator, assemble,
-                       assemble_adjoint, macroscopic_balance,
+from .kernel import kernel_weights
+from .operator import (FragOperator, Generator, assemble, assemble_adjoint,
                        transport_reaction_parts)
 from .records import (PACKAGE_VERSION, ExperimentRecord, canonical_json,
                       grid_hash, write_csv)
@@ -48,13 +47,12 @@ __all__ = [
     "stability_experiment",
     "EigenConvergenceError", "EigenSolution", "HypothesisConstants",
     "PositivityViolationError", "ScanResult", "adjoint_eigenpair",
-    "eigenvalue_from_moments", "generator_eigenpair", "hypothesis_constants",
-    "principal_eigenpair",
+    "generator_eigenpair", "hypothesis_constants", "principal_eigenpair",
     "scan_lambda",
     "PolymerState", "SizeGrid",
-    "below_cutoff_mass_share", "kernel_weights",
-    "BalanceResult", "FragOperator", "Generator", "assemble", "assemble_adjoint",
-    "macroscopic_balance", "transport_reaction_parts",
+    "kernel_weights",
+    "FragOperator", "Generator", "assemble", "assemble_adjoint",
+    "transport_reaction_parts",
     "PACKAGE_VERSION", "ExperimentRecord", "canonical_json", "grid_hash",
     "write_csv",
     "BimodalityReport", "SteadyState", "StationaryCheck", "VInfResult",

@@ -351,9 +351,12 @@ def parse_config(text: str) -> RunConfig:
     xmax = get("grid.xmax")
     if xmax is None:
         xmax = default_xmax(coeffs)
-    if xmax <= coeffs.x0:
-        raise ConfigError(["config: grid.xmax (%g) must exceed model.x0 (%g)"
-                           % (xmax, coeffs.x0)])
+    # cells at least 1e-150 wide keep the products of their centres normal
+    # floats, and at least 2**-26*x0 wide keep neighbouring centres apart
+    floor = coeffs.x0 + get("grid.n") * max(1e-150, 2.0 ** -26 * coeffs.x0)
+    if not xmax >= floor:
+        raise ConfigError(["config: grid.xmax must be at least model.x0 + grid.n*max("
+                           "1e-150, 2**-26*model.x0) = %.17g, got %.17g" % (floor, xmax)])
 
     fields = {f: get(key) for key, (f, _, _) in _SCALAR_KEYS.items() if f}
     fields["xmax"] = xmax

@@ -58,7 +58,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientSet, eval_coefficients
+from .coefficients import CoefficientSet
 from .grid import SizeGrid
 from .operator import Generator
 
@@ -66,12 +66,10 @@ __all__ = [
     "EigenSolution",
     "EigenConvergenceError",
     "PositivityViolationError",
-    "MomentEstimates",
     "ScanResult",
     "HypothesisConstants",
     "principal_eigenpair",
     "generator_eigenpair",
-    "eigenvalue_from_moments",
     "adjoint_eigenpair",
     "scan_lambda",
     "hypothesis_constants",
@@ -250,55 +248,6 @@ def principal_eigenpair(coeffs: CoefficientSet, grid: SizeGrid,
     See ``generator_eigenpair``; this builds the generator for one call.
     """
     return generator_eigenpair(Generator(coeffs, grid), v)
-
-
-@dataclass(frozen=True)
-class MomentEstimates:
-    """Loss rate recovered from the two integral identities, kept separate.
-
-    by_number comes from integrating the eigen relation (count balance):
-    loss = <decay - splitting, u> / <1, u>.  by_mass comes from weighting
-    by size (mass balance): loss = (<x*decay, u> - v*<conv, u>) / <x, u>.
-    Each should match the solver eigenvalue up to the corresponding
-    truncation flux, reported alongside.  mean_size = <x, u>/<1, u> is
-    logged for inspection; it is not asserted against any closed form.
-    """
-
-    by_number: float
-    by_mass: float
-    mean_size: float
-    count_flux: float
-    mass_flux: float
-
-
-def eigenvalue_from_moments(solution: EigenSolution, coeffs: CoefficientSet) -> MomentEstimates:
-    """Recompute the loss rate from the converged profile via both balances.
-
-    Samples the rates itself rather than reading them off the solver's
-    generator, with splitting disabled in the smallest cell (it has no
-    admissible destination) as the model prescribes.  The only defect left
-    in each route is then the outflow flux at xmax, returned for use as a
-    tolerance bound.
-    """
-    if solution.u_vec is None:
-        raise ValueError("solution has no eigenvector (degenerate v=0 solve)")
-    grid = solution.grid
-    u = solution.u_vec
-    x, h = grid.centers, grid.widths
-    conv, frag, decay = eval_coefficients(coeffs, grid)
-    frag_eff = np.concatenate(([0.0], frag[1:]))
-
-    count = float(u @ h)
-    mass = float((x * u) @ h)
-    v = solution.v
-    count_flux = v * conv[-1] * u[-1]
-    mass_flux = v * (x[-1] + h[-1]) * conv[-1] * u[-1]
-    by_number = float(((decay - frag_eff) * u) @ h) / count
-    by_mass = (float((x * decay * u) @ h) - v * float((conv * u) @ h)) / mass
-    return MomentEstimates(by_number=by_number, by_mass=by_mass,
-                           mean_size=mass / count,
-                           count_flux=float(count_flux) / count,
-                           mass_flux=float(mass_flux) / mass)
 
 
 def adjoint_eigenpair(coeffs: CoefficientSet, grid: SizeGrid, v: float) -> EigenSolution:

@@ -6,7 +6,7 @@ import numpy as np
 
 from .grid import SizeGrid
 
-__all__ = ["kernel_weights", "below_cutoff_mass_share"]
+__all__ = ["kernel_weights"]
 
 
 def kernel_weights(kappa: str, grid: SizeGrid) -> np.ndarray:
@@ -66,15 +66,3 @@ def kernel_weights(kappa: str, grid: SizeGrid) -> np.ndarray:
         w[j - 1] += b
         W[:j, j] = w
     return W
-
-
-def below_cutoff_mass_share(grid: SizeGrid) -> np.ndarray:
-    """Mass per splitting event that lands below the minimal size x0.
-
-    For the uniform rule, 2*integral of x/y over (0, x0) = x0**2/y_j.  Zero
-    when x0 = 0.  This mass returns to the monomer pool, closing the books
-    for grids with a positive minimal size.
-    """
-    if grid.x0 == 0.0:
-        return np.zeros(grid.n)
-    return grid.x0 ** 2 / grid.centers

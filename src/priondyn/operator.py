@@ -38,16 +38,14 @@ import numpy as np
 
 from .coefficients import CoefficientSet, eval_coefficients
 from .grid import SizeGrid
-from .kernel import below_cutoff_mass_share, kernel_weights
+from .kernel import kernel_weights
 
 __all__ = [
     "Generator",
     "FragOperator",
-    "BalanceResult",
     "transport_reaction_parts",
     "assemble",
     "assemble_adjoint",
-    "macroscopic_balance",
 ]
 
 
@@ -316,48 +314,3 @@ def assemble_adjoint(coeffs: CoefficientSet, grid: SizeGrid, v: float) -> FragOp
     primal = assemble(coeffs, grid, v)
     h = grid.widths
     return replace(primal, matrix=(primal.matrix.T * h[None, :]) / h[:, None])
-
-
-@dataclass(frozen=True)
-class BalanceResult:
-    """Mass bookkeeping of one operator application.
-
-    raw_defect is <x, L u> - v*<conv, u> + <x*decay, u>; with exact kernel
-    moments it is carried entirely by the outflow flux and (for positive
-    minimal size) the mass handed back to the monomer pool, so
-
-        residual = raw_defect + truncation_flux + monomer_return
-
-    vanishes to rounding.
-    """
-
-    residual: float
-    truncation_flux: float
-    monomer_return: float
-    raw_defect: float
-
-
-def macroscopic_balance(op: FragOperator, u: np.ndarray) -> BalanceResult:
-    """Check that applying the operator moves mass only through the books.
-
-    The truncation flux is the polymer mass leaving through xmax per unit
-    time under the upwind scheme; the monomer return is the fragment mass
-    landing below the minimal size (zero for x0 = 0).  The residual is
-    exact to rounding.
-    """
-    u = np.asarray(u, dtype=float)
-    grid = op.grid
-    x = grid.centers
-    h = grid.widths
-    xh = x * h
-    lhs = xh @ (op.matrix @ u)
-    drain = op.v * ((op.conversion * h) @ u)
-    decay_loss = (x * op.decay * h) @ u
-    flux = op.v * (x[-1] + h[-1]) * op.conversion[-1] * u[-1]
-    below = below_cutoff_mass_share(grid)
-    monomer_return = (below * op.frag_eff * h) @ u
-    raw = lhs - drain + decay_loss
-    return BalanceResult(residual=float(raw + flux + monomer_return),
-                         truncation_flux=float(flux),
-                         monomer_return=float(monomer_return),
-                         raw_defect=float(raw))

@@ -1,17 +1,20 @@
 """Closed-form reference quantities for the constant-coefficient model.
 
 Every formula here is independent of the numerical machinery in the rest of
-the package: these are the analytic values the solvers are tested against.
-The model family covered is
+the package.  ``loss_rate_constant`` and the equilibrium shape
+(``unimodal_profile``, ``dilated_equilibrium_profile``) hold for
 
 * conversion speed constant in size (``conv0``),
 * fragmentation rate proportional to size (slope ``frag_slope``),
 * polymer decay rate constant (``decay0``),
 * binary splitting with uniform fragment placement,
-* minimal polymer size 0.
+* minimal polymer size x0 = 0.
 
-plus the affine one-parameter extension handled by
-:func:`affine_family_loss_rate`.
+``incubation_time_log_law`` turns any loss rate into an incubation time,
+and ``initial_seed_profile`` is the seeding of the time-domain runs.  The
+closed forms only tests use (the adjoint weight, the affine family, the
+moment closure at x0 >= 0) and the balance identities live in
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -22,11 +25,8 @@ import numpy as np
 
 __all__ = [
     "loss_rate_constant",
-    "adjoint_slope_length",
-    "adjoint_profile",
     "unimodal_profile",
     "dilated_equilibrium_profile",
-    "affine_family_loss_rate",
     "incubation_time_log_law",
     "initial_seed_profile",
 ]
@@ -54,16 +54,6 @@ def loss_rate_constant(conv0: float, frag_slope: float, decay0: float, v: float)
         negative values mean growth.
     """
     return decay0 - math.sqrt(conv0 * frag_slope * v)
-
-
-def adjoint_slope_length(conv0: float, frag_slope: float, v: float) -> float:
-    """Length scale L of the affine adjoint weight ``1 + x/L``."""
-    return math.sqrt(conv0 * v / frag_slope)
-
-
-def adjoint_profile(x, conv0: float, frag_slope: float, v: float):
-    """The affine adjoint eigenweight ``1 + x/L`` evaluated on ``x``."""
-    return 1.0 + np.asarray(x) / adjoint_slope_length(conv0, frag_slope, v)
 
 
 # --- the explicit unimodal equilibrium shape -------------------------------
@@ -94,29 +84,6 @@ def dilated_equilibrium_profile(x, frag_slope: float, decay0: float):
     """
     scale = frag_slope / decay0
     return unimodal_profile(np.asarray(x) * scale) * scale / UNIMODAL_MASS_EXACT
-
-
-def affine_family_loss_rate(conv0: float, conv_slope: float,
-                            frag0: float, frag_slope: float,
-                            decay0: float, v: float) -> float:
-    """Loss rate for affine conversion and affine fragmentation.
-
-    With conversion ``conv0 + conv_slope*x`` and fragmentation
-    ``frag0 + frag_slope*x`` (decay constant), the shifted rate
-    z = loss_rate - decay0 solves
-
-        (z + frag0) * (z + v*conv_slope) = v * conv0 * frag_slope
-
-    on the branch z < -v*conv_slope.  Reduces to
-    :func:`loss_rate_constant` when conv_slope = frag0 = 0.
-    """
-    b = frag0 + v * conv_slope
-    c = frag0 * v * conv_slope - v * conv0 * frag_slope
-    disc = b * b - 4.0 * c
-    if disc < 0.0:
-        raise ValueError("affine family has no real branch for these rates")
-    z = 0.5 * (-b - math.sqrt(disc))
-    return decay0 + z
 
 
 def incubation_time_log_law(loss_rate_at_vbar: float, threshold_ratio: float) -> float:

