@@ -31,9 +31,6 @@ class Constant:
     def __call__(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.value)
 
-    def curvature(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
 
 @dataclass(frozen=True)
 class Affine:
@@ -44,9 +41,6 @@ class Affine:
 
     def __call__(self, x):
         return self.intercept + self.slope * np.asarray(x, dtype=float)
-
-    def curvature(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -66,11 +60,6 @@ class Bell:
         x = np.asarray(x, dtype=float)
         return self.base + self.amplitude * np.exp(-((x - self.center) ** 2) / self.width_sq)
 
-    def curvature(self, x):
-        d = np.asarray(x, dtype=float) - self.center
-        e = np.exp(-d * d / self.width_sq)
-        return self.amplitude * e * (4.0 * d * d / self.width_sq ** 2 - 2.0 / self.width_sq)
-
 
 @dataclass(frozen=True)
 class ScaledBell:
@@ -89,17 +78,11 @@ class ScaledBell:
         s = self.tightness * (x - self.center)
         return self.base + self.tightness * _INV_SQRT_2PI * np.exp(-0.5 * s * s)
 
-    def curvature(self, x):
-        a = self.tightness
-        s = a * (np.asarray(x, dtype=float) - self.center)
-        g = np.exp(-0.5 * s * s) / np.sqrt(2.0 * np.pi)
-        return a ** 3 * (s * s - 1.0) * g
-
 
 CoefficientShape = Union[Constant, Affine, Bell, ScaledBell]
 
-# config name -> shape class.  A shape's parameters are its dataclass fields;
-# shape(x) samples the rate and shape.curvature(x) its second derivative.
+# config name -> shape class.  A shape's parameters are its dataclass fields,
+# and a shape is a plain callable: shape(x) samples the rate.
 SHAPES = {"constant": Constant, "affine": Affine, "bell": Bell, "scaled_bell": ScaledBell}
 
 

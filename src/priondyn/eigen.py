@@ -13,20 +13,17 @@ iteration whose O(n) shifted solves keep the shift above the principal
 eigenvalue, so each iterate stays a nonnegative vector.  Each step first
 tries a shift closer to the eigenvalue than the safe one, a tenth of the
 way (TRIAL_SHIFT) from the mean ratio sum(Au)/sum(u) up to it, and keeps
-that solve only when it certifies itself: w >= 0 with (t*I - A)w = u > 0
-makes t*I - A a nonsingular M-matrix (Berman and Plemmons, 1994), so t
-lies above the principal eigenvalue.  Otherwise the step solves at the
-safe shift.  On the shipped eigen scans and tightness sweeps this cuts
-the iterations from 6-15 to 4-10 per solve.  The dense assembly is not
-used here; it is the oracle the tests check these solves against.
+that solve only when ``Generator.certify`` puts the shift above the
+principal eigenvalue.  Otherwise the step solves at the safe shift.  On
+the shipped eigen scans and tightness sweeps this cuts the iterations
+from 6-15 to 4-10 per solve.  The dense assembly is not used here; it is
+the oracle the tests check these solves against.
 
 A solve may start from a given profile (``u0``) instead of a flat
 vector.  The root search in ``steady.find_v_inf`` takes one eigen solve,
-at the root, and starts it there from x = -L(v)^{-1} 1, the shifted
-solve that certified the level's sign (x > 0 gives L(v)x = -1 < 0, so
-nu <= -1/max x < 0; nu < 0 makes -L(v) a nonsingular M-matrix, so
-x >= 1/max(-diag L(v)) > 0).  Every other level of the search takes that
-sign test only.  At the root x is the Perron vector to rounding, and the
+at the root, from x = -L(v)^{-1} 1, the ``Generator.certify`` solve at
+shift 0 that certified the level's sign; other levels take that sign
+test only.  At the root x is the Perron vector to rounding, and the
 solve stops after 1 inverse iteration on every shipped root.  Scans
 start flat.  Their levels are an order of magnitude apart (8, 600, 2000
 and 8, 64, 600, 4000 in the benchmark ladders), and there a warm start
@@ -91,7 +88,7 @@ class EigenConvergenceError(RuntimeError):
 
 
 class PositivityViolationError(RuntimeError):
-    """A Perron solve produced a vector with negative entries."""
+    """A safe-shift solve failed ``Generator.certify``, or a weight is not positive."""
 
 
 @dataclass
@@ -138,15 +135,11 @@ def _principal_on_matrix(gen: Generator, v: float, adjoint: bool = False,
     is taken only over cells with u_i > 1e-8*max(u): on underflowed tail
     cells it is rounding noise.  When u > 0 and the mean ratio
     m = sum(Au)/sum(u) lies below s, the step first solves (t*I - A)w = u
-    at the trial shift t = m + TRIAL_SHIFT*(s - m), and keeps w if w >= 0:
-    A is Metzler, so t*I - A is a Z-matrix, and a nonnegative w with
-    (t*I - A)w = u > 0 makes it a nonsingular M-matrix, which puts t above
-    the principal eigenvalue with no irreducibility argument.  A trial with
-    a negative entry, or a singular factorisation, is dropped and the step
-    solves at s.  (s*I - A)^{-1} >= 0 once s exceeds the principal
-    eigenvalue; a solve at s that returns a negative entry means the shift
-    fell below it and raises PositivityViolationError rather than being
-    clipped.
+    at the trial shift t = m + TRIAL_SHIFT*(s - m), and keeps w if
+    ``Generator.certify`` puts t above the principal eigenvalue; otherwise
+    it solves at s.  A solve at s that fails the certificate means the
+    shift fell below the principal eigenvalue and raises
+    PositivityViolationError rather than being clipped.
     The iteration stops when the l1 residual |Au - nu*u| of the l1-normed
     iterate drops below DEFAULT_TOL * scale, scale the largest absolute row
     sum of A; after DEFAULT_MAX_ITER steps it raises EigenConvergenceError.
@@ -174,23 +167,15 @@ def _principal_on_matrix(gen: Generator, v: float, adjoint: bool = False,
         w = None
         m = float(au.sum()) / float(u.sum())
         if m < s and u.min() > 0.0:
-            # w >= 0 with (t*I - A)w = u > 0 makes the Z-matrix t*I - A a
-            # nonsingular M-matrix, so t lies above the principal eigenvalue
             solves += 1
-            try:
-                w = gen.solve_shifted(v, m + TRIAL_SHIFT * (s - m), u,
-                                      adjoint=adjoint)
-            except np.linalg.LinAlgError:
-                pass
-            if w is not None and not w.min() >= 0.0:
-                w = None
+            w = gen.certify(v, m + TRIAL_SHIFT * (s - m), u, adjoint=adjoint)
         if w is None:
             solves += 1
-            w = gen.solve_shifted(v, s, u, adjoint=adjoint)
-            if w.min() < 0.0:
+            w = gen.certify(v, s, u, adjoint=adjoint)
+            if w is None:
                 raise PositivityViolationError(
-                    "shifted solve at level v=%g returned entries down to %.3e "
-                    "(shift %.17g)" % (v, float(w.min()), s))
+                    "shifted solve at level v=%g failed its positivity "
+                    "certificate (shift %.17g)" % (v, s))
         u = w / w.sum()
         au = apply(v, u)
         nu = float(u @ au) / float(u @ u)

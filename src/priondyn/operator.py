@@ -242,6 +242,24 @@ class Generator:
         z[1:] -= z[:-1].copy()
         return z
 
+    def certify(self, v: float, s: float, b: np.ndarray,
+                adjoint: bool = False) -> Optional[np.ndarray]:
+        """x with (s*I - L(v)) x = b (L(v)^T: ``adjoint``) if x >= 0, else None.
+
+        The one positivity certificate every solver reads.  L(v) is
+        Metzler, so s*I - L(v) is a Z-matrix, and for b > 0 a solution
+        x >= 0 makes it a nonsingular M-matrix (Berman and Plemmons, 1994):
+        s lies above the principal eigenvalue, with no irreducibility
+        argument.  Above it (s*I - L(v))^{-1} >= 0, so x_i >= b_i/(s -
+        L(v)_ii) > 0.  None (a singular factorisation, or an entry below 0
+        or NaN) puts s at or below it, up to rounding.
+        """
+        try:
+            x = self.solve_shifted(v, s, b, adjoint=adjoint)
+        except np.linalg.LinAlgError:
+            return None
+        return x if x.min() >= 0.0 else None
+
 
 def transport_reaction_parts(coeffs: CoefficientSet, grid: SizeGrid):
     """Split the generator into monomer-level-proportional and fixed parts.

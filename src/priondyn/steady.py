@@ -28,9 +28,9 @@ __all__ = [
 class VInfResult:
     """Outcome of the loss-rate root search.
 
-    When found is False, (bracket_lo, bracket_hi) is the scanned range that
-    produced no sign change; (0, 0) when the loss rate is already 0 at
-    v = 0.  When found, v_inf is bracket_lo, the highest level certified to
+    When found is False, (bracket_lo, bracket_hi) is the range (0, v_max)
+    with no sign change, (0, 0) when the loss rate is already 0 at v = 0.
+    When found, v_inf is bracket_lo, the highest level certified to
     have a positive loss rate, and bracket_hi - bracket_lo <= 1e-13 *
     bracket_hi; lambda_at_root and solution come from the one eigen solve
     at v_inf.  sign_tests counts the levels whose sign one shifted solve
@@ -49,42 +49,33 @@ class VInfResult:
     solution: Optional[EigenSolution] = field(default=None, repr=False)
 
 
-def _positive_loss_certificate(gen: Generator, v: float) -> Optional[np.ndarray]:
-    """x = -L(v)^{-1} 1 when it is entrywise positive, else None.
-
-    A returned x certifies a positive loss rate at v, and None (a singular
-    factorisation or an entry <= 0) a loss rate <= 0, up to rounding; the
-    proof is in ``find_v_inf``.
-    """
-    try:
-        x = gen.solve_shifted(v, 0.0, np.ones(gen.grid.n))
-    except np.linalg.LinAlgError:
-        return None
-    return x if x.min() > 0.0 else None
-
-
 def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid) -> VInfResult:
     """Locate the monomer level where the loss rate crosses zero.
 
-    Every level takes one shifted solve, not an eigen solve: x = -L(v)^{-1} 1
-    (``_positive_loss_certificate``) fixes the sign of the loss rate.  If
-    x > 0 then L(v)x = -1 < 0, so by Collatz-Wielandt nu(v) <= -1/max x < 0;
-    if nu(v) < 0 then -L(v) is a nonsingular M-matrix and x >= 1/max(-diag
-    L(v)) > 0.  At v = 0 the generator is triangular and the loss rate is
-    min(decay + splitting), read off its diagonal; when that is 0 (a cell
-    with neither decay nor splitting) there is no positive root.
+    Every level takes one shifted solve, not an eigen solve:
+    ``Generator.certify`` at shift 0 with b = 1 returns x = -L(v)^{-1} 1
+    exactly when the loss rate at v is positive, up to rounding.  At v = 0
+    the generator is triangular and the loss rate is min(decay +
+    splitting), read off its diagonal; when that is 0 (a cell with neither
+    decay nor splitting) there is no positive root.  Nor is there one, and
+    no level is tested, when no cell converts: L(v) is then L(0).
 
     A geometric ladder (doubling from 1) brackets the sign change inside
     [0, v_max]; v_max is ten times the uninfected level
-    production/clearance.  Bisection then keeps f(lo) > 0 >= f(hi) and
-    stops at hi - lo <= 1e-13*hi, which is relative to hi, so lo ends above
-    0 even when the root lies below the first ladder level.  It reads
-    signs only: no slope, no tolerance on the loss rate and no cap.  The
-    one eigen solve is at v_inf = lo, started from lo's x, which there is
-    the Perron vector to rounding.
+    production/clearance, or at zero clearance, where that is infinite,
+    the level where v*max(conv/h), the largest transport entry, reaches
+    1e150, so every band-LU entry stays finite; either is cut to 1e300,
+    so the doubling stays finite too.  Bisection then keeps f(lo) > 0 >=
+    f(hi) and stops at hi - lo <= 1e-13*hi, which is relative to hi, so
+    lo ends above 0 even when the root lies below the first ladder level.
+    It reads signs only: no slope, no tolerance on the loss rate and no
+    iteration cap.  The one eigen solve is at v_inf = lo, started from
+    lo's x, which there is the Perron vector to rounding.
     """
-    v_max = 10.0 * coeffs.vbar if coeffs.clearance > 0.0 else 6000.0
     gen = Generator(coeffs, grid)
+    speed = float(-gen.t_diag.min())  # max(conv/h)
+    v_max = min(10.0 * coeffs.vbar if coeffs.clearance > 0.0 or not speed
+                else 1e150 / speed, 1e300)
     sign_tests = 0
 
     def not_found(hi: float) -> VInfResult:
@@ -95,10 +86,12 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid) -> VInfResult:
     # eval_coefficients rejects negative rates, so f(0) >= 0
     if gen.loss.min() <= 0.0:
         return not_found(0.0)
+    if speed == 0.0:
+        return not_found(v_max)
     lo, x_lo = 0.0, None
     hi = min(1.0, v_max)
     while True:
-        x = _positive_loss_certificate(gen, hi)
+        x = gen.certify(hi, 0.0, np.ones(grid.n))
         sign_tests += 1
         if x is None:
             break
@@ -108,7 +101,7 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid) -> VInfResult:
         hi = min(2.0 * hi, v_max)
     while hi - lo > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
-        x = _positive_loss_certificate(gen, mid)
+        x = gen.certify(mid, 0.0, np.ones(grid.n))
         sign_tests += 1
         if x is None:
             hi = mid
@@ -245,9 +238,12 @@ class BimodalityReport:
     """Mode structure of the stationary profile.
 
     necessary_condition_met evaluates v_inf * min(conv'') < -3*frag_slope,
-    the curvature threshold a second interior mode requires; it is None
-    when the splitting rate is not origin-anchored linear (the class the
-    threshold is derived in).
+    the curvature threshold a second interior mode requires, with conv''
+    the second difference (c[i+1] - 2c[i] + c[i-1])/h**2 of the
+    conversion the root's generator sampled, over the interior cells; it
+    is False below three cells (no interior cell), and None when the
+    splitting rate is not origin-anchored linear (the class the threshold
+    is derived in).
     """
 
     n_modes: int
@@ -326,8 +322,10 @@ def bimodality_report(ss: SteadyState) -> BimodalityReport:
     cond = None
     if (isinstance(coeffs.fragmentation, Affine)
             and coeffs.fragmentation.intercept == 0.0):
-        curv = coeffs.conversion.curvature(grid.centers)
-        cond = bool(ss.v_inf * float(curv.min()) < -3.0 * coeffs.fragmentation.slope)
+        c = ss.root.solution.generator.conversion
+        curv = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / grid.widths[0] ** 2
+        cond = curv.size > 0 and bool(
+            ss.v_inf * float(curv.min()) < -3.0 * coeffs.fragmentation.slope)
 
     return BimodalityReport(n_modes=int(idx.size), mode_locations=locations,
                             necessary_condition_met=cond,

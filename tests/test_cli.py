@@ -826,6 +826,36 @@ def test_grid_at_the_width_floor_runs(tmp_path, x0):
     assert err["error"] == "no loss-rate root in (0, 6000); cannot build a steady state"
 
 
+EXTREME_STEADY = {
+    # a bump that falls between the cell centres, so narrow that its
+    # analytic curvature is NaN or overflows: the sampled conversion is
+    # flat, so the curvature condition reads False
+    "bell-width_sq-1e-200": [
+        "model.conversion.shape = bell", "model.conversion.base = 0.001",
+        "model.conversion.amplitude = 0.1", "model.conversion.center = 2.0",
+        "model.conversion.width_sq = 1e-200", "grid.xmax = 60.0", "grid.n = 50"],
+    "scaled_bell-tightness-1e103": [
+        "model.conversion.shape = scaled_bell", "model.conversion.base = 0.001",
+        "model.conversion.tightness = 1e103", "model.conversion.center = 2.0",
+        "grid.xmax = 60.0", "grid.n = 50"],
+    # two cells have no interior second difference, three have one
+    "n2": ["grid.n = 2"],
+    "n3": ["grid.n = 3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_STEADY))
+def test_steady_reads_the_curvature_of_the_sampled_conversion(tmp_path, case):
+    cfg = tmp_path / "steady.cfg"
+    cfg.write_text("\n".join(["experiment = steady", *EXTREME_STEADY[case], ""]))
+    out = tmp_path / "out"
+    proc = _fresh_python("-W", "error", "-m", "priondyn", "steady",
+                         "--config", str(cfg), "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    record = json.loads(next(out.glob("steady-*.json")).read_text())
+    assert record["results"]["necessary_condition_met"] is False
+
+
 def test_frag_slope_items_integrate_as_a_simulate_run_does(tmp_path):
     common = ["simulate.t_end = 8.0", "simulate.snapshot_times = 4.0",
               "simulate.threshold_ratio = 2", "simulate.record_every = 2",
@@ -1314,6 +1344,7 @@ def test_console_script_runs():
 @pytest.mark.parametrize("demo", sorted(
     p.name for p in (CONFIG_DIR.parent / "demos").glob("*.py")))
 def test_demo_runs(demo):
-    proc = _fresh_python(str(CONFIG_DIR.parent / "demos" / demo))
-    assert proc.returncode == 0, proc.stderr
+    # warnings are errors, and a clean run writes nothing to stderr
+    proc = _fresh_python("-W", "error", str(CONFIG_DIR.parent / "demos" / demo))
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.strip()

@@ -24,12 +24,6 @@ def test_bell_shape_peak_and_curvature():
     assert b(np.array([2.0]))[0] == pytest.approx(0.011, abs=1e-15)
     # two widths away the bump is essentially gone
     assert b(np.array([4.0]))[0] == pytest.approx(0.001, abs=1e-12)
-    assert b.curvature(2.0) == pytest.approx(-0.2, rel=1e-14)
-    # curvature matches a finite-difference probe at the peak
-    eps = 1e-4
-    fd = (b(np.array([2.0 + eps]))[0] - 2 * b(np.array([2.0]))[0]
-          + b(np.array([2.0 - eps]))[0]) / eps ** 2
-    assert fd == pytest.approx(b.curvature(2.0), rel=1e-4)
 
 
 def test_scaled_bell_area_invariant():

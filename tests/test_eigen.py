@@ -12,7 +12,8 @@ import pytest
 from scipy.linalg import eig
 
 from priondyn import (Affine, Bell, CoefficientSet, Constant, EigenConvergenceError,
-                      Generator, SizeGrid, adjoint_eigenpair, assemble,
+                      Generator, PositivityViolationError, SizeGrid,
+                      adjoint_eigenpair, assemble,
                       eval_coefficients, generator_eigenpair,
                       hypothesis_constants, principal_eigenpair, scan_lambda)
 from priondyn.eigen import DEFAULT_TOL
@@ -139,6 +140,28 @@ def test_rejected_trial_shift_falls_back_to_the_safe_shift(monkeypatch):
     assert abs(sol.lambda_eig - clean.lambda_eig) <= DEFAULT_TOL * scale
     assert sol.shifted_solves == len(shifts) >= sol.iterations + 1
     assert clean.shifted_solves >= clean.iterations
+
+
+def test_singular_safe_shift_names_the_level(monkeypatch):
+    # a safe-shift solve that fails its certificate, here by a singular
+    # factorisation, is a positivity failure at a named level and shift
+    def singular(self, v, s, b, adjoint=False):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(Generator, "solve_shifted", singular)
+    with pytest.raises(PositivityViolationError, match="level v=600 .*shift "):
+        generator_eigenpair(Generator(BUMP, SizeGrid.uniform(60.0, 200)), 600.0)
+
+
+def test_certificate_rejects_a_singular_shift():
+    # no decay and no splitting in the smallest cell: at v = 0 and shift 0
+    # the shifted generator has a zero pivot
+    gen = Generator(CoefficientSet(production=2400.0, clearance=4.0,
+                                   decay=Constant(0.0)), SizeGrid.uniform(30.0, 50))
+    assert gen.loss[0] == 0.0
+    assert gen.certify(0.0, 0.0, np.ones(50)) is None
+    x = gen.certify(0.0, 1.0, np.ones(50))
+    assert x is not None and x.min() > 0.0
 
 
 def test_trial_shifts_keep_the_bump_ladder_short():

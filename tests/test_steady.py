@@ -1,6 +1,7 @@
 """Steady-state construction, existence logic, and mode counting."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -90,7 +91,7 @@ def test_sign_test_against_dense_oracle(coeffs, xmax, factor):
     grid = SizeGrid.uniform(xmax, 300)
     gen = Generator(coeffs, grid)
     v = factor * find_v_inf(coeffs, grid).v_inf
-    x = steady_module._positive_loss_certificate(gen, v)
+    x = gen.certify(v, 0.0, np.ones(grid.n))
     nu = eig(assemble(coeffs, grid, v).matrix, right=False).real.max()
     assert (x is not None) == (nu < 0.0), (nu, factor)
     if x is not None:
@@ -99,14 +100,18 @@ def test_sign_test_against_dense_oracle(coeffs, xmax, factor):
 
 
 def _fake_sign(monkeypatch, f):
-    """Replace the root search's sign certificate by the sign of a scalar f(v)."""
+    """Replace the root search's sign test, the certificate at shift 0, by
+    the sign of a scalar f(v); the eigen solve's shifts stay real."""
     levels = []
+    certify = Generator.certify
 
-    def fake(gen, v):
+    def fake(gen, v, s, b, adjoint=False):
+        if s != 0.0:
+            return certify(gen, v, s, b, adjoint=adjoint)
         levels.append(v)
         return np.ones(gen.grid.n) if f(v) > 0.0 else None
 
-    monkeypatch.setattr(steady_module, "_positive_loss_certificate", fake)
+    monkeypatch.setattr(Generator, "certify", fake)
     return levels
 
 
@@ -245,6 +250,51 @@ def test_no_conversion_means_no_root():
     assert not root.found
     with pytest.raises(ValueError, match="root"):
         build_steady_state(coeffs, grid)
+
+
+def test_zero_clearance_root_is_the_clearance_four_root():
+    # the ladder is capped by ten times vbar, 1e5 here, or at zero
+    # clearance by the float range; both cross zero at 8192 and then
+    # bisect the same bracket
+    grid = SizeGrid.uniform(30.0, 100)
+    capped = find_v_inf(CoefficientSet(production=40000.0, clearance=4.0,
+                                       conversion=Constant(1e-5)), grid)
+    free = find_v_inf(CoefficientSet(production=40000.0, clearance=0.0,
+                                     conversion=Constant(1e-5)), grid)
+    assert capped.found and free.found
+    assert free.v_inf == capped.v_inf == 8163.1579828020185
+    assert free.sign_tests == capped.sign_tests
+    assert free.bracket_hi == capped.bracket_hi
+
+
+def test_zero_conversion_at_zero_clearance_has_no_root():
+    # L(v) does not depend on v, so no level is tested
+    coeffs = CoefficientSet(production=2400.0, clearance=0.0,
+                            conversion=Constant(0.0))
+    root = find_v_inf(coeffs, SizeGrid.uniform(30.0, 200))
+    assert not root.found
+    assert root.sign_tests == 0
+    assert (root.bracket_lo, root.bracket_hi) == (0.0, 1e300)
+
+
+def test_root_ladder_stays_in_the_float_range():
+    # the loss rate never turns: with no splitting and every polymer
+    # decaying, transport only moves mass.  At zero clearance the ladder
+    # runs until v*max(conv/h) reaches 1e150
+    coeffs = CoefficientSet(production=1.0, clearance=0.0,
+                            conversion=Constant(0.5),
+                            fragmentation=Constant(0.0))
+    grid = SizeGrid.uniform(30.0, 60)
+    root = find_v_inf(coeffs, grid)
+    assert not root.found
+    assert root.bracket_hi == 1e150 / (0.5 / 0.5)
+    assert root.sign_tests == 500
+    # a level past 1e300, from so slow a conversion or from a vbar that
+    # overflows, is cut to 1e300, so the doubling stays finite
+    for changes in ({"conversion": Constant(1e-300)},
+                    {"production": 1e300, "clearance": 1e-10}):
+        root = find_v_inf(dataclasses.replace(coeffs, **changes), grid)
+        assert not root.found and root.bracket_hi == 1e300
 
 
 # --- stationary second-order form ------------------------------------------
