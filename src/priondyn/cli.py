@@ -60,8 +60,8 @@ def _steady(coeffs, grid):
     if rep.necessary_condition_met is not None:
         results["necessary_condition_met"] = rep.necessary_condition_met
     root = {"root_evaluations": ss.root.evaluations,
-            "root_iterations": ss.root.iterations,
-            "root_loss_rate": ss.root.lambda_at_root,
+            "root_iterations": ss.root.solution.iterations,
+            "root_loss_rate": ss.root.solution.lambda_eig,
             "root_sign_tests": ss.root.sign_tests}
     return ss, results, root
 

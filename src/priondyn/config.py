@@ -53,17 +53,17 @@ class ConfigError(ValueError):
 
 
 def default_xmax(coeffs: CoefficientSet) -> float:
-    """Domain size covering the equilibrium profile tail.
+    """Upper domain end covering the equilibrium profile tail.
 
     For constant decay with a linear-growth splitting rate the
     equilibrium density decays like exp(-(x*slope/decay0)**2/2); ten mean
-    sizes leave less than 1e-8 of the mass outside.  Other shape classes
-    fall back to a wide fixed domain.
+    sizes past x0 leave less than 1e-8 of the mass outside.  Other shape
+    classes fall back to a wide fixed span of 60 past x0.
     """
     if isinstance(coeffs.decay, Constant) and isinstance(coeffs.fragmentation, Affine) \
             and coeffs.fragmentation.slope > 0.0:
-        return 10.0 * coeffs.decay.value / coeffs.fragmentation.slope
-    return 60.0
+        return coeffs.x0 + 10.0 * coeffs.decay.value / coeffs.fragmentation.slope
+    return coeffs.x0 + 60.0
 
 
 def sweep_axis_error(coeffs: CoefficientSet, axis: str) -> Optional[str]:

@@ -26,78 +26,66 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VInfResult:
-    """Outcome of the loss-rate root search.
+    """A found root of the loss rate.
 
-    When found is False, (bracket_lo, bracket_hi) is the range (0, v_max)
-    with no sign change, (0, 0) when the loss rate is already 0 at v = 0.
-    When found, v_inf is bracket_lo, the highest level certified to
-    have a positive loss rate, and bracket_hi - bracket_lo <= 1e-13 *
-    bracket_hi; lambda_at_root and solution come from the one eigen solve
-    at v_inf.  sign_tests counts the levels whose sign one shifted solve
-    certified, evaluations the eigen solves (1 when found, else 0) and
-    iterations their inverse iterations.
+    v_inf is the highest level certified to have a positive loss rate,
+    bracket_hi the lowest certified not to, and bracket_hi - v_inf <=
+    1e-13 * bracket_hi.  solution is the one eigen solve (evaluations = 1),
+    at v_inf; sign_tests counts the levels one shifted solve certified.
     """
 
-    found: bool
-    v_inf: Optional[float]
-    lambda_at_root: Optional[float]
-    bracket_lo: float
+    v_inf: float
     bracket_hi: float
-    evaluations: int
-    iterations: int
     sign_tests: int
-    solution: Optional[EigenSolution] = field(default=None, repr=False)
+    evaluations: int
+    solution: EigenSolution = field(repr=False)
 
 
 def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid) -> VInfResult:
     """Locate the monomer level where the loss rate crosses zero.
 
-    Every level takes one shifted solve, not an eigen solve:
+    The search reads the generator alone; production and clearance do not
+    enter it.  Every level takes one shifted solve, not an eigen solve:
     ``Generator.certify`` at shift 0 with b = 1 returns x = -L(v)^{-1} 1
-    exactly when the loss rate at v is positive, up to rounding.  At v = 0
-    the generator is triangular and the loss rate is min(decay +
-    splitting), read off its diagonal; when that is 0 (a cell with neither
-    decay nor splitting) there is no positive root.  Nor is there one, and
-    no level is tested, when no cell converts: L(v) is then L(0).
+    exactly when the loss rate at v is positive, up to rounding.
 
     A geometric ladder (doubling from 1) brackets the sign change inside
-    [0, v_max]; v_max is ten times the uninfected level
-    production/clearance, or at zero clearance, where that is infinite,
-    the level where v*max(conv/h), the largest transport entry, reaches
-    1e150, so every band-LU entry stays finite; either is cut to 1e300,
-    so the doubling stays finite too.  Bisection then keeps f(lo) > 0 >=
-    f(hi) and stops at hi - lo <= 1e-13*hi, which is relative to hi, so
-    lo ends above 0 even when the root lies below the first ladder level.
-    It reads signs only: no slope, no tolerance on the loss rate and no
+    [0, v_max]: v_max is where v*max(conv/h), the largest transport entry,
+    reaches 1e150 (so every band-LU entry stays finite), cut to 1e300 (so
+    the doubling stays finite).  Bisection then keeps f(lo) > 0 >= f(hi)
+    and stops at hi - lo <= 1e-13*hi, which is relative to hi, so lo ends
+    above 0 even when the root lies below the first ladder level.  It
+    reads signs only: no slope, no tolerance on the loss rate and no
     iteration cap.  The one eigen solve is at v_inf = lo, started from
     lo's x, which there is the Perron vector to rounding.
+
+    Raises ValueError, starting "no loss-rate root", when the loss rate at
+    v = 0, min(decay + splitting) off the diagonal of the triangular L(0),
+    is already 0; when no cell converts, so L(v) is L(0) and no level is
+    tested; or when the loss rate stays positive up to v_max.
     """
     gen = Generator(coeffs, grid)
-    speed = float(-gen.t_diag.min())  # max(conv/h)
-    v_max = min(10.0 * coeffs.vbar if coeffs.clearance > 0.0 or not speed
-                else 1e150 / speed, 1e300)
-    sign_tests = 0
-
-    def not_found(hi: float) -> VInfResult:
-        return VInfResult(found=False, v_inf=None, lambda_at_root=None,
-                          bracket_lo=0.0, bracket_hi=hi, evaluations=0,
-                          iterations=0, sign_tests=sign_tests)
-
     # eval_coefficients rejects negative rates, so f(0) >= 0
     if gen.loss.min() <= 0.0:
-        return not_found(0.0)
+        raise ValueError(
+            "no loss-rate root above v=0: the loss rate is already 0 at v=0 "
+            "(a cell with neither decay nor splitting); cannot build a "
+            "steady state")
+    speed = float(-gen.t_diag.min())  # max(conv/h)
     if speed == 0.0:
-        return not_found(v_max)
-    lo, x_lo = 0.0, None
-    hi = min(1.0, v_max)
+        raise ValueError("no loss-rate root: no cell converts, so the loss "
+                         "rate does not depend on v")
+    v_max = min(1e150 / speed, 1e300)
+    lo, x_lo, hi, sign_tests = 0.0, None, min(1.0, v_max), 0
     while True:
         x = gen.certify(hi, 0.0, np.ones(grid.n))
         sign_tests += 1
         if x is None:
             break
-        lo, x_lo = hi, x
         if hi >= v_max:
-            return not_found(v_max)
+            raise ValueError("no loss-rate root in (0, %g): the loss rate "
+                             "stays positive up to the float-range cap" % v_max)
+        lo, x_lo = hi, x
         hi = min(2.0 * hi, v_max)
     while hi - lo > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
@@ -107,21 +95,19 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid) -> VInfResult:
             hi = mid
         else:
             lo, x_lo = mid, x
-    sol = generator_eigenpair(gen, lo, u0=x_lo)
-    return VInfResult(found=True, v_inf=lo, lambda_at_root=sol.lambda_eig,
-                      bracket_lo=lo, bracket_hi=hi, evaluations=1,
-                      iterations=sol.iterations, sign_tests=sign_tests,
-                      solution=sol)
+    return VInfResult(v_inf=lo, bracket_hi=hi, sign_tests=sign_tests, evaluations=1,
+                      solution=generator_eigenpair(gen, lo, u0=x_lo))
 
 
 @dataclass
 class SteadyState:
-    """Non-trivial steady state of the coupled system, when it exists.
+    """Coexistence root and, when it exists, the non-trivial steady state.
 
     u_profile is the unit-count eigenprofile at v_inf; u_inf = rho_inf *
     u_profile is the physical density, present only when the existence
     constraint v_inf < vbar holds (otherwise the count formula would be
-    nonpositive and rho_inf/u_inf stay None).
+    nonpositive and rho_inf/u_inf stay None).  root is the search that
+    found v_inf.
     """
 
     v_inf: float
@@ -132,7 +118,7 @@ class SteadyState:
     grid: SizeGrid
     coeffs: CoefficientSet
     u_profile: np.ndarray = field(repr=False)
-    root: Optional[VInfResult] = None
+    root: VInfResult
 
     def center_of_mass(self) -> float:
         xh = self.grid.centers * self.grid.widths
@@ -142,20 +128,13 @@ class SteadyState:
 def build_steady_state(coeffs: CoefficientSet, grid: SizeGrid) -> SteadyState:
     """Solve for the steady state: root, eigenprofile, count, existence.
 
-    The count rho closes the monomer balance with the weights of the root's
-    generator, production = v*clearance + rho*(v*<conv, u> - <returned, u>)
-    for u = u_profile; returned is zero when x0 = 0.
+    find_v_inf's ValueError passes through when there is no root.  exists
+    is v_inf < vbar: False at or above vbar (zero production included).
+    The count rho closes the monomer balance with the weights of the
+    root's generator, production = v*clearance + rho*(v*<conv, u> -
+    <returned, u>) for u = u_profile; returned is zero when x0 = 0.
     """
     root = find_v_inf(coeffs, grid)
-    if not root.found and root.bracket_hi == 0.0:
-        raise ValueError(
-            "no loss-rate root above v=0: the loss rate is already 0 at v=0 "
-            "(a cell with neither decay nor splitting); cannot build a "
-            "steady state")
-    if not root.found:
-        raise ValueError(
-            "no loss-rate root in (0, %g); cannot build a steady state"
-            % root.bracket_hi)
     gen, u, v = root.solution.generator, root.solution.u_vec, root.v_inf
     net_uptake = (float((gen.conversion * u) @ grid.widths)
                   - float(gen.returned @ u) / v)

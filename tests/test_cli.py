@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from priondyn import IntegratorFailure, PolymerState, SizeGrid, cli, config, eigen
+from priondyn import (CoefficientSet, IntegratorFailure, PolymerState, SizeGrid,
+                      build_steady_state, cli, config, eigen)
 from priondyn.cli import main
 from priondyn.coefficients import SHAPES
 from priondyn.records import canonical_json
@@ -219,14 +220,32 @@ def test_sweep_axis_not_fitting_the_shape_is_a_config_error(tmp_path):
 
 
 def test_error_file_goes_to_the_configured_output_dir(tmp_path, monkeypatch):
-    # production 1 leaves no loss-rate root, so the run fails after parsing
+    # without splitting the loss rate has no root, so the run fails after
+    # parsing
     monkeypatch.chdir(tmp_path)
-    Path("noroot.cfg").write_text("experiment = steady\nmodel.production = 1\n"
+    Path("noroot.cfg").write_text("experiment = steady\nmodel.fragmentation.shape = constant\n"
+                                  "model.fragmentation.value = 0\n"
                                   "grid.n = 100\ngrid.xmax = 30\noutput.dir = o1\n")
     assert main(["steady", "--config", "noroot.cfg"]) == 2
     err = json.loads(Path("o1/error-steady.json").read_text())
     assert "no loss-rate root" in err["error"]
     assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("production", [1000.0, 100.0, 10.0, 1.0, 0.0])
+def test_root_does_not_depend_on_production(tmp_path, production):
+    # production enters vbar, not L(v): every production finds the same
+    # v_inf, which lies below vbar only at production 1000
+    ss = build_steady_state(CoefficientSet(production=production, clearance=4.0),
+                            SizeGrid.uniform(30.0, 200))
+    assert ss.v_inf == 83.07523780464544
+    assert ss.exists == (production == 1000.0)
+    code, out = _run(tmp_path, "steady", "experiment = steady\nmodel.production = %r\n"
+                     "grid.n = 200\ngrid.xmax = 30\n" % production)
+    assert code == 0
+    results = _record(out, "steady-*.json")["results"]
+    assert results["v_inf"] == 83.07523780464544
+    assert results["exists"] == (production == 1000.0)
 
 
 def test_zero_loss_rate_at_zero_level_fails_the_run(tmp_path):
@@ -817,13 +836,17 @@ def test_grid_too_short_for_its_cells_is_a_config_error(tmp_path, x0, xmax):
 @pytest.mark.parametrize("x0", [0.0, 1.0])
 def test_grid_at_the_width_floor_runs(tmp_path, x0):
     # every polymer leaves through xmax at once, so the loss rate has no
-    # root: the solver says so instead of failing on the grid
+    # root: the solver says so instead of failing on the grid.  The ladder
+    # stops where v*max(conv/h) reaches 1e150: h is 1e-150 at x0 = 0 and
+    # 2**-26 at x0 = 1, conv 0.001 at both
+    cap = {0.0: "1000", 1.0: "1.49012e+145"}[x0]
     floor = x0 + 50 * max(1e-150, 2.0 ** -26 * x0)
     code, out = _run(tmp_path, "steady", _short_grid(x0, floor))
     assert code == 2
     err = json.loads((out / "error-steady.json").read_text())
     assert err["error_type"] == "ValueError"
-    assert err["error"] == "no loss-rate root in (0, 6000); cannot build a steady state"
+    assert err["error"] == ("no loss-rate root in (0, %s): the loss rate stays "
+                            "positive up to the float-range cap" % cap)
 
 
 EXTREME_STEADY = {

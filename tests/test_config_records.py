@@ -325,6 +325,16 @@ def test_shipped_configs_parse():
     assert isinstance(seen["fig3.cfg"].coeffs.conversion, Bell)
 
 
+def test_default_xmax_is_measured_from_x0():
+    # ten mean sizes, or the fallback span of 60, past the minimal size:
+    # a default domain always holds grid.n cells above x0
+    cfg = parse_config("experiment = steady\nmodel.x0 = 20\ngrid.n = 50\n")
+    assert cfg.xmax == 20.0 + 10.0 * 0.05 / 0.03
+    flat = parse_config("experiment = steady\nmodel.x0 = 20\ngrid.n = 50\n"
+                        "model.fragmentation.shape = constant\nmodel.fragmentation.value = 0.01\n")
+    assert flat.xmax == 80.0
+
+
 def test_default_xmax_falls_back_without_slope():
     cfg = parse_config("\n".join([
         "experiment = steady",

@@ -8,16 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import eig
 
-from priondyn import (Affine, Bell, CoefficientSet, EigenConvergenceError,
+from priondyn import (Affine, Bell, CoefficientSet, EigenConvergenceError, Generator,
                       IntegratorFailure, PolymerState, PositivityViolationError, SizeGrid,
-                      Trajectory, adjoint_eigenpair, growth_rate,
+                      Trajectory, adjoint_eigenpair, assemble, find_v_inf, growth_rate,
                       hypothesis_constants,
                       incubation_time, integrate, principal_eigenpair,
                       seed_state, stability_experiment)
 from priondyn.cli import sweep
 from priondyn.config import parse_config
 from priondyn.dynamics import line_fit
+from priondyn.eigen import DEFAULT_TOL
 from priondyn.reference import incubation_time_log_law, loss_rate_constant
 
 from oracle import MomentClosure
@@ -543,6 +545,30 @@ def test_stability_norms_read_v_at_each_sample():
                 + abs(v_by_time[t] - res.vbar) for t, u in traj.snapshots]
     assert len(expected) == 40
     np.testing.assert_allclose(res.norm_values, expected, rtol=1e-12, atol=0.0)
+
+
+# relative offset of vbar from v_inf that puts the dense eigenvalue at
+# vbar about 3*DEFAULT_TOL*scale from 0 on fig2-bell's shape
+NEAR_ROOT = {100: 1.5e-7, 200: 3e-7}
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+@pytest.mark.parametrize("n", sorted(NEAR_ROOT))
+def test_stability_regime_near_a_zero_loss_rate(n, side):
+    # near lambda(vbar) = 0 the adjoint solve's error could flip the
+    # regime; it must still match the sign of the dense eigenvalue
+    grid = SizeGrid.uniform(60.0, n)
+    bell = Bell(0.001, 0.1, 2.0, width_sq=0.1)
+    v_inf = find_v_inf(CoefficientSet(production=2400.0, clearance=4.0,
+                                      conversion=bell), grid).v_inf
+    coeffs = CoefficientSet(production=4.0 * v_inf * (1.0 + side * NEAR_ROOT[n]),
+                            clearance=4.0, conversion=bell)
+    vbar, gen = coeffs.vbar, Generator(coeffs, grid)
+    scale = float((gen.apply(vbar, np.ones(n)) - 2.0 * gen.diagonal(vbar)).max())
+    nu = eig(assemble(coeffs, grid, vbar).matrix, right=False).real.max()
+    assert 1.0 <= abs(nu) / (DEFAULT_TOL * scale) <= 10.0
+    res = stability_experiment(coeffs, grid, epsilon=1e-6, t_end=1.0)
+    assert res.regime == ("damping" if nu < 0.0 else "amplifying")
 
 
 def test_stability_zero_perturbation_is_fixed_point():

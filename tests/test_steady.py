@@ -50,11 +50,11 @@ def test_steady_anchors(baseline):
 
 def test_root_diagnostics(baseline):
     root = baseline.root
-    assert root.found
-    assert root.v_inf == root.bracket_lo < root.bracket_hi
-    assert root.bracket_hi - root.bracket_lo <= 1e-13 * root.bracket_hi
+    assert root.v_inf < root.bracket_hi
+    assert root.bracket_hi - root.v_inf <= 1e-13 * root.bracket_hi
     # a bracket of 1e-13 relative maps through the loss-rate slope (~3e-4)
-    assert abs(root.lambda_at_root) <= 1e-12
+    assert root.solution.v == root.v_inf
+    assert abs(root.solution.lambda_eig) <= 1e-12
     # one eigen solve, at v_inf; the ladder 1, 2, ..., 128 and the
     # bisection take signs only: deterministic counts, not a timing
     assert root.evaluations == 1
@@ -75,7 +75,6 @@ ORACLE_IDS = ["fig3", "fig3-control", "fig4-center-4.167"]
 def test_root_against_dense_oracle(coeffs, xmax):
     grid = SizeGrid.uniform(xmax, 400)
     root = find_v_inf(coeffs, grid)
-    assert root.found
     gen = Generator(coeffs, grid)
     scale = float((gen.apply(root.v_inf, np.ones(grid.n))
                    - 2.0 * gen.diagonal(root.v_inf)).max())
@@ -99,17 +98,19 @@ def test_sign_test_against_dense_oracle(coeffs, xmax, factor):
         assert x.min() >= 1.0 / float((-gen.diagonal(v)).max())
 
 
-def _fake_sign(monkeypatch, f):
-    """Replace the root search's sign test, the certificate at shift 0, by
-    the sign of a scalar f(v); the eigen solve's shifts stay real."""
+def _fake_sign(monkeypatch, f=None):
+    """Record the levels of the root search's sign test, the certificate at
+    shift 0, and replace it by the sign of a scalar f(v) unless f is None;
+    the eigen solve's shifts stay real."""
     levels = []
     certify = Generator.certify
 
     def fake(gen, v, s, b, adjoint=False):
-        if s != 0.0:
-            return certify(gen, v, s, b, adjoint=adjoint)
-        levels.append(v)
-        return np.ones(gen.grid.n) if f(v) > 0.0 else None
+        if s == 0.0:
+            levels.append(v)
+            if f is not None:
+                return np.ones(gen.grid.n) if f(v) > 0.0 else None
+        return certify(gen, v, s, b, adjoint=adjoint)
 
     monkeypatch.setattr(Generator, "certify", fake)
     return levels
@@ -136,7 +137,7 @@ def test_exact_zero_at_bracket_end_is_returned(monkeypatch):
     levels, warm, signs = _fake_loss_rate(monkeypatch, lambda v: 4.0 - v)
     root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
     assert signs[:3] == [1.0, 2.0, 4.0]
-    assert root.found and 4.0 - 1e-13 * 4.0 <= root.v_inf < 4.0
+    assert 4.0 - 1e-13 * 4.0 <= root.v_inf < 4.0
     # one eigen solve, at lo, started from its certificate
     assert levels == [root.v_inf] and warm == [True]
     assert root.solution.v == root.v_inf
@@ -148,12 +149,11 @@ def test_bracket_search_needs_only_a_sign_change(monkeypatch):
     levels, warm, signs = _fake_loss_rate(monkeypatch,
                                           lambda v: 1.0 if v < np.pi else -1.0)
     root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
-    assert root.found
-    assert root.bracket_lo < np.pi <= root.bracket_hi
-    assert root.bracket_hi - root.bracket_lo <= 1e-13 * root.bracket_hi
+    assert root.v_inf < np.pi <= root.bracket_hi
+    assert root.bracket_hi - root.v_inf <= 1e-13 * root.bracket_hi
     assert len(signs) <= 60
     assert all(0.0 < v <= 4.0 for v in signs)
-    assert levels == [root.bracket_lo] and warm == [True]
+    assert levels == [root.v_inf] and warm == [True]
 
 
 def test_root_below_the_first_ladder_level(monkeypatch):
@@ -161,10 +161,9 @@ def test_root_below_the_first_ladder_level(monkeypatch):
     # stop is relative to hi, so it still ends on a certified lo > 0
     levels, warm, signs = _fake_loss_rate(monkeypatch, lambda v: 1e-6 - v)
     root = find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
-    assert root.found
-    assert 0.0 < root.bracket_lo < 1e-6 <= root.bracket_hi
-    assert root.bracket_hi - root.bracket_lo <= 1e-13 * root.bracket_hi
-    assert levels == [root.bracket_lo] and warm == [True]
+    assert 0.0 < root.v_inf < 1e-6 <= root.bracket_hi
+    assert root.bracket_hi - root.v_inf <= 1e-13 * root.bracket_hi
+    assert levels == [root.v_inf] and warm == [True]
     assert len(signs) <= 80
 
 
@@ -242,59 +241,63 @@ def test_low_production_has_no_infected_state():
     assert ss.u_inf is None
 
 
+NO_CONVERSION = "no loss-rate root: no cell converts"
+
+
 def test_no_conversion_means_no_root():
     coeffs = CoefficientSet(production=2400.0, clearance=4.0,
                             conversion=Constant(0.0))
     grid = SizeGrid.uniform(30.0, 200)
-    root = find_v_inf(coeffs, grid)
-    assert not root.found
-    with pytest.raises(ValueError, match="root"):
+    with pytest.raises(ValueError, match=NO_CONVERSION):
+        find_v_inf(coeffs, grid)
+    with pytest.raises(ValueError, match=NO_CONVERSION):
         build_steady_state(coeffs, grid)
 
 
 def test_zero_clearance_root_is_the_clearance_four_root():
-    # the ladder is capped by ten times vbar, 1e5 here, or at zero
-    # clearance by the float range; both cross zero at 8192 and then
-    # bisect the same bracket
+    # the clearance does not enter L(v): both ladders cross zero at 8192
+    # and then bisect the same bracket
     grid = SizeGrid.uniform(30.0, 100)
     capped = find_v_inf(CoefficientSet(production=40000.0, clearance=4.0,
                                        conversion=Constant(1e-5)), grid)
     free = find_v_inf(CoefficientSet(production=40000.0, clearance=0.0,
                                      conversion=Constant(1e-5)), grid)
-    assert capped.found and free.found
     assert free.v_inf == capped.v_inf == 8163.1579828020185
     assert free.sign_tests == capped.sign_tests
     assert free.bracket_hi == capped.bracket_hi
 
 
-def test_zero_conversion_at_zero_clearance_has_no_root():
+def test_zero_conversion_at_zero_clearance_has_no_root(monkeypatch):
     # L(v) does not depend on v, so no level is tested
     coeffs = CoefficientSet(production=2400.0, clearance=0.0,
                             conversion=Constant(0.0))
-    root = find_v_inf(coeffs, SizeGrid.uniform(30.0, 200))
-    assert not root.found
-    assert root.sign_tests == 0
-    assert (root.bracket_lo, root.bracket_hi) == (0.0, 1e300)
+    signs = _fake_sign(monkeypatch)
+    with pytest.raises(ValueError, match=NO_CONVERSION):
+        find_v_inf(coeffs, SizeGrid.uniform(30.0, 200))
+    assert signs == []
 
 
-def test_root_ladder_stays_in_the_float_range():
+def test_root_ladder_stays_in_the_float_range(monkeypatch):
     # the loss rate never turns: with no splitting and every polymer
-    # decaying, transport only moves mass.  At zero clearance the ladder
-    # runs until v*max(conv/h) reaches 1e150
+    # decaying, transport only moves mass.  The ladder runs until
+    # v*max(conv/h) reaches 1e150, at any clearance
     coeffs = CoefficientSet(production=1.0, clearance=0.0,
                             conversion=Constant(0.5),
                             fragmentation=Constant(0.0))
     grid = SizeGrid.uniform(30.0, 60)
-    root = find_v_inf(coeffs, grid)
-    assert not root.found
-    assert root.bracket_hi == 1e150 / (0.5 / 0.5)
-    assert root.sign_tests == 500
-    # a level past 1e300, from so slow a conversion or from a vbar that
-    # overflows, is cut to 1e300, so the doubling stays finite
-    for changes in ({"conversion": Constant(1e-300)},
-                    {"production": 1e300, "clearance": 1e-10}):
-        root = find_v_inf(dataclasses.replace(coeffs, **changes), grid)
-        assert not root.found and root.bracket_hi == 1e300
+    signs = _fake_sign(monkeypatch)
+    for clearance in (0.0, 4.0):
+        signs.clear()
+        with pytest.raises(ValueError, match=r"^no loss-rate root in \(0, 1e\+150\): "
+                           "the loss rate stays positive"):
+            find_v_inf(dataclasses.replace(coeffs, clearance=clearance), grid)
+        assert len(signs) == 500 and signs[-1] == 1e150 / (0.5 / 0.5)
+    # a level past 1e300, from so slow a conversion, is cut to 1e300, so
+    # the doubling stays finite
+    signs.clear()
+    with pytest.raises(ValueError, match=r"^no loss-rate root in \(0, 1e\+300\)"):
+        find_v_inf(dataclasses.replace(coeffs, conversion=Constant(1e-300)), grid)
+    assert signs[-1] == 1e300
 
 
 # --- stationary second-order form ------------------------------------------
