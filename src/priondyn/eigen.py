@@ -21,12 +21,13 @@ the oracle the tests check these solves against.
 
 A solve may start from a given profile (``u0``) instead of a flat
 vector.  The root search in ``steady.find_v_inf`` takes one eigen solve,
-at the root, from x = -L(v)^{-1} 1, the ``Generator.certify`` solve at
-shift 0 that certified the level's sign; other levels take that sign
-test only.  At the root x is the Perron vector to rounding, and the
-solve stops after 1 inverse iteration on every shipped root.  Scans
-start flat.  Their levels are an order of magnitude apart (8, 600, 2000
-and 8, 64, 600, 4000 in the benchmark ladders), and there a warm start
+at the root, from x = -L(v)^{-1} 1, the solve ``Generator.certify``
+returned at shift 0 with the verdict that certified the level's sign;
+other levels take that sign test, and the value their x yields, only.
+At the root x is the Perron vector to rounding, and the solve stops
+after 1 inverse iteration on every shipped root.  Scans start flat.
+Their levels are an order of magnitude apart (8, 600, 2000 and 8, 64,
+600, 4000 in the benchmark ladders), and there a warm start
 raised the largest iteration count at n=400-3200 from 16 to 39 (the flat
 shape at v=600 started from v=8: 38 against 8); a flat start is closer
 to a far profile than another far profile is.  Solves for different
@@ -164,15 +165,16 @@ def _principal_on_matrix(gen: Generator, v: float, adjoint: bool = False,
     for it in range(1, DEFAULT_MAX_ITER + 1):
         big = u > 1e-8 * u.max()
         s = max(float((au[big] / u[big]).max()), nu) + 1e-12 * scale
-        w = None
+        certified = False
         m = float(au.sum()) / float(u.sum())
         if m < s and u.min() > 0.0:
             solves += 1
-            w = gen.certify(v, m + TRIAL_SHIFT * (s - m), u, adjoint=adjoint)
-        if w is None:
+            w, certified = gen.certify(v, m + TRIAL_SHIFT * (s - m), u,
+                                       adjoint=adjoint)
+        if not certified:
             solves += 1
-            w = gen.certify(v, s, u, adjoint=adjoint)
-            if w is None:
+            w, certified = gen.certify(v, s, u, adjoint=adjoint)
+            if not certified:
                 raise PositivityViolationError(
                     "shifted solve at level v=%g failed its positivity "
                     "certificate (shift %.17g)" % (v, s))

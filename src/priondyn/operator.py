@@ -243,22 +243,24 @@ class Generator:
         return z
 
     def certify(self, v: float, s: float, b: np.ndarray,
-                adjoint: bool = False) -> Optional[np.ndarray]:
-        """x with (s*I - L(v)) x = b (L(v)^T: ``adjoint``) if x >= 0, else None.
+                adjoint: bool = False) -> tuple[Optional[np.ndarray], bool]:
+        """(x, certified): x solves (s*I - L(v)) x = b (L(v)^T: ``adjoint``).
 
-        The one positivity certificate every solver reads.  L(v) is
-        Metzler, so s*I - L(v) is a Z-matrix, and for b > 0 a solution
-        x >= 0 makes it a nonsingular M-matrix (Berman and Plemmons, 1994):
-        s lies above the principal eigenvalue, with no irreducibility
-        argument.  Above it (s*I - L(v))^{-1} >= 0, so x_i >= b_i/(s -
-        L(v)_ii) > 0.  None (a singular factorisation, or an entry below 0
-        or NaN) puts s at or below it, up to rounding.
+        The one positivity certificate every solver reads.  x is None only
+        when the band LU is singular; certified is x >= 0 (an entry below 0
+        or NaN fails), and a caller uses x as a nonnegative vector only when
+        it is certified.  L(v) is Metzler, so s*I - L(v) is a Z-matrix, and
+        for b > 0 a solution x >= 0 makes it a nonsingular M-matrix (Berman
+        and Plemmons, 1994): s lies above the principal eigenvalue, with no
+        irreducibility argument.  Above it (s*I - L(v))^{-1} >= 0, so x_i >=
+        b_i/(s - L(v)_ii) > 0.  A failed certificate (a singular
+        factorisation, or x not >= 0) puts s at or below it, up to rounding.
         """
         try:
             x = self.solve_shifted(v, s, b, adjoint=adjoint)
         except np.linalg.LinAlgError:
-            return None
-        return x if x.min() >= 0.0 else None
+            return None, False
+        return x, bool(x.min() >= 0.0)
 
 
 def transport_reaction_parts(coeffs: CoefficientSet, grid: SizeGrid):

@@ -30,8 +30,9 @@ class VInfResult:
 
     v_inf is the highest level certified to have a positive loss rate,
     bracket_hi the lowest certified not to, and bracket_hi - v_inf <=
-    1e-13 * bracket_hi.  solution is the one eigen solve (evaluations = 1),
-    at v_inf; sign_tests counts the levels one shifted solve certified.
+    1e-13 * bracket_hi: the bracket that bisection on the same certified
+    signs ends on.  solution is the one eigen solve (evaluations = 1), at
+    v_inf; sign_tests counts the levels one shifted solve tested.
     """
 
     v_inf: float
@@ -41,23 +42,51 @@ class VInfResult:
     solution: EigenSolution = field(repr=False)
 
 
+def _root_value(widths: np.ndarray, x: Optional[np.ndarray],
+                certified: bool) -> Optional[float]:
+    """g(v) = 1/<h, x> for x = -L(v)^{-1} 1, or None where its sign
+    disagrees with the certificate (or x is None).  Near the root x is
+    about the Perron vector over the principal eigenvalue of -L(v), so g
+    has a simple zero there and the sign of the loss rate."""
+    if x is None:
+        return None
+    total = float(widths @ x)
+    if total == 0.0:
+        return None
+    g = 1.0 / total
+    return g if (g > 0.0 if certified else g < 0.0) else None
+
+
 def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid) -> VInfResult:
     """Locate the monomer level where the loss rate crosses zero.
 
     The search reads the generator alone; production and clearance do not
     enter it.  Every level takes one shifted solve, not an eigen solve:
-    ``Generator.certify`` at shift 0 with b = 1 returns x = -L(v)^{-1} 1
-    exactly when the loss rate at v is positive, up to rounding.
+    ``Generator.certify`` at shift 0 with b = 1 solves x = -L(v)^{-1} 1
+    and certifies x >= 0 exactly when the loss rate at v is positive, up
+    to rounding.
 
     A geometric ladder (doubling from 1) brackets the sign change inside
     [0, v_max]: v_max is where v*max(conv/h), the largest transport entry,
     reaches 1e150 (so every band-LU entry stays finite), cut to 1e300 (so
-    the doubling stays finite).  Bisection then keeps f(lo) > 0 >= f(hi)
-    and stops at hi - lo <= 1e-13*hi, which is relative to hi, so lo ends
-    above 0 even when the root lies below the first ladder level.  It
-    reads signs only: no slope, no tolerance on the loss rate and no
-    iteration cap.  The one eigen solve is at v_inf = lo, started from
-    lo's x, which there is the Perron vector to rounding.
+    the doubling stays finite).  The search then holds the node [a, b] of
+    the bisection tree on that bracket that bisection would hold, with
+    the highest certified level lo and the lowest failed level hi inside
+    it.  The node descends while its midpoint lies at or below lo or at or
+    above hi, where the sign is known.  Otherwise, when lo and hi both
+    carry g = 1/<h, x> (see ``_root_value``) and hi - lo > 1e-11*hi, it
+    steers: regula falsi on g gives r in (lo, hi), the step e = 2|r - r'|
+    from the previous r' ((b - a)/16 at first, never below 1e-11*hi) its
+    error, and the search tests the two edges of the cell of the tree
+    below [a, b] that holds r and is at most 4e wide.  Else it tests the
+    node's midpoint.  Every tested level is a point of the tree, so with
+    one sign change the search stops on the node bisection stops on, the
+    first with b - a <= 1e-13*b, in no more sign tests.  Below the 1e-11
+    floor g's rounding depends on the BLAS kernel, so only midpoints are
+    tested there.  The stop is relative to hi, so lo ends above 0 even
+    when the root lies below the first ladder level.  The one eigen solve
+    is at v_inf = lo, started from lo's x, which there is the Perron
+    vector to rounding.
 
     Raises ValueError, starting "no loss-rate root", when the loss rate at
     v = 0, min(decay + splitting) off the diagonal of the triangular L(0),
@@ -76,25 +105,52 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid) -> VInfResult:
         raise ValueError("no loss-rate root: no cell converts, so the loss "
                          "rate does not depend on v")
     v_max = min(1e150 / speed, 1e300)
-    lo, x_lo, hi, sign_tests = 0.0, None, min(1.0, v_max), 0
+    ones = np.ones(grid.n)
+    lo, x_lo, g_lo, hi, sign_tests = 0.0, None, None, min(1.0, v_max), 0
     while True:
-        x = gen.certify(hi, 0.0, np.ones(grid.n))
+        x, certified = gen.certify(hi, 0.0, ones)
         sign_tests += 1
-        if x is None:
+        if not certified:
+            g_hi = _root_value(grid.widths, x, False)
             break
         if hi >= v_max:
             raise ValueError("no loss-rate root in (0, %g): the loss rate "
                              "stays positive up to the float-range cap" % v_max)
-        lo, x_lo = hi, x
+        lo, x_lo, g_lo = hi, x, _root_value(grid.widths, x, True)
         hi = min(2.0 * hi, v_max)
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        x = gen.certify(mid, 0.0, np.ones(grid.n))
-        sign_tests += 1
-        if x is None:
-            hi = mid
-        else:
-            lo, x_lo = mid, x
+    a, b, r_prev = lo, hi, None
+    while b - a > 1e-13 * b:
+        mid = 0.5 * (a + b)
+        if mid <= lo:
+            a = mid
+            continue
+        if mid >= hi:
+            b = mid
+            continue
+        levels = (mid,)
+        if g_lo is not None and g_hi is not None and hi - lo > 1e-11 * hi:
+            r = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+            e = max((b - a) / 16.0 if r_prev is None else 2.0 * abs(r - r_prev),
+                    1e-11 * hi)
+            r_prev, c, d = r, a, b
+            # at least one level down: a cell below the node lies in one
+            # half, and the node's midpoint lies in (lo, hi), so a cell that
+            # holds r has an edge in (lo, hi) and the step tests a level
+            while True:
+                half = 0.5 * (c + d)
+                c, d = (c, half) if r <= half else (half, d)
+                if d - c <= 4.0 * e:
+                    break
+            levels = (c, d)
+        for v in levels:
+            if not lo < v < hi:  # its sign is known
+                continue
+            x, certified = gen.certify(v, 0.0, ones)
+            sign_tests += 1
+            if certified:
+                lo, x_lo, g_lo = v, x, _root_value(grid.widths, x, True)
+            else:
+                hi, g_hi = v, _root_value(grid.widths, x, False)
     return VInfResult(v_inf=lo, bracket_hi=hi, sign_tests=sign_tests, evaluations=1,
                       solution=generator_eigenpair(gen, lo, u0=x_lo))
 
@@ -105,9 +161,9 @@ class SteadyState:
 
     u_profile is the unit-count eigenprofile at v_inf; u_inf = rho_inf *
     u_profile is the physical density, present only when the existence
-    constraint v_inf < vbar holds (otherwise the count formula would be
-    nonpositive and rho_inf/u_inf stay None).  root is the search that
-    found v_inf.
+    constraint production > clearance*v_inf holds (otherwise the count
+    formula would be nonpositive and rho_inf/u_inf stay None).  root is
+    the search that found v_inf.
     """
 
     v_inf: float
@@ -129,7 +185,10 @@ def build_steady_state(coeffs: CoefficientSet, grid: SizeGrid) -> SteadyState:
     """Solve for the steady state: root, eigenprofile, count, existence.
 
     find_v_inf's ValueError passes through when there is no root.  exists
-    is v_inf < vbar: False at or above vbar (zero production included).
+    is production > clearance*v_inf, the count below being positive: at
+    positive clearance that is v_inf < vbar, and at zero clearance, where
+    vbar is infinite, it is production > 0.  So zero production never
+    exists, at any clearance.
     The count rho closes the monomer balance with the weights of the
     root's generator, production = v*clearance + rho*(v*<conv, u> -
     <returned, u>) for u = u_profile; returned is zero when x0 = 0.
@@ -138,7 +197,7 @@ def build_steady_state(coeffs: CoefficientSet, grid: SizeGrid) -> SteadyState:
     gen, u, v = root.solution.generator, root.solution.u_vec, root.v_inf
     net_uptake = (float((gen.conversion * u) @ grid.widths)
                   - float(gen.returned @ u) / v)
-    exists = v < coeffs.vbar
+    exists = coeffs.production > coeffs.clearance * v
     rho = u_inf = None
     if exists:
         rho = (coeffs.production / v - coeffs.clearance) / net_uptake

@@ -18,7 +18,7 @@ import pytest
 from blas_compare import compare_trees
 
 ROOT = Path(__file__).resolve().parent.parent
-CONFIGS = ("fig2-bell", "fig3", "fig6")
+CONFIGS = ("fig2-bell", "fig3", "fig3-control", "fig4", "fig6")
 
 
 def _dynamic_openblas() -> bool:

@@ -159,9 +159,10 @@ def test_certificate_rejects_a_singular_shift():
     gen = Generator(CoefficientSet(production=2400.0, clearance=4.0,
                                    decay=Constant(0.0)), SizeGrid.uniform(30.0, 50))
     assert gen.loss[0] == 0.0
-    assert gen.certify(0.0, 0.0, np.ones(50)) is None
-    x = gen.certify(0.0, 1.0, np.ones(50))
-    assert x is not None and x.min() > 0.0
+    x, certified = gen.certify(0.0, 0.0, np.ones(50))
+    assert x is None and certified is False
+    x, certified = gen.certify(0.0, 1.0, np.ones(50))
+    assert certified is True and x.min() > 0.0
 
 
 def test_trial_shifts_keep_the_bump_ladder_short():

@@ -16,6 +16,7 @@ from priondyn import (Affine, Bell, CoefficientSet, Constant, EigenConvergenceEr
                       SizeGrid, assemble, bimodality_report, build_steady_state,
                       detect_modes, find_v_inf, integrate, principal_eigenpair,
                       stationary_profile_check)
+from priondyn.config import parse_config
 from priondyn.eigen import DEFAULT_TOL
 from priondyn.steady import _prominent_peaks
 
@@ -23,6 +24,7 @@ from oracle import MomentClosure
 
 steady_module = importlib.import_module("priondyn.steady")
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONST = CoefficientSet(production=2400.0, clearance=4.0)
 
 V_EQ = 83.33333333333334
@@ -55,10 +57,11 @@ def test_root_diagnostics(baseline):
     # a bracket of 1e-13 relative maps through the loss-rate slope (~3e-4)
     assert root.solution.v == root.v_inf
     assert abs(root.solution.lambda_eig) <= 1e-12
-    # one eigen solve, at v_inf; the ladder 1, 2, ..., 128 and the
-    # bisection take signs only: deterministic counts, not a timing
+    # one eigen solve, at v_inf; the ladder 1, 2, ..., 128 and the steered
+    # search take signs only: deterministic counts, not a timing (plain
+    # bisection takes 51)
     assert root.evaluations == 1
-    assert root.sign_tests == 51
+    assert root.sign_tests == 27
 
 
 ORACLE_CASES = [
@@ -86,22 +89,99 @@ def test_root_against_dense_oracle(coeffs, xmax):
 @pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0])
 def test_sign_test_against_dense_oracle(coeffs, xmax, factor):
     # the ladder's certificate reads "positive loss rate" exactly when the
-    # dense principal eigenvalue is negative, on either side of the root
+    # dense principal eigenvalue is negative, on either side of the root,
+    # and so does the sign of the value 1/<h, x> that steers the search
     grid = SizeGrid.uniform(xmax, 300)
     gen = Generator(coeffs, grid)
     v = factor * find_v_inf(coeffs, grid).v_inf
-    x = gen.certify(v, 0.0, np.ones(grid.n))
+    x, certified = gen.certify(v, 0.0, np.ones(grid.n))
     nu = eig(assemble(coeffs, grid, v).matrix, right=False).real.max()
-    assert (x is not None) == (nu < 0.0), (nu, factor)
-    if x is not None:
+    assert certified == (nu < 0.0), (nu, factor)
+    assert (float(grid.widths @ x) > 0.0) == (nu < 0.0), (nu, factor)
+    if certified:
         # -L(v) is then an M-matrix: x >= 1/max(-diag L(v)) entrywise
         assert x.min() >= 1.0 / float((-gen.diagonal(v)).max())
 
 
+def _bisection(coeffs, grid):
+    """(lo, hi, sign tests) of plain bisection on ``Generator.certify``'s
+    verdicts at shift 0: find_v_inf's ladder, then the midpoint of [lo, hi]
+    until hi - lo <= 1e-13*hi."""
+    gen = Generator(coeffs, grid)
+    ones = np.ones(grid.n)
+    v_max = min(1e150 / float(-gen.t_diag.min()), 1e300)
+    lo, hi, tests = 0.0, min(1.0, v_max), 1
+    while gen.certify(hi, 0.0, ones)[1]:
+        lo, hi, tests = hi, min(2.0 * hi, v_max), tests + 1
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        tests += 1
+        if gen.certify(mid, 0.0, ones)[1]:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, tests
+
+
+def _shipped_roots():
+    """(name, coeffs, xmax) of the nine roots the shipped configs solve:
+    fig3, fig3-control and the seven peak_center items of fig4."""
+    roots = []
+    for name in ("fig3", "fig3-control", "fig4"):
+        cfg = parse_config((CONFIG_DIR / (name + ".cfg")).read_text())
+        if cfg.sweep_axis is None:
+            roots.append((name, cfg.coeffs, cfg.xmax))
+            continue
+        assert cfg.sweep_axis == "peak_center"
+        for center in cfg.sweep_values:
+            bell = dataclasses.replace(cfg.coeffs.conversion, center=center)
+            roots.append(("%s-%g" % (name, center),
+                          dataclasses.replace(cfg.coeffs, conversion=bell), cfg.xmax))
+    return roots
+
+
+BISECTION_CASES = [
+    *[pytest.param(coeffs, SizeGrid.uniform(xmax, n), id="%s-n%d" % (name, n))
+      for name, coeffs, xmax in _shipped_roots() for n in (100, 200)],
+    # v_inf = 0.0831, below the first ladder level
+    pytest.param(CoefficientSet(production=2400.0, clearance=4.0,
+                                conversion=Constant(1.0)),
+                 SizeGrid.uniform(30.0, 200), id="below-1"),
+    *[pytest.param(CoefficientSet(production=2400.0, clearance=4.0, x0=x0),
+                   SizeGrid.uniform(30.0 + x0, 300, x0), id="x0-%g" % x0)
+      for x0 in (0.5, 2.0)],
+    pytest.param(CoefficientSet(production=40000.0, clearance=0.0,
+                                conversion=Constant(1e-5)),
+                 SizeGrid.uniform(30.0, 100), id="zero-clearance"),
+]
+
+
+def _assert_ends_like_bisection(coeffs, grid):
+    root = find_v_inf(coeffs, grid)
+    lo, hi, tests = _bisection(coeffs, grid)
+    assert (root.v_inf, root.bracket_hi) == (lo, hi)
+    assert root.sign_tests <= tests
+
+
+@pytest.mark.parametrize("coeffs,grid", BISECTION_CASES)
+def test_root_search_ends_where_bisection_ends(coeffs, grid):
+    # the steered search tests only points of bisection's midpoint tree,
+    # so it stops on the bracket bisection stops on, bit for bit
+    _assert_ends_like_bisection(coeffs, grid)
+
+
+def test_shipped_roots_take_half_of_bisections_sign_tests():
+    # plain bisection takes 456 sign tests on these nine roots
+    tests = [find_v_inf(coeffs, SizeGrid.uniform(xmax, 800)).sign_tests
+             for _, coeffs, xmax in _shipped_roots()]
+    assert sum(tests) <= 260, tests
+
+
 def _fake_sign(monkeypatch, f=None):
     """Record the levels of the root search's sign test, the certificate at
-    shift 0, and replace it by the sign of a scalar f(v) unless f is None;
-    the eigen solve's shifts stay real."""
+    shift 0, and unless f is None replace it by a scalar f(v): the solve
+    1/f(v) in every cell, certified where f(v) > 0, and singular (None)
+    where f(v) = 0.  The eigen solve's shifts stay real."""
     levels = []
     certify = Generator.certify
 
@@ -109,7 +189,8 @@ def _fake_sign(monkeypatch, f=None):
         if s == 0.0:
             levels.append(v)
             if f is not None:
-                return np.ones(gen.grid.n) if f(v) > 0.0 else None
+                fv = f(v)
+                return (np.full(gen.grid.n, 1.0 / fv) if fv else None), fv > 0.0
         return certify(gen, v, s, b, adjoint=adjoint)
 
     monkeypatch.setattr(Generator, "certify", fake)
@@ -239,6 +320,20 @@ def test_low_production_has_no_infected_state():
     assert ss.vbar == 60.0
     assert ss.rho_inf is None
     assert ss.u_inf is None
+
+
+@pytest.mark.parametrize("production", [0.0, 2400.0])
+def test_zero_clearance_exists_only_with_production(production):
+    # vbar is infinite at zero clearance, so v_inf < vbar always holds;
+    # without production the count formula gives 0, the trivial state
+    grid = SizeGrid.uniform(30.0, 100)
+    ss = build_steady_state(CoefficientSet(production=production, clearance=0.0), grid)
+    assert ss.v_inf == find_v_inf(CONST, grid).v_inf
+    assert ss.exists is (production > 0.0)
+    if ss.exists:
+        assert ss.rho_inf > 0.0 and ss.u_inf.min() >= 0.0
+    else:
+        assert ss.rho_inf is None and ss.u_inf is None
 
 
 NO_CONVERSION = "no loss-rate root: no cell converts"
@@ -377,6 +472,19 @@ def test_steady_runs_across_the_envelope(amplitude, center, width_sq, n, product
     assert ss.u_profile.min() >= 0.0
     if ss.exists:
         assert ss.rho_inf > 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(amplitude=st.floats(min_value=1e-3, max_value=1e-1),
+       center=st.floats(min_value=1.0, max_value=5.0),
+       width_sq=_log_uniform(1e-4, 1e-1),
+       n=st.integers(min_value=100, max_value=400))
+def test_root_search_ends_where_bisection_ends_across_bumps(amplitude, center,
+                                                            width_sq, n):
+    # the bumps of the envelope test above, on grids up to n = 400
+    coeffs = CoefficientSet(production=2400.0, clearance=4.0,
+                            conversion=Bell(0.001, amplitude, center, width_sq))
+    _assert_ends_like_bisection(coeffs, SizeGrid.uniform(30.0, n))
 
 # --- mode structure --------------------------------------------------------
 
