@@ -18,13 +18,9 @@ print("chain: sizes %d..%d, conversion %g, fragmentation %g, decay %g"
 out = compare_continuum(params)
 
 steps = out["steps"]
-print("step dt %g: chain %d + %d steps (%d halvings), continuum %d + %d "
-      "(%d rejections), uninfected + seeded"
+print("step dt %g: chain %d + %d steps, continuum %d + %d, uninfected + seeded"
       % (out["dt"], steps["chain_uninfected"], steps["chain_seeded"],
-         out["chain_halvings"], steps["continuum_uninfected"],
-         steps["continuum_seeded"], out["continuum_rejections"]))
-print("continuum steps by limit: %s" % ", ".join(
-    "%s %d" % kv for kv in out["continuum_steps_by_limit"].items()))
+         steps["continuum_uninfected"], steps["continuum_seeded"]))
 print()
 print("uninfected monomer path, max rel diff: %.3e  (same stepper, same dt)"
       % out["uninfected_max_rel_diff_v"])

@@ -4,15 +4,10 @@ sweeps built on them.
 Every run reads a plain-text config, executes, and drops deterministic
 output files (CSV tables plus a JSON record) into the output directory.
 Each runner returns its results, diagnostics and exit code; ``main``
-writes them as the one JSON record of the run.  A sweep item makes the
-edit and runs the summary that its axis's row of ``config.SWEEP_AXES``
-names: ``level`` (frozen-level eigenpair), ``steady`` (``_steady``) or
-``outbreak`` (``_outbreak``: seeding, integration, threshold crossing,
-failure record); ``_SWEEP_COLUMNS`` names each summary's table columns.
-File names embed a digest of the canonical config echo so different
-configurations never collide; rerunning the same configuration overwrites
-byte-identically unless ``output.timings = true`` adds wall-clock seconds
-to the records.
+writes them as the one JSON record of the run.  File names embed a digest
+of the canonical config echo so different configurations never collide;
+rerunning the same configuration overwrites byte-identically unless
+``output.timings = true`` adds wall-clock seconds to the records.
 Failures still write a machine-readable error file and exit nonzero.
 """
 
@@ -32,7 +27,7 @@ from .config import (SWEEP_AXES, ConfigError, RunConfig, config_echo,
                      parse_config, sweep_axis_error)
 from .dynamics import (IntegratorFailure, growth_rate, incubation_time,
                        integrate, line_fit, seed_state)
-from .eigen import principal_eigenpair, scan_lambda
+from .eigen import loss_rate_at_vbar, principal_eigenpair, scan_lambda
 from .records import (ExperimentRecord, canonical_json, grid_hash,
                       sha256_hex, write_csv)
 from .steady import bimodality_report, build_steady_state, detect_modes
@@ -64,14 +59,6 @@ def _steady(coeffs, grid):
             "root_loss_rate": ss.root.solution.lambda_eig,
             "root_sign_tests": ss.root.sign_tests}
     return ss, results, root
-
-
-def _loss_rate_at_vbar(coeffs, grid) -> Optional[float]:
-    """Loss rate at the uninfected level vbar, None at zero clearance
-    (vbar is then infinite); read by simulate runs and the dose summary."""
-    if coeffs.clearance == 0.0:
-        return None
-    return principal_eigenpair(coeffs, grid, coeffs.vbar).lambda_eig
 
 
 def _outbreak(cfg: RunConfig, grid, threshold: Optional[float] = None):
@@ -177,7 +164,7 @@ def _run_simulate(cfg: RunConfig, out: Path, tag: str):
     results = {"t_end": traj.times[-1], "v_final": traj.v_series[-1],
                "count_final": traj.rho_series[-1],
                "mass_final": traj.p_series[-1], **outbreak}
-    lam_vbar = _loss_rate_at_vbar(cfg.coeffs, grid)
+    lam_vbar = loss_rate_at_vbar(cfg.coeffs, grid)
     if lam_vbar is not None:
         results["loss_rate_at_vbar"] = lam_vbar
     try:
@@ -234,7 +221,7 @@ def _run_sweep(cfg: RunConfig, out: Path, tag: str):
         summary["slope_fitted"] = summary["slope_predicted"] = None
         if np.unique(log_dose).size >= 2:
             summary["slope_fitted"] = line_fit(log_dose, tinc[good])[0]
-            lam = _loss_rate_at_vbar(cfg.coeffs, cfg.make_grid())
+            lam = loss_rate_at_vbar(cfg.coeffs, cfg.make_grid())
             if lam is not None and lam <= 0.0:
                 summary["slope_predicted"] = -1.0 / abs(lam)
     if axis in ("bell_amplitude", "frag_slope"):

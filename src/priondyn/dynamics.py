@@ -3,25 +3,9 @@ experiments built on it: growth-rate fits, incubation times, stability
 runs.
 
 The stepper is SSPRK(4,2), the four-stage second-order strong-stability-
-preserving Runge-Kutta method: each stage is a forward-Euler step of a
-third of the step, so a step may be three times the forward-Euler step
-for four right-hand-side evaluations.  Each step is read off the largest
-loss rate of the generator at its start (its negated diagonal: transport
-out of a cell plus decay and splitting).  The monomer's own loss rate
-(clearance plus uptake) sets no step.  Where it is stiff, tau*(clearance
-+ uptake) > 1.5 with tau a third of the step, the step keeps its four
-explicit polymer stages and takes the monomer level of each stage from
-implicit monomer stages instead (an IMEX pair: a stiffly accurate ESDIRK
-sharing the weights and stage times of SSPRK(4,2), second order and
-damping the monomer's fast relaxation); each stage level solves its
-linear monomer equation exactly, and the step ends on the last one.
-Such steps are counted as implicit_monomer_steps.  A stage with a
-negative entry rejects the step, which is retried at half the length.
-The mass books are stage-consistent on steps of both kinds: the reported
-per-step residual compares the realized change of (monomer + polymer
-mass) against the mean of the four stage sources, so it sits at rounding
-level and any real leak would show immediately.  Each polymer stage
-w + tau*L(V)w is one O(n) product of the structured generator's term rows.
+preserving Runge-Kutta method, with implicit monomer stages where the
+monomer is stiff; ``integrate`` states the step rule and the books, and
+``Trajectory`` what a run records.
 """
 
 from __future__ import annotations
@@ -33,7 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .eigen import HypothesisConstants, adjoint_eigenpair, hypothesis_constants
+from .eigen import (HypothesisConstants, adjoint_eigenpair, hypothesis_constants,
+                    loss_rate_at_vbar)
 from .grid import PolymerState, SizeGrid
 from .operator import Generator
 from .reference import initial_seed_profile
@@ -144,6 +129,11 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     SSPRK(4,2) step throughout.  A stage with a negative entry (the rates
     moved within the step) rejects the step, which is retried at half the
     length.
+
+    The books are stage-consistent on steps of both kinds: each step's
+    residual compares the realized change of (monomer + polymer mass)
+    against the mean of the four stage sources, so it sits at rounding
+    level and any real leak would show immediately.
     """
     if t_end <= initial.t:
         raise ValueError("t_end=%g is not beyond the initial time %g" % (t_end, initial.t))
@@ -191,9 +181,6 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         if ev_i == len(events):
             break
         next_event = events[ev_i]
-        # each stage is a forward-Euler step of tau = dt/3.  It keeps u
-        # nonnegative while tau times every loss rate of L(V), the negated
-        # diagonal, is at most 1
         rate, limit = -float(gen.diagonal(V).min()), "polymer"
         dt_bound = 3.0 / rate if rate > 0.0 else math.inf
         if dt_max is not None and dt_max < dt_bound:
@@ -214,10 +201,7 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         # SSPRK(4,2) in Shu-Osher form: three forward-Euler stages of
         # tau = dt/3, then u/4 + 3/4 of a fourth Euler stage from the
         # third.  The step equals u + dt/4 times the sum of the four stage
-        # slopes, so the books take the mean of the four stage sources.
-        # A step that would take the monomer rate past 1.5/tau, 3/4 of a
-        # stage's stability limit, keeps the polymer stages and takes the
-        # stage levels of V from the rows of _MONOMER_ROWS instead
+        # slopes, so the books take the mean of the four stage sources
         tau = dt / 3.0
         implicit = tau * (gam + take_u) > 1.5
         w, W, mu_w, take_w, back_w = u, V, mu_u, take_u, back_u
@@ -399,8 +383,8 @@ class StabilityResult:
 
     verdict: "stable" (weighted norm decayed exponentially), "unstable"
     (projection escaped the 10-epsilon ball), or "inconclusive".  regime is
-    "damping" when loss_rate_at_vbar, read off the adjoint solve at vbar,
-    is positive, else "amplifying".  In the damping regime the comparator
+    "damping" when loss_rate_at_vbar (``eigen.loss_rate_at_vbar``) is
+    positive, else "amplifying".  In the damping regime the comparator
     min(loss_rate_at_vbar/2, clearance) is the decay rate the duality
     argument gives the functional; it is None otherwise.  norm_values
     holds the functional at the sampled instants, constants the
@@ -435,8 +419,8 @@ def stability_experiment(coeffs: CoefficientSet, grid: SizeGrid, epsilon: float,
     if coeffs.clearance <= 0.0:
         raise ValueError("stability experiment needs a positive clearance")
     vbar = coeffs.vbar
+    lam_vbar = loss_rate_at_vbar(coeffs, grid)
     adj = adjoint_eigenpair(coeffs, grid, vbar)
-    lam_vbar = adj.lambda_eig
     consts = hypothesis_constants(adj)
     phi = adj.phi_vec
     regime = "damping" if lam_vbar > 0.0 else "amplifying"

@@ -8,45 +8,13 @@ population grows.
 
 Every solve, of L(v) or of its transpose (the adjoint: cells are equal),
 enters through ``generator_eigenpair`` and runs on the structured
-``operator.Generator`` in one routine, ``_principal_on_matrix``: inverse
-iteration whose O(n) shifted solves keep the shift above the principal
-eigenvalue, so each iterate stays a nonnegative vector.  Each step first
-tries a shift closer to the eigenvalue than the safe one, a tenth of the
-way (TRIAL_SHIFT) from the mean ratio sum(Au)/sum(u) up to it, and keeps
-that solve only when ``Generator.certify`` puts the shift above the
-principal eigenvalue.  Otherwise the step solves at the safe shift.  On
-the shipped eigen scans and tightness sweeps this cuts the iterations
-from 6-15 to 4-10 per solve.  The dense assembly is not used here; it is
-the oracle the tests check these solves against.
-
-A solve may start from a given profile (``u0``) instead of a flat
-vector.  The root search in ``steady.find_v_inf`` takes one eigen solve,
-at the root, from x = -L(v)^{-1} 1, the solve ``Generator.certify``
-returned at shift 0 with the verdict that certified the level's sign;
-other levels take that sign test, and the value their x yields, only.
-At the root x is the Perron vector to rounding, and the solve stops
-after 1 inverse iteration on every shipped root.  Scans start flat.
-Their levels are an order of magnitude apart (8, 600, 2000 and 8, 64,
-600, 4000 in the benchmark ladders), and there a warm start
-raised the largest iteration count at n=400-3200 from 16 to 39 (the flat
-shape at v=600 started from v=8: 38 against 8); a flat start is closer
-to a far profile than another far profile is.  Solves for different
-coefficient sets, such as the tightness sweep, also start flat.
-
-Every solve stops on one rule with fixed constants: the l1 residual
-|Au - nu*u| of the l1-normalised iterate u falls below DEFAULT_TOL times
-the largest absolute row sum of A.  DEFAULT_TOL bounds that residual,
-not the error of the loss rate, which can be larger by the eigenvalue's
-condition number max|y|*sum|u|/|y.u| (y the eigenvector on the other
-side).  The adjoint weight grows with size while the Perron vector sits
-at small sizes, so the adjoint's is large: on the fig2-bell shape at
-n=200 and v=10 it is 1.8e3, and an adjoint solve that stops at
-0.18*DEFAULT_TOL*scale of residual has its loss rate 17*DEFAULT_TOL*scale
-from the dense eigenvalue.  The primal's is 3.5-58 on both fig2 shapes
-at n=200, and the loss rates of the shipped eigen scans and tightness
-sweep (n=800) lie within 1.02*DEFAULT_TOL*scale of the dense
-eigenvalue.  That is far below the grid error: fig3's root moves by 0.1
-(0.25%) from n=800 to n=1600.
+``operator.Generator`` in ``_principal_on_matrix``; the dense assembly is
+the tests' oracle.  A solve stops on its residual, not on the error of its
+loss rate, which is larger by the eigenvalue's condition number
+max|y|*sum|u|/|y.u| (y the eigenvector on the other side).  The adjoint
+weight grows with size while the Perron vector sits at small sizes, so
+the adjoint's condition number is large: a loss rate is read from a
+primal solve, and an adjoint solve serves for its weight alone.
 """
 
 from __future__ import annotations
@@ -69,6 +37,7 @@ __all__ = [
     "principal_eigenpair",
     "generator_eigenpair",
     "adjoint_eigenpair",
+    "loss_rate_at_vbar",
     "scan_lambda",
     "hypothesis_constants",
 ]
@@ -132,22 +101,18 @@ def _principal_on_matrix(gen: Generator, v: float, adjoint: bool = False,
     """Perron pair of L(v), or of its adjoint, by Noda-style inverse iteration.
 
     Each step has a safe shift s, the larger of the Collatz-Wielandt ratio
-    max (Au)_i/u_i and the Rayleigh quotient, plus 1e-12*scale.  The ratio
-    is taken only over cells with u_i > 1e-8*max(u): on underflowed tail
-    cells it is rounding noise.  When u > 0 and the mean ratio
-    m = sum(Au)/sum(u) lies below s, the step first solves (t*I - A)w = u
-    at the trial shift t = m + TRIAL_SHIFT*(s - m), and keeps w if
-    ``Generator.certify`` puts t above the principal eigenvalue; otherwise
-    it solves at s.  A solve at s that fails the certificate means the
-    shift fell below the principal eigenvalue and raises
-    PositivityViolationError rather than being clipped.
+    max (Au)_i/u_i (over cells with u_i > 1e-8*max(u): on underflowed tail
+    cells it is rounding noise) and the Rayleigh quotient, plus
+    1e-12*scale.  When u > 0 and the mean ratio m = sum(Au)/sum(u) lies
+    below s, the step first tries the closer shift m + TRIAL_SHIFT*(s - m).
+    It keeps the first solve of (shift*I - A)w = u that ``Generator.certify``
+    certifies; a failed solve at s puts s below the principal eigenvalue
+    and raises PositivityViolationError naming the level and the shift.
     The iteration stops when the l1 residual |Au - nu*u| of the l1-normed
-    iterate drops below DEFAULT_TOL * scale, scale the largest absolute row
-    sum of A; after DEFAULT_MAX_ITER steps it raises EigenConvergenceError.
-    Both constants are read at call time.  Every failure names the monomer
-    level.  u0, a nonnegative start vector (a converged eigenvector at a
-    nearby level), replaces the flat start; the shift rule and the
-    positivity guard are the same.
+    iterate drops below DEFAULT_TOL*scale, scale the largest absolute row
+    sum of A, and raises EigenConvergenceError, naming the level, after
+    DEFAULT_MAX_ITER steps; both constants are read at call time.  u0, a
+    nonnegative start vector, replaces the flat start.
 
     Returns (nu, vec, residual, residual_log, iterations, shifted_solves),
     sum(vec*h) = 1; shifted_solves counts the trials too.
@@ -165,19 +130,17 @@ def _principal_on_matrix(gen: Generator, v: float, adjoint: bool = False,
     for it in range(1, DEFAULT_MAX_ITER + 1):
         big = u > 1e-8 * u.max()
         s = max(float((au[big] / u[big]).max()), nu) + 1e-12 * scale
-        certified = False
         m = float(au.sum()) / float(u.sum())
-        if m < s and u.min() > 0.0:
+        shifts = (m + TRIAL_SHIFT * (s - m), s) if m < s and u.min() > 0.0 else (s,)
+        for shift in shifts:
             solves += 1
-            w, certified = gen.certify(v, m + TRIAL_SHIFT * (s - m), u,
-                                       adjoint=adjoint)
-        if not certified:
-            solves += 1
-            w, certified = gen.certify(v, s, u, adjoint=adjoint)
-            if not certified:
-                raise PositivityViolationError(
-                    "shifted solve at level v=%g failed its positivity "
-                    "certificate (shift %.17g)" % (v, s))
+            w, certified = gen.certify(v, shift, u, adjoint=adjoint)
+            if certified:
+                break
+        else:
+            raise PositivityViolationError(
+                "shifted solve at level v=%g failed its positivity "
+                "certificate (shift %.17g)" % (v, s))
         u = w / w.sum()
         au = apply(v, u)
         nu = float(u @ au) / float(u @ u)
@@ -203,7 +166,7 @@ def generator_eigenpair(gen: Generator, v: float, u0: Optional[np.ndarray] = Non
     says.  At v = 0 the generator is triangular: the primal loss rate is
     min(decay + effective splitting), read off the diagonal (u_vec None),
     and the adjoint weight is not defined.  u0 warm-starts the solve from a
-    vector at a nearby level (see the module docstring for when that pays).
+    vector at a nearby level.
     """
     if not 0.0 <= v < float("inf"):
         raise ValueError("monomer level must be finite and nonnegative, got %g" % v)
@@ -230,19 +193,25 @@ def generator_eigenpair(gen: Generator, v: float, u0: Optional[np.ndarray] = Non
 
 def principal_eigenpair(coeffs: CoefficientSet, grid: SizeGrid,
                         v: float) -> EigenSolution:
-    """Loss rate and nonnegative size profile at monomer level v.
-
-    See ``generator_eigenpair``; this builds the generator for one call.
-    """
+    """Loss rate and size profile at level v (``generator_eigenpair``)."""
     return generator_eigenpair(Generator(coeffs, grid), v)
 
 
 def adjoint_eigenpair(coeffs: CoefficientSet, grid: SizeGrid, v: float) -> EigenSolution:
-    """Adjoint weight phi_vec and its loss rate at monomer level v.
-
-    See ``generator_eigenpair``; this builds the generator for one call.
-    """
+    """Adjoint weight phi_vec at level v (``generator_eigenpair``)."""
     return generator_eigenpair(Generator(coeffs, grid), v, adjoint=True)
+
+
+def loss_rate_at_vbar(coeffs: CoefficientSet, grid: SizeGrid) -> Optional[float]:
+    """Loss rate at the uninfected level vbar, from a primal solve; None at
+    zero clearance, where vbar is infinite.
+
+    The one source of this number: simulate records, the log-law
+    prediction, the dose summary and ``stability_experiment`` read it.
+    """
+    if coeffs.clearance == 0.0:
+        return None
+    return principal_eigenpair(coeffs, grid, coeffs.vbar).lambda_eig
 
 
 @dataclass(frozen=True)
@@ -271,7 +240,9 @@ def scan_lambda(coeffs: CoefficientSet, grid: SizeGrid,
     tolerance band, and the sign of the loss rate at the largest level
     probes eventual decay of the scan.  A level 0 in the ladder reports
     the zero-level loss rate, min(decay + effective splitting).  One
-    generator serves the whole ladder.
+    generator serves the whole ladder.  Each level starts flat: ladder
+    levels lie far apart, and a flat start is closer to a far profile than
+    another far profile is.
     """
     v_arr = np.asarray(list(v_list), dtype=float)
     if v_arr.size < 1:

@@ -11,17 +11,9 @@ positivity.  Fragments land in smaller cells, so the gain sits above the
 diagonal.  The loss-rate eigenvalue reported elsewhere is the negative of
 the principal eigenvalue of L(v).
 
-Two forms live here.  ``Generator`` is the structured form every solver
-uses: bidiagonal transport, the loss diagonal, two mass-corrected gain
-superdiagonals, and above them a gain that depends on the column only,
-so apply, adjoint apply (L^T: cells are equal) and shifted solves all
-cost O(n).  Apply fills seven term rows from u (four bands, the loss, the
-far-gain suffix sum, u itself) and returns one weighted sum of them: the
-weights (v, v, 1, 1, 1, 1) give L(v)u and (tau*v, tau*v, tau, tau, tau,
-tau, 1) the forward-Euler stage u + tau*L(v)u, in one matrix-vector
-product whose bits may differ from a sum band by band.  The dense chain
-``transport_reaction_parts`` -> ``assemble``/``assemble_adjoint`` builds
-the same matrix entry by entry from the kernel table; it is the
+``Generator`` is the structured O(n) form every solver uses.  The dense
+chain ``transport_reaction_parts`` -> ``assemble``/``assemble_adjoint``
+builds the same matrix entry by entry from the kernel table; it is the
 independent oracle of the structured form.
 """
 
@@ -56,13 +48,11 @@ def _lapack():
     """The module whose ``dgbtrf`` and ``dgbtrs`` the shifted solves call.
 
     ``from scipy.linalg.lapack import dgbtrf`` runs all of
-    ``scipy/linalg/__init__.py``: on a 2-core VM after numpy, 0.3-0.35 s
-    and 28 MB of resident memory that the banded LU never uses.  So the
-    first call loads only the compiled extension
-    ``scipy/linalg/_flapack*.so`` by file spec (0.01 s and 2.5 MB there)
-    and registers it in ``sys.modules`` under its full name; later calls,
-    and a process that has already imported ``scipy.linalg``, reuse that
-    entry.
+    ``scipy/linalg/__init__.py``, whose time and resident memory the banded
+    LU never uses.  So the first call loads only the compiled extension
+    ``scipy/linalg/_flapack*.so`` by file spec and registers it in
+    ``sys.modules`` under its full name; later calls, and a process that
+    has already imported ``scipy.linalg``, reuse that entry.
 
     A later ``import scipy.linalg`` runs as usual and reuses the registered
     module, so its ``lapack.dgbtrf`` is the same object.  One visible
@@ -107,15 +97,10 @@ class Generator:
     - ``uptake`` = conv_j*h_j and ``returned`` = (x0**2/y_j)*frag_eff_j*h_j,
       the fragment mass landing below x0: the weights of the monomer equation.
 
-    So L(v)u is a suffix sum plus bands, its adjoint a prefix sum plus
-    bands.  ``apply`` writes the terms of L(v)u into fixed rows (the
-    transport rows unscaled, so no row depends on v) and weights them in
-    one matrix-vector product; that adds them in BLAS's order, so its bits
-    may differ from a sum band by band.  Subtracting from each row of
-    s*I - L(v) the row below it leaves a band matrix with one lower and
-    three upper diagonals, which LAPACK factors in O(n).  Splitting in the
-    smallest cell is disabled (no admissible destination cell), as in
-    ``transport_reaction_parts``.
+    So L(v)u is a suffix sum plus bands (``apply``), its adjoint a prefix
+    sum plus bands, and a shifted solve a band LU (``solve_shifted``), all
+    O(n).  Splitting in the smallest cell is disabled (no admissible
+    destination cell), as in ``transport_reaction_parts``.
     """
 
     def __init__(self, coeffs: CoefficientSet, grid: SizeGrid):
@@ -176,13 +161,13 @@ class Generator:
               tau: Optional[float] = None) -> np.ndarray:
         """L(v) u in O(n), or the Euler stage u + tau*L(v) u, as a fresh array.
 
-        Both are one product of a weight vector with the term rows (see
-        ``__init__``), filled from u: L(v) u takes the weights
-        (v, v, 1, 1, 1, 1) on rows 0-5, the stage takes
-        (tau*v, tau*v, tau, tau, tau, tau, 1) on all seven.  The product
-        adds the terms in BLAS's order, so the bits may differ from a sum
-        band by band, within a few rounding units of the sum of the terms'
-        magnitudes; a cell whose terms are all zero is exactly 0.
+        Both are one product of a weight vector with the term rows that
+        ``__init__`` lays out, filled from u: L(v) u weights rows 0-5 by
+        (v, v, 1, 1, 1, 1), the stage all seven by
+        (tau*v, tau*v, tau, tau, tau, tau, 1).  The product adds the terms
+        in BLAS's order, so the bits may differ from a sum band by band,
+        within a few rounding units of the sum of the terms' magnitudes; a
+        cell whose terms are all zero is exactly 0.
         """
         rows, weights = self._rows, self._weights
         self._upad[1:-2] = u

@@ -61,32 +61,31 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid) -> VInfResult:
     """Locate the monomer level where the loss rate crosses zero.
 
     The search reads the generator alone; production and clearance do not
-    enter it.  Every level takes one shifted solve, not an eigen solve:
+    enter it.  Each level takes one test, not an eigen solve:
     ``Generator.certify`` at shift 0 with b = 1 solves x = -L(v)^{-1} 1
     and certifies x >= 0 exactly when the loss rate at v is positive, up
-    to rounding.
+    to rounding; the level becomes lo, the highest certified level, or
+    hi, the lowest failed one, with its g = 1/<h, x> (``_root_value``).
 
     A geometric ladder (doubling from 1) brackets the sign change inside
     [0, v_max]: v_max is where v*max(conv/h), the largest transport entry,
     reaches 1e150 (so every band-LU entry stays finite), cut to 1e300 (so
     the doubling stays finite).  The search then holds the node [a, b] of
-    the bisection tree on that bracket that bisection would hold, with
-    the highest certified level lo and the lowest failed level hi inside
-    it.  The node descends while its midpoint lies at or below lo or at or
-    above hi, where the sign is known.  Otherwise, when lo and hi both
-    carry g = 1/<h, x> (see ``_root_value``) and hi - lo > 1e-11*hi, it
-    steers: regula falsi on g gives r in (lo, hi), the step e = 2|r - r'|
-    from the previous r' ((b - a)/16 at first, never below 1e-11*hi) its
-    error, and the search tests the two edges of the cell of the tree
-    below [a, b] that holds r and is at most 4e wide.  Else it tests the
-    node's midpoint.  Every tested level is a point of the tree, so with
-    one sign change the search stops on the node bisection stops on, the
-    first with b - a <= 1e-13*b, in no more sign tests.  Below the 1e-11
-    floor g's rounding depends on the BLAS kernel, so only midpoints are
-    tested there.  The stop is relative to hi, so lo ends above 0 even
-    when the root lies below the first ladder level.  The one eigen solve
-    is at v_inf = lo, started from lo's x, which there is the Perron
-    vector to rounding.
+    the bisection tree on that bracket that bisection would hold.  The
+    node descends while its midpoint lies at or below lo or at or above
+    hi, where the sign is known.  Otherwise, when lo and hi both carry g
+    and hi - lo > 1e-11*hi, it steers: regula falsi on g gives r in
+    (lo, hi), the step e = 2|r - r'| from the previous r' ((b - a)/16 at
+    first, never below 1e-11*hi) its error, and the search tests the two
+    edges of the cell of the tree below [a, b] that holds r and is at most
+    4e wide.  Else it tests the node's midpoint.  Every tested level is a
+    point of the tree, so with one sign change the search stops on the
+    node bisection stops on, the first with b - a <= 1e-13*b, in no more
+    sign tests.  Below the 1e-11 floor g's rounding depends on the BLAS
+    kernel, so only midpoints are tested there.  The stop is relative to
+    hi, so lo ends above 0 even when the root lies below the first ladder
+    level.  The one eigen solve is at v_inf = lo, started from lo's x,
+    which there is the Perron vector to rounding.
 
     Raises ValueError, starting "no loss-rate root", when the loss rate at
     v = 0, min(decay + splitting) off the diagonal of the triangular L(0),
@@ -106,18 +105,25 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid) -> VInfResult:
                          "rate does not depend on v")
     v_max = min(1e150 / speed, 1e300)
     ones = np.ones(grid.n)
-    lo, x_lo, g_lo, hi, sign_tests = 0.0, None, None, min(1.0, v_max), 0
-    while True:
-        x, certified = gen.certify(hi, 0.0, ones)
+    lo, x_lo, g_lo, hi, g_hi, sign_tests = 0.0, None, None, v_max, None, 0
+
+    def test(v: float) -> bool:
+        """Certify the sign at v and move lo or hi there, with its g."""
+        nonlocal lo, x_lo, g_lo, hi, g_hi, sign_tests
+        x, certified = gen.certify(v, 0.0, ones)
         sign_tests += 1
-        if not certified:
-            g_hi = _root_value(grid.widths, x, False)
-            break
-        if hi >= v_max:
+        if certified:
+            lo, x_lo, g_lo = v, x, _root_value(grid.widths, x, True)
+        else:
+            hi, g_hi = v, _root_value(grid.widths, x, False)
+        return certified
+
+    v = min(1.0, v_max)
+    while test(v):
+        if v >= v_max:
             raise ValueError("no loss-rate root in (0, %g): the loss rate "
                              "stays positive up to the float-range cap" % v_max)
-        lo, x_lo, g_lo = hi, x, _root_value(grid.widths, x, True)
-        hi = min(2.0 * hi, v_max)
+        v = min(2.0 * v, v_max)
     a, b, r_prev = lo, hi, None
     while b - a > 1e-13 * b:
         mid = 0.5 * (a + b)
@@ -143,14 +149,8 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid) -> VInfResult:
                     break
             levels = (c, d)
         for v in levels:
-            if not lo < v < hi:  # its sign is known
-                continue
-            x, certified = gen.certify(v, 0.0, ones)
-            sign_tests += 1
-            if certified:
-                lo, x_lo, g_lo = v, x, _root_value(grid.widths, x, True)
-            else:
-                hi, g_hi = v, _root_value(grid.widths, x, False)
+            if lo < v < hi:  # else its sign is known
+                test(v)
     return VInfResult(v_inf=lo, bracket_hi=hi, sign_tests=sign_tests, evaluations=1,
                       solution=generator_eigenpair(gen, lo, u0=x_lo))
 
@@ -160,10 +160,9 @@ class SteadyState:
     """Coexistence root and, when it exists, the non-trivial steady state.
 
     u_profile is the unit-count eigenprofile at v_inf; u_inf = rho_inf *
-    u_profile is the physical density, present only when the existence
-    constraint production > clearance*v_inf holds (otherwise the count
-    formula would be nonpositive and rho_inf/u_inf stay None).  root is
-    the search that found v_inf.
+    u_profile is the physical density.  Both rho_inf and u_inf are None
+    unless ``exists`` (see ``build_steady_state``).  root is the search
+    that found v_inf.
     """
 
     v_inf: float
@@ -321,14 +320,11 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float):
 def detect_modes(u: np.ndarray):
     """Interior maxima of a profile after 3-point smoothing.
 
-    Returns (indices, prominences).  The maxima and their prominences
-    follow the rule of scipy.signal.find_peaks(sm, prominence=...), bit
-    for bit: a plateau counts once, at its left-middle cell, and not at
-    all if it touches either end, so a spike in the first or last cell is
-    never a mode; the prominence is the peak minus the higher of the
-    lowest values on its two sides, each side walked out to the first
-    strictly higher value.  A maximum is kept when its prominence is at
-    least 1% of the smoothed peak value.  A profile always has at least
+    Returns (indices, prominences) by the rule of
+    scipy.signal.find_peaks(sm, prominence=...), bit for bit
+    (``_prominent_peaks``), so a spike in the first or last cell is never
+    a mode.  A maximum is kept when its prominence is at least 1% of the
+    smoothed peak value.  A profile always has at least
     one mode: when no interior maximum survives, the global maximum of u
     is returned, with prominence u.max().
     """

@@ -630,11 +630,28 @@ def test_rates_are_sampled_in_one_place():
                     for c in _callers(m, {"solve_shifted", "certify"}))
     assert solves == [
         ("eigen", "certify", "_principal_on_matrix"),
-        ("eigen", "certify", "_principal_on_matrix"),
         ("operator", "solve_shifted", "Generator.certify"),
-        ("steady", "certify", "find_v_inf"),
-        ("steady", "certify", "find_v_inf"),
+        ("steady", "certify", "find_v_inf.test"),
     ]
+    # the loss rate at vbar has one home, a primal solve: no other eigen
+    # solve takes vbar, and the stability probe reads no adjoint loss rate
+    assert sorted((m,) + c for m in modules
+                  for c in _callers(m, {"loss_rate_at_vbar"})) == [
+        ("cli", "loss_rate_at_vbar", "_run_simulate"),
+        ("cli", "loss_rate_at_vbar", "_run_sweep"),
+        ("dynamics", "loss_rate_at_vbar", "stability_experiment"),
+    ]
+    eigen_solves = {"principal_eigenpair", "adjoint_eigenpair", "generator_eigenpair"}
+    at_vbar = sorted((m, ast.unparse(node.func)) for m in modules
+                     for node in ast.walk(ast.parse(_source(m)))
+                     if isinstance(node, ast.Call)
+                     and ast.unparse(node.func).split(".")[-1] in eigen_solves
+                     and "vbar" in ast.unparse(node))
+    assert at_vbar == [("dynamics", "adjoint_eigenpair"), ("eigen", "principal_eigenpair")]
+    probe = next(node for node in ast.walk(ast.parse(_source("dynamics")))
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "stability_experiment")
+    assert "lambda_eig" not in ast.unparse(probe)
     catchers = sorted({m for m in modules
                        for node in ast.walk(ast.parse(_source(m)))
                        if isinstance(node, ast.ExceptHandler) and node.type is not None

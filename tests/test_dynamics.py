@@ -510,11 +510,15 @@ def test_stability_solves_the_adjoint_once(monkeypatch):
     grid = SizeGrid.uniform(30.0, 200)
     monkeypatch.setattr(eigen_module, "_principal_on_matrix", counting)
     res = stability_experiment(coeffs, grid, epsilon=1e-3, t_end=400.0)
-    # one solve at vbar, the adjoint one, and no other adjoint solve
-    assert [s for s in solves if s[0] == res.vbar] == [(res.vbar, True)]
+    # at vbar one primal solve for the loss rate and one adjoint solve for
+    # the weight, and no other adjoint solve
+    assert sorted(s for s in solves if s[0] == res.vbar) == [(res.vbar, False),
+                                                             (res.vbar, True)]
     assert [v for v, adjoint in solves if adjoint] == [res.vbar]
     monkeypatch.undo()
-    # the constants are those of a standalone solve; the verdict as before
+    # the loss rate and the constants are those of standalone solves; the
+    # verdict as before
+    assert res.loss_rate_at_vbar == principal_eigenpair(coeffs, grid, res.vbar).lambda_eig
     adj = adjoint_eigenpair(coeffs, grid, res.vbar)
     assert res.constants == hypothesis_constants(adj)
     assert res.alpha_weight == 2.0 * res.constants.k2 * res.vbar / res.loss_rate_at_vbar
@@ -547,6 +551,22 @@ def test_stability_norms_read_v_at_each_sample():
     np.testing.assert_allclose(res.norm_values, expected, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [100, 200])
+def test_stability_loss_rate_lies_within_tol_of_the_dense_eigenvalue(n):
+    # fig2-bell's shape at vbar = 10: the adjoint eigenvalue's condition
+    # number is large there, and its loss rate lies 13*DEFAULT_TOL*scale
+    # from the dense eigenvalue at n = 200; the primal's is small
+    coeffs = CoefficientSet(production=40.0, clearance=4.0,
+                            conversion=Bell(0.001, 0.1, 2.0, width_sq=0.1))
+    grid = SizeGrid.uniform(60.0, n)
+    gen = Generator(coeffs, grid)
+    scale = float((gen.apply(10.0, np.ones(n)) - 2.0 * gen.diagonal(10.0)).max())
+    nu = eig(assemble(coeffs, grid, 10.0).matrix, right=False).real.max()
+    res = stability_experiment(coeffs, grid, epsilon=1e-3, t_end=5.0)
+    assert res.vbar == 10.0
+    assert abs(res.loss_rate_at_vbar + nu) <= DEFAULT_TOL * scale
+
+
 # relative offset of vbar from v_inf that puts the dense eigenvalue at
 # vbar about 3*DEFAULT_TOL*scale from 0 on fig2-bell's shape
 NEAR_ROOT = {100: 1.5e-7, 200: 3e-7}
@@ -555,8 +575,8 @@ NEAR_ROOT = {100: 1.5e-7, 200: 3e-7}
 @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
 @pytest.mark.parametrize("n", sorted(NEAR_ROOT))
 def test_stability_regime_near_a_zero_loss_rate(n, side):
-    # near lambda(vbar) = 0 the adjoint solve's error could flip the
-    # regime; it must still match the sign of the dense eigenvalue
+    # near lambda(vbar) = 0 a solve's error could flip the regime; it
+    # must still match the sign of the dense eigenvalue
     grid = SizeGrid.uniform(60.0, n)
     bell = Bell(0.001, 0.1, 2.0, width_sq=0.1)
     v_inf = find_v_inf(CoefficientSet(production=2400.0, clearance=4.0,
