@@ -132,26 +132,28 @@ class CoefficientSet:
         return self.production / self.clearance
 
 
-def _check_nonneg(values: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:
-    bad = np.flatnonzero(values < 0.0)
+def _check_rate(values: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
     if bad.size:
         i = int(bad[0])
         raise ValueError(
-            "%s is negative at x=%.6g (value %.6g); rates must be nonnegative on the grid"
-            % (name, float(x[i]), float(values[i]))
+            "%s is %s at x=%.6g (value %.6g); rates must be finite and nonnegative "
+            "on the grid" % (name, "negative" if values[i] < 0.0 else "not finite",
+                             float(x[i]), float(values[i]))
         )
     return values
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def eval_coefficients(coeffs: CoefficientSet, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample the three rate shapes at the cell centers of SizeGrid ``grid``.
 
     Returns (conversion, fragmentation, decay) as float arrays.  Raises
-    ValueError naming the offending rate and location if any shape goes
-    negative at any center.
+    ValueError naming the offending rate and location if any shape is
+    negative or not finite at any center.
     """
     x = grid.centers
-    conv = _check_nonneg(np.asarray(coeffs.conversion(x), dtype=float), x, "conversion")
-    frag = _check_nonneg(np.asarray(coeffs.fragmentation(x), dtype=float), x, "fragmentation")
-    decay = _check_nonneg(np.asarray(coeffs.decay(x), dtype=float), x, "decay")
+    conv = _check_rate(np.asarray(coeffs.conversion(x), dtype=float), x, "conversion")
+    frag = _check_rate(np.asarray(coeffs.fragmentation(x), dtype=float), x, "fragmentation")
+    decay = _check_rate(np.asarray(coeffs.decay(x), dtype=float), x, "decay")
     return conv, frag, decay

@@ -10,10 +10,11 @@ fragmentation*n0*(n0-1)*U to the pool; that closes the books exactly:
                              - conversion*V*(n_max+1)*u[n_max]
 
 with the last term the only (monitored) leak, from polymers growing past
-the top bin.  The stepper deliberately uses the same four-stage SSPRK(4,2)
-arithmetic as the continuum integrator's explicit step, coded separately,
-so that with u = 0 both reduce to the identical scalar update for V and
-agree to the last bit.
+the top bin.  The stepper deliberately takes the continuum integrator's
+stages, SSPRK(4,2) for the polymers and the stiffly accurate ESDIRK for
+the monomer, coded separately in the same operation order, so that with
+u = 0 both reduce to the identical scalar update for V and agree to the
+last bit.
 """
 
 from __future__ import annotations
@@ -92,44 +93,50 @@ class DiscreteTrajectory:
 
 
 def _rhs(params: DiscreteParams, loss: np.ndarray, u: np.ndarray, v: float):
-    """Right-hand side; loss is the fixed diagonal -(decay + splitting)."""
+    """Polymer slopes; loss is the fixed diagonal -(decay + splitting)."""
     tau, beta = params.conversion, params.fragmentation
-    count = u.sum()
     # suffix sums: tail[k] = sum of u over sizes strictly above sizes[k]
     tail = np.cumsum(u[::-1])[::-1] - u
     shifted = np.empty_like(u)
     shifted[0] = 0.0
     shifted[1:] = u[:-1]
-    du = (loss * u
-          - tau * v * (u - shifted)
-          + 2.0 * beta * tail)
-    dv = (params.production - params.clearance * v - tau * v * count
-          + beta * params.n0 * (params.n0 - 1.0) * count)
-    return du, dv
+    return (loss * u
+            - tau * v * (u - shifted)
+            + 2.0 * beta * tail)
 
 
 def _ssp_step(params: DiscreteParams, sizes, loss, u, v, dt, depth=0):
-    """One SSPRK(4,2) step: three forward-Euler stages of dt/3, then u/4
-    plus 3/4 of a fourth stage from the third; on a negative stage,
-    recurse on two half steps.  Returns u, v, the book residual and the
-    number of halvings.
+    """One step: the polymers take SSPRK(4,2), three forward-Euler stages
+    of dt/3 and then u/4 plus 3/4 of a fourth stage from the third, each
+    at its stage's monomer level.  The levels come from a stiffly accurate
+    ESDIRK: stage 0 is v, and stage k = 1, 2, 3 solves vk = v + c*(sum of
+    the monomer slopes of stages 0..k) exactly, with c = 1/6, 2/9 and 1/4
+    of dt; the step ends on the last level.  On a negative stage, recurse
+    on two half steps.  Returns u, v, the book residual and the number of
+    halvings.
 
     sizes is params.sizes and loss the diagonal _rhs takes, both built once
     by the caller.
     """
     tau = dt / 3.0
     top_rate = params.conversion * (params.n_max + 1.0)
+    returned = params.fragmentation * params.n0 * (params.n0 - 1.0)
     uk, vk = u, v
+    slope_sum = 0.0  # the monomer slopes of the stages so far
     src = 0.0  # sum of the four stage sources of d(v + mass)/dt
     for stage in range(4):
-        du, dv = _rhs(params, loss, uk, vk)
+        count = uk.sum()
+        take, back = params.conversion * count, returned * count
+        if stage:
+            c = (1 / 6, 2 / 9, 1 / 4)[stage - 1] * dt
+            vk = ((v + c * (slope_sum + params.production + back))
+                  / (1.0 + c * (params.clearance + take)))
+        slope_sum += params.production - vk * (params.clearance + take) + back
         src += (params.production - params.clearance * vk
                 - params.decay * (sizes @ uk) - top_rate * vk * uk[-1])
-        uk = uk + tau * du
-        vk = vk + tau * dv
+        uk = uk + tau * _rhs(params, loss, uk, vk)
         if stage == 3:
             uk = 0.25 * u + 0.75 * uk
-            vk = 0.25 * v + 0.75 * vk
         if uk.min() < 0.0 or vk < 0.0:
             break
     else:
@@ -216,13 +223,12 @@ def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
     apart at any dt.
 
     The twins check each other only while they take the same steps.  So
-    after all four runs, a continuum run that took a polymer-limited,
-    implicit-monomer or rejected step, or a chain run that halved a step,
-    raises a ValueError naming dt, the run and the counts.  As a rule of
-    thumb dt must stay below 3 over the largest loss rate at vbar (0.483
-    days for default_calibration()) and at most 4.5/clearance; the seeded
-    runs may depart later, as the outbreak raises the monomer uptake.  The
-    report carries dt and the steps of all four runs.
+    after all four runs, a continuum run that took a polymer-limited or
+    rejected step, or a chain run that halved a step, raises a ValueError
+    naming dt, the run and the counts.  As a rule of thumb dt must stay
+    below 3 over the largest loss rate at vbar (0.483 days for
+    default_calibration()).  The report carries dt and the steps of all
+    four runs.
     """
     coeffs, grid = matched_continuum_setup(params)
     vbar = params.production / params.clearance
@@ -252,7 +258,6 @@ def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
                 for run, traj in (("uninfected", traj_c0), ("seeded", traj_c))
                 for kind, count in (
                     ("polymer-limited steps", traj.steps_by_limit["polymer"]),
-                    ("implicit-monomer steps", traj.implicit_monomer_steps),
                     ("rejected steps", traj.rejections)) if count]
     departed += ["the chain %s run halved %d steps" % (run, traj.halvings)
                  for run, traj in (("uninfected", traj_d0), ("seeded", traj_d))

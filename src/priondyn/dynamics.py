@@ -2,10 +2,10 @@
 experiments built on it: growth-rate fits, incubation times, stability
 runs.
 
-The stepper is SSPRK(4,2), the four-stage second-order strong-stability-
-preserving Runge-Kutta method, with implicit monomer stages where the
-monomer is stiff; ``integrate`` states the step rule and the books, and
-``Trajectory`` what a run records.
+The stepper takes the polymer stages of SSPRK(4,2), the four-stage
+second-order strong-stability-preserving Runge-Kutta method, and the
+monomer stages of a stiffly accurate ESDIRK; ``integrate`` states the
+step rule and the books, and ``Trajectory`` what a run records.
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ __all__ = [
     "stability_experiment",
 ]
 
-# The monomer stages of a stiff step: a stiffly accurate ESDIRK with the
-# weights b = (1/4, 1/4, 1/4, 1/4) and the stage times (0, 1/3, 2/3, 1) of
-# SSPRK(4,2).  Its first stage is V itself; row k of the later stages holds
-# the coefficients (times dt) of the slopes of stages 0..k, the diagonal
-# last.  Each stage time is its row sum and every stage is second order,
-# so the pair stays second order in V however stiff the monomer is; on the
-# negative real axis |R| <= 1 and R(inf) = 0.
-_MONOMER_ROWS = ((1 / 6, 1 / 6), (2 / 9, 2 / 9, 2 / 9), (0.25, 0.25, 0.25, 0.25))
+# The monomer stages: a stiffly accurate ESDIRK (Kennedy & Carpenter,
+# NASA/TM-2016-219173) with the weights b = (1/4, 1/4, 1/4, 1/4) and the
+# stage times (0, 1/3, 2/3, 1) of SSPRK(4,2).  Its first stage is V itself;
+# stage k = 1, 2, 3 weighs the slopes of stages 0..k all alike, by the k-th
+# entry here (times dt), so each stage time is k + 1 times its weight.
+# Every stage is second order, so the pair stays second order in V however
+# stiff the monomer is; on the negative real axis |R| <= 1 and R(inf) = 0.
+_MONOMER_WEIGHTS = (1 / 6, 2 / 9, 1 / 4)
 
 
 class IntegratorFailure(RuntimeError):
@@ -67,11 +67,9 @@ class Trajectory:
     steps_by_limit counts accepted steps by the bound that set them
     ("polymer" for the generator's largest loss rate, "dt_max", or
     "event" for a step landing on a snapshot or t_end; a retried step
-    counts under the bound it halved) and sums to steps.
-    implicit_monomer_steps counts the accepted steps whose monomer
-    levels came from the implicit stages.  rhs_evaluations counts
-    right-hand-side evaluations: four per accepted step plus those a
-    rejected step made up to its negative stage.
+    counts under the bound it halved) and sums to steps.  rhs_evaluations
+    counts right-hand-side evaluations: four per accepted step plus those
+    a rejected step made up to its negative stage.
     """
 
     times: np.ndarray
@@ -88,7 +86,6 @@ class Trajectory:
     rejections: int
     steps_by_limit: dict = field(default_factory=dict)
     rhs_evaluations: int = 0
-    implicit_monomer_steps: int = 0
 
     @property
     def max_residual(self) -> float:
@@ -120,20 +117,20 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     step when it lies within the smallest step of the current time.  Each
     step is dt = 3/max(-L(V) diagonal), from the state at its start,
     capped by dt_max when given: a stage of dt/3 then keeps every polymer
-    entry nonnegative at the starting V.  A step with dt/3*(clearance +
-    uptake) > 1.5, past 3/4 of the explicit monomer stage's stability
-    limit, takes implicit monomer stages (see _MONOMER_ROWS): stage k
-    applies L(W_k) with W_k = V + dt*sum_j a_kj*F_j, F_j = production +
-    returned_j - (clearance + uptake_j)*W_j, solved for W_k in closed
-    form, and the step ends at V+ = W_3.  Any other step is the explicit
-    SSPRK(4,2) step throughout.  A stage with a negative entry (the rates
-    moved within the step) rejects the step, which is retried at half the
-    length.
+    entry nonnegative at the starting V; the monomer sets no step.  Stage
+    k applies L(W_k) in a forward-Euler stage of dt/3 (SSPRK(4,2)), with
+    the monomer level W_k from the ESDIRK stages of _MONOMER_WEIGHTS: W_0
+    = V, and for k = 1, 2, 3, with c_k = w_k*dt and S the sum of the
+    monomer slopes of the stages before k, W_k = (V + c_k*(S + production
+    + returned_k))/(1 + c_k*(clearance + uptake_k)) solves W_k = V +
+    c_k*(S + slope_k(W_k)) exactly.  The step ends at V+ = W_3.  A stage
+    with a negative entry (the rates moved within the step) rejects the
+    step, which is retried at half the length.
 
-    The books are stage-consistent on steps of both kinds: each step's
-    residual compares the realized change of (monomer + polymer mass)
-    against the mean of the four stage sources, so it sits at rounding
-    level and any real leak would show immediately.
+    The books are stage-consistent: each step's residual compares the
+    realized change of (monomer + polymer mass) against the mean of the
+    four stage sources, so it sits at rounding level and any real leak
+    would show immediately.
     """
     if t_end <= initial.t:
         raise ValueError("t_end=%g is not beyond the initial time %g" % (t_end, initial.t))
@@ -167,7 +164,6 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     rejections = 0
     rhs_evaluations = 0
     steps_by_limit = dict.fromkeys(("polymer", "dt_max", "event"), 0)
-    implicit_steps = 0
     shrink = 1.0
     ev_i = 0
     dt_min = 1e-14 * max(1.0, t_end - initial.t)
@@ -198,23 +194,19 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
                 "step size underflow at t=%g (shrink=%g)" % (t, shrink),
                 state=PolymerState(v=V, u=u.copy(), grid=grid, t=t))
 
-        # SSPRK(4,2) in Shu-Osher form: three forward-Euler stages of
-        # tau = dt/3, then u/4 + 3/4 of a fourth Euler stage from the
-        # third.  The step equals u + dt/4 times the sum of the four stage
-        # slopes, so the books take the mean of the four stage sources
+        # SSPRK(4,2) in Shu-Osher form for the polymers: three forward-Euler
+        # stages of tau = dt/3, then u/4 + 3/4 of a fourth Euler stage from
+        # the third.  The step equals (u, V) + dt/4 times the sum of the
+        # four stage slopes, so the books take the mean of the stage sources
         tau = dt / 3.0
-        implicit = tau * (gam + take_u) > 1.5
         w, W, mu_w, take_w, back_w = u, V, mu_u, take_u, back_u
-        src = out = 0.0
-        slopes = []
+        slope_sum = src = out = 0.0
         for stage in range(4):
-            if implicit and stage:
-                # W solves W = V + dt*(row . slopes + diag*slope(W)) exactly
-                *row, diag = _MONOMER_ROWS[stage - 1]
-                W = ((V + dt * (sum(a * f for a, f in zip(row, slopes))
-                                + diag * (lam + back_w)))
-                     / (1.0 + diag * dt * (gam + take_w)))
-            dW = lam - W * (gam + take_w) + back_w
+            if stage:
+                # W solves W = V + c*(slope_sum + slope(W)) exactly
+                c = _MONOMER_WEIGHTS[stage - 1] * dt
+                W = (V + c * (slope_sum + lam + back_w)) / (1.0 + c * (gam + take_w))
+            slope_sum += lam - W * (gam + take_w) + back_w
             rhs_evaluations += 1
             out_w = W * fluxw * w[-1]
             src += lam - gam * W - mu_w - out_w
@@ -222,16 +214,9 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
             # the stage w + tau*L(W)w is a fresh array, so u/4 + 3/4*w below
             # may work in place
             w = gen.apply(W, w, tau)
-            if implicit:
-                # the last row is the weights: the step ends on the last level
-                slopes.append(dW)
-            else:
-                W = W + tau * dW
             if stage == 3:
                 w *= 0.75
                 w += 0.25 * u
-                if not implicit:
-                    W = 0.25 * V + 0.75 * W
             negative = w.min() < 0.0 or W < 0.0
             if negative:
                 break
@@ -260,7 +245,6 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         t = next_event if hit_event else t + dt
         steps += 1
         steps_by_limit["event" if hit_event else limit] += 1
-        implicit_steps += implicit
         for series, value in zip(rows, (t, V, rho_u, p_u)):
             series.append(value)
 
@@ -270,8 +254,7 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
                       truncation_flux_total=float(flux_total), grid=grid,
                       coeffs=coeffs, final_state=final, steps=steps,
                       rejections=rejections, steps_by_limit=steps_by_limit,
-                      rhs_evaluations=rhs_evaluations,
-                      implicit_monomer_steps=implicit_steps)
+                      rhs_evaluations=rhs_evaluations)
 
 
 def line_fit(x, y) -> tuple:

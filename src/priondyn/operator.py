@@ -100,9 +100,11 @@ class Generator:
     So L(v)u is a suffix sum plus bands (``apply``), its adjoint a prefix
     sum plus bands, and a shifted solve a band LU (``solve_shifted``), all
     O(n).  Splitting in the smallest cell is disabled (no admissible
-    destination cell), as in ``transport_reaction_parts``.
+    destination cell), as in ``transport_reaction_parts``.  A rate whose
+    entries overflow on the grid raises a ValueError that names it.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, coeffs: CoefficientSet, grid: SizeGrid):
         x, h = grid.centers, grid.widths
         conv, frag, decay = eval_coefficients(coeffs, grid)
@@ -128,6 +130,13 @@ class Generator:
         self.gain1 = out[1:] / h[:-1] * np.concatenate(([w01], h[1:-1] / y + b))
         self.gain2 = out[2:] / h[:-2] * (h[:-2] / y + d0 - b)
         self.far_gain = out / x
+        for rate, entries in (
+                ("conversion", (self.t_diag, self.t_sub, self.uptake)),
+                ("fragmentation", (self.gain1, self.gain2, self.far_gain, self.returned)),
+                ("decay plus fragmentation", (self.loss,))):
+            if not all(np.isfinite(e).all() for e in entries):
+                raise ValueError("%s gives generator entries that are not finite "
+                                 "on this grid" % rate)
         # apply's term rows, refilled from u on each call:
         #   0-3  the band table (t_sub, t_diag, gain1, gain2), aligned so
         #        that column i multiplies u[i-1], u[i], u[i+1], u[i+2],

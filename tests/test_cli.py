@@ -174,6 +174,29 @@ def test_config_error_exits_2_with_error_file(tmp_path):
     assert any("bogus" in e for e in err["errors"])
 
 
+# a conversion that overflows where it is sampled, and one that overflows
+# only over the cell widths of a grid narrow enough to pass the parser
+OVERFLOWING_SAMPLE = ("model.conversion.shape = affine\n"
+                      "model.conversion.intercept = 0.001\n"
+                      "model.conversion.slope = 1e307\n"
+                      "grid.xmax = 60\ngrid.n = 100\n")
+OVERFLOWING_ENTRY = ("model.conversion.shape = constant\n"
+                     "model.conversion.value = 1e200\n"
+                     "grid.xmax = 5e-149\ngrid.n = 50\n")
+
+
+@pytest.mark.parametrize("command, model", [
+    ("steady", OVERFLOWING_SAMPLE), ("simulate", OVERFLOWING_SAMPLE),
+    ("steady", OVERFLOWING_ENTRY), ("eigen", OVERFLOWING_ENTRY + "eigen.v_values = 1\n")],
+    ids=["sample-steady", "sample-simulate", "entry-steady", "entry-eigen"])
+def test_a_non_finite_rate_is_named(tmp_path, command, model):
+    code, out = _run(tmp_path, command, "experiment = %s\n%s" % (command, model))
+    assert code == 2
+    err = json.loads((out / ("error-%s.json" % command)).read_text())
+    assert err["error_type"] == "ValueError"
+    assert err["error"].startswith("conversion ") and "not finite" in err["error"]
+
+
 def test_success_clears_stale_error_file(tmp_path):
     # a failed attempt leaves error-<cmd>.json; a later good run into the
     # same directory must not leave it lying around as a false alarm
@@ -1021,10 +1044,9 @@ def test_integration_counters_explain_steps_and_rejections(tmp_path):
     diags = [json.loads(p.read_text())["diagnostics"]
              for p in sorted(out1.glob("*-item-*.json"))]
     # slope 0.0628: counts the event-landing rule must leave unchanged.
-    # After the outbreak the monomer is stiff, and 187 steps take the
-    # implicit monomer stages instead of shortening for it
+    # After the outbreak the monomer is stiff, and the ESDIRK monomer
+    # stages keep the step from shortening for it
     assert (diags[1]["steps"], diags[1]["rejections"]) == (305, 0)
-    assert diags[1]["implicit_monomer_steps"] == 187
     # four per accepted step; no stage went negative
     assert diags[1]["rhs_evaluations"] == 1220
     for d in diags:
@@ -1342,6 +1364,29 @@ def test_the_chain_fits_its_own_slope():
     names = {a.name for node in ast.walk(trees["discrete.py"])
              if isinstance(node, ast.ImportFrom) for a in node.names}
     assert "line_fit" not in names
+
+
+def test_the_chain_steps_without_the_continuum():
+    # README red line: the chain takes the continuum's stages from its own
+    # code, so no name from a continuum module (the monomer weights, the
+    # generator) reaches its stepper; only the cross-check runs the
+    # continuum
+    tree = dict(_src_trees())["discrete.py"]
+    continuum = {"dynamics", "operator", "eigen", "steady"}
+    names = set(continuum)
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in continuum:
+            names |= {a.asname or a.name for a in node.names}
+    assert {"integrate", "growth_rate"} <= names
+    users = {node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and any(isinstance(n, ast.Name) and n.id in names
+                     or isinstance(n, ast.Attribute) and n.attr in continuum
+                     for n in ast.walk(node))}
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"_rhs", "_ssp_step", "integrate_discrete"} <= defined
+    assert "compare_continuum" in users
+    assert users <= {"compare_continuum", "matched_continuum_setup"}
 
 
 @pytest.mark.parametrize("module", ["priondyn", "priondyn.cli"])

@@ -15,7 +15,7 @@ from priondyn import (Affine, Bell, CoefficientSet, EigenConvergenceError, Gener
                       Trajectory, adjoint_eigenpair, assemble, find_v_inf, growth_rate,
                       hypothesis_constants,
                       incubation_time, integrate, principal_eigenpair,
-                      seed_state, stability_experiment)
+                      seed_state, stability_experiment, transport_reaction_parts)
 from priondyn.cli import sweep
 from priondyn.config import parse_config
 from priondyn.dynamics import line_fit
@@ -171,38 +171,49 @@ def test_negative_stage_is_retried_at_half_the_step():
     assert 4 * traj.steps + traj.rejections <= traj.rhs_evaluations
 
 
-# --- implicit monomer stages -----------------------------------------------
+# --- stiff monomer --------------------------------------------------------
 
-# a clearance of 540 puts dt/3 * clearance at 1.8 or more for dt >= 0.01
+# a clearance of 540 puts dt/3 * clearance at 1.8 or more for dt >= 0.01,
+# past the explicit Euler stage's stability limit
 STIFF = CoefficientSet(production=540.0 * 600.0, clearance=540.0)
 
 
 def test_implicit_monomer_stages_converge_at_second_order():
-    # every step of dt_max in {0.04, 0.02, 0.01} takes the implicit monomer
-    # stages; a seed of 1e6 takes up half the monomer, so V falls from 600
-    # to about 290 through a fast layer and then follows the polymers.
-    # Halving the step must cut the largest V error against an explicit
-    # run at dt_max = 1e-3 about fourfold, with the books at rounding
+    # a seed of 1e6 takes up half the monomer, so V falls from 600 to about
+    # 290 through a fast layer and then follows the polymers.  Halving the
+    # step must cut the largest V error about fourfold against Radau on the
+    # dense generator parts and the monomer equation, with the books at
+    # rounding
     grid = SizeGrid.uniform(30.0, 60)
     initial = seed_state(STIFF, grid, scale=1e6)
     instants = (0.4, 0.8, 1.2, 1.6, 2.0)
+    T, B, samples = transport_reaction_parts(STIFF, grid)
+    take = samples["conversion"] * grid.widths  # x0 = 0: nothing returns
+
+    def rhs(t, y):
+        u, v = y[:-1], y[-1]
+        return np.append(v * (T @ u) + B @ u,
+                         STIFF.production - v * (STIFF.clearance + take @ u))
+
+    ref = solve_ivp(rhs, (0.0, 2.0), np.append(initial.u, initial.v), method="Radau",
+                    t_eval=instants, rtol=1e-12, atol=1e-12)
+    assert ref.success
+    v_ref = ref.y[-1]
 
     def v_at(traj):
         v_by_time = dict(zip(traj.times.tolist(), traj.v_series.tolist()))
         return np.array([v_by_time[t] for t in instants])
 
-    ref = integrate(STIFF, grid, initial, 2.0, snapshot_times=instants[:-1], dt_max=1e-3)
-    assert ref.implicit_monomer_steps == 0
     errors = []
     for dt in (0.04, 0.02, 0.01):
         traj = integrate(STIFF, grid, initial, 2.0, snapshot_times=instants[:-1],
                          dt_max=dt)
-        assert traj.implicit_monomer_steps == traj.steps and traj.rejections == 0
+        assert traj.rejections == 0
         assert traj.max_residual <= 1e-12
         assert traj.v_series.min() > 0.0 and traj.rho_series.min() > 0.0
         assert min(snap.min() for _, snap in traj.snapshots) >= 0.0
         assert traj.final_state.u.min() >= 0.0
-        errors.append(np.abs(v_at(traj) - v_at(ref)).max() / v_at(ref).max())
+        errors.append(np.abs(v_at(traj) - v_ref).max() / v_ref.max())
     orders = np.log2(np.asarray(errors[:-1]) / np.asarray(errors[1:]))
     assert np.all(orders >= 1.8), orders
 
@@ -215,7 +226,6 @@ def test_negative_implicit_stage_is_retried_at_half_the_step():
     traj = integrate(STIFF, grid, seed_state(STIFF, grid, scale=1e4, v_init=6000.0),
                      1.0, dt_max=0.04)
     assert traj.rejections >= 1 and traj.times[1] < 0.04
-    assert traj.implicit_monomer_steps >= 1
     assert traj.max_residual <= 1e-12
     assert traj.v_series.min() > 0.0 and traj.final_state.u.min() >= 0.0
 
