@@ -87,6 +87,8 @@ def _outbreak(cfg: RunConfig, grid, threshold: Optional[float] = None):
         steps=traj.steps, rejections=traj.rejections,
         rhs_evaluations=traj.rhs_evaluations,
         steps_by_limit=traj.steps_by_limit,
+        partitioned_steps=traj.partitioned_steps,
+        max_partition_cells=traj.max_partition_cells,
         dropped_snapshot_times=[s for s in cfg.snapshot_times if s not in taken])
     rho0 = initial.moment0()
     results = {"rho0": rho0, "snapshot_times": taken}

@@ -46,6 +46,13 @@ __all__ = [
 # stiff the monomer is; on the negative real axis |R| <= 1 and R(inf) = 0.
 _MONOMER_WEIGHTS = (1 / 6, 2 / 9, 1 / 4)
 
+# The partitioned step (``integrate``): the longest run of stiff cells it
+# takes, and the monomer level's solve: the evaluations it may make and the
+# fixed-point residual, relative to the level, at which it stops
+_MAX_RUN = 64
+_LEVEL_EVALUATIONS = 8
+_LEVEL_TOL = 2e-15
+
 
 class IntegratorFailure(RuntimeError):
     """Integration aborted; carries the last valid state and time."""
@@ -65,11 +72,15 @@ class Trajectory:
     relative book residual of each accepted step (length = steps).
 
     steps_by_limit counts accepted steps by the bound that set them
-    ("polymer" for the generator's largest loss rate, "dt_max", or
-    "event" for a step landing on a snapshot or t_end; a retried step
-    counts under the bound it halved) and sums to steps.  rhs_evaluations
-    counts right-hand-side evaluations: four per accepted step plus those
-    a rejected step made up to its negative stage.
+    ("polymer" for the largest loss rate of a cell stepped explicitly,
+    "dt_max", or "event" for a step landing on a snapshot or t_end; a
+    retried step counts under the bound it halved) and sums to steps.
+    rhs_evaluations counts right-hand-side evaluations: four per accepted
+    step plus those a rejected step made up to its negative stage, or an
+    abandoned partitioned step up to its unsolved monomer level.
+    partitioned_steps counts the accepted steps that took the run of stiff
+    cells implicitly, and max_partition_cells is the longest such run
+    (``integrate`` states the rule).
     """
 
     times: np.ndarray
@@ -86,6 +97,8 @@ class Trajectory:
     rejections: int
     steps_by_limit: dict = field(default_factory=dict)
     rhs_evaluations: int = 0
+    partitioned_steps: int = 0
+    max_partition_cells: int = 0
 
     @property
     def max_residual(self) -> float:
@@ -114,18 +127,53 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
 
     Steps land exactly on requested snapshot instants and on t_end; each
     instant in [initial.t, t_end] gives one snapshot, taken without a
-    step when it lies within the smallest step of the current time.  Each
-    step is dt = 3/max(-L(V) diagonal), from the state at its start,
-    capped by dt_max when given: a stage of dt/3 then keeps every polymer
-    entry nonnegative at the starting V; the monomer sets no step.  Stage
-    k applies L(W_k) in a forward-Euler stage of dt/3 (SSPRK(4,2)), with
-    the monomer level W_k from the ESDIRK stages of _MONOMER_WEIGHTS: W_0
-    = V, and for k = 1, 2, 3, with c_k = w_k*dt and S the sum of the
-    monomer slopes of the stages before k, W_k = (V + c_k*(S + production
-    + returned_k))/(1 + c_k*(clearance + uptake_k)) solves W_k = V +
+    step when it lies within the smallest step of the current time.
+
+    The explicit step.  Let r = -diag L(V), the loss rates at the step's
+    starting V, and r_max the largest.  The step is dt = 3/r_max, capped
+    by dt_max when given: a stage of dt/3 then keeps every polymer entry
+    nonnegative at the starting V; the monomer sets no step.  Stage k
+    applies L(W_k) in a forward-Euler stage of dt/3 (SSPRK(4,2)), with the
+    monomer level W_k from the ESDIRK stages of _MONOMER_WEIGHTS: W_0 = V,
+    and for k = 1, 2, 3, with c_k = w_k*dt and S the sum of the monomer
+    slopes of the stages before k, W_k = (V + c_k*(S + production +
+    returned_k))/(1 + c_k*(clearance + uptake_k)) solves W_k = V +
     c_k*(S + slope_k(W_k)) exactly.  The step ends at V+ = W_3.  A stage
     with a negative entry (the rates moved within the step) rejects the
     step, which is retried at half the length.
+
+    The partitioned step, for the few stiff cells under a conversion bump.
+    The cells with r > r_max/4 must form one run, which grows by one cell
+    while the largest rate outside it sits next to it; the grown run must
+    hold at most _MAX_RUN cells and end before the last cell.  Its bound is
+    3/r_out, r_out the largest rate outside the run or loss rate (decay
+    plus splitting) inside it.  The step is partitioned when 4*r_out <=
+    r_max and the step taken, after dt_max, events and halving, still
+    exceeds 3/r_max; every other step is the explicit step above, bit for
+    bit.  In each stage, transport out of a run cell uses that cell's new
+    value, in flux form: (1 + tau*W*conv_i/h_i)*new_i = w_i + tau*(gain_i
+    - loss_i*w_i + W*inflow_i), the inflow taken from the new value of the
+    cell before it, or from the old value into the run's first cell.  This is a lower bidiagonal recurrence along the run,
+    positive at any W >= 0.  The cell after the run takes its inflow from
+    the run's last new value; every other term is the explicit stage's.
+    Each flux leaves one cell and enters the next at one value, so the
+    books close (the explicit-implicit flux mixing of May and Berger, J.
+    Sci. Comput. 71, 2017).  W_k solves the equation above with uptake_k
+    taken at the values the stage transports, the run's new values, which
+    depend on W_k: a secant on the fixed-point residual from the explicit
+    level, each evaluation one recurrence, stopped once the residual is
+    within _LEVEL_TOL of W_k.  If _LEVEL_EVALUATIONS evaluations do not
+    get there, the explicit step is taken instead.
+
+    The partitioned step is first order in the run's cells.  Each stage's
+    implicit transport sits at its own output, at 1/3, 2/3, 1 and 4/3 of
+    dt, so with the weights 1/4 the order condition b.c = 1/2 reads 5/6.
+    No stage design mends that at this step length: a linear method that
+    stays positive at every step length is at most first order (Bolley and
+    Crouzeix, RAIRO Anal. Numer. 12, 1978).  Richardson extrapolation would
+    restore second order at three times the cost of each partitioned step,
+    and would need a fallback of its own where it goes negative; on fig5
+    the first-order time error already lies below the grid error.
 
     The books are stage-consistent: each step's residual compares the
     realized change of (monomer + polymer mass) against the mean of the
@@ -164,7 +212,9 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     rejections = 0
     rhs_evaluations = 0
     steps_by_limit = dict.fromkeys(("polymer", "dt_max", "event"), 0)
+    partitioned_steps = max_partition_cells = 0
     shrink = 1.0
+    explicit_only = False  # set after a partitioned step's level went unsolved
     ev_i = 0
     dt_min = 1e-14 * max(1.0, t_end - initial.t)
 
@@ -177,18 +227,23 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         if ev_i == len(events):
             break
         next_event = events[ev_i]
-        rate, limit = -float(gen.diagonal(V).min()), "polymer"
-        dt_bound = 3.0 / rate if rate > 0.0 else math.inf
-        if dt_max is not None and dt_max < dt_bound:
-            dt_bound, limit = dt_max, "dt_max"
-        dt_try = dt_bound * shrink
-        # a full step that would stop short of the event by a sliver takes
-        # the event instead.  The sliver covers the rounding accumulated in
-        # t (up to one part in a million of the step, which leaves the
-        # step bounds intact) and anything below the smallest allowed step:
-        # a sliver step would divide rounding by a tiny dt in the books.
-        hit_event = next_event - t <= (1.0 + 1e-6) * dt_try + dt_min
-        dt = (next_event - t) if hit_event else dt_try
+        gap = next_event - t
+        diag = gen.diagonal(V)
+        rate = -float(diag.min())
+        dt_explicit = 3.0 / rate if rate > 0.0 else math.inf
+        dt, limit, hit_event = _step_length(dt_explicit, dt_max, shrink, gap, dt_min)
+        # a stiff last cell would end the run there: no partition
+        run = None
+        if (not explicit_only and rate > 0.0 and (dt_max is None or dt_max > dt_explicit)
+                and diag[-1] >= -0.25 * rate
+                and np.count_nonzero(diag < -0.25 * rate) <= _MAX_RUN):
+            run = _stiff_run(-diag, rate, gen.loss)
+            if run is not None:
+                step = _step_length(3.0 / run[2], dt_max, shrink, gap, dt_min)
+                if step[0] > dt_explicit:
+                    dt, limit, hit_event = step
+                else:
+                    run = None
         if dt < dt_min:
             raise IntegratorFailure(
                 "step size underflow at t=%g (shrink=%g)" % (t, shrink),
@@ -201,19 +256,58 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         tau = dt / 3.0
         w, W, mu_w, take_w, back_w = u, V, mu_u, take_u, back_u
         slope_sum = src = out = 0.0
+        negative = unsolved = False
+        if run is not None:
+            lo, hi = run[0], run[1]
+            cells = slice(lo, hi + 1)
+            rate_run = (-gen.t_diag[cells]).tolist()
+            flow_run = gen.t_sub[cells].tolist()
+            take_run = gen.uptake[cells]
+            take_list = take_run.tolist()
         for stage in range(4):
             if stage:
-                # W solves W = V + c*(slope_sum + slope(W)) exactly
+                # W solves W = V + c*(slope_sum + slope(W)) exactly, with
+                # the uptake of the stage's input
                 c = _MONOMER_WEIGHTS[stage - 1] * dt
-                W = (V + c * (slope_sum + lam + back_w)) / (1.0 + c * (gam + take_w))
-            slope_sum += lam - W * (gam + take_w) + back_w
+                base = V + c * (slope_sum + lam + back_w)
+                W = base / (1.0 + c * (gam + take_w))
+            if run is None:
+                take = take_w
+                # a fresh array, so u/4 + 3/4*w below may work in place
+                w_next = gen.apply(W, w, tau)
+            else:
+                terms = gen.fill(w)
+                # the run's cells and the one after it, without transport
+                q = (w[lo:hi + 2] + tau * terms[2:6, lo:hi + 2].sum(axis=0)).tolist()
+                inflow = float(terms[0, lo])
+                take_old = take_w - float(take_run @ w[cells])
+
+                def at(level):
+                    return _run_values(q, rate_run, flow_run, take_list, inflow, tau * level)
+
+                if stage:
+                    # solve again, from that level, against the uptake the
+                    # stage takes: the run's cells at their new values
+                    if W < 0.0:
+                        negative = True
+                        break
+                    solved = _solve_level(base, c, gam + take_old, W, at)
+                    if solved is None:
+                        unsolved = True
+                        break
+                    W, (new, take_new, flow) = solved
+                else:
+                    new, take_new, flow = at(W)
+                take = take_old + take_new
+                w_next = gen.stage(W, tau)
+                w_next[cells] = new
+                w_next[hi + 1] = q[-1] + tau * W * (terms[1, hi + 1] + flow)
+            slope_sum += lam - W * (gam + take) + back_w
             rhs_evaluations += 1
             out_w = W * fluxw * w[-1]
             src += lam - gam * W - mu_w - out_w
             out += out_w
-            # the stage w + tau*L(W)w is a fresh array, so u/4 + 3/4*w below
-            # may work in place
-            w = gen.apply(W, w, tau)
+            w = w_next
             if stage == 3:
                 w *= 0.75
                 w += 0.25 * u
@@ -221,6 +315,9 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
             if negative:
                 break
             rho_w, p_w, mu_w, take_w, back_w = (moments @ w).tolist()
+        if unsolved:
+            explicit_only = True
+            continue
         if negative:
             # retry this step at half the length; the next step starts
             # from its own bound again
@@ -228,6 +325,7 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
             rejections += 1
             continue
         shrink = 1.0
+        explicit_only = False
         # no entry of w is negative and the mass weights are positive, so
         # its mass is finite iff every entry is (short of the sum overflowing)
         if not (math.isfinite(W) and math.isfinite(p_w)):
@@ -245,6 +343,9 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         t = next_event if hit_event else t + dt
         steps += 1
         steps_by_limit["event" if hit_event else limit] += 1
+        if run is not None:
+            partitioned_steps += 1
+            max_partition_cells = max(max_partition_cells, hi - lo + 1)
         for series, value in zip(rows, (t, V, rho_u, p_u)):
             series.append(value)
 
@@ -254,7 +355,95 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
                       truncation_flux_total=float(flux_total), grid=grid,
                       coeffs=coeffs, final_state=final, steps=steps,
                       rejections=rejections, steps_by_limit=steps_by_limit,
-                      rhs_evaluations=rhs_evaluations)
+                      rhs_evaluations=rhs_evaluations,
+                      partitioned_steps=partitioned_steps,
+                      max_partition_cells=max_partition_cells)
+
+
+def _step_length(bound: float, dt_max: Optional[float], shrink: float, gap: float,
+                 dt_min: float) -> tuple:
+    """(dt, limit, hit_event) of a step at ``bound``, capped by dt_max,
+    scaled by shrink, with the next event ``gap`` ahead.
+
+    A full step that would stop short of the event by a sliver takes the
+    event instead.  The sliver covers the rounding accumulated in t (up to
+    one part in a million of the step, which leaves the step bounds
+    intact) and anything below the smallest allowed step: a sliver step
+    would divide rounding by a tiny dt in the books.
+    """
+    limit = "polymer"
+    if dt_max is not None and dt_max < bound:
+        bound, limit = dt_max, "dt_max"
+    dt_try = bound * shrink
+    hit_event = gap <= (1.0 + 1e-6) * dt_try + dt_min
+    return (gap if hit_event else dt_try), limit, hit_event
+
+
+def _stiff_run(rates: np.ndarray, rate: float, loss: np.ndarray) -> Optional[tuple]:
+    """(lo, hi, r_out) of a partitioned step's run lo..hi, or None; the
+    rule is ``integrate``'s."""
+    stiff = np.flatnonzero(rates > 0.25 * rate)
+    lo, hi = int(stiff[0]), int(stiff[-1])
+    n = rates.size
+    if hi - lo + 1 != stiff.size:
+        return None
+    left = np.maximum.accumulate(rates)  # left[i]: the largest of rates[:i + 1]
+    right = np.maximum.accumulate(rates[::-1])[::-1]  # right[i]: of rates[i:]
+    while hi - lo < _MAX_RUN and hi < n - 1:
+        out_left = left[lo - 1] if lo else -math.inf
+        out_right = right[hi + 1]
+        if lo and rates[lo - 1] == out_left >= out_right:
+            lo -= 1
+        elif rates[hi + 1] == out_right >= out_left:
+            hi += 1
+        else:
+            r_out = float(max(out_left, out_right, loss[lo:hi + 1].max()))
+            return (lo, hi, r_out) if 4.0 * r_out <= rate else None
+    return None
+
+
+def _run_values(q: list, rate: list, flow: list, take: list, inflow: float,
+                tau_v: float) -> tuple:
+    """The run's new values of a partitioned stage at tau*W = tau_v, with
+    the uptake they take and the flow out of the run's last cell.
+
+    q holds each cell's stage without transport, rate its transport rate
+    conv/h, flow its flow coefficient into the next cell, take its uptake
+    weight, and inflow the old inflow term into the first cell.
+    """
+    new = []
+    taken = 0.0
+    for q_i, rate_i, flow_i, take_i in zip(q, rate, flow, take):
+        value = (q_i + tau_v * inflow) / (1.0 + tau_v * rate_i)
+        new.append(value)
+        taken += take_i * value
+        inflow = flow_i * value
+    return new, taken, inflow
+
+
+def _solve_level(base: float, c: float, rate: float, guess: float, at) -> Optional[tuple]:
+    """The level W = base/(1 + c*(rate + take(W))) of a partitioned stage,
+    where at(W) = (new run values, take(W), outflow): a secant on the
+    fixed-point residual from guess, whose first step is a fixed-point
+    step.  Returns (W, at(W)), or None when _LEVEL_EVALUATIONS evaluations
+    leave the residual above _LEVEL_TOL*W or the iterate leaves [0, inf).
+    """
+    W, W_prev, R_prev = guess, None, None
+    for _ in range(_LEVEL_EVALUATIONS):
+        if not 0.0 <= W < math.inf:
+            return None
+        found = at(W)
+        R = base / (1.0 + c * (rate + found[1])) - W
+        if abs(R) <= _LEVEL_TOL * W:
+            return W, found
+        if R_prev is None:
+            step = R
+        elif R == R_prev:
+            return None
+        else:
+            step = -R * (W - W_prev) / (R - R_prev)
+        W_prev, R_prev, W = W, R, W + step
+    return None
 
 
 def line_fit(x, y) -> tuple:

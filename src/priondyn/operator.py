@@ -178,20 +178,33 @@ class Generator:
         within a few rounding units of the sum of the terms' magnitudes; a
         cell whose terms are all zero is exactly 0.
         """
-        rows, weights = self._rows, self._weights
+        rows = self.fill(u)
+        if tau is None:
+            weights = self._weights
+            weights[:2] = v
+            weights[2:6] = 1.0
+            return weights[:6] @ rows[:6]
+        return self.stage(v, tau)
+
+    def fill(self, u: np.ndarray) -> np.ndarray:
+        """Fill the term rows from u and return them (laid out in
+        ``__init__``; the next fill overwrites them)."""
+        rows = self._rows
         self._upad[1:-2] = u
         np.multiply(self._table, self._ushift, out=rows[:4])
         np.multiply(self._neg_loss, u, out=rows[4])
         np.multiply(self._far_rev, u[:2:-1], out=self._far_terms)
         np.add.accumulate(self._far_terms, out=self._suffix)
-        if tau is None:
-            weights[:2] = v
-            weights[2:6] = 1.0
-            return weights[:6] @ rows[:6]
         rows[6] = u
+        return rows
+
+    def stage(self, v: float, tau: float) -> np.ndarray:
+        """The Euler stage u + tau*L(v) u of the u last filled, as a fresh
+        array: ``apply(v, u, tau)`` without the fill."""
+        weights = self._weights
         weights[:2] = tau * v
         weights[2:6] = tau
-        return weights @ rows
+        return weights @ self._rows
 
     def apply_adjoint(self, v: float, phi: np.ndarray) -> np.ndarray:
         """L(v)^T phi in O(n): the adjoint on equal cells."""

@@ -26,7 +26,8 @@ from pathlib import Path
 # deterministic counts: equal exactly, whatever the kernel
 COUNTERS = {"iterations", "shifted_solves", "root_evaluations", "root_iterations",
             "root_sign_tests", "steps", "rejections", "rhs_evaluations",
-            "dt_max", "event", "polymer", "n_modes", "n_failed", "sign_at_largest"}
+            "dt_max", "event", "polymer", "partitioned_steps", "max_partition_cells",
+            "n_modes", "n_failed", "sign_at_largest"}
 # key -> (kind, bound).  A relative bound is taken against the largest
 # magnitude in the value, so a profile's tail is held to its peak's scale.
 # Residual diagnostics and the root's loss rate sit at the rounding level,

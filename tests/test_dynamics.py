@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,18 +13,21 @@ from scipy.linalg import eig
 
 from priondyn import (Affine, Bell, CoefficientSet, EigenConvergenceError, Generator,
                       IntegratorFailure, PolymerState, PositivityViolationError, SizeGrid,
-                      Trajectory, adjoint_eigenpair, assemble, find_v_inf, growth_rate,
+                      Trajectory, adjoint_eigenpair, assemble, compare_continuum,
+                      default_calibration, find_v_inf, growth_rate,
                       hypothesis_constants,
                       incubation_time, integrate, principal_eigenpair,
                       seed_state, stability_experiment, transport_reaction_parts)
+from priondyn import discrete, dynamics
 from priondyn.cli import sweep
 from priondyn.config import parse_config
-from priondyn.dynamics import line_fit
+from priondyn.dynamics import _stiff_run, line_fit
 from priondyn.eigen import DEFAULT_TOL
 from priondyn.reference import incubation_time_log_law, loss_rate_constant
 
 from oracle import MomentClosure
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONST = CoefficientSet(production=2400.0, clearance=4.0)
 BELL = CoefficientSet(production=2400.0, clearance=4.0,
                       conversion=Bell(0.001, 0.01, 2.0, width_sq=0.1))
@@ -228,6 +232,121 @@ def test_negative_implicit_stage_is_retried_at_half_the_step():
     assert traj.rejections >= 1 and traj.times[1] < 0.04
     assert traj.max_residual <= 1e-12
     assert traj.v_series.min() > 0.0 and traj.final_state.u.min() >= 0.0
+
+
+# --- the partitioned step ---------------------------------------------------
+
+# fig5's amplitude-0.1 bump: at V = 600 on 200 cells, 5 cells under it lose
+# mass at up to 197/day, while every other rate is below 3.9/day
+BUMP = CoefficientSet(production=2400.0, clearance=4.0,
+                      conversion=Bell(0.001, 0.1, 2.0, width_sq=0.1))
+
+
+def _bump_t_inc(dt_max):
+    grid = _grid(200)
+    initial = seed_state(BUMP, grid)
+    traj = integrate(BUMP, grid, initial, t_end=75.0, snapshot_times=(20.0, 50.0),
+                     dt_max=dt_max)
+    count = initial.moment0()
+    return traj, incubation_time(traj, 1e3 * count, count).t_incubation
+
+
+@pytest.mark.parametrize("x0,clearance,amplitude,width_sq,cells",
+                         [(0.0, 4.0, 0.1, 0.1, 5), (0.5, 4.0, 0.1, 0.1, 4),
+                          (0.0, 20.0, 0.1, 0.1, 5), (0.0, 4.0, 1.0, 0.1, 5),
+                          (0.0, 4.0, 0.1, 0.01, 1)],
+                         ids=["fig5", "x0", "clearance", "amplitude", "width"])
+def test_partitioned_steps_keep_books_and_signs(x0, clearance, amplitude, width_sq, cells):
+    coeffs = CoefficientSet(production=600.0 * clearance, clearance=clearance, x0=x0,
+                            conversion=Bell(0.001, amplitude, 2.0, width_sq=width_sq))
+    grid = SizeGrid.uniform(60.0, 200, x0=x0)
+    traj = integrate(coeffs, grid, seed_state(coeffs, grid), t_end=75.0,
+                     snapshot_times=(20.0, 50.0))
+    assert traj.partitioned_steps == traj.steps and traj.max_partition_cells == cells
+    # a partitioned step counts under the loss rate that bounds it, or
+    # under the event it lands on.  3/197 days, fig5's explicit step, would
+    # take about 4900 steps
+    assert traj.steps_by_limit == {"polymer": traj.steps - 3, "dt_max": 0, "event": 3}
+    assert traj.steps < 150
+    assert traj.max_residual <= 1e-13
+    # no stage went negative, and every monomer level was solved
+    assert traj.rejections == 0 and traj.rhs_evaluations == 4 * traj.steps
+    assert min(snap.min() for _, snap in traj.snapshots) >= 0.0
+    assert traj.final_state.u.min() >= 0.0 and traj.v_series.min() > 0.0
+
+
+def test_partitioned_step_is_first_order():
+    # halving the cap halves the t_inc error against a fine explicit run.
+    # From the uncapped step (0.78 days, up to 1.14 as V falls) to half
+    # of it the error falls 2.48-fold, still short of the asymptotic range
+    gen = Generator(BUMP, _grid(200))
+    rates = -gen.diagonal(600.0)
+    natural = 3.0 / _stiff_run(rates, rates.max(), gen.loss)[2]
+    assert 0.75 < natural < 0.8
+    ref_traj, ref = _bump_t_inc(0.002)  # 1.6e-9 relative from dt_max = 0.001
+    assert ref_traj.partitioned_steps == 0
+    errors = []
+    for cap in (natural / 2, natural / 4, natural / 8):
+        traj, t_inc = _bump_t_inc(cap)
+        # an event that lies closer than 3/r_max takes an explicit step
+        assert traj.partitioned_steps >= traj.steps - 3
+        errors.append((t_inc - ref) / ref)
+    ratios = np.asarray(errors[:-1]) / np.asarray(errors[1:])
+    assert np.all((1.6 <= ratios) & (ratios <= 2.4)), (errors, ratios)
+
+
+def test_unsolved_monomer_level_takes_the_explicit_step(monkeypatch):
+    # allowed one evaluation, the level solve gives up on each step's
+    # first implicit level, and that step is taken explicitly instead
+    grid = _grid(200)
+    initial = seed_state(BUMP, grid)
+    monkeypatch.setattr(dynamics, "_LEVEL_EVALUATIONS", 1)
+    fallback = integrate(BUMP, grid, initial, t_end=2.0)
+    monkeypatch.setattr(dynamics, "_MAX_RUN", 0)
+    explicit = integrate(BUMP, grid, initial, t_end=2.0)
+    assert fallback.partitioned_steps == explicit.partitioned_steps == 0
+    assert fallback.steps == explicit.steps > 100
+    assert fallback.rejections == explicit.rejections == 0
+    np.testing.assert_array_equal(fallback.times, explicit.times)
+    np.testing.assert_array_equal(fallback.v_series, explicit.v_series)
+    np.testing.assert_array_equal(fallback.final_state.u, explicit.final_state.u)
+    # every step but the short one landing on t_end was first tried
+    # partitioned, and evaluated its first stage before giving up
+    assert fallback.rhs_evaluations == 5 * fallback.steps - 1
+    assert explicit.rhs_evaluations == 4 * explicit.steps
+
+
+@pytest.mark.parametrize("center,n,t_end", [(2.0, 3200, 1.0), (60.0, 200, 2.0)],
+                         ids=["run-over-64-cells", "run-at-the-last-cell"])
+def test_partition_falls_back_to_the_explicit_step(center, n, t_end):
+    # fig5's amplitude-0.01 bump on 3200 cells puts 45 cells past r_max/4,
+    # and its run grows past 64; centred at xmax the run takes the last cell
+    coeffs = CoefficientSet(production=2400.0, clearance=4.0,
+                            conversion=Bell(0.001, 0.01, center, width_sq=0.1))
+    grid = _grid(n)
+    gen = Generator(coeffs, grid)
+    rates = -gen.diagonal(600.0)
+    assert 0 < np.count_nonzero(rates > rates.max() / 4) <= 64
+    assert _stiff_run(rates, rates.max(), gen.loss) is None
+    traj = integrate(coeffs, grid, seed_state(coeffs, grid), t_end)
+    assert traj.partitioned_steps == traj.max_partition_cells == 0
+    assert traj.steps_by_limit["polymer"] == traj.steps - 1
+
+
+def test_flat_outbreaks_and_the_chain_twin_take_no_partitioned_step(monkeypatch):
+    text = (CONFIG_DIR / "fig6.cfg").read_text().replace("grid.n = 800", "grid.n = 100")
+    for item in sweep(parse_config(text)):
+        assert item.diagnostics["partitioned_steps"] == 0
+        assert item.diagnostics["max_partition_cells"] == 0
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(discrete, "integrate", recording)
+    compare_continuum(default_calibration())
+    assert [traj.partitioned_steps for traj in runs] == [0, 0]
 
 
 @pytest.mark.parametrize("other", [SizeGrid.uniform(30.0, 60),
