@@ -39,19 +39,15 @@ __all__ = [
 
 # The monomer stages: a stiffly accurate ESDIRK (Kennedy & Carpenter,
 # NASA/TM-2016-219173) with the weights b = (1/4, 1/4, 1/4, 1/4) and the
-# stage times (0, 1/3, 2/3, 1) of SSPRK(4,2).  Its first stage is V itself;
-# stage k = 1, 2, 3 weighs the slopes of stages 0..k all alike, by the k-th
-# entry here (times dt), so each stage time is k + 1 times its weight.
+# stage times (0, 1/3, 2/3, 1) of SSPRK(4,2).  Stage k weighs the slopes of
+# stages 0..k all alike, by the k-th entry here (times dt), so each stage
+# time is k + 1 times its weight; the first stage, of weight 0, is V itself.
 # Every stage is second order, so the pair stays second order in V however
 # stiff the monomer is; on the negative real axis |R| <= 1 and R(inf) = 0.
-_MONOMER_WEIGHTS = (1 / 6, 2 / 9, 1 / 4)
+_MONOMER_WEIGHTS = (0.0, 1 / 6, 2 / 9, 1 / 4)
 
-# The partitioned step (``integrate``): the longest run of stiff cells it
-# takes, and the monomer level's solve: the evaluations it may make and the
-# fixed-point residual, relative to the level, at which it stops
+# The longest run of stiff cells a partitioned step (``integrate``) takes
 _MAX_RUN = 64
-_LEVEL_EVALUATIONS = 8
-_LEVEL_TOL = 2e-15
 
 
 class IntegratorFailure(RuntimeError):
@@ -76,8 +72,7 @@ class Trajectory:
     "dt_max", or "event" for a step landing on a snapshot or t_end; a
     retried step counts under the bound it halved) and sums to steps.
     rhs_evaluations counts right-hand-side evaluations: four per accepted
-    step plus those a rejected step made up to its negative stage, or an
-    abandoned partitioned step up to its unsolved monomer level.
+    step plus those a rejected step made up to its negative stage or level.
     partitioned_steps counts the accepted steps that took the run of stiff
     cells implicitly, and max_partition_cells is the longest such run
     (``integrate`` states the rule).
@@ -134,13 +129,13 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     by dt_max when given: a stage of dt/3 then keeps every polymer entry
     nonnegative at the starting V; the monomer sets no step.  Stage k
     applies L(W_k) in a forward-Euler stage of dt/3 (SSPRK(4,2)), with the
-    monomer level W_k from the ESDIRK stages of _MONOMER_WEIGHTS: W_0 = V,
-    and for k = 1, 2, 3, with c_k = w_k*dt and S the sum of the monomer
-    slopes of the stages before k, W_k = (V + c_k*(S + production +
-    returned_k))/(1 + c_k*(clearance + uptake_k)) solves W_k = V +
-    c_k*(S + slope_k(W_k)) exactly.  The step ends at V+ = W_3.  A stage
-    with a negative entry (the rates moved within the step) rejects the
-    step, which is retried at half the length.
+    monomer level W_k from the ESDIRK stages of _MONOMER_WEIGHTS: with c_k =
+    w_k*dt and S the sum of the monomer slopes of the stages before k, W_k =
+    (V + c_k*(S + production + returned_k))/(1 + c_k*(clearance +
+    uptake_k)) solves W_k = V + c_k*(S + slope_k(W_k)) exactly, and W_0 = V
+    (c_0 = 0).  The step ends at V+ = W_3.  A stage with a negative entry
+    (the rates moved within the step) rejects the step, which is retried
+    at half the length.
 
     The partitioned step, for the few stiff cells under a conversion bump.
     The cells with r > r_max/4 must form one run, which grows by one cell
@@ -153,17 +148,20 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     bit.  In each stage, transport out of a run cell uses that cell's new
     value, in flux form: (1 + tau*W*conv_i/h_i)*new_i = w_i + tau*(gain_i
     - loss_i*w_i + W*inflow_i), the inflow taken from the new value of the
-    cell before it, or from the old value into the run's first cell.  This is a lower bidiagonal recurrence along the run,
-    positive at any W >= 0.  The cell after the run takes its inflow from
-    the run's last new value; every other term is the explicit stage's.
-    Each flux leaves one cell and enters the next at one value, so the
-    books close (the explicit-implicit flux mixing of May and Berger, J.
-    Sci. Comput. 71, 2017).  W_k solves the equation above with uptake_k
-    taken at the values the stage transports, the run's new values, which
-    depend on W_k: a secant on the fixed-point residual from the explicit
-    level, each evaluation one recurrence, stopped once the residual is
-    within _LEVEL_TOL of W_k.  If _LEVEL_EVALUATIONS evaluations do not
-    get there, the explicit step is taken instead.
+    cell before it, or from the old value into the run's first cell.  This
+    is a lower bidiagonal recurrence along the run, positive at W >= 0.
+    The cell after the run takes its inflow from the run's last new value;
+    every other term is the explicit stage's.  Each flux leaves one cell
+    and enters the next at one value, so the books close (the
+    explicit-implicit flux mixing of May and Berger, J. Sci. Comput. 71,
+    2017).  Transport runs at W_k above, and the stage's monomer level is
+    then W'_k = (V + c_k*(S + production + returned_k - W_k*uptake'_k))/(1
+    + c_k*clearance), in closed form, where uptake'_k is uptake_k with the
+    run's cells at their new values: the monomer takes up exactly what the
+    transport moved.  The stage's monomer slope is production +
+    returned_k - clearance*W'_k - W_k*uptake'_k, and V+ = W'_3.  A negative
+    W_k or W'_k rejects the step like a negative entry; a step halved to at
+    most 3/r_max is not partitioned, so it is taken explicitly at that length.
 
     The partitioned step is first order in the run's cells.  Each stage's
     implicit transport sits at its own output, at 1/3, 2/3, 1 and 4/3 of
@@ -214,7 +212,6 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     steps_by_limit = dict.fromkeys(("polymer", "dt_max", "event"), 0)
     partitioned_steps = max_partition_cells = 0
     shrink = 1.0
-    explicit_only = False  # set after a partitioned step's level went unsolved
     ev_i = 0
     dt_min = 1e-14 * max(1.0, t_end - initial.t)
 
@@ -232,18 +229,13 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         rate = -float(diag.min())
         dt_explicit = 3.0 / rate if rate > 0.0 else math.inf
         dt, limit, hit_event = _step_length(dt_explicit, dt_max, shrink, gap, dt_min)
-        # a stiff last cell would end the run there: no partition
         run = None
-        if (not explicit_only and rate > 0.0 and (dt_max is None or dt_max > dt_explicit)
-                and diag[-1] >= -0.25 * rate
-                and np.count_nonzero(diag < -0.25 * rate) <= _MAX_RUN):
+        if rate > 0.0 and (dt_max is None or dt_max > dt_explicit):
             run = _stiff_run(-diag, rate, gen.loss)
-            if run is not None:
-                step = _step_length(3.0 / run[2], dt_max, shrink, gap, dt_min)
-                if step[0] > dt_explicit:
-                    dt, limit, hit_event = step
-                else:
-                    run = None
+        if run is not None:
+            dt, limit, hit_event = _step_length(3.0 / run[2], dt_max, shrink, gap, dt_min)
+            if dt <= dt_explicit:
+                run = None
         if dt < dt_min:
             raise IntegratorFailure(
                 "step size underflow at t=%g (shrink=%g)" % (t, shrink),
@@ -254,9 +246,9 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         # the third.  The step equals (u, V) + dt/4 times the sum of the
         # four stage slopes, so the books take the mean of the stage sources
         tau = dt / 3.0
-        w, W, mu_w, take_w, back_w = u, V, mu_u, take_u, back_u
+        w, mu_w, take_w, back_w = u, mu_u, take_u, back_u
         slope_sum = src = out = 0.0
-        negative = unsolved = False
+        negative = False
         if run is not None:
             lo, hi = run[0], run[1]
             cells = slice(lo, hi + 1)
@@ -264,60 +256,44 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
             flow_run = gen.t_sub[cells].tolist()
             take_run = gen.uptake[cells]
             take_list = take_run.tolist()
-        for stage in range(4):
-            if stage:
-                # W solves W = V + c*(slope_sum + slope(W)) exactly, with
-                # the uptake of the stage's input
-                c = _MONOMER_WEIGHTS[stage - 1] * dt
-                base = V + c * (slope_sum + lam + back_w)
-                W = base / (1.0 + c * (gam + take_w))
+        for stage, weight in enumerate(_MONOMER_WEIGHTS):
+            # W solves W = V + c*(slope_sum + slope(W)) exactly, with the
+            # uptake of the stage's input
+            c = weight * dt
+            base = V + c * (slope_sum + lam + back_w)
+            W = base / (1.0 + c * (gam + take_w))
+            terms = gen.fill(w)
+            # a fresh array, so u/4 + 3/4*w below may work in place
+            w_next = gen.stage(W, tau)
             if run is None:
-                take = take_w
-                # a fresh array, so u/4 + 3/4*w below may work in place
-                w_next = gen.apply(W, w, tau)
+                level = W
+                slope_sum += lam - W * (gam + take_w) + back_w
             else:
-                terms = gen.fill(w)
+                if W < 0.0:
+                    negative = True
+                    break
                 # the run's cells and the one after it, without transport
                 q = (w[lo:hi + 2] + tau * terms[2:6, lo:hi + 2].sum(axis=0)).tolist()
-                inflow = float(terms[0, lo])
-                take_old = take_w - float(take_run @ w[cells])
-
-                def at(level):
-                    return _run_values(q, rate_run, flow_run, take_list, inflow, tau * level)
-
-                if stage:
-                    # solve again, from that level, against the uptake the
-                    # stage takes: the run's cells at their new values
-                    if W < 0.0:
-                        negative = True
-                        break
-                    solved = _solve_level(base, c, gam + take_old, W, at)
-                    if solved is None:
-                        unsolved = True
-                        break
-                    W, (new, take_new, flow) = solved
-                else:
-                    new, take_new, flow = at(W)
-                take = take_old + take_new
-                w_next = gen.stage(W, tau)
+                new, take_new, flow = _run_values(q, rate_run, flow_run, take_list,
+                                                  float(terms[0, lo]), tau * W)
                 w_next[cells] = new
                 w_next[hi + 1] = q[-1] + tau * W * (terms[1, hi + 1] + flow)
-            slope_sum += lam - W * (gam + take) + back_w
+                # the uptake the stage transported, at level W
+                take = take_w - float(take_run @ w[cells]) + take_new
+                level = (base - c * W * take) / (1.0 + c * gam)
+                slope_sum += lam - gam * level - W * take + back_w
             rhs_evaluations += 1
             out_w = W * fluxw * w[-1]
-            src += lam - gam * W - mu_w - out_w
+            src += lam - gam * level - mu_w - out_w
             out += out_w
             w = w_next
             if stage == 3:
                 w *= 0.75
                 w += 0.25 * u
-            negative = w.min() < 0.0 or W < 0.0
+            negative = w.min() < 0.0 or level < 0.0
             if negative:
                 break
             rho_w, p_w, mu_w, take_w, back_w = (moments @ w).tolist()
-        if unsolved:
-            explicit_only = True
-            continue
         if negative:
             # retry this step at half the length; the next step starts
             # from its own bound again
@@ -325,20 +301,19 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
             rejections += 1
             continue
         shrink = 1.0
-        explicit_only = False
         # no entry of w is negative and the mass weights are positive, so
         # its mass is finite iff every entry is (short of the sum overflowing)
-        if not (math.isfinite(W) and math.isfinite(p_w)):
+        if not (math.isfinite(level) and math.isfinite(p_w)):
             raise IntegratorFailure(
                 "non-finite state at t=%g" % t,
                 state=PolymerState(v=V, u=u.copy(), grid=grid, t=t))
 
         # books: realized d(V+P)/dt against the mean of the stage sources
-        dvp = (W + p_w - V - p_u) / dt
+        dvp = (level + p_w - V - p_u) / dt
         residuals.append(abs(dvp - 0.25 * src) / (rho_u + V))
         flux_total += 0.25 * dt * out
 
-        u, V = w, W
+        u, V = w, level
         rho_u, p_u, mu_u, take_u, back_u = rho_w, p_w, mu_w, take_w, back_w
         t = next_event if hit_event else t + dt
         steps += 1
@@ -382,14 +357,15 @@ def _step_length(bound: float, dt_max: Optional[float], shrink: float, gap: floa
 def _stiff_run(rates: np.ndarray, rate: float, loss: np.ndarray) -> Optional[tuple]:
     """(lo, hi, r_out) of a partitioned step's run lo..hi, or None; the
     rule is ``integrate``'s."""
+    if rates[-1] > 0.25 * rate:  # the run would end at the last cell
+        return None
     stiff = np.flatnonzero(rates > 0.25 * rate)
     lo, hi = int(stiff[0]), int(stiff[-1])
-    n = rates.size
-    if hi - lo + 1 != stiff.size:
+    if hi - lo + 1 != stiff.size or stiff.size > _MAX_RUN:
         return None
     left = np.maximum.accumulate(rates)  # left[i]: the largest of rates[:i + 1]
     right = np.maximum.accumulate(rates[::-1])[::-1]  # right[i]: of rates[i:]
-    while hi - lo < _MAX_RUN and hi < n - 1:
+    while hi - lo < _MAX_RUN and hi < rates.size - 1:
         out_left = left[lo - 1] if lo else -math.inf
         out_right = right[hi + 1]
         if lo and rates[lo - 1] == out_left >= out_right:
@@ -419,31 +395,6 @@ def _run_values(q: list, rate: list, flow: list, take: list, inflow: float,
         taken += take_i * value
         inflow = flow_i * value
     return new, taken, inflow
-
-
-def _solve_level(base: float, c: float, rate: float, guess: float, at) -> Optional[tuple]:
-    """The level W = base/(1 + c*(rate + take(W))) of a partitioned stage,
-    where at(W) = (new run values, take(W), outflow): a secant on the
-    fixed-point residual from guess, whose first step is a fixed-point
-    step.  Returns (W, at(W)), or None when _LEVEL_EVALUATIONS evaluations
-    leave the residual above _LEVEL_TOL*W or the iterate leaves [0, inf).
-    """
-    W, W_prev, R_prev = guess, None, None
-    for _ in range(_LEVEL_EVALUATIONS):
-        if not 0.0 <= W < math.inf:
-            return None
-        found = at(W)
-        R = base / (1.0 + c * (rate + found[1])) - W
-        if abs(R) <= _LEVEL_TOL * W:
-            return W, found
-        if R_prev is None:
-            step = R
-        elif R == R_prev:
-            return None
-        else:
-            step = -R * (W - W_prev) / (R - R_prev)
-        W_prev, R_prev, W = W, R, W + step
-    return None
 
 
 def line_fit(x, y) -> tuple:

@@ -166,25 +166,21 @@ class Generator:
         """Diagonal of L(v), shared with its adjoint."""
         return v * self.t_diag - self.loss
 
-    def apply(self, v: float, u: np.ndarray,
-              tau: Optional[float] = None) -> np.ndarray:
-        """L(v) u in O(n), or the Euler stage u + tau*L(v) u, as a fresh array.
+    def apply(self, v: float, u: np.ndarray) -> np.ndarray:
+        """L(v) u in O(n), as a fresh array.
 
-        Both are one product of a weight vector with the term rows that
-        ``__init__`` lays out, filled from u: L(v) u weights rows 0-5 by
-        (v, v, 1, 1, 1, 1), the stage all seven by
-        (tau*v, tau*v, tau, tau, tau, tau, 1).  The product adds the terms
-        in BLAS's order, so the bits may differ from a sum band by band,
-        within a few rounding units of the sum of the terms' magnitudes; a
-        cell whose terms are all zero is exactly 0.
+        One product of a weight vector with the term rows that ``__init__``
+        lays out, filled from u: L(v) u weights rows 0-5 by (v, v, 1, 1, 1,
+        1); ``stage`` weights all seven for the Euler stage.  The product
+        adds the terms in BLAS's order, so the bits may differ from a sum
+        band by band, within a few rounding units of the sum of the terms'
+        magnitudes; a cell whose terms are all zero is exactly 0.
         """
         rows = self.fill(u)
-        if tau is None:
-            weights = self._weights
-            weights[:2] = v
-            weights[2:6] = 1.0
-            return weights[:6] @ rows[:6]
-        return self.stage(v, tau)
+        weights = self._weights
+        weights[:2] = v
+        weights[2:6] = 1.0
+        return weights[:6] @ rows[:6]
 
     def fill(self, u: np.ndarray) -> np.ndarray:
         """Fill the term rows from u and return them (laid out in
@@ -200,7 +196,8 @@ class Generator:
 
     def stage(self, v: float, tau: float) -> np.ndarray:
         """The Euler stage u + tau*L(v) u of the u last filled, as a fresh
-        array: ``apply(v, u, tau)`` without the fill."""
+        array: the term rows weighted by (tau*v, tau*v, tau, tau, tau, tau,
+        1), with the rounding ``apply`` states."""
         weights = self._weights
         weights[:2] = tau * v
         weights[2:6] = tau

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,25 +68,32 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid) -> VInfResult:
     to rounding; the level becomes lo, the highest certified level, or
     hi, the lowest failed one, with its g = 1/<h, x> (``_root_value``).
 
-    A geometric ladder (doubling from 1) brackets the sign change inside
-    [0, v_max]: v_max is where v*max(conv/h), the largest transport entry,
-    reaches 1e150 (so every band-LU entry stays finite), cut to 1e300 (so
-    the doubling stays finite).  The search then holds the node [a, b] of
-    the bisection tree on that bracket that bisection would hold.  The
-    node descends while its midpoint lies at or below lo or at or above
-    hi, where the sign is known.  Otherwise, when lo and hi both carry g
-    and hi - lo > 1e-11*hi, it steers: regula falsi on g gives r in
-    (lo, hi), the step e = 2|r - r'| from the previous r' ((b - a)/16 at
-    first, never below 1e-11*hi) its error, and the search tests the two
-    edges of the cell of the tree below [a, b] that holds r and is at most
-    4e wide.  Else it tests the node's midpoint.  Every tested level is a
-    point of the tree, so with one sign change the search stops on the
-    node bisection stops on, the first with b - a <= 1e-13*b, in no more
-    sign tests.  Below the 1e-11 floor g's rounding depends on the BLAS
-    kernel, so only midpoints are tested there.  The stop is relative to
-    hi, so lo ends above 0 even when the root lies below the first ladder
-    level.  The one eigen solve is at v_inf = lo, started from lo's x,
-    which there is the Perron vector to rounding.
+    A geometric ladder brackets the sign change inside [0, v_max]: v_max
+    is where v*max(conv/h), the largest transport entry, reaches 1e150 (so
+    every band-LU entry stays finite), cut to 1e300 (so the doubling stays
+    finite).  It doubles from 1, or from the largest power of two at or
+    below v_lb when v_lb < 1.  On the mass weights w = x*h, with r0 =
+    L(0)^T w/w and r1 = L(1)^T w/w - r0, the principal eigenvalue of L(v)
+    is at most max_j (r0_j + v*r1_j) (Collatz-Wielandt), so no level below
+    v_lb = min over r1_j > 0 of -r0_j/r1_j has a zero loss rate (v_lb = 0
+    when some r0_j >= 0, where the bound says nothing).  v_lb rules out
+    only [0, v_lb): a doubling can still step over a window of growth
+    narrower than a factor of two.  The search then holds the node [a, b] of the
+    bisection tree on that bracket that bisection would hold.  The node
+    descends while its midpoint lies at or below lo or at or above hi,
+    where the sign is known.  Otherwise, when lo and hi both carry g and
+    hi - lo > 1e-11*hi, it steers: regula falsi on g gives r in (lo, hi),
+    the step e = 2|r - r'| from the previous r' ((b - a)/16 at first,
+    never below 1e-11*hi) its error, and the search tests the two edges of
+    the cell of the tree below [a, b] that holds r and is at most 4e wide.
+    Else it tests the node's midpoint.  Every tested level is a point of
+    the tree, so with one sign change the search stops on the node
+    bisection stops on, the first with b - a <= 1e-13*b, in no more sign
+    tests.  Below the 1e-11 floor g's rounding depends on the BLAS kernel,
+    so only midpoints are tested there.  The stop is relative to hi, so lo
+    ends above 0 even when the root lies below the first ladder level.
+    The one eigen solve is at v_inf = lo, started from lo's x, which there
+    is the Perron vector to rounding.
 
     Raises ValueError, starting "no loss-rate root", when the loss rate at
     v = 0, min(decay + splitting) off the diagonal of the triangular L(0),
@@ -118,7 +126,12 @@ def find_v_inf(coeffs: CoefficientSet, grid: SizeGrid) -> VInfResult:
             hi, g_hi = v, _root_value(grid.widths, x, False)
         return certified
 
-    v = min(1.0, v_max)
+    w = grid.centers * grid.widths
+    r0 = gen.apply_adjoint(0.0, w) / w
+    r1 = gen.apply_adjoint(1.0, w) / w - r0
+    grows = r1 > 0.0
+    v_lb = float(np.min(-r0[grows] / r1[grows], initial=np.inf)) if r0.max() < 0.0 else 0.0
+    v = min(math.ldexp(0.5, math.frexp(v_lb)[1]) if 0.0 < v_lb < 1.0 else 1.0, v_max)
     while test(v):
         if v >= v_max:
             raise ValueError("no loss-rate root in (0, %g): the loss rate "

@@ -271,6 +271,18 @@ def test_root_does_not_depend_on_production(tmp_path, production):
     assert results["exists"] == (production == 1000.0)
 
 
+def test_root_below_a_turn_of_the_loss_rate_is_found(tmp_path):
+    # the loss rate crosses zero near v = 8.3e-4 and turns positive again
+    # below v = 1, where a ladder from 1 would start
+    code, out = _run(tmp_path, "steady", "experiment = steady\n"
+                     "model.conversion.shape = constant\nmodel.conversion.value = 100\n"
+                     "grid.n = 200\ngrid.xmax = 30\n")
+    assert code == 0
+    record = _record(out, "steady-*.json")
+    assert record["results"]["v_inf"] == pytest.approx(8.3075e-4, rel=1e-4)
+    assert record["diagnostics"]["root_sign_tests"] <= 32
+
+
 def test_zero_loss_rate_at_zero_level_fails_the_run(tmp_path):
     # no decay leaves the smallest cell with a zero loss rate at v=0, so no
     # positive level is a root: the run fails as a run without a root does

@@ -79,7 +79,8 @@ def test_structured_generator_matches_dense(n, xmax, x0_frac, bell, amplitude,
     u = np.random.default_rng(seed).random(n)
     np.testing.assert_allclose(gen.apply(v, u), A @ u, rtol=0,
                                atol=1e-12 * float((np.abs(A) @ u).max()))
-    np.testing.assert_allclose(gen.apply(v, u, tau), u + tau * (A @ u), rtol=0,
+    gen.fill(u)
+    np.testing.assert_allclose(gen.stage(v, tau), u + tau * (A @ u), rtol=0,
                                atol=1e-12 * float((u + tau * (np.abs(A) @ u)).max()))
     np.testing.assert_allclose(gen.apply_adjoint(v, u), As @ u, rtol=0,
                                atol=1e-12 * float((np.abs(As) @ u).max()))
@@ -102,11 +103,11 @@ def test_structured_generator_matches_dense(n, xmax, x0_frac, bell, amplitude,
     data=st.data(),
 )
 def test_generator_apply_is_the_band_by_band_sum(n, bell, v, tau, data):
-    # apply is one product of the term rows, so it adds the terms in BLAS's
-    # order: within a few rounding units of the sum band by band, of the
-    # terms' magnitudes, plus a few units of underflow (a product of small
-    # factors is subnormal) per unit of weight and of unweighted term; a
-    # cell whose terms are all zero is exactly 0
+    # apply and stage are each one product of the term rows, so they add
+    # the terms in BLAS's order: within a few rounding units of the sum
+    # band by band, of the terms' magnitudes, plus a few units of underflow
+    # (a product of small factors is subnormal) per unit of weight and of
+    # unweighted term; a cell whose terms are all zero is exactly 0
     coeffs = BELLY if bell else CONST
     gen = Generator(coeffs, SizeGrid.uniform(30.0, n))
     entries = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6))
@@ -134,7 +135,8 @@ def test_generator_apply_is_the_band_by_band_sum(n, bell, v, tau, data):
                             c=lambda a: (a != 0.0) * 1.0, f=np.abs) == 0.0
         assert np.all(np.abs(got - band_by_band(x)) <= 8 * eps * size + under)
         assert np.all(got[zero] == 0.0)
-        stage = gen.apply(v, x, tau)
+        gen.fill(x)
+        stage = gen.stage(v, tau)
         assert np.all(np.abs(stage - (x + tau * got))
                       <= 8 * eps * (x + tau * size) + under)
         assert np.all(stage[zero & (x == 0.0)] == 0.0)

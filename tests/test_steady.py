@@ -57,11 +57,11 @@ def test_root_diagnostics(baseline):
     # a bracket of 1e-13 relative maps through the loss-rate slope (~3e-4)
     assert root.solution.v == root.v_inf
     assert abs(root.solution.lambda_eig) <= 1e-12
-    # one eigen solve, at v_inf; the ladder 1, 2, ..., 128 and the steered
-    # search take signs only: deterministic counts, not a timing (plain
-    # bisection takes 51)
+    # one eigen solve, at v_inf; the ladder 0.5, 1, ..., 128 (v_lb is 0.94
+    # on this grid) and the steered search take signs only: deterministic
+    # counts, not a timing (plain bisection takes 51)
     assert root.evaluations == 1
-    assert root.sign_tests == 27
+    assert root.sign_tests == 28
 
 
 ORACLE_CASES = [
@@ -248,6 +248,24 @@ def test_root_below_the_first_ladder_level(monkeypatch):
     assert len(signs) <= 80
 
 
+def test_root_below_a_turn_of_the_loss_rate(monkeypatch):
+    # the loss rate crosses zero near v = 8.3e-4 and turns positive again
+    # below v = 1 through outflow at xmax, so a ladder from 1 never sees
+    # the root; v_lb = 3.75e-5 starts it at 2**-15
+    coeffs = CoefficientSet(production=2400.0, clearance=4.0, conversion=Constant(100.0))
+    grid = SizeGrid.uniform(30.0, 200)
+    signs = _fake_sign(monkeypatch)
+    root = find_v_inf(coeffs, grid)
+    assert signs[0] == 2.0 ** -15 and root.sign_tests <= 32
+    assert root.v_inf == pytest.approx(8.3075e-4, rel=1e-4)
+    assert root.bracket_hi - root.v_inf <= 1e-13 * root.bracket_hi
+    gen = Generator(coeffs, grid)
+    scale = float((gen.apply(root.v_inf, np.ones(grid.n))
+                   - 2.0 * gen.diagonal(root.v_inf)).max())
+    nu = eig(assemble(coeffs, grid, root.v_inf).matrix, right=False).real.max()
+    assert abs(nu) <= DEFAULT_TOL * scale
+
+
 def test_profile_integrates_to_one(baseline):
     total = float(baseline.u_profile @ baseline.grid.widths)
     assert total == pytest.approx(1.0, rel=1e-12)
@@ -374,8 +392,9 @@ def test_zero_conversion_at_zero_clearance_has_no_root(monkeypatch):
 
 def test_root_ladder_stays_in_the_float_range(monkeypatch):
     # the loss rate never turns: with no splitting and every polymer
-    # decaying, transport only moves mass.  The ladder runs until
-    # v*max(conv/h) reaches 1e150, at any clearance
+    # decaying, transport only moves mass.  The ladder runs from 2**-6, the
+    # power of two below v_lb = 0.025, until v*max(conv/h) reaches 1e150,
+    # at any clearance
     coeffs = CoefficientSet(production=1.0, clearance=0.0,
                             conversion=Constant(0.5),
                             fragmentation=Constant(0.0))
@@ -386,7 +405,8 @@ def test_root_ladder_stays_in_the_float_range(monkeypatch):
         with pytest.raises(ValueError, match=r"^no loss-rate root in \(0, 1e\+150\): "
                            "the loss rate stays positive"):
             find_v_inf(dataclasses.replace(coeffs, clearance=clearance), grid)
-        assert len(signs) == 500 and signs[-1] == 1e150 / (0.5 / 0.5)
+        assert len(signs) == 506 and signs[0] == 2.0 ** -6
+        assert signs[-1] == 1e150 / (0.5 / 0.5)
     # a level past 1e300, from so slow a conversion, is cut to 1e300, so
     # the doubling stays finite
     signs.clear()
