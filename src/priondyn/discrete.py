@@ -26,7 +26,7 @@ import numpy as np
 from .coefficients import Affine, CoefficientSet, Constant
 from .dynamics import growth_rate, integrate
 from .grid import PolymerState, SizeGrid
-from .reference import loss_rate_constant
+from .reference import initial_seed_profile, loss_rate_constant
 
 __all__ = [
     "DiscreteParams",
@@ -109,9 +109,9 @@ def _ssp_step(params: DiscreteParams, sizes, loss, u, v, dt, depth=0):
     """One step: the polymers take SSPRK(4,2), three forward-Euler stages
     of dt/3 and then u/4 plus 3/4 of a fourth stage from the third, each
     at its stage's monomer level.  The levels come from a stiffly accurate
-    ESDIRK: stage 0 is v, and stage k = 1, 2, 3 solves vk = v + c*(sum of
-    the monomer slopes of stages 0..k) exactly, with c = 1/6, 2/9 and 1/4
-    of dt; the step ends on the last level.  On a negative stage, recurse
+    ESDIRK: stage k solves vk = v + c*(sum of the monomer slopes of
+    stages 0..k) exactly, with c = 0, 1/6, 2/9 and 1/4 of dt (so stage 0
+    is v); the step ends on the last level.  On a negative stage, recurse
     on two half steps.  Returns u, v, the book residual and the number of
     halvings.
 
@@ -124,13 +124,12 @@ def _ssp_step(params: DiscreteParams, sizes, loss, u, v, dt, depth=0):
     uk, vk = u, v
     slope_sum = 0.0  # the monomer slopes of the stages so far
     src = 0.0  # sum of the four stage sources of d(v + mass)/dt
-    for stage in range(4):
+    for stage, weight in enumerate((0.0, 1 / 6, 2 / 9, 1 / 4)):
         count = uk.sum()
         take, back = params.conversion * count, returned * count
-        if stage:
-            c = (1 / 6, 2 / 9, 1 / 4)[stage - 1] * dt
-            vk = ((v + c * (slope_sum + params.production + back))
-                  / (1.0 + c * (params.clearance + take)))
+        c = weight * dt
+        vk = ((v + c * (slope_sum + params.production + back))
+              / (1.0 + c * (params.clearance + take)))
         slope_sum += params.production - vk * (params.clearance + take) + back
         src += (params.production - params.clearance * vk
                 - params.decay * (sizes @ uk) - top_rate * vk * uk[-1])
@@ -244,13 +243,13 @@ def compare_continuum(params: DiscreteParams, t_end: float = 70.0,
     uninfected_diff = float(np.max(np.abs(v_c_at - traj_d0.v_series)
                                    / np.maximum(traj_d0.v_series, 1e-300)))
 
-    # seeded growth at (almost) frozen monomer level
+    # seeded growth at (almost) frozen monomer level; the chain types out
+    # the seeding profile, as it shares no code with the solver it checks
     shape_d = 0.5 * params.sizes ** 2 / (1.0 + params.sizes ** 4)
     seed_d = 1e-3 / shape_d.sum() * shape_d
     traj_d = integrate_discrete(params, DiscreteState(v=vbar, u=seed_d),
                                 t_end, dt, record_every=every)
-    xc = grid.centers
-    shape_c = 0.5 * xc ** 2 / (1.0 + xc ** 4)
+    shape_c = initial_seed_profile(grid.centers)
     seed_c = 1e-3 / float(shape_c @ grid.widths) * shape_c
     traj_c = integrate(coeffs, grid, PolymerState(v=vbar, u=seed_c, grid=grid),
                        t_end, dt_max=dt)

@@ -128,40 +128,33 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     starting V, and r_max the largest.  The step is dt = 3/r_max, capped
     by dt_max when given: a stage of dt/3 then keeps every polymer entry
     nonnegative at the starting V; the monomer sets no step.  Stage k
-    applies L(W_k) in a forward-Euler stage of dt/3 (SSPRK(4,2)), with the
-    monomer level W_k from the ESDIRK stages of _MONOMER_WEIGHTS: with c_k =
-    w_k*dt and S the sum of the monomer slopes of the stages before k, W_k =
-    (V + c_k*(S + production + returned_k))/(1 + c_k*(clearance +
-    uptake_k)) solves W_k = V + c_k*(S + slope_k(W_k)) exactly, and W_0 = V
-    (c_0 = 0).  The step ends at V+ = W_3.  A stage with a negative entry
-    (the rates moved within the step) rejects the step, which is retried
-    at half the length.
+    takes a forward-Euler stage of dt/3 (SSPRK(4,2), ``Generator.stage``)
+    at the monomer level W_k of the ESDIRK stages of _MONOMER_WEIGHTS: with
+    c_k = w_k*dt, S the sum of the monomer slopes of the stages before k
+    and base = V + c_k*(S + production + returned_k), W_k = base/(1 +
+    c_k*(clearance + uptake_k)) solves W_k = V + c_k*(S + slope_k(W_k))
+    exactly, at the uptake of the stage's input (W_0 = V, as c_0 = 0).
 
     The partitioned step, for the few stiff cells under a conversion bump.
     The cells with r > r_max/4 must form one run, which grows by one cell
     while the largest rate outside it sits next to it; the grown run must
-    hold at most _MAX_RUN cells and end before the last cell.  Its bound is
-    3/r_out, r_out the largest rate outside the run or loss rate (decay
-    plus splitting) inside it.  The step is partitioned when 4*r_out <=
-    r_max and the step taken, after dt_max, events and halving, still
-    exceeds 3/r_max; every other step is the explicit step above, bit for
-    bit.  In each stage, transport out of a run cell uses that cell's new
-    value, in flux form: (1 + tau*W*conv_i/h_i)*new_i = w_i + tau*(gain_i
-    - loss_i*w_i + W*inflow_i), the inflow taken from the new value of the
-    cell before it, or from the old value into the run's first cell.  This
-    is a lower bidiagonal recurrence along the run, positive at W >= 0.
-    The cell after the run takes its inflow from the run's last new value;
-    every other term is the explicit stage's.  Each flux leaves one cell
-    and enters the next at one value, so the books close (the
-    explicit-implicit flux mixing of May and Berger, J. Sci. Comput. 71,
-    2017).  Transport runs at W_k above, and the stage's monomer level is
-    then W'_k = (V + c_k*(S + production + returned_k - W_k*uptake'_k))/(1
-    + c_k*clearance), in closed form, where uptake'_k is uptake_k with the
-    run's cells at their new values: the monomer takes up exactly what the
-    transport moved.  The stage's monomer slope is production +
-    returned_k - clearance*W'_k - W_k*uptake'_k, and V+ = W'_3.  A negative
-    W_k or W'_k rejects the step like a negative entry; a step halved to at
-    most 3/r_max is not partitioned, so it is taken explicitly at that length.
+    hold at most _MAX_RUN cells and end before the last cell, and r_out,
+    the largest rate outside it or loss rate (decay plus splitting) inside
+    it, must satisfy 4*r_out <= r_max.  The step's bound is then 3/r_out,
+    under the same caps, and a step that, after dt_max, events and
+    halving, still exceeds 3/r_max is partitioned: each stage transports
+    the run's cells implicitly at W_k, in the flux form ``Generator.stage``
+    states.  Every other step is the explicit step above.
+
+    Every stage then takes one monomer level, W'_k = (base -
+    c_k*W_k*uptake'_k)/(1 + c_k*clearance), where uptake'_k is uptake_k
+    with the run's cells at their new values: the monomer takes up what the
+    transport moved, and W'_k = W_k up to rounding on an explicit stage.
+    The stage's monomer slope is production + returned_k - clearance*W'_k -
+    W_k*uptake'_k, and the step ends at V+ = W'_3.  A negative entry (the
+    rates moved within the step), a negative W'_k or, on a run, a negative
+    W_k rejects the step, which is retried at half the length; halved to at
+    most 3/r_max, it is taken explicitly.
 
     The partitioned step is first order in the run's cells.  Each stage's
     implicit transport sits at its own output, at 1/3, 2/3, 1 and 4/3 of
@@ -228,14 +221,13 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         diag = gen.diagonal(V)
         rate = -float(diag.min())
         dt_explicit = 3.0 / rate if rate > 0.0 else math.inf
-        dt, limit, hit_event = _step_length(dt_explicit, dt_max, shrink, gap, dt_min)
         run = None
         if rate > 0.0 and (dt_max is None or dt_max > dt_explicit):
             run = _stiff_run(-diag, rate, gen.loss)
-        if run is not None:
-            dt, limit, hit_event = _step_length(3.0 / run[2], dt_max, shrink, gap, dt_min)
-            if dt <= dt_explicit:
-                run = None
+        bound = dt_explicit if run is None else 3.0 / run[2]
+        dt, limit, hit_event = _step_length(bound, dt_max, shrink, gap, dt_min)
+        if run is not None:  # a step no longer than 3/r_max is explicit
+            run = run[:2] if dt > dt_explicit else None
         if dt < dt_min:
             raise IntegratorFailure(
                 "step size underflow at t=%g (shrink=%g)" % (t, shrink),
@@ -248,40 +240,26 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         tau = dt / 3.0
         w, mu_w, take_w, back_w = u, mu_u, take_u, back_u
         slope_sum = src = out = 0.0
-        negative = False
         if run is not None:
-            lo, hi = run[0], run[1]
-            cells = slice(lo, hi + 1)
-            rate_run = (-gen.t_diag[cells]).tolist()
-            flow_run = gen.t_sub[cells].tolist()
-            take_run = gen.uptake[cells]
-            take_list = take_run.tolist()
+            cells = slice(run[0], run[1] + 1)
         for stage, weight in enumerate(_MONOMER_WEIGHTS):
             # W solves W = V + c*(slope_sum + slope(W)) exactly, with the
             # uptake of the stage's input
             c = weight * dt
             base = V + c * (slope_sum + lam + back_w)
             W = base / (1.0 + c * (gam + take_w))
-            terms = gen.fill(w)
+            if run is not None and W < 0.0:
+                negative = True
+                break
             # a fresh array, so u/4 + 3/4*w below may work in place
-            w_next = gen.stage(W, tau)
-            if run is None:
-                level = W
-                slope_sum += lam - W * (gam + take_w) + back_w
-            else:
-                if W < 0.0:
-                    negative = True
-                    break
-                # the run's cells and the one after it, without transport
-                q = (w[lo:hi + 2] + tau * terms[2:6, lo:hi + 2].sum(axis=0)).tolist()
-                new, take_new, flow = _run_values(q, rate_run, flow_run, take_list,
-                                                  float(terms[0, lo]), tau * W)
-                w_next[cells] = new
-                w_next[hi + 1] = q[-1] + tau * W * (terms[1, hi + 1] + flow)
-                # the uptake the stage transported, at level W
-                take = take_w - float(take_run @ w[cells]) + take_new
-                level = (base - c * W * take) / (1.0 + c * gam)
-                slope_sum += lam - gam * level - W * take + back_w
+            w_next = gen.stage(W, tau, w, run)
+            # the uptake the stage transported at level W, and the level
+            # that takes it up
+            take = take_w
+            if run is not None:
+                take += float(gen.uptake[cells] @ (w_next[cells] - w[cells]))
+            level = (base - c * W * take) / (1.0 + c * gam)
+            slope_sum += lam - gam * level - W * take + back_w
             rhs_evaluations += 1
             out_w = W * fluxw * w[-1]
             src += lam - gam * level - mu_w - out_w
@@ -320,7 +298,7 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         steps_by_limit["event" if hit_event else limit] += 1
         if run is not None:
             partitioned_steps += 1
-            max_partition_cells = max(max_partition_cells, hi - lo + 1)
+            max_partition_cells = max(max_partition_cells, run[1] - run[0] + 1)
         for series, value in zip(rows, (t, V, rho_u, p_u)):
             series.append(value)
 
@@ -376,25 +354,6 @@ def _stiff_run(rates: np.ndarray, rate: float, loss: np.ndarray) -> Optional[tup
             r_out = float(max(out_left, out_right, loss[lo:hi + 1].max()))
             return (lo, hi, r_out) if 4.0 * r_out <= rate else None
     return None
-
-
-def _run_values(q: list, rate: list, flow: list, take: list, inflow: float,
-                tau_v: float) -> tuple:
-    """The run's new values of a partitioned stage at tau*W = tau_v, with
-    the uptake they take and the flow out of the run's last cell.
-
-    q holds each cell's stage without transport, rate its transport rate
-    conv/h, flow its flow coefficient into the next cell, take its uptake
-    weight, and inflow the old inflow term into the first cell.
-    """
-    new = []
-    taken = 0.0
-    for q_i, rate_i, flow_i, take_i in zip(q, rate, flow, take):
-        value = (q_i + tau_v * inflow) / (1.0 + tau_v * rate_i)
-        new.append(value)
-        taken += take_i * value
-        inflow = flow_i * value
-    return new, taken, inflow
 
 
 def line_fit(x, y) -> tuple:

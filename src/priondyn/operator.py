@@ -24,6 +24,7 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -98,7 +99,7 @@ class Generator:
       the fragment mass landing below x0: the weights of the monomer equation.
 
     So L(v)u is a suffix sum plus bands (``apply``), its adjoint a prefix
-    sum plus bands, and a shifted solve a band LU (``solve_shifted``), all
+    sum plus bands, and a shifted solve a band LU (``certify``), all
     O(n).  Splitting in the smallest cell is disabled (no admissible
     destination cell), as in ``transport_reaction_parts``.  A rate whose
     entries overflow on the grid raises a ValueError that names it.
@@ -176,13 +177,13 @@ class Generator:
         band by band, within a few rounding units of the sum of the terms'
         magnitudes; a cell whose terms are all zero is exactly 0.
         """
-        rows = self.fill(u)
+        rows = self._fill(u)
         weights = self._weights
         weights[:2] = v
         weights[2:6] = 1.0
         return weights[:6] @ rows[:6]
 
-    def fill(self, u: np.ndarray) -> np.ndarray:
+    def _fill(self, u: np.ndarray) -> np.ndarray:
         """Fill the term rows from u and return them (laid out in
         ``__init__``; the next fill overwrites them)."""
         rows = self._rows
@@ -194,14 +195,43 @@ class Generator:
         rows[6] = u
         return rows
 
-    def stage(self, v: float, tau: float) -> np.ndarray:
-        """The Euler stage u + tau*L(v) u of the u last filled, as a fresh
-        array: the term rows weighted by (tau*v, tau*v, tau, tau, tau, tau,
-        1), with the rounding ``apply`` states."""
+    @cached_property
+    def _run_coefficients(self) -> tuple:
+        """Each cell's conv/h and flow into the next cell, as lists for ``stage``."""
+        return (-self.t_diag).tolist(), self.t_sub.tolist()
+
+    def stage(self, v: float, tau: float, u: np.ndarray,
+              run: Optional[tuple] = None) -> np.ndarray:
+        """The Euler stage u + tau*L(v) u, as a fresh array: the term rows
+        weighted by (tau*v, tau*v, tau, tau, tau, tau, 1), with the rounding
+        ``apply`` states.
+
+        With ``run`` = (lo, hi), which must end before the last cell,
+        transport out of each cell lo..hi uses its new value, in flux form:
+        (1 + tau*v*conv_i/h_i)*new_i = u_i + tau*(gain_i - loss_i*u_i +
+        v*inflow_i), the inflow taken from the new value of the cell before,
+        or from the old value into cell lo: a lower bidiagonal recurrence,
+        positive at v >= 0.  Cell hi+1 takes its inflow from new_hi.  Each
+        flux leaves one cell and enters the next at one value, so the count
+        sum(h*stage) is the explicit stage's (the explicit-implicit flux
+        mixing of May and Berger, J. Sci. Comput. 71, 2017).
+        """
+        rows = self._fill(u)
         weights = self._weights
-        weights[:2] = tau * v
+        weights[:2] = tau_v = tau * v
         weights[2:6] = tau
-        return weights @ self._rows
+        out = weights @ rows
+        if run is not None:
+            lo, hi = run
+            rate, flow = self._run_coefficients
+            # the run's cells and the one after it, without transport
+            q = (u[lo:hi + 2] + tau * rows[2:6, lo:hi + 2].sum(axis=0)).tolist()
+            inflow = float(rows[0, lo])
+            for i, q_i in zip(range(lo, hi + 1), q):
+                out[i] = value = (q_i + tau_v * inflow) / (1.0 + tau_v * rate[i])
+                inflow = flow[i] * value
+            out[hi + 1] = q[-1] + tau_v * (rows[1, hi + 1] + inflow)
+        return out
 
     def apply_adjoint(self, v: float, phi: np.ndarray) -> np.ndarray:
         """L(v)^T phi in O(n): the adjoint on equal cells."""
@@ -212,15 +242,25 @@ class Generator:
         out[3:] += self.far_gain[3:] * np.cumsum(phi[:-3])
         return out
 
-    def solve_shifted(self, v: float, s: float, b: np.ndarray,
-                      adjoint: bool = False) -> np.ndarray:
-        """Solve (s*I - L(v)) x = b, or the same with L(v)^T.
+    def certify(self, v: float, s: float, b: np.ndarray,
+                adjoint: bool = False) -> tuple[Optional[np.ndarray], bool]:
+        """(x, certified): x solves (s*I - L(v)) x = b (L(v)^T: ``adjoint``).
 
-        With M = s*I - L(v) and P the unit upper bidiagonal matrix that
-        subtracts from each row the row below it, P M is banded (1 lower,
-        3 upper diagonals): the column-constant gain cancels except in its
-        first entry.  The adjoint solve reuses the factors transposed:
-        (s*I - L(v)^T) y = b is (P M)^T z = b with y = P^T z.
+        The one shifted solve, and the one positivity certificate every
+        solver reads.  x is None only when the band LU is singular;
+        certified is x >= 0 (an entry below 0 or NaN fails), and a caller
+        uses x as a nonnegative vector only when it is certified.  L(v) is
+        Metzler, so s*I - L(v) is a Z-matrix, and for b > 0 a solution x >= 0
+        makes it a nonsingular M-matrix (Berman and Plemmons, 1994): s lies
+        above the principal eigenvalue, with no irreducibility argument.
+        Above it (s*I - L(v))^{-1} >= 0, so x_i >= b_i/(s - L(v)_ii) > 0.  A
+        failed certificate (a singular factorisation, or x not >= 0) puts s
+        at or below it, up to rounding.
+
+        The band LU: with P the unit upper bidiagonal matrix that subtracts
+        from each row the row below it, M = P(s*I - L(v)) has 1 lower and 3
+        upper diagonals (the column-constant gain cancels but for its first
+        entry), and (s*I - L(v)^T) y = b is M^T z = b with y = P^T z.
         """
         lapack = _lapack()
         n = self.grid.n
@@ -235,35 +275,14 @@ class Generator:
         ab[5, :-1] = sub
         lu, piv, info = lapack.dgbtrf(ab, 1, 3, overwrite_ab=1)
         if info != 0:
-            raise np.linalg.LinAlgError(
-                "shifted generator is singular at level v=%g, shift %g" % (v, s))
+            return None, False
         if not adjoint:
             rhs = b.copy()
             rhs[:-1] -= b[1:]
             x, _ = lapack.dgbtrs(lu, 1, 3, rhs, piv, overwrite_b=1)
-            return x
-        z, _ = lapack.dgbtrs(lu, 1, 3, b, piv, trans=1)
-        z[1:] -= z[:-1].copy()
-        return z
-
-    def certify(self, v: float, s: float, b: np.ndarray,
-                adjoint: bool = False) -> tuple[Optional[np.ndarray], bool]:
-        """(x, certified): x solves (s*I - L(v)) x = b (L(v)^T: ``adjoint``).
-
-        The one positivity certificate every solver reads.  x is None only
-        when the band LU is singular; certified is x >= 0 (an entry below 0
-        or NaN fails), and a caller uses x as a nonnegative vector only when
-        it is certified.  L(v) is Metzler, so s*I - L(v) is a Z-matrix, and
-        for b > 0 a solution x >= 0 makes it a nonsingular M-matrix (Berman
-        and Plemmons, 1994): s lies above the principal eigenvalue, with no
-        irreducibility argument.  Above it (s*I - L(v))^{-1} >= 0, so x_i >=
-        b_i/(s - L(v)_ii) > 0.  A failed certificate (a singular
-        factorisation, or x not >= 0) puts s at or below it, up to rounding.
-        """
-        try:
-            x = self.solve_shifted(v, s, b, adjoint=adjoint)
-        except np.linalg.LinAlgError:
-            return None, False
+        else:
+            x, _ = lapack.dgbtrs(lu, 1, 3, b, piv, trans=1)
+            x[1:] -= x[:-1].copy()
         return x, bool(x.min() >= 0.0)
 
 

@@ -623,16 +623,20 @@ def test_rates_are_sampled_in_one_place():
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "bimodality_report")
     assert "ss.root.solution.generator.conversion" in ast.unparse(report)
-    # every shifted solve goes through Generator.certify, the one M-matrix
-    # certificate; only operator.py reaches the raw solve or sees its
-    # LinAlgError
-    solves = sorted((m,) + c for m in modules
-                    for c in _callers(m, {"solve_shifted", "certify"}))
+    # every shifted solve is a call of Generator.certify, the one M-matrix
+    # certificate, which reports a singular factorisation as (None, False)
+    solves = sorted((m,) + c for m in modules for c in _callers(m, {"certify"}))
     assert solves == [
         ("eigen", "certify", "_principal_on_matrix"),
-        ("operator", "solve_shifted", "Generator.certify"),
         ("steady", "certify", "find_v_inf.test"),
     ]
+    # the generator's term rows belong to operator.py: every other module
+    # takes an Euler stage through Generator.stage
+    assert [(m,) + c for m in modules if m != "operator"
+            for c in _callers(m, {"fill", "_fill"})] == []
+    assert [m for m in modules if m != "operator"
+            for node in ast.walk(ast.parse(_source(m)))
+            if isinstance(node, ast.Attribute) and node.attr == "_rows"] == []
     # the loss rate at vbar has one home, a primal solve: no other eigen
     # solve takes vbar, and the stability probe reads no adjoint loss rate
     assert sorted((m,) + c for m in modules
@@ -656,4 +660,4 @@ def test_rates_are_sampled_in_one_place():
                        for node in ast.walk(ast.parse(_source(m)))
                        if isinstance(node, ast.ExceptHandler) and node.type is not None
                        and "LinAlgError" in ast.unparse(node.type)})
-    assert catchers == ["operator"]
+    assert catchers == []

@@ -18,7 +18,7 @@ from priondyn import (Affine, Bell, CoefficientSet, EigenConvergenceError, Gener
                       hypothesis_constants,
                       incubation_time, integrate, principal_eigenpair,
                       seed_state, stability_experiment, transport_reaction_parts)
-from priondyn import discrete, dynamics
+from priondyn import discrete
 from priondyn.cli import sweep
 from priondyn.config import parse_config
 from priondyn.dynamics import _stiff_run, line_fit
@@ -296,18 +296,20 @@ def test_partitioned_step_is_first_order():
 
 
 def test_negative_monomer_level_rejects_until_the_step_is_explicit(monkeypatch):
-    # told that the run's new values take up far more monomer, every
-    # partitioned step's level goes below 0: the step is rejected and
-    # halved until it is no longer than 3/r_max, and taken explicitly at
-    # that length, 3/r_out/64 = 0.012 days (164 steps to t = 2, not the
-    # 8348 of 3/r_max/64)
-    run_values = dynamics._run_values
+    # with 1e6 added to the run's new values, which then take up far more
+    # monomer, every partitioned step's level goes below 0: the step is
+    # rejected and halved until it is no longer than 3/r_max, and taken
+    # explicitly at that length, 3/r_out/64 = 0.012 days (164 steps to
+    # t = 2, not the 8348 of 3/r_max/64)
+    stage = Generator.stage
 
-    def greedy(*args):
-        new, taken, flow = run_values(*args)
-        return new, taken + 1e6, flow
+    def greedy(self, v, tau, u, run=None):
+        out = stage(self, v, tau, u, run)
+        if run is not None:
+            out[run[0]:run[1] + 1] += 1e6
+        return out
 
-    monkeypatch.setattr(dynamics, "_run_values", greedy)
+    monkeypatch.setattr(Generator, "stage", greedy)
     grid = _grid(200)
     traj = integrate(BUMP, grid, seed_state(BUMP, grid), t_end=2.0)
     assert traj.partitioned_steps == traj.max_partition_cells == 0

@@ -125,16 +125,17 @@ def test_rejected_trial_shift_falls_back_to_the_safe_shift(monkeypatch):
     v, n = 600.0, gen.grid.n
     scale = float((gen.apply(v, np.ones(n)) - 2.0 * gen.diagonal(v)).max())
     clean = generator_eigenpair(gen, v)
-    solve, shifts = Generator.solve_shifted, []
+    certify, shifts = Generator.certify, []
 
     def spoiled(self, v, s, b, adjoint=False):
         shifts.append(s)
-        x = solve(self, v, s, b, adjoint=adjoint)
+        x, certified = certify(self, v, s, b, adjoint=adjoint)
         if len(shifts) == 1:
             x[n // 2] = -1.0
-        return x
+            certified = False
+        return x, certified
 
-    monkeypatch.setattr(Generator, "solve_shifted", spoiled)
+    monkeypatch.setattr(Generator, "certify", spoiled)
     sol = generator_eigenpair(gen, v)
     assert shifts[1] > shifts[0]
     assert abs(sol.lambda_eig - clean.lambda_eig) <= DEFAULT_TOL * scale
@@ -145,10 +146,8 @@ def test_rejected_trial_shift_falls_back_to_the_safe_shift(monkeypatch):
 def test_singular_safe_shift_names_the_level(monkeypatch):
     # a safe-shift solve that fails its certificate, here by a singular
     # factorisation, is a positivity failure at a named level and shift
-    def singular(self, v, s, b, adjoint=False):
-        raise np.linalg.LinAlgError("singular")
-
-    monkeypatch.setattr(Generator, "solve_shifted", singular)
+    monkeypatch.setattr(Generator, "certify",
+                        lambda self, v, s, b, adjoint=False: (None, False))
     with pytest.raises(PositivityViolationError, match="level v=600 .*shift "):
         generator_eigenpair(Generator(BUMP, SizeGrid.uniform(60.0, 200)), 600.0)
 

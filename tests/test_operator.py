@@ -79,8 +79,7 @@ def test_structured_generator_matches_dense(n, xmax, x0_frac, bell, amplitude,
     u = np.random.default_rng(seed).random(n)
     np.testing.assert_allclose(gen.apply(v, u), A @ u, rtol=0,
                                atol=1e-12 * float((np.abs(A) @ u).max()))
-    gen.fill(u)
-    np.testing.assert_allclose(gen.stage(v, tau), u + tau * (A @ u), rtol=0,
+    np.testing.assert_allclose(gen.stage(v, tau, u), u + tau * (A @ u), rtol=0,
                                atol=1e-12 * float((u + tau * (np.abs(A) @ u)).max()))
     np.testing.assert_allclose(gen.apply_adjoint(v, u), As @ u, rtol=0,
                                atol=1e-12 * float((np.abs(As) @ u).max()))
@@ -88,9 +87,9 @@ def test_structured_generator_matches_dense(n, xmax, x0_frac, bell, amplitude,
     s = 1.5 * max(np.abs(A).sum(axis=1).max(), np.abs(As).sum(axis=1).max())
     x = np.linalg.solve(s * np.eye(n) - A, u)
     y = np.linalg.solve(s * np.eye(n) - As, u)
-    np.testing.assert_allclose(gen.solve_shifted(v, s, u), x, rtol=0,
+    np.testing.assert_allclose(gen.certify(v, s, u)[0], x, rtol=0,
                                atol=1e-12 * np.abs(x).max())
-    np.testing.assert_allclose(gen.solve_shifted(v, s, u, adjoint=True), y,
+    np.testing.assert_allclose(gen.certify(v, s, u, adjoint=True)[0], y,
                                rtol=0, atol=1e-12 * np.abs(y).max())
 
 
@@ -135,12 +134,49 @@ def test_generator_apply_is_the_band_by_band_sum(n, bell, v, tau, data):
                             c=lambda a: (a != 0.0) * 1.0, f=np.abs) == 0.0
         assert np.all(np.abs(got - band_by_band(x)) <= 8 * eps * size + under)
         assert np.all(got[zero] == 0.0)
-        gen.fill(x)
-        stage = gen.stage(v, tau)
+        stage = gen.stage(v, tau, x)
         assert np.all(np.abs(stage - (x + tau * got))
                       <= 8 * eps * (x + tau * size) + under)
         assert np.all(stage[zero & (x == 0.0)] == 0.0)
     assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_stage_takes_its_runs_transport_implicitly(n):
+    # at tau*v*max(conv/h) = 50, the cells whose loss rate exceeds 1/tau
+    # form the run under the bump (5 cells of 200, 18 of 800).  Its cells
+    # solve the flux-form implicit transport of the dense oracle, the cell
+    # after it takes its inflow from the run's last new value, every other
+    # cell is the explicit stage's, and the stage keeps the explicit
+    # stage's count
+    coeffs = CoefficientSet(production=2400.0, clearance=4.0,
+                            conversion=Bell(0.001, 0.1, 2.0, 0.1))
+    grid = SizeGrid.uniform(60.0, n)
+    h = grid.widths
+    T, B, samples = transport_reaction_parts(coeffs, grid)
+    v = 600.0
+    tau = 50.0 / (v * float((samples["conversion"] / h).max()))
+    stiff = np.flatnonzero(tau * -np.diag(v * T + B) > 1.0)
+    lo, hi = int(stiff[0]), int(stiff[-1])
+    assert 0 < lo and hi - lo + 1 == stiff.size and hi + 2 < n
+    run = slice(lo, hi + 1)
+    u = np.random.default_rng(1).random(grid.n)
+    gen = Generator(coeffs, grid)
+    got = gen.stage(v, tau, u, (lo, hi))
+    explicit = gen.stage(v, tau, u)
+
+    rhs = u + tau * (B @ u)
+    rhs[lo] += tau * v * T[lo, lo - 1] * u[lo - 1]
+    new = np.linalg.solve(np.eye(stiff.size) - tau * v * T[run, run], rhs[run])
+    np.testing.assert_allclose(got[run], new, rtol=1e-12, atol=0)
+    after = rhs[hi + 1] + tau * v * (T[hi + 1, hi + 1] * u[hi + 1]
+                                     + T[hi + 1, hi] * new[-1])
+    scale = u + tau * (np.abs(v * T + B) @ np.maximum(u, np.abs(got)))
+    assert abs(got[hi + 1] - after) <= 1e-12 * scale[hi + 1]
+    rest = np.r_[:lo, hi + 2:n]
+    np.testing.assert_array_equal(got[rest], explicit[rest])
+    assert got.min() >= 0.0 and explicit[run].min() < 0.0
+    assert abs(h @ got - h @ explicit) <= 1e-13 * float(h @ scale)
 
 
 # --- duality ---------------------------------------------------------------

@@ -455,10 +455,11 @@ def test_stationary_check_guards_its_class():
 def test_root_search_failure_names_the_level(monkeypatch):
     # a shifted solve that makes no headway exhausts the iteration budget
     # at the one eigen solve, the level just below 4 that the bisection
-    # ends on; the error must say which level that was
+    # ends on; the error must say which level that was.  _fake_sign wraps
+    # this solve, which then serves every shift but 0
+    monkeypatch.setattr(Generator, "certify",
+                        lambda self, v, s, b, adjoint=False: (b.copy(), True))
     _fake_sign(monkeypatch, lambda v: 4.0 - v)
-    monkeypatch.setattr(Generator, "solve_shifted",
-                        lambda self, v, s, b, adjoint=False: b.copy())
     with pytest.raises(EigenConvergenceError, match="level v=4 "):
         find_v_inf(CONST, SizeGrid.uniform(30.0, 50))
 
