@@ -46,9 +46,6 @@ __all__ = [
 # stiff the monomer is; on the negative real axis |R| <= 1 and R(inf) = 0.
 _MONOMER_WEIGHTS = (0.0, 1 / 6, 2 / 9, 1 / 4)
 
-# The longest run of stiff cells a partitioned step (``integrate``) takes
-_MAX_RUN = 64
-
 
 class IntegratorFailure(RuntimeError):
     """Integration aborted; carries the last valid state and time."""
@@ -73,9 +70,9 @@ class Trajectory:
     retried step counts under the bound it halved) and sums to steps.
     rhs_evaluations counts right-hand-side evaluations: four per accepted
     step plus those a rejected step made up to its negative stage or level.
-    partitioned_steps counts the accepted steps that took the run of stiff
-    cells implicitly, and max_partition_cells is the longest such run
-    (``integrate`` states the rule).
+    partitioned_steps counts the accepted steps that took stiff cells
+    implicitly, and max_partition_cells is the most cells one step took
+    implicitly, over all of its runs (``integrate`` states the rule).
     """
 
     times: np.ndarray
@@ -135,36 +132,38 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
     c_k*(clearance + uptake_k)) solves W_k = V + c_k*(S + slope_k(W_k))
     exactly, at the uptake of the stage's input (W_0 = V, as c_0 = 0).
 
-    The partitioned step, for the few stiff cells under a conversion bump.
-    The cells with r > r_max/4 must form one run, which grows by one cell
-    while the largest rate outside it sits next to it; the grown run must
-    hold at most _MAX_RUN cells and end before the last cell, and r_out,
-    the largest rate outside it or loss rate (decay plus splitting) inside
-    it, must satisfy 4*r_out <= r_max.  The step's bound is then 3/r_out,
-    under the same caps, and a step that, after dt_max, events and
-    halving, still exceeds 3/r_max is partitioned: each stage transports
-    the run's cells implicitly at W_k, in the flux form ``Generator.stage``
-    states.  Every other step is the explicit step above.
+    The partitioned step, for the stiff cells under a conversion bump.
+    The last cell is always explicit, as its outflow leaves the grid, so
+    no step is longer than 3/r_{n-1}; the implicit cells are then exactly
+    the cells i < n-1 with r_i > r_{n-1}, in maximal runs wherever they
+    sit.  With r_out the larger of r_{n-1} and the largest loss rate
+    (decay plus splitting) of those cells, a step with 4*r_out <= r_max
+    is bounded by 3/r_out, under the same caps, and one that, after
+    dt_max, events and halving, still exceeds 3/r_max is partitioned:
+    each stage transports the runs' cells implicitly at W_k, in the flux
+    form ``Generator.stage`` states.  Every other step is the explicit
+    step above.
 
     Every stage then takes one monomer level, W'_k = (base -
     c_k*W_k*uptake'_k)/(1 + c_k*clearance), where uptake'_k is uptake_k
-    with the run's cells at their new values: the monomer takes up what the
+    with the runs' cells at their new values: the monomer takes up what the
     transport moved, and W'_k = W_k up to rounding on an explicit stage.
     The stage's monomer slope is production + returned_k - clearance*W'_k -
     W_k*uptake'_k, and the step ends at V+ = W'_3.  A negative entry (the
-    rates moved within the step), a negative W'_k or, on a run, a negative
-    W_k rejects the step, which is retried at half the length; halved to at
-    most 3/r_max, it is taken explicitly.
+    rates moved within the step), a negative W'_k or, on a partitioned
+    step, a negative W_k rejects the step, which is retried at half the
+    length; halved to at most 3/r_max, it is taken explicitly.
 
-    The partitioned step is first order in the run's cells.  Each stage's
+    The partitioned step is first order in the implicit cells.  Each stage's
     implicit transport sits at its own output, at 1/3, 2/3, 1 and 4/3 of
     dt, so with the weights 1/4 the order condition b.c = 1/2 reads 5/6.
     No stage design mends that at this step length: a linear method that
     stays positive at every step length is at most first order (Bolley and
     Crouzeix, RAIRO Anal. Numer. 12, 1978).  Richardson extrapolation would
     restore second order at three times the cost of each partitioned step,
-    and would need a fallback of its own where it goes negative; on fig5
-    the first-order time error already lies below the grid error.
+    and would need a fallback of its own where it goes negative.  On fig5
+    the first-order time error in t_inc lies below the grid error up to
+    n = 1600 and about equals it, 1e-4 relative, at n = 3200.
 
     The books are stage-consistent: each step's residual compares the
     realized change of (monomer + polymer mass) against the mean of the
@@ -221,13 +220,13 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         diag = gen.diagonal(V)
         rate = -float(diag.min())
         dt_explicit = 3.0 / rate if rate > 0.0 else math.inf
-        run = None
+        found = runs = None
         if rate > 0.0 and (dt_max is None or dt_max > dt_explicit):
-            run = _stiff_run(-diag, rate, gen.loss)
-        bound = dt_explicit if run is None else 3.0 / run[2]
+            found = _stiff_runs(-diag, rate, gen.loss)
+        bound = dt_explicit if found is None else 3.0 / found[1]
         dt, limit, hit_event = _step_length(bound, dt_max, shrink, gap, dt_min)
-        if run is not None:  # a step no longer than 3/r_max is explicit
-            run = run[:2] if dt > dt_explicit else None
+        if found is not None and dt > dt_explicit:  # else the step is explicit
+            runs = found[0]
         if dt < dt_min:
             raise IntegratorFailure(
                 "step size underflow at t=%g (shrink=%g)" % (t, shrink),
@@ -240,24 +239,22 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         tau = dt / 3.0
         w, mu_w, take_w, back_w = u, mu_u, take_u, back_u
         slope_sum = src = out = 0.0
-        if run is not None:
-            cells = slice(run[0], run[1] + 1)
         for stage, weight in enumerate(_MONOMER_WEIGHTS):
             # W solves W = V + c*(slope_sum + slope(W)) exactly, with the
             # uptake of the stage's input
             c = weight * dt
             base = V + c * (slope_sum + lam + back_w)
             W = base / (1.0 + c * (gam + take_w))
-            if run is not None and W < 0.0:
+            if runs is not None and W < 0.0:
                 negative = True
                 break
             # a fresh array, so u/4 + 3/4*w below may work in place
-            w_next = gen.stage(W, tau, w, run)
+            w_next = gen.stage(W, tau, w, runs)
             # the uptake the stage transported at level W, and the level
             # that takes it up
             take = take_w
-            if run is not None:
-                take += float(gen.uptake[cells] @ (w_next[cells] - w[cells]))
+            for lo, hi in runs or ():
+                take += float(gen.uptake[lo:hi + 1] @ (w_next[lo:hi + 1] - w[lo:hi + 1]))
             level = (base - c * W * take) / (1.0 + c * gam)
             slope_sum += lam - gam * level - W * take + back_w
             rhs_evaluations += 1
@@ -296,9 +293,10 @@ def integrate(coeffs: CoefficientSet, grid: SizeGrid, initial: PolymerState,
         t = next_event if hit_event else t + dt
         steps += 1
         steps_by_limit["event" if hit_event else limit] += 1
-        if run is not None:
+        if runs is not None:
             partitioned_steps += 1
-            max_partition_cells = max(max_partition_cells, run[1] - run[0] + 1)
+            max_partition_cells = max(max_partition_cells,
+                                      sum(hi - lo + 1 for lo, hi in runs))
         for series, value in zip(rows, (t, V, rho_u, p_u)):
             series.append(value)
 
@@ -332,28 +330,23 @@ def _step_length(bound: float, dt_max: Optional[float], shrink: float, gap: floa
     return (gap if hit_event else dt_try), limit, hit_event
 
 
-def _stiff_run(rates: np.ndarray, rate: float, loss: np.ndarray) -> Optional[tuple]:
-    """(lo, hi, r_out) of a partitioned step's run lo..hi, or None; the
-    rule is ``integrate``'s."""
-    if rates[-1] > 0.25 * rate:  # the run would end at the last cell
+def _stiff_runs(rates: np.ndarray, rate: float, loss: np.ndarray) -> Optional[tuple]:
+    """(runs, r_out) of a partitioned step, runs the maximal (lo, hi) runs
+    of its implicit cells, or None; the rule is ``integrate``'s."""
+    last = float(rates[-1])
+    if 4.0 * last > rate:
         return None
-    stiff = np.flatnonzero(rates > 0.25 * rate)
-    lo, hi = int(stiff[0]), int(stiff[-1])
-    if hi - lo + 1 != stiff.size or stiff.size > _MAX_RUN:
+    stiff = np.flatnonzero(rates[:-1] > last)
+    r_out = max(last, float(loss[stiff].max()))
+    if 4.0 * r_out > rate:
         return None
-    left = np.maximum.accumulate(rates)  # left[i]: the largest of rates[:i + 1]
-    right = np.maximum.accumulate(rates[::-1])[::-1]  # right[i]: of rates[i:]
-    while hi - lo < _MAX_RUN and hi < rates.size - 1:
-        out_left = left[lo - 1] if lo else -math.inf
-        out_right = right[hi + 1]
-        if lo and rates[lo - 1] == out_left >= out_right:
-            lo -= 1
-        elif rates[hi + 1] == out_right >= out_left:
-            hi += 1
+    runs = []
+    for i in stiff.tolist():
+        if runs and runs[-1][1] == i - 1:
+            runs[-1] = (runs[-1][0], i)
         else:
-            r_out = float(max(out_left, out_right, loss[lo:hi + 1].max()))
-            return (lo, hi, r_out) if 4.0 * r_out <= rate else None
-    return None
+            runs.append((i, i))
+    return runs, r_out
 
 
 def line_fit(x, y) -> tuple:

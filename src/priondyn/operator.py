@@ -201,28 +201,29 @@ class Generator:
         return (-self.t_diag).tolist(), self.t_sub.tolist()
 
     def stage(self, v: float, tau: float, u: np.ndarray,
-              run: Optional[tuple] = None) -> np.ndarray:
+              runs: Optional[list] = None) -> np.ndarray:
         """The Euler stage u + tau*L(v) u, as a fresh array: the term rows
         weighted by (tau*v, tau*v, tau, tau, tau, tau, 1), with the rounding
         ``apply`` states.
 
-        With ``run`` = (lo, hi), which must end before the last cell,
-        transport out of each cell lo..hi uses its new value, in flux form:
-        (1 + tau*v*conv_i/h_i)*new_i = u_i + tau*(gain_i - loss_i*u_i +
+        ``runs`` lists (lo, hi) pairs, each ending before the last cell and
+        at least one cell before the next begins.  Transport out of each
+        cell lo..hi uses its new value, in flux form: (1 +
+        tau*v*conv_i/h_i)*new_i = u_i + tau*(gain_i - loss_i*u_i +
         v*inflow_i), the inflow taken from the new value of the cell before,
         or from the old value into cell lo: a lower bidiagonal recurrence,
-        positive at v >= 0.  Cell hi+1 takes its inflow from new_hi.  Each
-        flux leaves one cell and enters the next at one value, so the count
-        sum(h*stage) is the explicit stage's (the explicit-implicit flux
-        mixing of May and Berger, J. Sci. Comput. 71, 2017).
+        positive at v >= 0.  Cell hi+1, explicit, takes its inflow from
+        new_hi and passes its old value on, so the runs are independent.
+        Each flux leaves one cell and enters the next at one value, so the
+        count sum(h*stage) is the explicit stage's (the explicit-implicit
+        flux mixing of May and Berger, J. Sci. Comput. 71, 2017).
         """
         rows = self._fill(u)
         weights = self._weights
         weights[:2] = tau_v = tau * v
         weights[2:6] = tau
         out = weights @ rows
-        if run is not None:
-            lo, hi = run
+        for lo, hi in runs or ():
             rate, flow = self._run_coefficients
             # the run's cells and the one after it, without transport
             q = (u[lo:hi + 2] + tau * rows[2:6, lo:hi + 2].sum(axis=0)).tolist()

@@ -21,7 +21,7 @@ from priondyn import (Affine, Bell, CoefficientSet, EigenConvergenceError, Gener
 from priondyn import discrete
 from priondyn.cli import sweep
 from priondyn.config import parse_config
-from priondyn.dynamics import _stiff_run, line_fit
+from priondyn.dynamics import _stiff_runs, line_fit
 from priondyn.eigen import DEFAULT_TOL
 from priondyn.reference import incubation_time_log_law, loss_rate_constant
 
@@ -242,6 +242,12 @@ BUMP = CoefficientSet(production=2400.0, clearance=4.0,
                       conversion=Bell(0.001, 0.1, 2.0, width_sq=0.1))
 
 
+def two_bumps(x):
+    """That bump at 2 and at 6, over its base: the stiff cells form two runs."""
+    return (Bell(0.0005, 0.1, 2.0, width_sq=0.1)(x)
+            + Bell(0.0005, 0.1, 6.0, width_sq=0.1)(x))
+
+
 def _bump_t_inc(dt_max):
     grid = _grid(200)
     initial = seed_state(BUMP, grid)
@@ -251,14 +257,16 @@ def _bump_t_inc(dt_max):
     return traj, incubation_time(traj, 1e3 * count, count).t_incubation
 
 
-@pytest.mark.parametrize("x0,clearance,amplitude,width_sq,cells",
-                         [(0.0, 4.0, 0.1, 0.1, 5), (0.5, 4.0, 0.1, 0.1, 4),
-                          (0.0, 20.0, 0.1, 0.1, 5), (0.0, 4.0, 1.0, 0.1, 5),
-                          (0.0, 4.0, 0.1, 0.01, 1)],
-                         ids=["fig5", "x0", "clearance", "amplitude", "width"])
-def test_partitioned_steps_keep_books_and_signs(x0, clearance, amplitude, width_sq, cells):
+@pytest.mark.parametrize("x0,clearance,conversion,cells",
+                         [(0.0, 4.0, BUMP.conversion, 5), (0.5, 4.0, BUMP.conversion, 4),
+                          (0.0, 20.0, BUMP.conversion, 5),
+                          (0.0, 4.0, Bell(0.001, 1.0, 2.0, width_sq=0.1), 5),
+                          (0.0, 4.0, Bell(0.001, 0.1, 2.0, width_sq=0.01), 1),
+                          (0.0, 4.0, two_bumps, 9)],
+                         ids=["fig5", "x0", "clearance", "amplitude", "width", "two-bumps"])
+def test_partitioned_steps_keep_books_and_signs(x0, clearance, conversion, cells):
     coeffs = CoefficientSet(production=600.0 * clearance, clearance=clearance, x0=x0,
-                            conversion=Bell(0.001, amplitude, 2.0, width_sq=width_sq))
+                            conversion=conversion)
     grid = SizeGrid.uniform(60.0, 200, x0=x0)
     traj = integrate(coeffs, grid, seed_state(coeffs, grid), t_end=75.0,
                      snapshot_times=(20.0, 50.0))
@@ -281,7 +289,7 @@ def test_partitioned_step_is_first_order():
     # of it the error falls 2.48-fold, still short of the asymptotic range
     gen = Generator(BUMP, _grid(200))
     rates = -gen.diagonal(600.0)
-    natural = 3.0 / _stiff_run(rates, rates.max(), gen.loss)[2]
+    natural = 3.0 / _stiff_runs(rates, rates.max(), gen.loss)[1]
     assert 0.75 < natural < 0.8
     ref_traj, ref = _bump_t_inc(0.002)  # 1.6e-9 relative from dt_max = 0.001
     assert ref_traj.partitioned_steps == 0
@@ -296,17 +304,17 @@ def test_partitioned_step_is_first_order():
 
 
 def test_negative_monomer_level_rejects_until_the_step_is_explicit(monkeypatch):
-    # with 1e6 added to the run's new values, which then take up far more
+    # with 1e6 added to the runs' new values, which then take up far more
     # monomer, every partitioned step's level goes below 0: the step is
     # rejected and halved until it is no longer than 3/r_max, and taken
     # explicitly at that length, 3/r_out/64 = 0.012 days (164 steps to
     # t = 2, not the 8348 of 3/r_max/64)
     stage = Generator.stage
 
-    def greedy(self, v, tau, u, run=None):
-        out = stage(self, v, tau, u, run)
-        if run is not None:
-            out[run[0]:run[1] + 1] += 1e6
+    def greedy(self, v, tau, u, runs=None):
+        out = stage(self, v, tau, u, runs)
+        for lo, hi in runs or ():
+            out[lo:hi + 1] += 1e6
         return out
 
     monkeypatch.setattr(Generator, "stage", greedy)
@@ -318,21 +326,56 @@ def test_negative_monomer_level_rejects_until_the_step_is_explicit(monkeypatch):
     assert traj.max_residual <= 1e-13
 
 
-@pytest.mark.parametrize("center,n,t_end", [(2.0, 3200, 1.0), (60.0, 200, 2.0)],
-                         ids=["run-over-64-cells", "run-at-the-last-cell"])
+@pytest.mark.parametrize("center,n,t_end", [(60.0, 200, 2.0)],
+                         ids=["run-at-the-last-cell"])
 def test_partition_falls_back_to_the_explicit_step(center, n, t_end):
-    # fig5's amplitude-0.01 bump on 3200 cells puts 45 cells past r_max/4,
-    # and its run grows past 64; centred at xmax the run takes the last cell
+    # fig5's amplitude-0.01 bump centred at xmax: the run would take the
+    # last cell
     coeffs = CoefficientSet(production=2400.0, clearance=4.0,
                             conversion=Bell(0.001, 0.01, center, width_sq=0.1))
     grid = _grid(n)
     gen = Generator(coeffs, grid)
     rates = -gen.diagonal(600.0)
     assert 0 < np.count_nonzero(rates > rates.max() / 4) <= 64
-    assert _stiff_run(rates, rates.max(), gen.loss) is None
+    assert _stiff_runs(rates, rates.max(), gen.loss) is None
     traj = integrate(coeffs, grid, seed_state(coeffs, grid), t_end)
     assert traj.partitioned_steps == traj.max_partition_cells == 0
     assert traj.steps_by_limit["polymer"] == traj.steps - 1
+
+
+def test_a_run_of_any_length_is_partitioned(monkeypatch):
+    # fig5's amplitude-0.01 bump on 3200 cells: the cells above the last
+    # cell's rate form one run of 77 cells, and every step longer than
+    # 3/r_max takes them implicitly
+    coeffs = CoefficientSet(production=2400.0, clearance=4.0,
+                            conversion=Bell(0.001, 0.01, 2.0, width_sq=0.1))
+    grid = _grid(3200)
+    gen = Generator(coeffs, grid)
+    rates = -gen.diagonal(600.0)
+    assert _stiff_runs(rates, rates.max(), gen.loss)[0] == [(68, 144)]
+    r_max, partitioned = [], []
+    diagonal, stage = Generator.diagonal, Generator.stage
+
+    def recording_diagonal(self, v):
+        out = diagonal(self, v)
+        r_max.append(-float(out.min()))
+        return out
+
+    def recording_stage(self, v, tau, u, runs=None):
+        partitioned.append((3.0 * tau, runs is not None))
+        return stage(self, v, tau, u, runs)
+
+    monkeypatch.setattr(Generator, "diagonal", recording_diagonal)
+    monkeypatch.setattr(Generator, "stage", recording_stage)
+    traj = integrate(coeffs, grid, seed_state(coeffs, grid), 1.0)
+    assert traj.rejections == 0 and len(r_max) == traj.steps == 12
+    assert partitioned[::4] == partitioned[3::4]  # one kind of step throughout
+    assert [taken for _, taken in partitioned[::4]] == [
+        dt > 3.0 / rate for (dt, _), rate in zip(partitioned[::4], r_max)]
+    assert traj.partitioned_steps == traj.steps
+    assert traj.max_partition_cells == 77
+    assert traj.max_residual <= 1e-13
+    assert traj.final_state.u.min() >= 0.0
 
 
 def test_flat_outbreaks_and_the_chain_twin_take_no_partitioned_step(monkeypatch):

@@ -141,41 +141,54 @@ def test_generator_apply_is_the_band_by_band_sum(n, bell, v, tau, data):
     assert not np.shares_memory(first, second)
 
 
-@pytest.mark.parametrize("n", [200, 800])
-def test_stage_takes_its_runs_transport_implicitly(n):
+def _two_bumps(x):
+    # fig5's amplitude-0.1 bump at 2 and at 6, over its base of 0.001
+    return Bell(0.0005, 0.1, 2.0, 0.1)(x) + Bell(0.0005, 0.1, 6.0, 0.1)(x)
+
+
+@pytest.mark.parametrize("n,conversion,runs",
+                         [(200, Bell(0.001, 0.1, 2.0, 0.1), 1),
+                          (800, Bell(0.001, 0.1, 2.0, 0.1), 1), (200, _two_bumps, 2)],
+                         ids=["200", "800", "two-bumps"])
+def test_stage_takes_its_runs_transport_implicitly(n, conversion, runs):
     # at tau*v*max(conv/h) = 50, the cells whose loss rate exceeds 1/tau
-    # form the run under the bump (5 cells of 200, 18 of 800).  Its cells
-    # solve the flux-form implicit transport of the dense oracle, the cell
-    # after it takes its inflow from the run's last new value, every other
-    # cell is the explicit stage's, and the stage keeps the explicit
-    # stage's count
-    coeffs = CoefficientSet(production=2400.0, clearance=4.0,
-                            conversion=Bell(0.001, 0.1, 2.0, 0.1))
+    # form one run under each bump (5 cells of 200, 18 of 800).  Each
+    # run's cells solve the flux-form implicit transport of the dense
+    # oracle, the cell after each run takes its inflow from the run's last
+    # new value, every other cell is the explicit stage's, and the stage
+    # keeps the explicit stage's count
+    coeffs = CoefficientSet(production=2400.0, clearance=4.0, conversion=conversion)
     grid = SizeGrid.uniform(60.0, n)
     h = grid.widths
     T, B, samples = transport_reaction_parts(coeffs, grid)
     v = 600.0
     tau = 50.0 / (v * float((samples["conversion"] / h).max()))
     stiff = np.flatnonzero(tau * -np.diag(v * T + B) > 1.0)
-    lo, hi = int(stiff[0]), int(stiff[-1])
-    assert 0 < lo and hi - lo + 1 == stiff.size and hi + 2 < n
-    run = slice(lo, hi + 1)
+    gaps = np.flatnonzero(np.diff(stiff) > 1)
+    pairs = list(zip(stiff[np.r_[0, gaps + 1]].tolist(), stiff[np.r_[gaps, -1]].tolist()))
+    assert len(pairs) == runs and 0 < pairs[0][0] and pairs[-1][1] + 2 < n
     u = np.random.default_rng(1).random(grid.n)
     gen = Generator(coeffs, grid)
-    got = gen.stage(v, tau, u, (lo, hi))
+    got = gen.stage(v, tau, u, pairs)
     explicit = gen.stage(v, tau, u)
 
     rhs = u + tau * (B @ u)
-    rhs[lo] += tau * v * T[lo, lo - 1] * u[lo - 1]
-    new = np.linalg.solve(np.eye(stiff.size) - tau * v * T[run, run], rhs[run])
-    np.testing.assert_allclose(got[run], new, rtol=1e-12, atol=0)
-    after = rhs[hi + 1] + tau * v * (T[hi + 1, hi + 1] * u[hi + 1]
-                                     + T[hi + 1, hi] * new[-1])
     scale = u + tau * (np.abs(v * T + B) @ np.maximum(u, np.abs(got)))
-    assert abs(got[hi + 1] - after) <= 1e-12 * scale[hi + 1]
-    rest = np.r_[:lo, hi + 2:n]
+    rest = np.ones(n, dtype=bool)
+    for lo, hi in pairs:
+        run = slice(lo, hi + 1)
+        inflow = np.zeros(hi - lo + 1)
+        inflow[0] = tau * v * T[lo, lo - 1] * u[lo - 1]
+        new = np.linalg.solve(np.eye(hi - lo + 1) - tau * v * T[run, run],
+                              rhs[run] + inflow)
+        np.testing.assert_allclose(got[run], new, rtol=1e-12, atol=0)
+        after = rhs[hi + 1] + tau * v * (T[hi + 1, hi + 1] * u[hi + 1]
+                                         + T[hi + 1, hi] * new[-1])
+        assert abs(got[hi + 1] - after) <= 1e-12 * scale[hi + 1]
+        assert explicit[run].min() < 0.0
+        rest[lo:hi + 2] = False
     np.testing.assert_array_equal(got[rest], explicit[rest])
-    assert got.min() >= 0.0 and explicit[run].min() < 0.0
+    assert got.min() >= 0.0
     assert abs(h @ got - h @ explicit) <= 1e-13 * float(h @ scale)
 
 
