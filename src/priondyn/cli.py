@@ -17,6 +17,7 @@ import argparse
 import sys
 import time
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -329,7 +330,9 @@ def _write_error(out: Path, command: str, exc: Exception) -> None:
         pass
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="priondyn",
         description="size-structured polymer growth/fragmentation toolkit")
@@ -339,7 +342,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True,
                        help="path to the run configuration file")
         p.add_argument("--out", help="output directory (overrides output.dir)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     # errors land in ./out only while no parsed config names a directory
     out = Path(args.out or "out")

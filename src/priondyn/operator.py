@@ -15,16 +15,18 @@ the principal eigenvalue of L(v).
 chain ``transport_reaction_parts`` -> ``assemble``/``assemble_adjoint``
 builds the same matrix entry by entry from the kernel table; it is the
 independent oracle of the structured form.
+
+The shifted solves call LAPACK's band LU (``dgbsv``, ``dgbtrf``,
+``dgbtrs``) in the OpenBLAS that numpy already loaded, through ``ctypes``,
+so no run loads SciPy; where numpy's library lacks those routines they
+come from ``scipy.linalg.lapack`` instead.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
+import ctypes
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -42,45 +44,74 @@ __all__ = [
 ]
 
 
-_FLAPACK = "scipy.linalg._flapack"
+@cache
+def _lapack_symbols():
+    """numpy's own ``dgbsv``, ``dgbtrf`` and ``dgbtrs``, or None.
 
-
-def _lapack():
-    """The module whose ``dgbtrf`` and ``dgbtrs`` the shifted solves call.
-
-    ``from scipy.linalg.lapack import dgbtrf`` runs all of
-    ``scipy/linalg/__init__.py``, whose time and resident memory the banded
-    LU never uses.  So the first call loads only the compiled extension
-    ``scipy/linalg/_flapack*.so`` by file spec and registers it in
-    ``sys.modules`` under its full name; later calls, and a process that
-    has already imported ``scipy.linalg``, reuse that entry.
-
-    A later ``import scipy.linalg`` runs as usual and reuses the registered
-    module, so its ``lapack.dgbtrf`` is the same object.  One visible
-    difference remains: the package then has no ``_flapack`` attribute.
-    scipy itself reaches the extension only through ``from scipy.linalg
-    import _flapack``, which resolves through ``sys.modules``.
-
-    If anything in that path fails (scipy moved or renamed the file, say),
-    the public import is used instead: that costs time, never a result.
+    numpy's wheel links its linear algebra against an OpenBLAS built with
+    64-bit integers (ILP64) whose LAPACK symbols carry the ``scipy_`` prefix
+    and ``_64_`` suffix.  ``dlsym`` on the library behind
+    ``numpy.linalg._umath_linalg`` searches that library's dependencies
+    too, so the routines come from the copy numpy has already loaded and
+    set up.  None when a build exports no such symbols (another BLAS, or
+    another platform's loader); ``_BandLU`` then calls SciPy's.
     """
-    module = sys.modules.get(_FLAPACK)
-    if module is not None:
-        return module
+    from numpy.linalg import _umath_linalg  # loaded with numpy already
     try:
-        scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
-        linalg = os.path.join(scipy_dir, "linalg")
-        path = next(p for p in (os.path.join(linalg, "_flapack" + suffix)
-                                for suffix in importlib.machinery.EXTENSION_SUFFIXES)
-                    if os.path.isfile(p))
-        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    except Exception:
-        from scipy.linalg import lapack
-        return lapack
-    sys.modules[_FLAPACK] = module
-    return module
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        routines = [getattr(lib, "scipy_%s_64_" % name)
+                    for name in ("dgbsv", "dgbtrf", "dgbtrs")]
+    except (OSError, AttributeError):
+        return None
+    ptr = ctypes.c_void_p
+    # dgbtrs takes TRANS first and, as gfortran's hidden argument, its length last
+    argtypes = ([ptr] * 10, [ptr] * 8, [ctypes.c_char_p] + [ptr] * 10 + [ctypes.c_size_t])
+    for routine, types in zip(routines, argtypes):
+        routine.argtypes = types
+        routine.restype = None
+    return routines
+
+
+class _BandLU:
+    """LAPACK buffers for one generator's shifted solves.
+
+    ``ab`` is the band in LAPACK storage (kl = 1, ku = 3, ldab = 6, row 0
+    fill-in), in Fortran order so the routines factor it in place, and
+    ``rhs`` the right-hand side they overwrite with the solution.  The
+    pivots, the integer arguments and every address stay with them, so a
+    solve allocates nothing, and a generator runs one solve at a time.
+    """
+
+    def __init__(self, n: int):
+        self.routines = _lapack_symbols()
+        self.ab = np.zeros((6, n), order="F")
+        self.rhs = np.zeros(n)
+        self._piv = np.zeros(n, dtype=np.int64)
+        # n (also M and LDB), kl, ku, nrhs, ldab, info
+        self._ints = np.array([n, 1, 3, 1, 6, 0], dtype=np.int64)
+        n_, kl, ku, nrhs, ldab, info = (self._ints.ctypes.data + 8 * k for k in range(6))
+        ab, piv, rhs = self.ab.ctypes.data, self._piv.ctypes.data, self.rhs.ctypes.data
+        self._trf_args = (n_, n_, kl, ku, ab, ldab, piv, info)
+        self._sv_args = (n_, kl, ku, nrhs, ab, ldab, piv, rhs, n_, info)  # and dgbtrs's
+
+    def solve(self, adjoint: bool) -> bool:
+        """Factor ``ab`` and overwrite ``rhs`` with the band's solution, or
+        with its transpose's for ``adjoint``; False when the factorisation
+        is singular."""
+        if self.routines is None:
+            from scipy.linalg.lapack import dgbtrf, dgbtrs
+            lu, piv, info = dgbtrf(self.ab, 1, 3, overwrite_ab=1)
+            if info == 0:
+                self.rhs[:] = dgbtrs(lu, 1, 3, self.rhs, piv, trans=int(adjoint))[0]
+            return info == 0
+        gbsv, gbtrf, gbtrs = self.routines
+        if not adjoint:
+            gbsv(*self._sv_args)
+        else:
+            gbtrf(*self._trf_args)
+            if self._ints[5] == 0:
+                gbtrs(b"T", *self._sv_args, 1)
+        return bool(self._ints[5] == 0)
 
 
 class Generator:
@@ -243,6 +274,12 @@ class Generator:
         out[3:] += self.far_gain[3:] * np.cumsum(phi[:-3])
         return out
 
+    @cached_property
+    def _band(self) -> _BandLU:
+        """``certify``'s LAPACK buffers, made at its first call: the
+        integrators never solve."""
+        return _BandLU(self.grid.n)
+
     def certify(self, v: float, s: float, b: np.ndarray,
                 adjoint: bool = False) -> tuple[Optional[np.ndarray], bool]:
         """(x, certified): x solves (s*I - L(v)) x = b (L(v)^T: ``adjoint``).
@@ -262,27 +299,33 @@ class Generator:
         from each row the row below it, M = P(s*I - L(v)) has 1 lower and 3
         upper diagonals (the column-constant gain cancels but for its first
         entry), and (s*I - L(v)^T) y = b is M^T z = b with y = P^T z.
+        The primal solve is one ``dgbsv`` call, the adjoint ``dgbtrf`` then
+        ``dgbtrs('T')``, from numpy's own OpenBLAS (``_BandLU``).  The
+        generator keeps the LAPACK buffers, so it runs one solve at a time.
+        b must have shape (n,); x is a fresh array.
         """
-        lapack = _lapack()
         n = self.grid.n
+        b = np.asarray(b, dtype=np.float64)
+        if b.shape != (n,):
+            raise ValueError("right-hand side has shape %s, not (%d,)" % (b.shape, n))
         m = s - self.diagonal(v)
         sub = -v * self.t_sub
-        ab = np.zeros((6, n))  # LAPACK band storage, kl=1, ku=3, row 0 is fill-in
+        band = self._band
+        ab, rhs = band.ab, band.rhs
+        ab.fill(0.0)
         ab[1, 3:] = self.gain2[1:] - self.far_gain[3:]
         ab[2, 2:] = self.gain1[1:] - self.gain2
         ab[3, 1:] = -self.gain1 - m[1:]
         ab[4] = m
         ab[4, :-1] -= sub
         ab[5, :-1] = sub
-        lu, piv, info = lapack.dgbtrf(ab, 1, 3, overwrite_ab=1)
-        if info != 0:
-            return None, False
+        rhs[:] = b
         if not adjoint:
-            rhs = b.copy()
             rhs[:-1] -= b[1:]
-            x, _ = lapack.dgbtrs(lu, 1, 3, rhs, piv, overwrite_b=1)
-        else:
-            x, _ = lapack.dgbtrs(lu, 1, 3, b, piv, trans=1)
+        if not band.solve(adjoint):
+            return None, False
+        x = rhs.copy()
+        if adjoint:
             x[1:] -= x[:-1].copy()
         return x, bool(x.min() >= 0.0)
 

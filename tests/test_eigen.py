@@ -7,6 +7,8 @@ duplicated from the oracle tests on purpose: a drift in either place
 should fail loudly.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import eig
@@ -162,6 +164,35 @@ def test_certificate_rejects_a_singular_shift():
     assert x is None and certified is False
     x, certified = gen.certify(0.0, 1.0, np.ones(50))
     assert certified is True and x.min() > 0.0
+
+
+def test_certify_reuses_its_buffers_without_leaking_state():
+    # one generator keeps its LAPACK buffers across solves; interleaving
+    # primal and adjoint, levels, shifts and a singular shift, each result
+    # is a fresh generator's, bit for bit
+    coeffs = CoefficientSet(production=2400.0, clearance=4.0, decay=Constant(0.0))
+    grid = SizeGrid.uniform(30.0, 50)
+    b = np.linspace(1.0, 2.0, 50)
+    calls = [(600.0, 5.0, False), (0.0, 0.0, False), (8.0, -0.01, True),
+             (0.0, 0.0, True), (600.0, 5.0, True), (8.0, 0.0, False),
+             (0.0, 1.0, True), (600.0, 5.0, False)]
+    gen = Generator(coeffs, grid)
+    for v, s, adjoint in calls:
+        x, certified = gen.certify(v, s, b, adjoint=adjoint)
+        x_fresh, certified_fresh = Generator(coeffs, grid).certify(v, s, b, adjoint=adjoint)
+        assert certified is certified_fresh
+        assert (x is None) == (x_fresh is None) == (v == s == 0.0)
+        if x is not None:
+            assert x.tobytes() == x_fresh.tobytes()
+    assert b.tobytes() == np.linspace(1.0, 2.0, 50).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(51,), (49,), (50, 1), ()],
+                         ids=["longer", "shorter", "column", "scalar"])
+def test_certify_rejects_a_right_hand_side_of_another_shape(shape):
+    gen = Generator(CONST, SizeGrid.uniform(30.0, 50))
+    with pytest.raises(ValueError, match=r"shape %s, not \(50,\)" % re.escape(str(shape))):
+        gen.certify(100.0, 5.0, np.ones(shape))
 
 
 def test_trial_shifts_keep_the_bump_ladder_short():
