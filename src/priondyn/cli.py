@@ -19,7 +19,6 @@ import time
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from . import reference
 from .config import (SWEEP_AXES, ConfigError, RunConfig, config_echo,
                      parse_config, sweep_axis_error)
 from .dynamics import (IntegratorFailure, growth_rate, incubation_time,
-                       integrate, line_fit, seed_state)
+                       integrate, seed_state)
 from .eigen import loss_rate_at_vbar, principal_eigenpair, scan_lambda
 from .records import (ExperimentRecord, canonical_json, grid_hash,
                       sha256_hex, write_csv)
@@ -62,7 +61,7 @@ def _steady(coeffs, grid):
     return ss, results, root
 
 
-def _outbreak(cfg: RunConfig, grid, threshold: Optional[float] = None):
+def _outbreak(cfg: RunConfig, grid):
     """Seed cfg.seed_scale unit inocula and integrate cfg.coeffs with the
     simulate.* keys; the one outbreak summary of simulate runs and
     integrating sweep items.
@@ -71,8 +70,8 @@ def _outbreak(cfg: RunConfig, grid, threshold: Optional[float] = None):
     trajectory is None, the results hold the last valid state and the
     health the error.  Otherwise the health lists the snapshot instants not
     taken, and the results hold the inoculum count, the snapshot instants
-    and, for a nonzero inoculum, the crossing of ``threshold`` (by default
-    threshold_ratio times the inoculum count).
+    and, for a nonzero inoculum, the crossing of threshold_ratio times the
+    inoculum count.
     """
     initial = seed_state(cfg.coeffs, grid, scale=cfg.seed_scale, v_init=cfg.v_init)
     try:
@@ -94,8 +93,7 @@ def _outbreak(cfg: RunConfig, grid, threshold: Optional[float] = None):
     rho0 = initial.moment0()
     results = {"rho0": rho0, "snapshot_times": taken}
     if rho0 > 0.0:
-        if threshold is None:
-            threshold = cfg.threshold_ratio * rho0
+        threshold = cfg.threshold_ratio * rho0
         inc = incubation_time(traj, threshold, rho0)
         results.update(threshold=threshold, t_incubation=inc.t_incubation,
                        measured_growth_rate=inc.measured_growth_rate)
@@ -215,17 +213,6 @@ def _run_sweep(cfg: RunConfig, out: Path, tag: str):
         onset = next((v for v, n in zip(values, cols["n_modes"])
                       if np.isfinite(n) and n >= 2), None)
         summary["bimodality_onset_value"] = onset
-    if axis == "dose":
-        tinc = np.asarray(cols["t_incubation"])
-        good = np.isfinite(tinc)
-        log_dose = np.log(np.asarray(values)[good])
-        # a slope needs two distinct doses that crossed the threshold
-        summary["slope_fitted"] = summary["slope_predicted"] = None
-        if np.unique(log_dose).size >= 2:
-            summary["slope_fitted"] = line_fit(log_dose, tinc[good])[0]
-            lam = loss_rate_at_vbar(cfg.coeffs, cfg.make_grid())
-            if lam is not None and lam <= 0.0:
-                summary["slope_predicted"] = -1.0 / abs(lam)
     if axis in ("bell_amplitude", "frag_slope"):
         finite = [v for v in cols["t_incubation"] if np.isfinite(v)]
         summary["incubation_decreasing"] = (
@@ -236,18 +223,14 @@ def _run_sweep(cfg: RunConfig, out: Path, tag: str):
 
 # --- parameter sweeps ------------------------------------------------------
 
-def _sweep_item(base: RunConfig, axis: str, value: float,
-                fixed_threshold: Optional[float]) -> ExperimentRecord:
+def _sweep_item(base: RunConfig, axis: str, value: float) -> ExperimentRecord:
     t_start = time.perf_counter()
     echo = {**config_echo(base), "sweep_axis": axis, "sweep_value": float(value)}
     summary, rate, _, param = SWEEP_AXES[axis]
     try:
-        # the row's one edit: a parameter of a rate, else a run field
-        edit = {param: value}
-        if rate is not None:
-            edit = {"coeffs": replace(base.coeffs, **{
-                rate: replace(getattr(base.coeffs, rate), **edit)})}
-        cfg = replace(base, **edit)
+        # the row's one edit: a parameter of a rate
+        cfg = replace(base, coeffs=replace(base.coeffs, **{
+            rate: replace(getattr(base.coeffs, rate), **{param: value})}))
         grid = cfg.make_grid()
         diagnostics: dict = {"grid_hash": grid_hash(grid)}
         if summary == "level":
@@ -269,7 +252,7 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
             _, results, root = _steady(cfg.coeffs, grid)
             diagnostics.update(root)
         else:
-            traj, results, health = _outbreak(cfg, grid, fixed_threshold)
+            traj, results, health = _outbreak(cfg, grid)
             diagnostics.update(health)
             if traj is not None:
                 rows = _written_rows(cfg, traj)
@@ -289,21 +272,16 @@ def _sweep_item(base: RunConfig, axis: str, value: float,
 
 def sweep(base: RunConfig) -> list:
     """Run one item per value along base's sweep axis, as its row of
-    config.SWEEP_AXES says; dose items share one threshold, set by the
-    largest dose, which crosses at exactly the configured ratio.  An axis
-    that does not fit the configured shapes raises ValueError before any
-    item runs; a failing value yields an error record and the rest of the
-    sweep continues.
+    config.SWEEP_AXES says: each item is base with that one rate parameter
+    set, run on its own.  An axis that does not fit the configured shapes
+    raises ValueError before any item runs; a failing value yields an error
+    record and the rest of the sweep continues.
     """
-    axis, values = base.sweep_axis, base.sweep_values
+    axis = base.sweep_axis
     mismatch = sweep_axis_error(base.coeffs, axis)
     if mismatch:
         raise ValueError(mismatch)
-    fixed_threshold = None
-    if axis == "dose":
-        unit = seed_state(base.coeffs, base.make_grid(), v_init=base.v_init)
-        fixed_threshold = base.threshold_ratio * max(values) * unit.moment0()
-    return [_sweep_item(base, axis, v, fixed_threshold) for v in values]
+    return [_sweep_item(base, axis, v) for v in base.sweep_values]
 
 
 # --- entry point -----------------------------------------------------------

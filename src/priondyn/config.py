@@ -34,13 +34,12 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "config_echo", "default_x
 
 EXPERIMENTS = ("eigen", "steady", "simulate", "sweep")
 # axis -> (summary its items run, rate it edits, shape that rate must have,
-# parameter it sets); dose edits the run field seed_scale and no rate
+# parameter it sets)
 SWEEP_AXES = {
     "bell_amplitude": ("outbreak", "conversion", "bell", "amplitude"),
     "frag_slope": ("outbreak", "fragmentation", "affine", "slope"),
     "tightness": ("level", "conversion", "scaled_bell", "tightness"),
     "peak_center": ("steady", "conversion", "bell", "center"),
-    "dose": ("outbreak", None, None, "seed_scale"),
 }
 
 
@@ -71,7 +70,7 @@ def sweep_axis_error(coeffs: CoefficientSet, axis: str) -> Optional[str]:
     if axis not in SWEEP_AXES:
         return "unknown sweep axis %r" % (axis,)
     _, rate, shape, _ = SWEEP_AXES[axis]
-    if rate is None or isinstance(getattr(coeffs, rate), SHAPES[shape]):
+    if isinstance(getattr(coeffs, rate), SHAPES[shape]):
         return None
     return "%s sweep requires %s %s %s shape" % (
         axis, "an" if shape[0] in "aeiou" else "a", shape, rate)
@@ -83,9 +82,9 @@ def _key(key: str, tag: str, default=None, reads=None):
     return dataclasses.field(metadata=dict(key=key, tag=tag, default=default, reads=reads))
 
 
-def _axes(summary: str, but: str = "") -> tuple:
-    """The sweep axes whose items run ``summary``, less any that sets ``but``."""
-    return tuple(a for a, row in SWEEP_AXES.items() if row[0] == summary and row[3] != but)
+def _axes(summary: str) -> tuple:
+    """The sweep axes whose items run ``summary``."""
+    return tuple(a for a, row in SWEEP_AXES.items() if row[0] == summary)
 
 
 _OUTBREAKS = ("simulate",) + _axes("outbreak")  # the runs that integrate
@@ -106,8 +105,7 @@ class RunConfig:
     eigen_v_values: Optional[tuple] = _key("eigen.v_values", "floatlist", reads=("eigen",))
     t_end: float = _key("simulate.t_end", "float", 200.0, _OUTBREAKS)
     v_init: Optional[float] = _key("simulate.v_init", "float", reads=_OUTBREAKS)
-    seed_scale: float = _key("simulate.seed_scale", "float", 1.0,
-                             ("simulate",) + _axes("outbreak", but="seed_scale"))
+    seed_scale: float = _key("simulate.seed_scale", "float", 1.0, _OUTBREAKS)
     record_every: int = _key("simulate.record_every", "int", 1, _OUTBREAKS)
     snapshot_times: tuple = _key("simulate.snapshot_times", "floatlist", (96.0,), _OUTBREAKS)
     fit_start: float = _key("simulate.fit_start", "float", 15.0, ("simulate",))
@@ -320,13 +318,9 @@ def parse_config(text: str) -> RunConfig:
                 errors.append("line %d: %s is required at zero production, where "
                               "vbar is 0" % (key_lines["model.production"], key))
     if axis is not None and get("sweep.values"):
-        # each value is held to the bound of the key that the axis's edit sets
+        # each value is held to the bound of the shape parameter the axis sets
         _, rate, _, param = SWEEP_AXES[axis]
-        if rate is None:
-            edited = next(k for k, (f, _, _) in _SCALAR_KEYS.items() if f == param)
-            bounds = _BOUNDS.get(edited)
-        else:
-            edited, bounds = "model.%s.%s" % (rate, param), _SHAPE_BOUNDS.get(param)
+        edited, bounds = "model.%s.%s" % (rate, param), _SHAPE_BOUNDS.get(param)
         broken = bounds and _bound_error(bounds, get("sweep.values"), False)
         if broken:
             errors.append("line %d: sweep.values %s, the bound of %s that a %s "

@@ -207,7 +207,7 @@ def loss_rate_at_vbar(coeffs: CoefficientSet, grid: SizeGrid) -> Optional[float]
     zero clearance, where vbar is infinite.
 
     The one source of this number: simulate records, the log-law
-    prediction, the dose summary and ``stability_experiment`` read it.
+    prediction and ``stability_experiment`` read it.
     """
     if coeffs.clearance == 0.0:
         return None

@@ -16,10 +16,10 @@ chain ``transport_reaction_parts`` -> ``assemble``/``assemble_adjoint``
 builds the same matrix entry by entry from the kernel table; it is the
 independent oracle of the structured form.
 
-The shifted solves call LAPACK's band LU (``dgbsv``, ``dgbtrf``,
-``dgbtrs``) in the OpenBLAS that numpy already loaded, through ``ctypes``,
-so no run loads SciPy; where numpy's library lacks those routines they
-come from ``scipy.linalg.lapack`` instead.
+The shifted solves call LAPACK's band LU (``dgbtrf`` then ``dgbtrs``) in
+the OpenBLAS that numpy already loaded, through ``ctypes``, so no run
+loads SciPy; where numpy's library lacks those routines they come from
+``scipy.linalg.lapack`` instead.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ __all__ = [
 
 @cache
 def _lapack_symbols():
-    """numpy's own ``dgbsv``, ``dgbtrf`` and ``dgbtrs``, or None.
+    """numpy's own ``dgbtrf`` and ``dgbtrs``, or None.
 
     numpy's wheel links its linear algebra against an OpenBLAS built with
     64-bit integers (ILP64) whose LAPACK symbols carry the ``scipy_`` prefix
@@ -60,12 +60,12 @@ def _lapack_symbols():
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
         routines = [getattr(lib, "scipy_%s_64_" % name)
-                    for name in ("dgbsv", "dgbtrf", "dgbtrs")]
+                    for name in ("dgbtrf", "dgbtrs")]
     except (OSError, AttributeError):
         return None
     ptr = ctypes.c_void_p
     # dgbtrs takes TRANS first and, as gfortran's hidden argument, its length last
-    argtypes = ([ptr] * 10, [ptr] * 8, [ctypes.c_char_p] + [ptr] * 10 + [ctypes.c_size_t])
+    argtypes = ([ptr] * 8, [ctypes.c_char_p] + [ptr] * 10 + [ctypes.c_size_t])
     for routine, types in zip(routines, argtypes):
         routine.argtypes = types
         routine.restype = None
@@ -77,13 +77,17 @@ class _BandLU:
 
     ``ab`` is the band in LAPACK storage (kl = 1, ku = 3, ldab = 6, row 0
     fill-in), in Fortran order so the routines factor it in place, and
-    ``rhs`` the right-hand side they overwrite with the solution.  The
-    pivots, the integer arguments and every address stay with them, so a
-    solve allocates nothing, and a generator runs one solve at a time.
+    ``rhs`` the right-hand side they overwrite with the solution.  ``fixed``
+    holds the band's rows 0-2, which depend on neither v nor s, to restore
+    after each factorisation.  The pivots, the integer arguments and every
+    address stay with them, so a solve allocates nothing, and a generator
+    runs one solve at a time.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, fixed: np.ndarray):
+        n = fixed.shape[1]
         self.routines = _lapack_symbols()
+        self.fixed = fixed
         self.ab = np.zeros((6, n), order="F")
         self.rhs = np.zeros(n)
         self._piv = np.zeros(n, dtype=np.int64)
@@ -92,7 +96,7 @@ class _BandLU:
         n_, kl, ku, nrhs, ldab, info = (self._ints.ctypes.data + 8 * k for k in range(6))
         ab, piv, rhs = self.ab.ctypes.data, self._piv.ctypes.data, self.rhs.ctypes.data
         self._trf_args = (n_, n_, kl, ku, ab, ldab, piv, info)
-        self._sv_args = (n_, kl, ku, nrhs, ab, ldab, piv, rhs, n_, info)  # and dgbtrs's
+        self._trs_args = (n_, kl, ku, nrhs, ab, ldab, piv, rhs, n_, info)
 
     def solve(self, adjoint: bool) -> bool:
         """Factor ``ab`` and overwrite ``rhs`` with the band's solution, or
@@ -104,13 +108,10 @@ class _BandLU:
             if info == 0:
                 self.rhs[:] = dgbtrs(lu, 1, 3, self.rhs, piv, trans=int(adjoint))[0]
             return info == 0
-        gbsv, gbtrf, gbtrs = self.routines
-        if not adjoint:
-            gbsv(*self._sv_args)
-        else:
-            gbtrf(*self._trf_args)
-            if self._ints[5] == 0:
-                gbtrs(b"T", *self._sv_args, 1)
+        gbtrf, gbtrs = self.routines
+        gbtrf(*self._trf_args)
+        if self._ints[5] == 0:
+            gbtrs(b"T" if adjoint else b"N", *self._trs_args, 1)
         return bool(self._ints[5] == 0)
 
 
@@ -276,9 +277,13 @@ class Generator:
 
     @cached_property
     def _band(self) -> _BandLU:
-        """``certify``'s LAPACK buffers, made at its first call: the
-        integrators never solve."""
-        return _BandLU(self.grid.n)
+        """``certify``'s LAPACK buffers, made at its first call (the
+        integrators never solve), with the band rows free of v and s: the
+        fill-in row and the third and second superdiagonals."""
+        fixed = np.zeros((3, self.grid.n))
+        fixed[1, 3:] = self.gain2[1:] - self.far_gain[3:]
+        fixed[2, 2:] = self.gain1[1:] - self.gain2
+        return _BandLU(fixed)
 
     def certify(self, v: float, s: float, b: np.ndarray,
                 adjoint: bool = False) -> tuple[Optional[np.ndarray], bool]:
@@ -299,8 +304,8 @@ class Generator:
         from each row the row below it, M = P(s*I - L(v)) has 1 lower and 3
         upper diagonals (the column-constant gain cancels but for its first
         entry), and (s*I - L(v)^T) y = b is M^T z = b with y = P^T z.
-        The primal solve is one ``dgbsv`` call, the adjoint ``dgbtrf`` then
-        ``dgbtrs('T')``, from numpy's own OpenBLAS (``_BandLU``).  The
+        Both solves are ``dgbtrf`` then ``dgbtrs`` (``'N'``, or ``'T'`` for
+        the adjoint), from numpy's own OpenBLAS (``_BandLU``).  The
         generator keeps the LAPACK buffers, so it runs one solve at a time.
         b must have shape (n,); x is a fresh array.
         """
@@ -312,9 +317,10 @@ class Generator:
         sub = -v * self.t_sub
         band = self._band
         ab, rhs = band.ab, band.rhs
-        ab.fill(0.0)
-        ab[1, 3:] = self.gain2[1:] - self.far_gain[3:]
-        ab[2, 2:] = self.gain1[1:] - self.gain2
+        # the factorisation overwrites the band: rows 0-2 come back from
+        # their copy, the rest is refilled; it never reads or writes
+        # ab[3, 0] or ab[5, -1], which stay 0
+        ab[:3] = band.fixed
         ab[3, 1:] = -self.gain1 - m[1:]
         ab[4] = m
         ab[4, :-1] -= sub

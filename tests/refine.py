@@ -5,7 +5,12 @@ Each ``configs/<name>.cfg`` runs through ``priondyn.cli.main`` at its own
 ``grid.n`` and at two and four times that, all in this one process, with
 outputs in a temporary directory.  Prints each record's counters (the
 deterministic counts that ``tests/blas_compare.py`` names, read from the
-record's diagnostics) and the wall time of each run.  Exits 1 when a run
+record's diagnostics) and the wall time of each run.  Beside them it prints
+each record's headline numbers (HEADLINES, read from its results), their
+change from the coarser grid and, from the third grid on, the observed
+order log2(|d1|/|d2|) of two successive changes d1 and d2; a change or an
+order that cannot be taken (a value missing or not finite, a change of 0)
+prints as null.  Exits 1 when a run
 fails or a counter grows more than GROWTH times per doubling of n, a
 count of 0 taken as 1: a solver whose work grows faster than the grid
 has left its scaling, as fig5's explicit fallback once did, taking 16
@@ -21,6 +26,7 @@ Run from the repository root as
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 import tempfile
@@ -35,6 +41,8 @@ from priondyn.config import parse_config
 ROOT = Path(__file__).resolve().parent.parent
 GROWTH = 2.5
 DOUBLINGS = 2
+# results keys that carry a record's science, as scalars or lists
+HEADLINES = ("v_inf", "rho_inf", "loss_rates", "loss_rate", "t_incubation", "n_modes")
 
 
 def counters(diagnostics: dict, prefix: str = "") -> dict:
@@ -48,8 +56,43 @@ def counters(diagnostics: dict, prefix: str = "") -> dict:
     return found
 
 
+def pairwise(f, a, b):
+    """f(a, b), taken elementwise over lists of one length; None where a
+    value is missing or not a finite number, or where f returns None."""
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [pairwise(f, x, y) for x, y in zip(a, b)]
+    finite = [isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+              for x in (a, b)]
+    return f(a, b) if all(finite) else None
+
+
+def change(coarse, fine):
+    return pairwise(lambda a, b: b - a, coarse, fine)
+
+
+def order(d1, d2):
+    return pairwise(lambda a, b: math.log2(abs(a) / abs(b)) if a and b else None, d1, d2)
+
+
+def across(f, first: dict, second: dict) -> dict:
+    """f over the headline numbers that two levels' records share."""
+    return {record: {key: f(values[key], second[record][key])
+                     for key in values if key in second.get(record, {})}
+            for record, values in first.items() if values and record in second}
+
+
+def short(value):
+    """value with each float rounded to 6 significant digits, for printing."""
+    if isinstance(value, dict):
+        return {k: short(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [short(v) for v in value]
+    return float("%.6g" % value) if isinstance(value, float) else value
+
+
 def run(name: str, n: int, out: Path) -> tuple:
-    """(exit code, wall seconds, {record: counters}) of one config at grid.n = n."""
+    """(exit code, wall seconds, {record: counters}, {record: headline
+    numbers}) of one config at grid.n = n."""
     text, count = re.subn(r"(?m)^grid\.n *=.*$", "grid.n = %d" % n,
                           (ROOT / "configs" / ("%s.cfg" % name)).read_text())
     if count != 1:
@@ -62,10 +105,14 @@ def run(name: str, n: int, out: Path) -> tuple:
                      "--out", str(target)])
     wall = time.perf_counter() - t0
     # file names carry a digest of the config, which changes with n
-    records = {re.sub(r"-[0-9a-f]{10}", "", path.stem): counters(
-                   json.loads(path.read_text()).get("diagnostics", {}))
-               for path in sorted(target.glob("*.json"))}
-    return code, wall, records
+    loaded = {re.sub(r"-[0-9a-f]{10}", "", path.stem): json.loads(path.read_text())
+              for path in sorted(target.glob("*.json"))}
+    records = {record: counters(data.get("diagnostics", {}))
+               for record, data in loaded.items()}
+    results = {record: {key: data["results"][key] for key in HEADLINES
+                        if key in data.get("results", {})}
+               for record, data in loaded.items()}
+    return code, wall, records, results
 
 
 def growth_failures(coarse: dict, fine: dict) -> list:
@@ -93,12 +140,25 @@ def main(argv=None) -> int:
         for name in names:
             base = parse_config((ROOT / "configs" / ("%s.cfg" % name)).read_text()).n
             previous = None
+            levels, changes = [], []
             for n in (base << k for k in range(DOUBLINGS + 1)):
-                code, wall, records = run(name, n, Path(tmp))
+                code, wall, records, results = run(name, n, Path(tmp))
                 print("%-14s n=%-6d exit %d  %7.2f s" % (name, n, code, wall), flush=True)
                 for record, values in records.items():
                     if values:
                         print("    %-24s %s" % (record, json.dumps(values)), flush=True)
+                levels.append(results)
+                shown = {"": results}
+                if len(levels) >= 2:
+                    changes.append(across(change, levels[-2], levels[-1]))
+                    shown["change"] = changes[-1]
+                if len(changes) >= 2:
+                    shown["order"] = across(order, *changes[-2:])
+                for label, table in shown.items():
+                    for record, values in table.items():
+                        if values:
+                            print("    %-24s %s" % ((label + " " + record).strip(),
+                                                    json.dumps(short(values))), flush=True)
                 if code != 0:
                     bad.append("%s at n=%d: exit %d" % (name, n, code))
                 if previous is not None:

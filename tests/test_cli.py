@@ -354,9 +354,8 @@ def test_every_experiment_has_a_runner():
 
 @pytest.mark.parametrize("name, body, key", [
     ("sweep", "sweep.axis = frag_slope\nsweep.values =\n", "sweep.values"),
-    ("sweep", "sweep.axis = dose\nsweep.values =\n", "sweep.values"),
     ("eigen", "eigen.v_values =\n", "eigen.v_values"),
-], ids=["frag_slope", "dose", "eigen"])
+], ids=["frag_slope", "eigen"])
 def test_empty_value_lists_are_config_errors(tmp_path, name, body, key):
     code, out = _run(tmp_path, name, "experiment = %s\ngrid.n = 50\n%s" % (name, body))
     assert code == 2
@@ -531,100 +530,16 @@ def test_timings_reach_the_run_record_only_on_request(tmp_path, name, body):
         {n: b for n, b in plain.items() if n != record}
 
 
-def test_dose_sweep_follows_the_log_law(tmp_path):
-    # C7's grid; at t_end 120 the 0.25 dose would cross only at day 119.96
-    body = "\n".join([
-        "experiment = sweep",
-        "sweep.axis = dose",
-        "sweep.values = 0.25, 1, 4",
-        "simulate.t_end = 150",
-        "simulate.record_every = 4",
-        "grid.n = 400",
-        "grid.xmax = 60",
-        "",
-    ])
-    code, out = _run(tmp_path, "sweep", body)
-    assert code == 0
-    names = sorted(p.name for p in out.iterdir())
-    summary = json.loads((out / next(
-        n for n in names if n.endswith(".json") and "-item-" not in n)).read_text())
-    res = summary["results"]
-    assert res["n_failed"] == 0
-    assert abs(res["slope_fitted"] - res["slope_predicted"]) \
-        <= 0.10 * abs(res["slope_predicted"])
-    largest = json.loads((out / next(n for n in names if "-item-02" in n)).read_text())
-    assert largest["results"]["threshold"] == pytest.approx(
-        1e3 * largest["results"]["rho0"], rel=1e-12)
-
-
-def test_repeated_doses_leave_the_slope_null(tmp_path):
-    # one distinct dose fixes no slope; the summary is still written
-    body = "\n".join([
-        "experiment = sweep",
-        "sweep.axis = dose",
-        "sweep.values = 1, 1",
-        "simulate.t_end = 150",
-        "simulate.record_every = 4",
-        "grid.n = 100",
-        "grid.xmax = 60",
-        "",
-    ])
-    code, out = _run(tmp_path, "sweep", body)
-    assert code == 0
-    summary = json.loads(next(p for p in out.glob("sweep-*.json")
-                              if "-item-" not in p.name).read_text())
-    res = summary["results"]
-    assert res["n_failed"] == 0
-    assert res["t_incubation"][0] == res["t_incubation"][1] > 0.0
-    assert res["slope_fitted"] is None
-    assert res["slope_predicted"] is None
-
-
-def test_zero_clearance_dose_sweep_writes_its_summary(tmp_path):
-    # vbar is infinite at zero clearance: the log law predicts no slope,
-    # and the summary is written all the same
-    body = "\n".join([
-        "experiment = sweep",
-        "sweep.axis = dose",
-        "sweep.values = 1, 4",
-        "model.clearance = 0",
-        "simulate.v_init = 600",
-        "simulate.t_end = 30",
-        "simulate.threshold_ratio = 10",
-        "simulate.snapshot_times = 10",
-        "grid.xmax = 60",
-        "grid.n = 100",
-        "",
-    ])
-    code, out = _run(tmp_path, "sweep", body)
-    assert code == 0
-    summary = json.loads(next(p for p in out.glob("sweep-*.json")
-                              if "-item-" not in p.name).read_text())
-    res = summary["results"]
-    assert res["n_failed"] == 0
-    assert all(0.0 < t < 30.0 for t in res["t_incubation"])
-    assert res["slope_fitted"] < 0.0
-    assert res["slope_predicted"] is None
-
-
-def test_negative_dose_is_a_config_error(tmp_path):
-    # a dose sets simulate.seed_scale, so it is held to that key's bound
-    # before any item integrates a negative inoculum
-    body = "\n".join([
-        "experiment = sweep",
-        "sweep.axis = dose",
-        "sweep.values = -1, 1",
-        "simulate.t_end = 5",
-        "grid.n = 50",
-        "",
-    ])
+def test_dose_is_not_a_sweep_axis(tmp_path):
+    # every axis edits one rate parameter; a dose law is seed_state's scale
+    body = "experiment = sweep\nsweep.axis = dose\nsweep.values = 1, 4\ngrid.n = 50\n"
     code, out = _run(tmp_path, "sweep", body)
     assert code == 2
     assert [p.name for p in out.iterdir()] == ["error-sweep.json"]
     err = json.loads((out / "error-sweep.json").read_text())
     assert err["error_type"] == "ConfigError"
-    assert err["errors"] == ["line 3: sweep.values must be at least 0, the bound of "
-                             "simulate.seed_scale that a dose sweep sets, got -1, 1"]
+    assert err["errors"][0] == ("line 2: sweep.axis: must be one of bell_amplitude, "
+                                "frag_slope, tightness, peak_center")
 
 
 @pytest.mark.parametrize("name, body", [
@@ -687,9 +602,8 @@ def test_zero_clearance_tightness_sweep_names_the_level(tmp_path):
 
 @pytest.mark.parametrize("name, body", [
     ("simulate", "experiment = simulate\n"),
-    ("sweep", "experiment = sweep\nsweep.axis = dose\nsweep.values = 1\n"),
     ("sweep", "experiment = sweep\nsweep.axis = frag_slope\nsweep.values = 0.03\n"),
-], ids=["simulate", "dose", "frag_slope"])
+], ids=["simulate", "frag_slope"])
 def test_zero_clearance_outbreak_needs_a_starting_level(tmp_path, name, body):
     # the monomer starts at vbar unless simulate.v_init says otherwise
     code, out = _run(tmp_path, name, body + "model.clearance = 0\ngrid.n = 50\n")

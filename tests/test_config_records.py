@@ -167,7 +167,7 @@ def test_a_run_rejects_a_key_it_does_not_read(name, line, run):
 
 # each key with a default, set on every base whose run reads it
 DEFAULT_BASES = {"simulate": "experiment = simulate\n",
-                 "dose": "experiment = sweep\nsweep.axis = dose\nsweep.values = 1\n"}
+                 "frag_slope": "experiment = sweep\nsweep.axis = frag_slope\nsweep.values = 1\n"}
 
 
 @pytest.mark.parametrize("key, base", [
@@ -294,9 +294,8 @@ def test_sweep_axis_must_fit_the_configured_shape():
         "config: frag_slope sweep requires an affine fragmentation shape"]
     with pytest.raises(ConfigError, match="peak_center sweep requires a bell"):
         parse("peak_center")
-    # fitting shapes, and dose, which edits no rate
+    # a fitting shape
     assert parse("frag_slope").sweep_axis == "frag_slope"
-    assert parse("dose").sweep_axis == "dose"
 
 
 def test_spacing_keys_are_rejected():
@@ -642,7 +641,6 @@ def test_rates_are_sampled_in_one_place():
     assert sorted((m,) + c for m in modules
                   for c in _callers(m, {"loss_rate_at_vbar"})) == [
         ("cli", "loss_rate_at_vbar", "_run_simulate"),
-        ("cli", "loss_rate_at_vbar", "_run_sweep"),
         ("dynamics", "loss_rate_at_vbar", "stability_experiment"),
     ]
     eigen_solves = {"principal_eigenpair", "adjoint_eigenpair", "generator_eigenpair"}

@@ -23,6 +23,7 @@ from priondyn.cli import sweep
 from priondyn.config import parse_config
 from priondyn.dynamics import _stiff_runs, line_fit
 from priondyn.eigen import DEFAULT_TOL
+from priondyn.records import canonical_json
 from priondyn.reference import incubation_time_log_law, loss_rate_constant
 
 from oracle import MomentClosure
@@ -343,6 +344,28 @@ def test_partition_falls_back_to_the_explicit_step(center, n, t_end):
     assert traj.steps_by_limit["polymer"] == traj.steps - 1
 
 
+def test_a_stiff_cell_that_splits_fast_keeps_the_step_explicit(monkeypatch):
+    # a splitting bump under the conversion bump: the stiff cells' own loss
+    # rate exceeds r_max/4, so taking them implicitly would not lengthen
+    # the step, though the last cell's rate is below r_max/4
+    coeffs = CoefficientSet(2400.0, 4.0, conversion=Bell(0.001, 0.1, 2.0, 0.1),
+                            fragmentation=Bell(0.03, 200.0, 2.0, 0.1))
+    grid = _grid(200)
+    calls = []
+
+    def recording(rates, rate, loss):
+        found = _stiff_runs(rates, rate, loss)
+        calls.append((4.0 * float(rates[-1]) <= rate, found))
+        return found
+
+    monkeypatch.setattr("priondyn.dynamics._stiff_runs", recording)
+    traj = integrate(coeffs, grid, seed_state(coeffs, grid, scale=1e-3), 2.0)
+    assert traj.rejections == 0
+    assert calls == [(True, None)] * traj.steps
+    assert traj.partitioned_steps == traj.max_partition_cells == 0
+    assert traj.max_residual <= 1e-13
+
+
 def test_a_run_of_any_length_is_partitioned(monkeypatch):
     # fig5's amplitude-0.01 bump on 3200 cells: the cells above the last
     # cell's rate form one run of 77 cells, and every step longer than
@@ -642,8 +665,8 @@ def test_sweep_isolates_failures(tmp_path):
 def test_sweep_refuses_an_axis_the_shape_cannot_take(tmp_path):
     cfg = _sweep_cfg(tmp_path, "\n".join([
         "experiment = sweep",
-        "sweep.axis = dose",
-        "sweep.values = 1",
+        "sweep.axis = frag_slope",
+        "sweep.values = 0.03",
         "grid.n = 80",
         "grid.xmax = 30.0",
         "",
@@ -653,6 +676,40 @@ def test_sweep_refuses_an_axis_the_shape_cannot_take(tmp_path):
                                   sweep_values=(0.1, 0.2)))
     with pytest.raises(ValueError, match="unknown sweep axis"):
         sweep(dataclasses.replace(cfg, sweep_axis="width", sweep_values=(0.1,)))
+
+
+def _empty_trajectory():
+    """Ten steps from no polymers: the count stays 0."""
+    coeffs = CoefficientSet(production=2400.0, clearance=4.0)
+    grid = _grid(20)
+    return integrate(coeffs, grid, seed_state(coeffs, grid, scale=0.0), 1.0, dt_max=0.1)
+
+
+@pytest.mark.parametrize("call, error, phrase", [
+    (lambda: PolymerState(v=1.0, u=np.ones(3), grid=_grid(4)),
+     ValueError, "u has shape \\(3,\\), grid has 4 cells"),
+    (lambda: discrete.integrate_discrete(
+        default_calibration(), discrete.DiscreteState(v=1.0, u=np.zeros(399)), 1.0, 0.0),
+     ValueError, "dt must be positive"),
+    (lambda: discrete.integrate_discrete(
+        default_calibration(), discrete.DiscreteState(v=1.0, u=np.zeros(3)), 1.0, 0.1),
+     ValueError, "state has 3 bins; params expect 399"),
+    (lambda: seed_state(CoefficientSet(production=2400.0, clearance=0.0), _grid(20)),
+     ValueError, "v_init required when clearance is zero"),
+    (lambda: growth_rate(_empty_trajectory(), (0.0, 1.0)),
+     ValueError, "polymer count is nonpositive inside the fit window"),
+    (lambda: incubation_time(_empty_trajectory(), 1.0, 1.0),
+     ValueError, "need threshold > inoculation > 0"),
+    (lambda: stability_experiment(CoefficientSet(production=2400.0, clearance=0.0),
+                                  _grid(20), epsilon=1e-3),
+     ValueError, "needs a positive clearance"),
+    (lambda: canonical_json({"a": object()}), TypeError, "cannot serialize 'object'"),
+], ids=["state-shape", "chain-dt", "chain-bins", "seed-zero-clearance",
+        "growth-nonpositive-count", "incubation-threshold", "stability-zero-clearance",
+        "json-type"])
+def test_a_bad_argument_raises_a_named_error(call, error, phrase):
+    with pytest.raises(error, match=phrase):
+        call()
 
 
 # --- stability -------------------------------------------------------------
